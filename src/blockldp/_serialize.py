@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from ._errors import DataError, UsageError
+
 
 def fmt_cell(v) -> str:
     """Render one CSV cell deterministically."""
@@ -38,28 +40,33 @@ def write_csv(path, header: list[str], rows) -> str:
     return str(path)
 
 
-def parse_cell(s: str) -> float:
-    """Inverse of fmt_cell for numeric cells ('inf' maps to +infinity)."""
-    return float(s)
-
-
 def read_csv_columns(path, expected_header: list[str] | None = None):
-    """Read a CSV written by write_csv into a dict of float arrays."""
+    """Read a CSV written by write_csv into a dict of float arrays.
+
+    Cells parse with float(), the inverse of fmt_cell ('inf' is +infinity).
+    A row whose cell count differs from the header's, or a non-numeric
+    cell, raises DataError naming the line.
+    """
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip().split(",")
         if expected_header is not None and header != expected_header:
-            from ._errors import DataError
-
             raise DataError("CSV header %r does not match expected %r"
                             % (header, expected_header))
         cols = [[] for _ in header]
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            for i, part in enumerate(parts):
-                cols[i].append(parse_cell(part))
+            if len(parts) != len(header):
+                raise DataError("%s line %d has %d cells, the header has %d"
+                                % (path, lineno, len(parts), len(header)))
+            try:
+                for col, part in zip(cols, parts):
+                    col.append(float(part))
+            except ValueError:
+                raise DataError("%s line %d has a non-numeric cell: %r"
+                                % (path, lineno, line))
     return {name: np.array(vals) for name, vals in zip(header, cols)}
 
 
@@ -79,14 +86,8 @@ def grid_spec(lo: float, step: float, count: int) -> dict:
 def make_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Uniform grid lo + step*arange(count) covering [lo, hi]."""
     if not step > 0:
-        from ._errors import UsageError
-
         raise UsageError("grid step must be > 0")
     count = int(round((hi - lo) / step)) + 1
     if count < 1:
-        from ._errors import UsageError
-
         raise UsageError("empty grid: lo=%r hi=%r step=%r" % (lo, hi, step))
     return lo + step * np.arange(count)
-
-

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -24,16 +23,16 @@ from ._errors import DataError, NumericalError, UsageError
 from ._serialize import (file_checksum, fmt_cell, make_grid, read_csv_columns,
                          write_csv)
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
-                         local_rate, scgf_values)
-from .convex import find_level_points, grad_estimate, legendre, solve_slope
+                         scgf_values)
+from .convex import find_level_points, legendre, rate_along
 from .experiments import (ExperimentConfig, RunManifest, brownian_experiment,
                           fig1_pipeline, frequency_test)
-from .models import (bernoulli_model, digit_indicator_model, exact_prefix_scgf,
-                     gaussian_model, markov_model)
-from .regimes import Schedule, classify, envelope, predict_empty
+from .models import (bernoulli_model, digit_indicator_model, gaussian_model,
+                     markov_model)
+from .regimes import Schedule, classify
 from .sources import (MarkovSpec, bernoulli_source, digit_source, file_source,
-                      gaussian_increment, gaussian_source, markov_path,
-                      markov_source, next_digit, read_digit_file)
+                      gaussian_source, markov_source, pi_fixture_path,
+                      read_digit_file)
 
 
 def _resolve_out(path):
@@ -194,23 +193,14 @@ def cmd_gen(args) -> int:
     count = int(args.count)
     if count < 1:
         raise UsageError("count must be >= 1")
-    seed = int(args.seed)
-    if args.kind == "iid-digit":
-        sym = digit_source(seed, args.m).symbols(0, count)
-        lines = [str(int(v)) for v in sym]
-    elif args.kind == "iid-bernoulli":
-        obs = bernoulli_source(seed, args.p).batch(0, count)
-        lines = [str(int(v)) for v in obs[:, 0]]
-    elif args.kind == "gaussian":
-        obs = gaussian_source(seed, args.d).batch(0, count)
-        lines = [" ".join(fmt_cell(v) for v in row) for row in obs]
-    else:
-        spec = _load_markov_file(args.markov_file)
-        obs = markov_path(spec, seed, count).reshape(count, -1)
-        lines = [" ".join(fmt_cell(v) for v in row) for row in obs]
+    src, _, seeds = _build_source(args)
+    # Digit and Bernoulli observations are integers and print as such.
+    as_int = src.kind in ("iid-digit", "iid-bernoulli")
+    lines = [" ".join(str(int(v)) if as_int else fmt_cell(v) for v in row)
+             for row in src.batch(0, count)]
     with open(out, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    _finish_manifest("gen", args, out, [out], started, seeds=[seed])
+    _finish_manifest("gen", args, out, [out], started, seeds=seeds)
     print("wrote %d lines to %s" % (count, out))
     return 0
 
@@ -226,11 +216,12 @@ def cmd_analyze(args) -> int:
     k = int(args.k) if args.k is not None else Schedule(float(args.c)).k(n)
     src, checksums, seeds = _build_source(args)
     lam = _parse_grid(args.lambda_grid)
+    ball = None if args.ball is None else _parse_ball(args.ball, src.d)
     stats = block_means(src, n, k)
     values = scgf_values(stats, lam)
     files = [write_csv(out, ["lambda", "value"], zip(lam, values))]
-    if args.ball is not None:
-        center, eps = _parse_ball(args.ball, stats.d)
+    if ball is not None:
+        center, eps = ball
         _, mass = ball_mass(stats, center, eps)
         root, ext = os.path.splitext(out)
         xcell = center[0] if stats.d == 1 else ";".join(fmt_cell(v) for v in center)
@@ -264,18 +255,16 @@ def cmd_regime(args) -> int:
     if model.d != 1:
         raise UsageError("regime reports need a scalar (d=1) model")
     lambda0 = float(args.lambda0)
-    x0 = float(model.grad(lambda0))
-    threshold = lambda0 * x0 - float(model.lam(lambda0))
-    c = threshold if args.c is None else float(args.c)
+    c = rate_along(model, lambda0) if args.c is None else float(args.c)
     report = classify(model, lambda0, c)
     # The level points lambda1 < lambda2 solve lambda L'(lambda) - L(lambda)
     # = threshold; they bracket the tilts, their slopes x1 < x2 the means.
-    if threshold > 1e-12:
-        lam1, lam2 = find_level_points(model, threshold)
+    if report.threshold > 1e-12:
+        lam1, lam2 = find_level_points(model, report.threshold)
         x1, x2 = float(model.grad(lam1)), float(model.grad(lam2))
     else:
         lam1 = lam2 = 0.0
-        x1 = x2 = x0
+        x1 = x2 = report.x0
     doc = {"model": model.name, "regime": report.regime,
            "lambda0": report.lambda0, "x0": report.x0,
            "threshold": report.threshold, "c": report.c,
@@ -304,11 +293,7 @@ def cmd_brownian(args) -> int:
     if not cfg.x_list:
         raise UsageError("brownian config needs a nonempty x_list")
     schedule = Schedule(cfg.c, cfg.gamma, cfg.gamma_prime)
-    for n in cfg.n_list:
-        need = n * schedule.k(n)
-        if need > cfg.budget:
-            raise UsageError("budget violation: n=%d needs n*k=%d > %g observations"
-                             % (n, need, cfg.budget))
+    cfg.block_counts(schedule)
     res = brownian_experiment(cfg.d, cfg.R, schedule, cfg.n_list, cfg.x_list,
                               cfg.eps, cfg.seeds)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -353,237 +338,54 @@ def cmd_freq(args) -> int:
     return 0
 
 
-def _expect(cond, msg="condition failed"):
-    if not cond:
-        raise AssertionError(msg)
-
-
-def _sym_chain() -> MarkovSpec:
-    return MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]),
-                      phi=np.array([0.0, 1.0]))
-
-
-def _const_chain(value: float) -> MarkovSpec:
-    return MarkovSpec(P=np.array([[1.0]]), phi=np.array([value]))
+# Worked examples, one or two per layer; every check is one expression that
+# is true when the layer works.  tests/ holds the full suite.
+SELFTESTS = [
+    ("digit stream of seed 7 is frozen",
+     lambda: digit_source(7, 10).symbols(0, 8).tolist() == [7, 4, 6, 3, 4, 5, 8, 2]),
+    ("empirical SCGF of constant blocks is 0 at 0 and linear",
+     lambda: np.allclose(scgf_values(block_means(markov_source(
+         MarkovSpec(P=[[1.0]], phi=[2.5]), 1), 4, 3), np.array([0.0, 0.3])),
+         [0.0, 0.75], rtol=0.0, atol=1e-12)),
+    ("ball mass counts the closed ball",
+     lambda: ball_mass(BlockStats(n=1, k=3, d=1, means=np.array([[0.1], [0.2], [0.3]])),
+                       0.2, 0.05) == (1, 1.0 / 3.0)),
+    ("Bernoulli(1/2) conjugate at 1 is log 2",
+     lambda: abs(bernoulli_model(0.5).conj(1.0) - math.log(2.0)) <= 1e-12),
+    ("Markov SCGF is exactly 0 at 0",
+     lambda: markov_model(MarkovSpec(P=[[0.9, 0.1], [0.1, 0.9]], phi=[0.0, 1.0]))
+     .lam(0.0) == 0.0),
+    ("sampled conjugate of |lambda| on {-1, 0, 1} at x = 1/2 and 2",
+     lambda: legendre(SampledFunction(grid=np.array([-1.0, 0.0, 1.0]),
+                                      values=np.array([1.0, 0.0, 1.0])), [0.5, 2.0])
+     .values.tolist() == [0.0, 1.0]),
+    ("level points of the gaussian rate at 1/8 are -1/2 and 1/2",
+     lambda: np.allclose(find_level_points(gaussian_model(1), 0.125), (-0.5, 0.5),
+                         rtol=0.0, atol=1e-7)),
+    ("gaussian tilt 1 at c = 1/2 is critical with tilted value 3/2 at t = 2",
+     lambda: classify(gaussian_model(1), 1.0, 0.5).tilted(2.0) == 1.5),
+    ("the first 15 digits of pi hold three 5s",
+     lambda: frequency_test(file_source(pi_fixture_path(), 10), 10, 1, 15).counts[5] == 3),
+    ("CSV cells carry 17 significant digits and the inf sentinel",
+     lambda: (fmt_cell(0.1), fmt_cell(np.inf)) == ("1.0000000000000001e-01", "inf")),
+    ("grid flags agree in range and list form",
+     lambda: _parse_grid("-1:1:0.5").tolist() == _parse_grid("-1,-0.5,0,0.5,1").tolist()),
+]
 
 
 def cmd_selftest(args) -> int:
-    """Run the basic-example suite; exit 3 on any failure."""
+    """Run the worked-example table; exit 3 on any failure."""
     failures = 0
-
-    def run(desc, fn):
-        nonlocal failures
+    for desc, check in SELFTESTS:
         try:
-            fn()
+            err = None if check() else "wrong value"
         except Exception as exc:
-            failures += 1
-            print("FAIL - %s: %s" % (desc, exc))
-        else:
+            err = exc
+        if err is None:
             print("ok - %s" % desc)
-
-    def t_digit():
-        d = next_digit(1, 0, 10)
-        _expect(d == next_digit(1, 0, 10) and 0 <= d < 10)
-        for i in range(16):
-            _expect(next_digit(7, i, 2) in (0, 1))
-
-    def t_gaussian_repeat():
-        _expect(np.array_equal(gaussian_increment(3, 5, 2),
-                               gaussian_increment(3, 5, 2)))
-
-    def t_markov_reject():
-        try:
-            MarkovSpec(P=np.eye(2), phi=np.array([0.0, 1.0])).validate()
-        except UsageError:
-            return
-        raise AssertionError("absorbing chain accepted")
-
-    def t_markov_mean():
-        obs = markov_path(_sym_chain(), 11, 100000)
-        _expect(abs(float(np.mean(obs)) - 0.5) <= 0.01,
-                "long-run mean %.4f off 0.5" % float(np.mean(obs)))
-
-    def t_markov_const():
-        _expect(np.all(markov_path(_const_chain(2.5), 1, 10) == 2.5))
-
-    def t_file_decode():
-        with tempfile.TemporaryDirectory() as tmp:
-            p = os.path.join(tmp, "d.txt")
-            with open(p, "w", newline="") as fh:
-                fh.write("3.14159")
-            _expect(np.array_equal(read_digit_file(p, 10, 0, 3), [3, 1, 4]))
-            with open(p, "w", newline="") as fh:
-                fh.write("1 0\n1")
-            _expect(np.array_equal(read_digit_file(p, 2, 1, 2), [0, 1]))
-            with open(p, "w", newline="") as fh:
-                fh.write("12a4")
-            try:
-                read_digit_file(p, 10, 0, 3)
-            except DataError as exc:
-                _expect("offset 2" in str(exc), str(exc))
-                return
-            raise AssertionError("bad byte accepted")
-
-    def t_block_means():
-        with tempfile.TemporaryDirectory() as tmp:
-            p = os.path.join(tmp, "d.txt")
-            with open(p, "w", newline="") as fh:
-                fh.write("1234")
-            stats = block_means(file_source(p, 10), 2, 2)
-            _expect(np.array_equal(stats.means[:, 0], [1.5, 3.5]))
-        stats = block_means(markov_source(_const_chain(2.5), 1), 4, 3)
-        _expect(np.all(stats.means == 2.5))
-
-    def t_scgf_basics():
-        stats = block_means(markov_source(_const_chain(2.5), 1), 4, 3)
-        vals = scgf_values(stats, np.array([0.0, 0.3]))
-        _expect(vals[0] == 0.0, "value at 0 is %r" % vals[0])
-        _expect(abs(vals[1] - 0.75) <= 1e-12)
-
-    def t_ball():
-        stats = BlockStats(n=1, k=3, d=1,
-                           means=np.array([[0.1], [0.2], [0.3]]))
-        count, mass = ball_mass(stats, 0.2, 0.05)
-        _expect(count == 1 and abs(mass - 1.0 / 3.0) <= 1e-15)
-        count, mass = ball_mass(stats, 0.2, 10.0)
-        _expect(count == 3 and mass == 1.0)
-        _expect(local_rate(stats, 0.2, 10.0) == 0.0)
-        _expect(local_rate(stats, 9.0, 0.1) == np.inf)
-
-    def t_bernoulli_model():
-        mdl = bernoulli_model(0.5)
-        _expect(abs(mdl.conj(1.0) - math.log(2.0)) <= 1e-12)
-        _expect(abs(mdl.grad(0.0) - 0.5) <= 1e-12)
-
-    def t_gaussian_model():
-        mdl = gaussian_model(1)
-        _expect(mdl.conj(0.0) == 0.0)
-        for v in (-1.3, 0.4, 2.0):
-            _expect(abs(mdl.lam(v) - mdl.conj(v)) <= 1e-15)
-        _expect(gaussian_model(2).lam(np.array([3.0, 4.0])) == 12.5)
-
-    def t_markov_model():
-        mdl = markov_model(_sym_chain())
-        _expect(mdl.lam(0.0) == 0.0, "Markov SCGF at 0 not exactly 0")
-        _expect(abs(mdl.grad(0.0) - 0.5) <= 1e-6)
-
-    def t_prefix_scgf():
-        _expect(exact_prefix_scgf(_sym_chain(), 0.0, 6) == 0.0)
-        _expect(abs(exact_prefix_scgf(_const_chain(2.5), 0.4, 5) - 1.0) <= 1e-12)
-
-    def t_legendre_quadratic():
-        grid = make_grid(-3.0, 3.0, 0.005)
-        f = SampledFunction(grid=grid, values=0.5 * grid * grid)
-        res = legendre(f, np.array([1.0, 5.0]))
-        _expect(abs(res.values[0] - 0.5) <= 1.5e-5)
-        _expect(not res.boundary[0] and res.boundary[1])
-
-    def t_grad_estimate():
-        grid = make_grid(-2.0, 2.0, 0.01)
-        g = grad_estimate(SampledFunction(grid=grid, values=2.0 * grid))
-        _expect(float(np.max(np.abs(g.values - 2.0))) <= 1e-12)
-        g = grad_estimate(SampledFunction(grid=grid, values=0.5 * grid * grid))
-        _expect(float(np.max(np.abs(g.values[1:-1] - grid[1:-1]))) <= 1e-12)
-
-    def t_solve_slope():
-        _expect(abs(solve_slope(bernoulli_model(0.3), 0.3)) <= 1e-9)
-        _expect(abs(solve_slope(gaussian_model(1), 0.37) - 0.37) <= 1e-9)
-
-    def t_level_points():
-        lam1, lam2 = find_level_points(gaussian_model(1), 0.125)
-        _expect(abs(lam1 + 0.5) <= 1e-7 and abs(lam2 - 0.5) <= 1e-7)
-
-    def t_envelope():
-        res = envelope(gaussian_model(1), (-1.0, 1.0), 0.5, 9.0, 9.0, 100)
-        _expect(abs(res.xi1 - 1.0) <= 1e-12)
-        _expect(abs(res.xi2 - 1.125) <= 1e-12)
-        _expect(res.valid is False)
-
-    def t_predict_guard():
-        try:
-            predict_empty(gaussian_model(1), 0.5, 1.0, 0.1)
-        except UsageError:
-            return
-        raise AssertionError("supercritical schedule accepted by predict_empty")
-
-    def t_freq_edges():
-        with tempfile.TemporaryDirectory() as tmp:
-            p = os.path.join(tmp, "c.txt")
-            with open(p, "w", newline="") as fh:
-                fh.write("7" * 50)
-            res = frequency_test(file_source(p, 10), 10, 1, 50)
-            _expect(res.freqs[7] == 1.0 and int(res.counts.sum()) == res.windows)
-            res = frequency_test(file_source(p, 10), 10, 2, 2)
-            _expect(res.windows == 1 and res.freqs[77] == 1.0)
-
-    def t_brownian_center():
-        res = brownian_experiment(1, 1.0, Schedule(1.0), [5], [0.0, 0.5],
-                                  0.2, [1])
-        by_x = {row[2]: row[5] for row in res.rows}
-        _expect(by_x[0.0] >= by_x[0.5],
-                "mass at 0 (%.3f) below mass at 0.5 (%.3f)"
-                % (by_x[0.0], by_x[0.5]))
-
-    def t_cli_gen():
-        with tempfile.TemporaryDirectory() as tmp:
-            p1 = os.path.join(tmp, "a.txt")
-            p2 = os.path.join(tmp, "b.txt")
-            base = ["gen", "--kind", "iid-digit", "--m", "10", "--seed", "1",
-                    "--count", "5"]
-            _expect(main(base + ["--out", p1]) == 0)
-            _expect(main(base + ["--out", p2]) == 0)
-            with open(p1, "rb") as fh:
-                b1 = fh.read()
-            with open(p2, "rb") as fh:
-                b2 = fh.read()
-            _expect(b1 == b2 and b1.count(b"\n") == 5)
-            bad = os.path.join(tmp, "bad.json")
-            with open(bad, "w") as fh:
-                json.dump({"P": [[0.5, 0.4], [0.1, 0.9]], "phi": [0.0, 1.0]}, fh)
-            code = main(["gen", "--kind", "markov", "--markov-file", bad,
-                         "--count", "3", "--out", os.path.join(tmp, "m.txt")])
-            _expect(code == 2, "bad Markov rows gave exit %d" % code)
-
-    def t_cli_analyze():
-        with tempfile.TemporaryDirectory() as tmp:
-            data = os.path.join(tmp, "d.txt")
-            with open(data, "w", newline="") as fh:
-                fh.write("100000000020000000003000000000")
-            out = os.path.join(tmp, "scgf.csv")
-            code = main(["analyze", "--in", data, "--m", "10", "--n", "10",
-                         "--k", "3", "--lambda-grid", "0,0.5",
-                         "--ball", "0.2,0.05", "--out", out])
-            _expect(code == 0, "analyze exit %d" % code)
-            cols = read_csv_columns(out, ["lambda", "value"])
-            _expect(cols["value"][0] == 0.0)
-            ball = read_csv_columns(os.path.join(tmp, "scgf_ball.csv"),
-                                    ["x", "mass"])
-            _expect(abs(ball["mass"][0] - 1.0 / 3.0) <= 1e-15)
-
-    run("digit generator deterministic and in range", t_digit)
-    run("gaussian increment identical on repeat", t_gaussian_repeat)
-    run("absorbing Markov chain rejected", t_markov_reject)
-    run("symmetric chain long-run mean near 1/2", t_markov_mean)
-    run("one-state chain yields a constant sequence", t_markov_const)
-    run("digit file decoding, skipping and rejection", t_file_decode)
-    run("block means by direct arithmetic", t_block_means)
-    run("empirical SCGF zero at 0 and linear on constants", t_scgf_basics)
-    run("ball mass and local rate enumeration", t_ball)
-    run("Bernoulli(1/2) conjugate endpoint and mean", t_bernoulli_model)
-    run("gaussian self-duality and arithmetic", t_gaussian_model)
-    run("Markov SCGF zero at 0 and symmetric slope", t_markov_model)
-    run("finite-n Markov SCGF degenerate cases", t_prefix_scgf)
-    run("sampled conjugate of the quadratic", t_legendre_quadratic)
-    run("derivative estimates exact on low-degree data", t_grad_estimate)
-    run("slope inversion at the mean and the identity", t_solve_slope)
-    run("level points of the quadratic rate", t_level_points)
-    run("envelope suprema and validity flag", t_envelope)
-    run("predict_empty rejects supercritical schedules", t_predict_guard)
-    run("frequency edge cases", t_freq_edges)
-    run("gaussian ball mass largest at the origin", t_brownian_center)
-    run("cli gen determinism and Markov validation", t_cli_gen)
-    run("cli analyze zero point and ball companion", t_cli_analyze)
-
+        else:
+            failures += 1
+            print("FAIL - %s: %s" % (desc, err))
     if failures:
         print("%d selftest failure(s)" % failures)
         return 3

@@ -126,9 +126,15 @@ def solve_slope(model, x: float) -> float:
     raise NumericalError("slope bisection did not reach tolerance %g" % _SLOPE_TOL)
 
 
-def _rate_along(model, lam: float) -> float:
-    """g(lambda) = Lambda*(Lambda'(lambda)) via the duality identity."""
-    return lam * model.grad(lam) - model.lam(lam)
+def rate_along(model, lam) -> float:
+    """g(lambda) = Lambda*(Lambda'(lambda)) via the duality identity.
+
+    g(lambda) = <lambda, Lambda'(lambda)> - Lambda(lambda), exact at exposed
+    points; lam is a scalar or, for a d-dimensional model, a vector.  At the
+    tilt lambda0 it is the critical schedule exponent.
+    """
+    return float(np.dot(np.atleast_1d(lam), np.atleast_1d(model.grad(lam)))
+                 - model.lam(lam))
 
 
 def _level_point_side(model, c: float, side: int) -> float | None:
@@ -139,12 +145,12 @@ def _level_point_side(model, c: float, side: int) -> float | None:
     Returns None when the level is not attained inside the bracket.
     """
     outer = side * _LEVEL_BRACKET
-    if _rate_along(model, outer) < c - _LEVEL_TOL:
+    if rate_along(model, outer) < c - _LEVEL_TOL:
         return None
     lo, hi = 0.0, outer
     for _ in range(500):
         mid = 0.5 * (lo + hi)
-        gm = _rate_along(model, mid)
+        gm = rate_along(model, mid)
         if abs(gm - c) <= _LEVEL_TOL:
             return mid
         if gm < c:

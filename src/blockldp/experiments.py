@@ -22,7 +22,7 @@ from ._errors import DataError, UsageError
 from ._serialize import file_checksum, grid_spec, make_grid, write_csv
 from .blockstats import SampledFunction, ball_mass, block_means, \
     empirical_scgf, local_rate
-from .convex import ConjugateResult, grad_estimate, legendre
+from .convex import ConjugateResult, grad_estimate, legendre, rate_along
 from .models import ScgfModel, digit_indicator_model
 from .regimes import RegimeReport, Schedule, classify
 from .sources import SeriesSource, digit_source, file_source, gaussian_source
@@ -62,19 +62,35 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, "r") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise UsageError("config %s must be a JSON object" % path)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:
             raise UsageError("unknown config keys: %s" % ", ".join(unknown))
         cfg = cls(**doc)
-        cfg.n_list = tuple(int(n) for n in cfg.n_list)
-        cfg.seeds = tuple(int(s) for s in cfg.seeds)
-        cfg.lambda_grid = tuple(float(v) for v in cfg.lambda_grid)
-        cfg.x_grid = tuple(float(v) for v in cfg.x_grid)
-        cfg.x_list = tuple(
-            tuple(float(u) for u in v) if isinstance(v, (list, tuple)) else float(v)
-            for v in cfg.x_list)
+        try:
+            cfg.n_list = tuple(int(n) for n in cfg.n_list)
+            cfg.seeds = tuple(int(s) for s in cfg.seeds)
+            cfg.lambda_grid = tuple(float(v) for v in cfg.lambda_grid)
+            cfg.x_grid = tuple(float(v) for v in cfg.x_grid)
+            cfg.x_list = tuple(
+                tuple(float(u) for u in v) if isinstance(v, (list, tuple)) else float(v)
+                for v in cfg.x_list)
+        except (TypeError, ValueError) as exc:
+            raise UsageError("config %s has a badly shaped list: %s" % (path, exc))
         return cfg
+
+    def block_counts(self, schedule: Schedule) -> dict:
+        """{n: k(n)} for every n in n_list, after checking n * k(n) <= budget."""
+        ks = {}
+        for n in self.n_list:
+            ks[n] = schedule.k(n)
+            if n * ks[n] > self.budget:
+                raise UsageError(
+                    "budget violation: n=%d needs n*k=%d > %g observations"
+                    % (n, n * ks[n], self.budget))
+        return ks
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -128,10 +144,6 @@ class Fig1Result:
     manifest_path: str
 
 
-def _schedule_k(c: float, n: int) -> int:
-    return Schedule(c).k(n)
-
-
 def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     """Digit-experiment pipeline: empirical SCGF, error, conjugate, slope range.
 
@@ -148,15 +160,8 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
         raise UsageError("fig1 pipeline needs an iid-digit or digit-file source")
     model = digit_indicator_model(config.m, config.a)
     lambda0 = 0.8 if config.lambda0 is None else float(config.lambda0)
-    x0 = model.grad(lambda0)
-    c = lambda0 * x0 - model.lam(lambda0)
-    ks = {}
-    for n in config.n_list:
-        ks[n] = _schedule_k(c, n)
-        if n * ks[n] > config.budget:
-            raise UsageError(
-                "budget violation: n=%d needs n*k=%d > %g observations"
-                % (n, n * ks[n], config.budget))
+    c = rate_along(model, lambda0)
+    ks = config.block_counts(Schedule(c))
     lam_grid = make_grid(*config.lambda_grid)
     x_grid = make_grid(*config.x_grid)
     checksums = {}
@@ -216,7 +221,7 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
                            files=list(files), wallclock_s=round(time.time() - started, 3),
                            input_checksums=checksums)
     manifest_path = manifest.write(os.path.join(config.out_dir, "manifest.json"))
-    return Fig1Result(model=model, c=float(c), runs=runs, files=files,
+    return Fig1Result(model=model, c=c, runs=runs, files=files,
                       manifest_path=manifest_path)
 
 

@@ -15,6 +15,8 @@ import numpy as np
 from scipy.special import expit, rel_entr
 
 from ._errors import NumericalError, UsageError
+from .blockstats import SampledFunction
+from .convex import legendre
 from .sources import MarkovSpec
 
 _MAX_POWER_ITER = 100000
@@ -212,9 +214,6 @@ def markov_model(spec: MarkovSpec) -> ScgfModel:
 
     @_scalarized
     def conj(x):
-        from .blockstats import SampledFunction
-        from .convex import legendre
-
         if "sampled" not in cache:
             grid = -20.0 + 0.005 * np.arange(8001)
             cache["sampled"] = SampledFunction(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import UsageError
-from .convex import _level_point_side
+from .convex import _level_point_side, rate_along
 
 _TIE_TOL = 1e-12
 _EXP_ARG_CAP = 709.0
@@ -102,8 +102,7 @@ def classify(model, lambda0: float, c: float) -> RegimeReport:
         raise UsageError("schedule exponent c must be finite and >= 0")
     lam0 = np.asarray(lambda0, dtype=np.float64)
     x0 = model.grad(lambda0)
-    threshold = float(np.dot(np.atleast_1d(lam0), np.atleast_1d(np.asarray(x0)))
-                      - model.lam(lambda0))
+    threshold = rate_along(model, lambda0)
     diff = c - threshold
     if abs(diff) <= _TIE_TOL:
         regime = "critical"

@@ -9,6 +9,7 @@ import pytest
 
 from blockldp import (MarkovSpec, digit_source, file_source, gaussian_source,
                       markov_path)
+from blockldp import cli
 from blockldp._serialize import read_csv_columns
 from blockldp.cli import main
 
@@ -56,7 +57,12 @@ def test_data_exit_codes(tmp_path, capsys):
     bad.write_text("a,b\n1,2\n")
     assert main(["legendre", "--in", str(bad), "--x-grid", "0,1",
                  "--out", out]) == 3
-    capsys.readouterr()
+    # extra cell, non-numeric cell, short row
+    for body in ("0.0,0.0\n1.0,0.5,9\n", "0.0,0.0\n1.0,abc\n", "0.0,0.0\n1.0\n"):
+        bad.write_text("lambda,value\n" + body)
+        assert main(["legendre", "--in", str(bad), "--x-grid", "0,1",
+                     "--out", out]) == 3
+        assert "line 3" in capsys.readouterr().err
 
 
 def test_gen_digit_stream_frozen(tmp_path, capsys):
@@ -142,6 +148,15 @@ def test_analyze_known_values(tmp_path, capsys):
         man = json.load(fh)
     assert "d.txt" in man["input_checksums"]
     assert int(man["config"]["n"]) == 10
+    capsys.readouterr()
+
+
+def test_analyze_bad_ball_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "scgf.csv"
+    code = main(["analyze", "--kind", "iid-digit", "--n", "5", "--k", "2",
+                 "--lambda-grid", "0,1", "--ball", "0.1", "--out", str(out)])
+    assert code == 2  # a center but no radius
+    assert not out.exists()
     capsys.readouterr()
 
 
@@ -237,6 +252,10 @@ def test_fig1_cli_and_bad_config(tmp_path, capsys):
     assert main(["fig1", "--config", str(p)]) == 2
     p.write_text(json.dumps({"kind": "iid-digit", "mystery": 1}))
     assert main(["fig1", "--config", str(p)]) == 2
+    p.write_text("[]")
+    assert main(["fig1", "--config", str(p)]) == 2
+    p.write_text(json.dumps({"n_list": "ab"}))
+    assert main(["fig1", "--config", str(p)]) == 2
     assert main(["fig1", "--config", str(tmp_path / "nope.json")]) == 4
     capsys.readouterr()
 
@@ -265,4 +284,17 @@ def test_brownian_cli(tmp_path, capsys):
 
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
-    assert "all selftests passed" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "all selftests passed"
+    assert all(line.startswith("ok - ") for line in lines[:-1])
+
+
+def test_selftest_failure_exit(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SELFTESTS", cli.SELFTESTS + [
+        ("deliberately wrong", lambda: 1 + 1 == 3),
+        ("deliberately raising", lambda: 1 / 0)])
+    assert main(["selftest"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL - deliberately wrong: " in out
+    assert "FAIL - deliberately raising: division by zero" in out
+    assert out.splitlines()[-1] == "2 selftest failure(s)"

@@ -208,6 +208,8 @@ def test_frequency_word_table(tmp_path):
     assert res.max_dev == pytest.approx(0.6 - 0.25, rel=1e-12)
     single = frequency_test(file_source(p, 2), 2, 1, 6)
     assert list(single.counts) == [3, 3] and single.windows == 6
+    one = frequency_test(file_source(p, 2), 2, 2, 2)  # N = n0: one window
+    assert one.windows == 1 and list(one.freqs) == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_frequency_guards(tmp_path):
