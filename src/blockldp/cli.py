@@ -355,6 +355,10 @@ SELFTESTS = [
     ("Markov SCGF is exactly 0 at 0",
      lambda: markov_model(MarkovSpec(P=[[0.9, 0.1], [0.1, 0.9]], phi=[0.0, 1.0]))
      .lam(0.0) == 0.0),
+    ("stay-0.9 chain has Lambda'(0) = 1/2 and Lambda''(0) = 9/4",
+     lambda: np.allclose([(mdl := markov_model(MarkovSpec(P=[[0.9, 0.1], [0.1, 0.9]],
+                                                          phi=[0.0, 1.0]))).grad(0.0),
+                          mdl.hess(0.0)], [0.5, 2.25], rtol=0.0, atol=1e-12)),
     ("sampled conjugate of |lambda| on {-1, 0, 1} at x = 1/2 and 2",
      lambda: legendre(SampledFunction(grid=np.array([-1.0, 0.0, 1.0]),
                                       values=np.array([1.0, 0.0, 1.0])), [0.5, 2.0])

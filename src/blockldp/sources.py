@@ -35,6 +35,7 @@ _U53 = 2.0 ** -53
 _DIM_STRIDE = 1 << 40
 _MAX_DIGIT_RETRIES = 128
 _FILE_CHUNK = 1 << 20
+_SCAN_VALUES = 1 << 16  # per Markov scan segment: cache-sized, log2(steps) passes
 
 
 def raw_word(seed: int, i: int) -> int:
@@ -244,32 +245,37 @@ class MarkovSpec:
         return self._stationary
 
 
-def _markov_states(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
-    cum_rows = np.cumsum(spec.P, axis=1)
-    cum_pi = np.cumsum(spec.stationary())
-    u = _uniforms(seed, np.arange(length, dtype=np.uint64))
-    states = np.empty(length, dtype=np.int64)
-    top = spec.s - 1
-    state = min(int(np.searchsorted(cum_pi, u[0], side="right")), top)
-    states[0] = state
-    for t in range(1, length):
-        state = min(int(np.searchsorted(cum_rows[state], u[t], side="right")), top)
-        states[t] = state
-    return states
-
-
 def markov_path(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
     """Observable sequence phi(X_0), ..., phi(X_{length-1}).
 
     The state path starts from spec's initial distribution (stationary by
     default) and is driven by the counter-based uniforms at indices
     0..length-1, so the whole path is reproducible and randomly accessible
-    by regeneration.
+    by regeneration.  A prefix scan of per-step state maps over segments of
+    at most 2**16/s steps reproduces a step-by-step walk bit for bit.
     """
     spec.validate()
     if length < 1:
         raise UsageError("length must be >= 1")
-    return spec.phi[_markov_states(spec, seed, length)]
+    cum_rows = np.cumsum(spec.P, axis=1)
+    u = _uniforms(seed, np.arange(length, dtype=np.uint64))
+    states = np.empty(length, dtype=np.int64)
+    top = spec.s - 1
+    cum_pi = np.cumsum(spec.stationary())
+    states[0] = min(int(np.searchsorted(cum_pi, u[0], side="right")), top)
+    seg = max(1, _SCAN_VALUES // spec.s)
+    for t0 in range(1, length, seg):
+        uc = u[t0 : t0 + seg]
+        # maps[t, x] is the state after step t0 + t from state x; the doubling
+        # scan composes them into maps from the state before step t0.
+        maps = np.minimum(np.stack([np.searchsorted(row, uc, side="right")
+                                    for row in cum_rows], axis=1), top)
+        d = 1
+        while d < uc.size:
+            maps[d:] = np.take_along_axis(maps[d:], maps[:-d], axis=1)
+            d *= 2
+        states[t0 : t0 + uc.size] = maps[:, states[t0 - 1]]
+    return spec.phi[states]
 
 
 def read_digit_file(path, m: int, offset: int, count: int) -> np.ndarray:

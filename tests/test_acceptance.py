@@ -5,12 +5,12 @@ so a verbose run reads as a checklist.  Criterion 12 re-runs every pipeline
 and compares the serialized outputs byte for byte.
 
 Criteria 7 and 10 test single draws at n = 150 in the critical regime.  The
-n -> infinity limits there (x2 = 0.1983 for the largest attained mean, the
-affine continuation 0.274217 for L(1.6)) sit about log(n)/n above what a
-correct program gives at this size, so those two clauses check each seed
-against the exact finite-n law of k iid Bin(150, 1/10) block sums instead,
-with tail probability ALPHA on each side; the detail line prints each seed's
-band and the quantile its value sits at.
+n -> infinity limits there (x1 = 0.0254 and x2 = 0.1983 for the smallest and
+largest attained means, the affine continuation 0.274217 for L(1.6)) sit
+about log(n)/n outside what a correct program gives at this size, so those
+clauses check each seed against the exact finite-n law of k iid Bin(150, 1/10)
+block sums instead, with tail probability ALPHA on each side; the detail line
+prints each seed's band and the quantile its value sits at.
 """
 
 import contextlib
@@ -48,6 +48,16 @@ ALPHA = 1e-3                            # false-alarm rate in each tail
 def _max_sum_law(n: int, k: int, p: float) -> np.ndarray:
     """P(max_j S_j <= s) = F(s)^k for k iid Bin(n, p) block sums, s = 0..n."""
     return np.exp(k * binom.logcdf(np.arange(n + 1), n, p))
+
+
+def _min_sum_law(n: int, k: int, p: float) -> np.ndarray:
+    """P(min_j S_j <= s) = 1 - (1 - F(s))^k for k iid Bin(n, p) block sums."""
+    return -np.expm1(k * binom.logsf(np.arange(n + 1), n, p))
+
+
+def _central_band(law: np.ndarray) -> tuple:
+    """Smallest and largest sums outside the ALPHA tails of a discrete law."""
+    return int(np.argmax(law > ALPHA)), int(np.argmax(law >= 1.0 - ALPHA))
 
 
 def _tilted_value_law(n: int, k: int, p: float, lam: float) -> np.ndarray:
@@ -363,11 +373,12 @@ def test_criterion_10_digit_reproduction(fig1_run, tmp_path_factory):
     grid = res.runs[0].scgf.grid
     window = (grid >= -1.2) & (grid <= 0.7)
     sups = [float(np.max(r.abs_err[window])) for r in res.runs]
-    lo_devs = [abs(r.mean_min - 0.0254) for r in res.runs]
+    min_sums = [round(r.mean_min * r.n) for r in res.runs]
+    min_laws = [_min_sum_law(r.n, r.k, DIGIT_P) for r in res.runs]
+    lo_bands = [_central_band(law) for law in min_laws]
     max_sums = [round(r.mean_max * r.n) for r in res.runs]
     max_laws = [_max_sum_law(r.n, r.k, DIGIT_P) for r in res.runs]
-    hi_bands = [(int(np.argmax(law > ALPHA)), int(np.argmax(law >= 1.0 - ALPHA)))
-                for law in max_laws]
+    hi_bands = [_central_band(law) for law in max_laws]
     fx_dir = tmp_path_factory.mktemp("fig1_pi")
     fx = fig1_pipeline(ExperimentConfig(kind="digit-file", m=10, a=0,
                                         path=pi_fixture_path(), n_list=(60,),
@@ -378,16 +389,20 @@ def test_criterion_10_digit_reproduction(fig1_run, tmp_path_factory):
     checks = [("budget n*k <= 1e6", all(150 * r.k <= 1e6 for r in res.runs)),
               ("sup error on [-1.2, 0.7] <= 0.05 for all seeds",
                all(s <= 0.05 for s in sups)),
-              ("attained-mean low end within 0.02 of 0.0254",
-               all(d <= 0.02 for d in lo_devs)),
+              ("smallest block sum inside the central 1 - 2e-3 band of "
+               "1 - (1 - F(s))^k for all seeds",
+               all(lo <= s <= hi for s, (lo, hi) in zip(min_sums, lo_bands))),
               ("largest block sum inside the central 1 - 2e-3 band of "
                "F(s)^k for all seeds",
                all(lo <= s <= hi for s, (lo, hi) in zip(max_sums, hi_bands))),
               ("pi digit-file run completes with finite tables", fx_ok)]
     _verdict(10, "desk-scale digit reproduction", checks,
-             "sup %s low devs %s max sums %s bands %s F^k %s (limit %.2f)"
-             % (["%.4f" % s for s in sups], ["%.4f" % d for d in lo_devs],
-                max_sums, ["[%d, %d]" % b for b in hi_bands],
+             "sup %s min sums %s bands %s quantiles %s (limit %.2f) "
+             "max sums %s bands %s F^k %s (limit %.2f)"
+             % (["%.4f" % s for s in sups], min_sums,
+                ["[%d, %d]" % b for b in lo_bands],
+                ["%.3f" % law[s] for s, law in zip(min_sums, min_laws)],
+                150 * X1, max_sums, ["[%d, %d]" % b for b in hi_bands],
                 ["%.3f" % law[s] for s, law in zip(max_sums, max_laws)],
                 150 * X2))
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from blockldp import (MarkovSpec, UsageError, bernoulli_model,
+from blockldp import (MarkovSpec, NumericalError, UsageError, bernoulli_model,
                       digit_indicator_model, exact_prefix_scgf, gaussian_model,
-                      markov_model)
+                      markov_model, models)
 
 # Spectral and finite-n values for the two-state chain with stay probability
 # 0.9 and the state-1 indicator observable, frozen from a 40-digit evaluation
@@ -25,6 +25,12 @@ SYM_PREFIX = {
 def _sym_chain() -> MarkovSpec:
     return MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]),
                       phi=np.array([0.0, 1.0]))
+
+
+def _three_chain() -> MarkovSpec:
+    return MarkovSpec(P=np.array([[0.5, 0.3, 0.2], [0.2, 0.6, 0.2],
+                                  [0.1, 0.3, 0.6]]),
+                      phi=np.array([0.0, 1.0, 2.5]))
 
 
 def _scalar_models():
@@ -181,6 +187,9 @@ def test_markov_one_state_is_linear():
     mdl = markov_model(MarkovSpec(P=np.array([[1.0]]), phi=np.array([2.5])))
     for lam in (-3.0, 0.0, 0.7, 10.0):
         assert float(mdl.lam(lam)) == lam * 2.5
+    for bad in (np.nan, np.inf):  # exit code 3, as the power iteration gave
+        with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+            markov_model(_sym_chain()).lam(np.array([0.5, bad]))
     with pytest.raises(UsageError):  # vector observables are not supported
         markov_model(MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]),
                                 phi=np.array([[0.0, 1.0], [1.0, 0.0]])))
@@ -221,3 +230,57 @@ def test_prefix_scgf_symmetry_and_approach():
         gap12 = abs(exact_prefix_scgf(spec, lam, 12) - target)
         gap6 = abs(exact_prefix_scgf(spec, lam, 6) - target)
         assert gap12 < gap6
+
+
+@pytest.mark.parametrize("spec", [_sym_chain(), _three_chain()],
+                         ids=["symmetric", "three-state"])
+def test_markov_spectral_against_mpmath(spec):
+    import mpmath
+    P = mpmath.matrix(spec.P.tolist())
+
+    def log_perron(l):
+        T = mpmath.matrix(spec.s, spec.s)
+        for x in range(spec.s):
+            for y in range(spec.s):
+                T[x, y] = P[x, y] * mpmath.exp(l * mpmath.mpf(spec.phi[y]))
+        return mpmath.log(max(mpmath.eig(T, left=False, right=False),
+                              key=lambda e: mpmath.re(e)).real)
+
+    mdl = markov_model(spec)
+    lams = np.array([-3.0, -0.4, 0.0, 0.5, 2.0])
+    got = (mdl.lam(lams), mdl.grad(lams), mdl.hess(lams))
+    with mpmath.workdps(40):
+        for i, lam in enumerate(lams):
+            for order in range(3):
+                want = float(mpmath.diff(log_perron, mpmath.mpf(lam), order))
+                assert abs(got[order][i] - want) <= 1e-12, (lam, order)
+
+
+def test_markov_identical_rows_is_bernoulli():
+    p = 0.3
+    mdl = markov_model(MarkovSpec(P=np.array([[1.0 - p, p], [1.0 - p, p]]),
+                                  phi=np.array([0.0, 1.0])))
+    ber = bernoulli_model(p)
+    lams = np.linspace(-4.0, 4.0, 33)
+    for field in ("lam", "grad", "hess"):
+        assert np.max(np.abs(getattr(mdl, field)(lams)
+                             - getattr(ber, field)(lams))) <= 1e-12, field
+
+
+def test_markov_exact_values_at_zero():
+    # asymptotic variance of the stay-0.9 indicator chain:
+    # 0.25 (1 + 0.8) / (1 - 0.8), with 0.8 the second eigenvalue
+    mdl = markov_model(_sym_chain())
+    assert float(mdl.grad(0.0)) == pytest.approx(0.5, abs=1e-12)
+    assert float(mdl.hess(0.0)) == pytest.approx(2.25, abs=1e-12)
+    assert float(markov_model(_three_chain()).lam(0.0)) == 0.0
+
+
+def test_markov_spectral_chunk_independent(monkeypatch):
+    grid = np.linspace(-6.0, 6.0, 101)
+    whole = markov_model(_three_chain()).lam(grid)
+    pieces = np.concatenate([markov_model(_three_chain()).lam(grid[a:a + 17])
+                             for a in range(0, grid.size, 17)])
+    monkeypatch.setattr(models, "_CHUNK_VALUES", 9 * 5)
+    small = markov_model(_three_chain()).lam(grid)
+    assert whole.tobytes() == pieces.tobytes() == small.tobytes()

@@ -181,6 +181,45 @@ def test_markov_path_mean_and_random_access():
     assert np.array_equal(full[:, 0], markov_path(_sym_chain(), 11, 200))
 
 
+def _loop_states(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
+    """Reference walk: one searchsorted per step on the current state's row."""
+    cum_rows = np.cumsum(spec.P, axis=1)
+    u = sources._uniforms(seed, np.arange(length, dtype=np.uint64))
+    top = spec.s - 1
+    state = min(int(np.searchsorted(np.cumsum(spec.stationary()), u[0],
+                                    side="right")), top)
+    states = [state]
+    for t in range(1, length):
+        state = min(int(np.searchsorted(cum_rows[state], u[t], side="right")), top)
+        states.append(state)
+    return np.array(states, dtype=np.float64)
+
+
+MARKOV_CHAINS = {
+    "one-state": [[1.0]],
+    "two-state": [[0.9, 0.1], [0.1, 0.9]],
+    "three-state": [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
+    "zero-entries": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKOV_CHAINS))
+@pytest.mark.parametrize("scan_values", [None, 12])
+def test_markov_scan_matches_loop(name, scan_values, monkeypatch):
+    if scan_values is not None:  # many short segments, with carries between them
+        monkeypatch.setattr(sources, "_SCAN_VALUES", scan_values)
+    P = np.array(MARKOV_CHAINS[name])
+    spec = MarkovSpec(P=P, phi=np.arange(P.shape[0], dtype=np.float64))
+    for seed in (0, 5):
+        for length in (1, 2, 3, 7, 13, 1000):
+            assert np.array_equal(markov_path(spec, seed, length),
+                                  _loop_states(spec, seed, length)), (seed, length)
+    src = markov_source(spec, 5)
+    full = src.batch(0, 1000)
+    for start, count in ((0, 1), (1, 2), (11, 1), (37, 500)):
+        assert np.array_equal(src.batch(start, count), full[start:start + count])
+
+
 def test_markov_constant_chain():
     spec = MarkovSpec(P=np.array([[1.0]]), phi=np.array([2.5]))
     assert np.all(markov_path(spec, 3, 50) == 2.5)
