@@ -6,9 +6,14 @@ empirical SCGF is
 
     L_n(lambda) = (1/n) * log( (1/k) * sum_j exp(n * <lambda, mean_j>) )
 
-evaluated through a log-sum-exp shift.  Every reduction in this module uses
-one fixed pairwise (tree) summation over index order, so serial, chunked and
-parallel evaluations agree bit-exactly.
+evaluated through a log-sum-exp shift.  The measure is stored as distinct
+means with integer counts: when every block sum of a scalar observable is an
+integer (digits, indicators, Bernoulli and integer-valued Markov observables)
+the sums take few values (at most n+1 for a 0/1 observable), and the means
+are the distinct sums divided by n in increasing order, each weighted by its
+block count.  Otherwise the means stay in block order with unit weights.
+Every reduction in this module uses one fixed pairwise (tree) summation over
+row order, so serial, chunked and parallel evaluations agree bit-exactly.
 """
 
 from __future__ import annotations
@@ -47,9 +52,11 @@ def pairwise_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockStats:
-    """Normalized block sums of one sample path.
+    """Normalized block sums of one sample path, as a weighted point set.
 
-    means[j] is the j-th block mean, shape (k, d); every coordinate of a
+    means has shape (r, d) and weights[i] counts the blocks whose mean is
+    means[i]; the weights are integers >= 1 that sum to the block count k.
+    weights=None means one block per row (r = k).  Every coordinate of a
     bounded observable's block mean stays in the observable's range.
     """
 
@@ -57,6 +64,18 @@ class BlockStats:
     k: int
     d: int
     means: np.ndarray
+    weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        rows = np.shape(self.means)[0]
+        w = (np.broadcast_to(np.int64(1), (rows,)) if self.weights is None
+             else np.asarray(self.weights))
+        if w.ndim != 1 or w.shape[0] != rows or not np.issubdtype(w.dtype, np.integer):
+            raise UsageError("weights must be a 1-d integer array with one entry "
+                             "per row of means")
+        if not np.all(w >= 1) or int(w.sum()) != self.k:
+            raise UsageError("weights must be >= 1 and sum to the block count %d" % self.k)
+        object.__setattr__(self, "weights", w.astype(np.int64, copy=False))
 
 
 @dataclass
@@ -91,16 +110,19 @@ def block_means(source: SeriesSource, n: int, k: int, start_index: int = 0) -> B
         Block length and block count, both >= 1.
 
     Each block sum uses the fixed pairwise tree over its n observations, so
-    the result does not depend on the internal batching.  Raises DataError
-    when the source is exhausted, stating how many full blocks were
-    available.
+    the result does not depend on the internal batching.  When d == 1 and
+    every block sum is an integer, the stats hold the distinct sums / n in
+    increasing order with their block counts as weights; otherwise they hold
+    the means in block order with unit weights.  Raises DataError when the
+    source is exhausted, stating how many full blocks were available.
     """
     if n < 1 or k < 1:
         raise UsageError("block length and block count must be >= 1")
     if start_index < 0:
         raise UsageError("start_index must be >= 0")
     d = source.d
-    means = np.empty((k, d), dtype=np.float64)
+    sums = np.empty((k, d), dtype=np.float64)
+    integral = d == 1
     step = max(1, _CHUNK_VALUES // max(1, n * d))
     for j0 in range(0, k, step):
         cnt = min(step, k - j0)
@@ -115,17 +137,24 @@ def block_means(source: SeriesSource, n: int, k: int, start_index: int = 0) -> B
                 "source exhausted: only %d full blocks of length %d available "
                 "from index %d, needed %d" % (full, n, start_index, k)
             ) from err
-        sums = pairwise_sum(batch.reshape(cnt, n, d), axis=1)
-        means[j0 : j0 + cnt] = sums / n
-    return BlockStats(n=n, k=k, d=d, means=means)
+        part = pairwise_sum(batch.reshape(cnt, n, d), axis=1)
+        sums[j0 : j0 + cnt] = part
+        integral = integral and np.array_equal(part, np.rint(part))
+    if integral:
+        values, counts = np.unique(sums[:, 0], return_counts=True)
+        return BlockStats(n=n, k=k, d=d, means=(values / n)[:, None], weights=counts)
+    sums /= n
+    return BlockStats(n=n, k=k, d=d, means=sums)
 
 
 def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
     """Empirical SCGF values at an array of tilt vectors.
 
     lambdas has shape (G,) for d=1 or (G, d); the value at each lambda is
-    (1/n) * (M + log(mean_j exp(n <lambda, mean_j> - M))) with M the maximum
-    exponent, the mean taken with the fixed pairwise tree in block order.
+    (1/n) * (M + log(sum_i w_i exp(n <lambda, mean_i> - M) / k)) with M the
+    maximum exponent and w the weights, the sum taken with the fixed pairwise
+    tree over the rows of stats.means (distinct sums in increasing order for
+    integer block sums, block order otherwise).
     """
     lam = np.asarray(lambdas, dtype=np.float64)
     if lam.ndim == 1 and stats.d != 1:
@@ -137,7 +166,7 @@ def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
         raise DataError("block means contain non-finite entries")
     proj = stats.means[:, 0] if lam.ndim == 1 else None
     out = np.empty(lam.shape[0], dtype=np.float64)
-    gstep = max(1, _CHUNK_VALUES // max(1, stats.k))
+    gstep = max(1, _CHUNK_VALUES // max(1, stats.means.shape[0]))
     for g0 in range(0, lam.shape[0], gstep):
         lam_c = lam[g0 : g0 + gstep]
         if lam.ndim == 1:
@@ -145,7 +174,7 @@ def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
         else:
             t = (lam_c @ stats.means.T) * stats.n
         M = t.max(axis=1)
-        terms = np.exp(t - M[:, None])
+        terms = np.exp(t - M[:, None]) * stats.weights
         mean = pairwise_sum(terms, axis=1) / stats.k
         out[g0 : g0 + gstep] = (M + np.log(mean)) / stats.n
     return out
@@ -154,8 +183,9 @@ def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
 def empirical_scgf(stats: BlockStats, lambdas, meta: dict | None = None) -> SampledFunction:
     """Empirical SCGF on a strictly increasing scalar tilt grid (d=1).
 
-    Exact at lambda=0 (the pairwise mean of k ones is exactly 1).  For
-    vector tilts with d>1 use scgf_values directly.
+    Exact at lambda=0: there every shifted term is its integer weight, the
+    pairwise sum of the weights is exactly k, and the mean is exactly 1.
+    For vector tilts with d>1 use scgf_values directly.
     """
     lam = np.asarray(lambdas, dtype=np.float64)
     if lam.ndim != 1:
@@ -168,7 +198,7 @@ def empirical_scgf(stats: BlockStats, lambdas, meta: dict | None = None) -> Samp
 
 
 def ball_mass(stats: BlockStats, x, eps: float) -> tuple[int, float]:
-    """Count and fraction of block means in the closed ball B(x, eps)."""
+    """Count and fraction of blocks whose mean lies in the closed ball B(x, eps)."""
     if not eps > 0:
         raise UsageError("ball radius must be > 0")
     center = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -176,7 +206,7 @@ def ball_mass(stats: BlockStats, x, eps: float) -> tuple[int, float]:
         raise UsageError("ball center must have dimension %d" % stats.d)
     diff = stats.means - center[None, :]
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    count = int(np.count_nonzero(dist <= eps))
+    count = int(stats.weights[dist <= eps].sum())
     return count, count / stats.k
 
 

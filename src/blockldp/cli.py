@@ -347,6 +347,9 @@ SELFTESTS = [
      lambda: np.allclose(scgf_values(block_means(markov_source(
          MarkovSpec(P=[[1.0]], phi=[2.5]), 1), 4, 3), np.array([0.0, 0.3])),
          [0.0, 0.75], rtol=0.0, atol=1e-12)),
+    ("digit-indicator blocks of length 10 reduce to at most 11 weighted means",
+     lambda: (st := block_means(digit_source(3, 10, indicator_a=0), 10, 1000))
+     .means.shape[0] <= 11 and st.weights.sum() == 1000),
     ("ball mass counts the closed ball",
      lambda: ball_mass(BlockStats(n=1, k=3, d=1, means=np.array([[0.1], [0.2], [0.3]])),
                        0.2, 0.05) == (1, 1.0 / 3.0)),

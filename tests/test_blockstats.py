@@ -6,10 +6,23 @@ import numpy as np
 import pytest
 
 import blockldp.blockstats as blockstats
-from blockldp import (BlockStats, DataError, SampledFunction, UsageError,
-                      ball_mass, block_means, digit_source, empirical_scgf,
-                      file_source, gaussian_source, local_rate, pairwise_sum,
-                      scgf_values)
+from blockldp import (BlockStats, DataError, MarkovSpec, SampledFunction,
+                      UsageError, ball_mass, bernoulli_source, block_means,
+                      digit_source, empirical_scgf, file_source, gaussian_source,
+                      local_rate, markov_source, pairwise_sum, scgf_values)
+
+LATTICE_SOURCES = {
+    "digit-indicator": lambda: digit_source(5, 10, indicator_a=0),
+    "raw-digit": lambda: digit_source(6, 10),
+    "bernoulli": lambda: bernoulli_source(7, 0.3),
+    "markov-01": lambda: markov_source(
+        MarkovSpec(P=[[0.9, 0.1], [0.2, 0.8]], phi=[0.0, 1.0]), 8),
+}
+
+
+def _block_order_means(src, n, k):
+    """Means of the first k length-n blocks in block order (the dense form)."""
+    return pairwise_sum(src.batch(0, n * k).reshape(k, n, src.d), axis=1) / n
 
 
 def test_pairwise_sum_fixed_tree():
@@ -39,9 +52,12 @@ def test_block_means_start_index():
     src = digit_source(3, 10)
     sym = src.symbols(0, 100).astype(np.float64)
     stats = block_means(src, 10, 4, start_index=20)
-    # integer-valued sums up to 90 are exact, so equality is exact
-    want = sym[20:60].reshape(4, 10).mean(axis=1)
-    assert np.array_equal(stats.means[:, 0], want)
+    # integer-valued sums up to 90 are exact, so equality is exact; integer
+    # sums are stored as distinct means in increasing order with counts
+    values, counts = np.unique(sym[20:60].reshape(4, 10).mean(axis=1),
+                               return_counts=True)
+    assert np.array_equal(stats.means[:, 0], values)
+    assert np.array_equal(stats.weights, counts)
 
 
 def test_block_means_chunk_independent(monkeypatch):
@@ -50,6 +66,82 @@ def test_block_means_chunk_independent(monkeypatch):
     monkeypatch.setattr(blockstats, "_CHUNK_VALUES", 64)
     got = block_means(src, 16, 33)
     assert np.array_equal(got.means, want.means)
+
+
+@pytest.mark.parametrize("kind", sorted(LATTICE_SOURCES))
+def test_lattice_scgf_matches_dense(kind):
+    src = LATTICE_SOURCES[kind]()
+    n, k = 40, 3000
+    stats = block_means(src, n, k)
+    dense_means = _block_order_means(src, n, k)
+    values, counts = np.unique(dense_means[:, 0], return_counts=True)
+    assert np.array_equal(stats.means[:, 0], values)
+    assert np.array_equal(stats.weights, counts)
+    assert stats.means.shape[0] < k and stats.weights.sum() == k
+    dense = BlockStats(n=n, k=k, d=1, means=dense_means)
+    lam = np.linspace(-3.0, 3.0, 121)
+    got = scgf_values(stats, lam)
+    assert np.max(np.abs(got - scgf_values(dense, lam))) <= 1e-13
+    assert got[60] == 0.0 and lam[60] == 0.0
+
+
+def test_lattice_stats_chunk_independent(monkeypatch):
+    src = LATTICE_SOURCES["digit-indicator"]()
+    lam = np.linspace(-2.0, 2.0, 41)
+    want = block_means(src, 12, 500)
+    want_scgf = scgf_values(want, lam)
+    monkeypatch.setattr(blockstats, "_CHUNK_VALUES", 50)
+    got = block_means(src, 12, 500)
+    assert np.array_equal(got.means, want.means)
+    assert np.array_equal(got.weights, want.weights)
+    assert scgf_values(got, lam).tobytes() == want_scgf.tobytes()
+
+
+def test_gaussian_stats_stay_dense():
+    src = gaussian_source(9, 1)
+    n, k = 8, 700
+    stats = block_means(src, n, k)
+    assert stats.means.shape == (k, 1)
+    assert np.array_equal(stats.weights, np.ones(k, dtype=np.int64))
+    assert np.array_equal(stats.means, _block_order_means(src, n, k))
+    lam = np.linspace(-2.0, 2.0, 41)
+    # the unweighted formula: pairwise mean of the shifted exponentials
+    t = np.outer(lam, stats.means[:, 0]) * n
+    M = t.max(axis=1)
+    want = (M + np.log(pairwise_sum(np.exp(t - M[:, None]), axis=1) / k)) / n
+    assert scgf_values(stats, lam).tobytes() == want.tobytes()
+
+
+def test_ball_mass_lattice_matches_dense():
+    # n = 8 puts every mean on the exact binary lattice j/8, so these radii
+    # place lattice points exactly on the sphere
+    src = LATTICE_SOURCES["digit-indicator"]()
+    n, k = 8, 2000
+    stats = block_means(src, n, k)
+    assert stats.means.shape[0] < k
+    dense = BlockStats(n=n, k=k, d=1, means=_block_order_means(src, n, k))
+    for x, eps in [(0.0, 0.125), (0.125, 0.125), (0.25, 0.25), (0.1, 0.025),
+                   (0.375, 0.5), (1.0, 0.125), (2.0, 0.5)]:
+        assert ball_mass(stats, x, eps) == ball_mass(dense, x, eps)
+    assert ball_mass(stats, 0.125, 0.125)[0] > 0
+
+
+@pytest.mark.parametrize("weights", [
+    np.array([[1, 1], [1, 1]]),  # not 1-d
+    np.array([2, 2]),            # one entry short of the rows of means
+    np.array([1.5, 1.5, 1.0]),   # not integer counts
+    np.array([0, 2, 2]),         # a weight below 1
+    np.array([1, 1, 1]),         # sums to 3, not k = 4
+], ids=["ndim", "length", "dtype", "below-one", "sum"])
+def test_block_stats_rejects_bad_weights(weights):
+    with pytest.raises(UsageError):
+        BlockStats(n=2, k=4, d=1, means=np.array([[0.0], [0.5], [1.0]]),
+                   weights=weights)
+
+
+def test_block_stats_dense_rows_must_match_k():
+    with pytest.raises(UsageError):
+        BlockStats(n=2, k=4, d=1, means=np.array([[0.0], [0.5], [1.0]]))
 
 
 def test_block_means_guards(tmp_path):
