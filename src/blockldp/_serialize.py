@@ -2,8 +2,8 @@
 
 The CSV contract: header row, comma separators, '\n' line ends, '.' radix,
 floats rendered with exactly 17 significant digits (round-trip safe), the
-literal "inf" for the +infinity sentinel.  Identical inputs produce
-byte-identical files.
+literal "inf" for the +infinity sentinel, vectors as ';'-joined floats.
+Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,18 +16,17 @@ from ._errors import DataError, UsageError
 
 
 def fmt_cell(v) -> str:
-    """Render one CSV cell deterministically."""
+    """Render one CSV cell deterministically (a 1-d array as ';'-joined cells)."""
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        # .16e always carries 17 significant digits; infinities collapse to
-        # the bare sentinel literals.
-        s = "%.16e" % float(v)
-        if s.endswith("inf"):
-            return "inf" if float(v) > 0 else "-inf"
-        return s
+        # .16e always carries 17 significant digits and prints inf, -inf and
+        # nan bare.
+        return "%.16e" % float(v)
+    if isinstance(v, np.ndarray):
+        return ";".join(fmt_cell(u) for u in v)
     return str(v)
 
 

@@ -107,7 +107,7 @@ def block_means(source: SeriesSource, n: int, k: int, start_index: int = 0) -> B
     source : SeriesSource
         Supplies n*k observations from start_index.
     n, k : int
-        Block length and block count, both >= 1.
+        Block length and block count, both >= 1, with n*k < 2**63.
 
     Each block sum uses the fixed pairwise tree over its n observations, so
     the result does not depend on the internal batching.  When d == 1 and
@@ -120,6 +120,8 @@ def block_means(source: SeriesSource, n: int, k: int, start_index: int = 0) -> B
         raise UsageError("block length and block count must be >= 1")
     if start_index < 0:
         raise UsageError("start_index must be >= 0")
+    if n * k > np.iinfo(np.int64).max:
+        raise UsageError("n*k = %d*%d observations exceed 2**63 - 1" % (n, k))
     d = source.d
     sums = np.empty((k, d), dtype=np.float64)
     integral = d == 1

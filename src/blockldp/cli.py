@@ -31,8 +31,7 @@ from .models import (bernoulli_model, digit_indicator_model, gaussian_model,
                      markov_model)
 from .regimes import Schedule, classify
 from .sources import (MarkovSpec, bernoulli_source, digit_source, file_source,
-                      gaussian_source, markov_source, pi_fixture_path,
-                      read_digit_file)
+                      gaussian_source, markov_source, pi_fixture_path)
 
 
 def _resolve_out(path):
@@ -148,19 +147,12 @@ def _build_source(args):
     return markov_source(_load_markov_file(args.markov_file), seed), {}, [seed]
 
 
-def _flags_dict(args) -> dict:
-    doc = {}
-    for key, val in vars(args).items():
-        if key in ("func", "command"):
-            continue
-        doc[key] = val
-    return doc
-
-
 def _finish_manifest(command, args, anchor, files, started, checksums=None,
                      seeds=None) -> str:
     """Write <anchor>.manifest.json recording all flags, seeds and outputs."""
-    manifest = RunManifest(command=command, config=_flags_dict(args),
+    flags = {key: val for key, val in vars(args).items()
+             if key not in ("func", "command")}
+    manifest = RunManifest(command=command, config=flags,
                            seeds=list(seeds or []), files=list(files),
                            wallclock_s=round(time.time() - started, 3),
                            input_checksums=dict(checksums or {}))
@@ -224,9 +216,8 @@ def cmd_analyze(args) -> int:
         center, eps = ball
         _, mass = ball_mass(stats, center, eps)
         root, ext = os.path.splitext(out)
-        xcell = center[0] if stats.d == 1 else ";".join(fmt_cell(v) for v in center)
         files.append(write_csv(root + "_ball" + (ext or ".csv"),
-                               ["x", "mass"], [(xcell, mass)]))
+                               ["x", "mass"], [(center, mass)]))
     _finish_manifest("analyze", args, out, files, started, checksums, seeds)
     print("wrote %s (n=%d, k=%d, %d tilt points)" % (out, n, k, lam.size))
     return 0
@@ -307,32 +298,18 @@ def cmd_brownian(args) -> int:
     return 0
 
 
-def _count_symbols(path, m: int) -> int:
-    # A request larger than the byte count must hit EOF, whose error reports
-    # the total number of symbols in the file.
-    try:
-        read_digit_file(path, m, 0, os.path.getsize(path) + 1)
-    except DataError as exc:
-        avail = getattr(exc, "symbols_available", None)
-        if avail is None:
-            raise
-        return int(avail)
-    raise DataError("could not determine the symbol count of %s" % path)
-
-
 def cmd_freq(args) -> int:
     started = time.time()
     src = file_source(args.infile, args.m)
     checksums = {os.path.basename(args.infile): file_checksum(args.infile)}
-    N = int(args.count) if args.count is not None else _count_symbols(args.infile, args.m)
-    res = frequency_test(src, args.m, args.n0, N)
+    res = frequency_test(src, args.m, args.n0, args.count)
     if args.out is not None:
         out = _resolve_out(args.out)
         rows = [(res.word(i), int(res.counts[i]), float(res.freqs[i]))
                 for i in range(res.counts.size)]
         files = [write_csv(out, ["word", "count", "freq"], rows)]
         _finish_manifest("freq", args, out, files, started, checksums)
-    doc = {"m": res.m, "n0": res.n0, "N": N, "windows": res.windows,
+    doc = {"m": res.m, "n0": res.n0, "N": res.N, "windows": res.windows,
            "uniform": args.m ** (-float(args.n0)), "max_dev": res.max_dev}
     print(json.dumps(_json_safe(doc), indent=2, sort_keys=True))
     return 0
@@ -400,15 +377,16 @@ def cmd_selftest(args) -> int:
     return 0
 
 
-def _add_source_flags(p, with_indicator: bool) -> None:
-    p.add_argument("--in", dest="infile", metavar="FILE",
-                   help="digit file input (alternative to --kind)")
+def _add_source_flags(p, file_flags: bool) -> None:
+    if file_flags:
+        p.add_argument("--in", dest="infile", metavar="FILE",
+                       help="digit file input (alternative to --kind)")
     p.add_argument("--kind", choices=("iid-digit", "iid-bernoulli",
                                       "gaussian", "markov"),
-                   help="generated source kind")
+                   required=not file_flags, help="generated source kind")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--m", type=int, default=10, help="digit base (2..10)")
-    if with_indicator:
+    if file_flags:
         p.add_argument("--a", type=int, default=None,
                        help="track the 0/1 indicator of this symbol "
                             "instead of raw symbol values")
@@ -428,20 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("gen", help="write a generated observation file")
-    p.add_argument("--kind", required=True,
-                   choices=("iid-digit", "iid-bernoulli", "gaussian", "markov"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--markov-file", dest="markov_file", metavar="FILE")
+    _add_source_flags(p, file_flags=False)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("analyze",
                        help="empirical SCGF (and ball mass) of a block sample")
-    _add_source_flags(p, with_indicator=True)
+    _add_source_flags(p, file_flags=True)
     p.add_argument("--n", type=int, required=True, help="block length")
     p.add_argument("--k", type=int, default=None, help="block count")
     p.add_argument("--c", type=float, default=None,

@@ -93,6 +93,21 @@ def grad_estimate(f: SampledFunction) -> SampledFunction:
                            meta=meta)
 
 
+def _bisect(fn, target: float, lo: float, hi: float, tol: float, what: str) -> float:
+    """Halve [lo, hi] up to 500 times until |fn(mid) - target| <= tol; fn is
+    monotone, below target at lo and above at hi (lo may exceed hi)."""
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid)
+        if abs(fm - target) <= tol:
+            return mid
+        if fm < target:
+            lo = mid
+        else:
+            hi = mid
+    raise NumericalError("%s bisection did not reach tolerance %g" % (what, tol))
+
+
 def solve_slope(model, x: float) -> float:
     """The tilt lambda with Lambda'(lambda) = x, for a 1-d model.
 
@@ -114,16 +129,7 @@ def solve_slope(model, x: float) -> float:
         hi *= 2.0
         if hi > _SLOPE_EXPAND_CAP:
             raise DataError("x=%r is at or above the attainable slope range" % (x,))
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        gm = model.grad(mid)
-        if abs(gm - x) <= _SLOPE_TOL:
-            return mid
-        if gm < x:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalError("slope bisection did not reach tolerance %g" % _SLOPE_TOL)
+    return _bisect(model.grad, x, lo, hi, _SLOPE_TOL, "slope")
 
 
 def rate_along(model, lam) -> float:
@@ -147,17 +153,8 @@ def _level_point_side(model, c: float, side: int) -> float | None:
     outer = side * _LEVEL_BRACKET
     if rate_along(model, outer) < c - _LEVEL_TOL:
         return None
-    lo, hi = 0.0, outer
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        gm = rate_along(model, mid)
-        if abs(gm - c) <= _LEVEL_TOL:
-            return mid
-        if gm < c:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalError("level bisection did not reach tolerance %g" % _LEVEL_TOL)
+    return _bisect(lambda lam: rate_along(model, lam), c, 0.0, outer, _LEVEL_TOL,
+                   "level")
 
 
 def find_level_points(model, c: float) -> tuple[float, float]:

@@ -19,13 +19,14 @@ from scipy.special import ndtr
 
 from . import __version__
 from ._errors import DataError, UsageError
-from ._serialize import file_checksum, grid_spec, make_grid, write_csv
+from ._serialize import file_checksum, fmt_cell, grid_spec, make_grid, write_csv
 from .blockstats import SampledFunction, ball_mass, block_means, \
     empirical_scgf, local_rate
 from .convex import ConjugateResult, grad_estimate, legendre, rate_along
 from .models import ScgfModel, digit_indicator_model
 from .regimes import RegimeReport, Schedule, classify
-from .sources import SeriesSource, digit_source, file_source, gaussian_source
+from .sources import (SeriesSource, digit_source, file_source, gaussian_source,
+                      read_digit_file)
 
 
 @dataclass
@@ -144,6 +145,16 @@ class Fig1Result:
     manifest_path: str
 
 
+def _block_runs(source: SeriesSource, schedule: Schedule, n_list, seeds):
+    """(seed, n, k, block_means) for each seed, then each n in n_list as given;
+    every k(n) is computed, and so checked, before the first run."""
+    ks = [schedule.k(n) for n in n_list]
+    for seed in seeds:
+        src = source.with_seed(seed)
+        for n, k in zip(n_list, ks):
+            yield seed, n, k, block_means(src, n, k)
+
+
 def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     """Digit-experiment pipeline: empirical SCGF, error, conjugate, slope range.
 
@@ -166,7 +177,8 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     model = digit_indicator_model(config.m, config.a)
     lambda0 = 0.8 if config.lambda0 is None else float(config.lambda0)
     c = rate_along(model, lambda0)
-    ks = config.block_counts(Schedule(c))
+    schedule = Schedule(c)
+    ks = config.block_counts(schedule)
     lam_grid = make_grid(*config.lambda_grid)
     x_grid = make_grid(*config.x_grid)
     checksums = {}
@@ -183,36 +195,27 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     runs = []
     files = []
     summary_rows = []
-    for seed in seeds_eff:
-        src = base if config.kind == "digit-file" else base.with_seed(seed)
-        for n in config.n_list:
-            k = ks[n]
-            stats = block_means(src, n, k)
-            meta = {"seed": seed, "model": model.name, "c": c}
-            scgf = empirical_scgf(stats, lam_grid, meta=meta)
-            abs_err = np.abs(scgf.values - model.lam(lam_grid))
-            conj = legendre(scgf, x_grid)
-            grad = grad_estimate(scgf)
-            mean_min = float(stats.means.min())
-            mean_max = float(stats.means.max())
-            tag = "n%d_s%d" % (n, seed)
-            files.append(write_csv(
-                os.path.join(config.out_dir, "scgf_%s.csv" % tag),
-                ["lambda", "value"], zip(lam_grid, scgf.values)))
-            files.append(write_csv(
-                os.path.join(config.out_dir, "abserr_%s.csv" % tag),
-                ["lambda", "abs_error"], zip(lam_grid, abs_err)))
-            files.append(write_csv(
-                os.path.join(config.out_dir, "conj_%s.csv" % tag),
-                ["x", "value", "argmax_lambda", "boundary"],
-                zip(x_grid, conj.values, conj.argmax, conj.boundary)))
-            files.append(write_csv(
-                os.path.join(config.out_dir, "grad_%s.csv" % tag),
-                ["lambda", "derivative"], zip(lam_grid, grad.values)))
-            summary_rows.append((n, seed, k, mean_min, mean_max))
-            runs.append(Fig1Run(n=n, k=k, seed=seed, scgf=scgf, abs_err=abs_err,
-                                conj=conj, grad=grad, mean_min=mean_min,
-                                mean_max=mean_max))
+    for seed, n, k, stats in _block_runs(base, schedule, config.n_list, seeds_eff):
+        meta = {"seed": seed, "model": model.name, "c": c}
+        scgf = empirical_scgf(stats, lam_grid, meta=meta)
+        abs_err = np.abs(scgf.values - model.lam(lam_grid))
+        conj = legendre(scgf, x_grid)
+        grad = grad_estimate(scgf)
+        mean_min = float(stats.means.min())
+        mean_max = float(stats.means.max())
+        tag = "n%d_s%d" % (n, seed)
+        for stem, header, cols in (
+                ("scgf", ["lambda", "value"], (lam_grid, scgf.values)),
+                ("abserr", ["lambda", "abs_error"], (lam_grid, abs_err)),
+                ("conj", ["x", "value", "argmax_lambda", "boundary"],
+                 (x_grid, conj.values, conj.argmax, conj.boundary)),
+                ("grad", ["lambda", "derivative"], (lam_grid, grad.values))):
+            path = os.path.join(config.out_dir, "%s_%s.csv" % (stem, tag))
+            files.append(write_csv(path, header, zip(*cols)))
+        summary_rows.append((n, seed, k, mean_min, mean_max))
+        runs.append(Fig1Run(n=n, k=k, seed=seed, scgf=scgf, abs_err=abs_err,
+                            conj=conj, grad=grad, mean_min=mean_min,
+                            mean_max=mean_max))
     files.append(write_csv(os.path.join(config.out_dir, "summary.csv"),
                            ["n", "seed", "k", "mean_min", "mean_max"],
                            summary_rows))
@@ -257,47 +260,38 @@ def regime_experiment(model: ScgfModel, source: SeriesSource, lambda0: float,
     The source is re-derived with each seed; k(n) = ceil(e^{c n}).
     """
     report = classify(model, lambda0, c)
-    schedule = Schedule(c)
-    ks = {n: schedule.k(n) for n in n_list}
-    rows = []
     if report.regime == "supercritical":
         window = make_grid(lambda0 - 0.2, lambda0 + 0.2, 0.01)
         truth = model.lam(window)
         columns = ["n", "seed", "k", "sup_error"]
-        for seed in seeds:
-            src = source.with_seed(seed)
-            for n in n_list:
-                stats = block_means(src, n, ks[n])
-                emp = empirical_scgf(stats, window)
-                rows.append((n, seed, ks[n],
-                             float(np.max(np.abs(emp.values - truth)))))
+
+        def tails(stats):
+            emp = empirical_scgf(stats, window)
+            return [(float(np.max(np.abs(emp.values - truth))),)]
     elif report.regime == "subcritical":
         if eps is None:
             raise UsageError("subcritical evidence needs the ball radius eps")
         columns = ["n", "seed", "k", "count", "mass"]
-        for seed in seeds:
-            src = source.with_seed(seed)
-            for n in n_list:
-                stats = block_means(src, n, ks[n])
-                count, mass = ball_mass(stats, report.x0, eps)
-                rows.append((n, seed, ks[n], count, mass))
+
+        def tails(stats):
+            return [ball_mass(stats, report.x0, eps)]
     else:
         if lambda0 == 0.0:
             raise UsageError("tilted evidence needs lambda0 != 0")
         ts = (1.0, 1.5, 2.0)
+        preds = [report.tilted(t) for t in ts]
         tilts = np.array([t * lambda0 for t in ts])
         order = np.argsort(tilts)
         columns = ["n", "seed", "k", "t", "empirical", "predicted", "abs_error"]
-        for seed in seeds:
-            src = source.with_seed(seed)
-            for n in n_list:
-                stats = block_means(src, n, ks[n])
-                emp = empirical_scgf(stats, tilts[order])
-                by_t = {ts[i]: emp.values[pos] for pos, i in enumerate(order)}
-                for t in ts:
-                    pred = report.tilted(t)
-                    rows.append((n, seed, ks[n], t, float(by_t[t]), pred,
-                                 abs(float(by_t[t]) - pred)))
+
+        def tails(stats):
+            emp = empirical_scgf(stats, tilts[order])
+            by_t = {ts[i]: float(emp.values[pos]) for pos, i in enumerate(order)}
+            return [(t, by_t[t], pred, abs(by_t[t] - pred))
+                    for t, pred in zip(ts, preds)]
+    rows = [(n, seed, k) + tuple(tail)
+            for seed, n, k, stats in _block_runs(source, Schedule(c), n_list, seeds)
+            for tail in tails(stats)]
     return RegimeEvidence(report=report, columns=columns, rows=rows)
 
 
@@ -321,8 +315,7 @@ def brownian_experiment(d: int, R: float, schedule: Schedule, n_list, x_list,
     c > (1 + sqrt(eps_n)) R^2 / 2, with eps_n = 0 when the schedule carries
     no gamma.  Every center must satisfy |x| + eps <= R.
     """
-    if d < 1:
-        raise UsageError("dimension must be >= 1")
+    source = gaussian_source(0, d)
     if not eps > 0:
         raise UsageError("ball radius must be > 0")
     xs = [np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in x_list]
@@ -334,27 +327,24 @@ def brownian_experiment(d: int, R: float, schedule: Schedule, n_list, x_list,
     columns = ["n", "seed", "x", "k", "count", "mass", "local_rate",
                "oracle_mass", "oracle_rate", "rel_err", "margin_ok"]
     rows = []
-    for seed in seeds:
-        for n in n_list:
-            k = schedule.k(n)
-            stats = block_means(gaussian_source(seed, d), n, k)
-            eps_n = schedule.eps_n(n) if schedule.gamma is not None else 0.0
-            margin_ok = schedule.c > (1.0 + math.sqrt(eps_n)) * R * R / 2.0
-            for x in xs:
-                count, mass = ball_mass(stats, x, eps)
-                rate = local_rate(stats, x, eps)
-                if d == 1:
-                    x0 = float(x[0])
-                    oracle = float(ndtr((x0 + eps) * math.sqrt(n))
-                                   - ndtr((x0 - eps) * math.sqrt(n)))
-                    oracle_rate = -math.log(oracle) / n
-                    rel = abs(mass - oracle) / oracle
-                    xcell = x0
-                else:
-                    oracle = oracle_rate = rel = float("nan")
-                    xcell = ";".join("%.16e" % v for v in x)
-                rows.append((n, seed, xcell, k, count, mass, rate, oracle,
-                             oracle_rate, rel, margin_ok))
+    for seed, n, k, stats in _block_runs(source, schedule, n_list, seeds):
+        eps_n = schedule.eps_n(n) if schedule.gamma is not None else 0.0
+        margin_ok = schedule.c > (1.0 + math.sqrt(eps_n)) * R * R / 2.0
+        for x in xs:
+            count, mass = ball_mass(stats, x, eps)
+            rate = local_rate(stats, x, eps)
+            if d == 1:
+                x0 = float(x[0])
+                oracle = float(ndtr((x0 + eps) * math.sqrt(n))
+                               - ndtr((x0 - eps) * math.sqrt(n)))
+                oracle_rate = -math.log(oracle) / n
+                rel = abs(mass - oracle) / oracle
+                xcell = x0
+            else:
+                oracle = oracle_rate = rel = float("nan")
+                xcell = fmt_cell(x)
+            rows.append((n, seed, xcell, k, count, mass, rate, oracle,
+                         oracle_rate, rel, margin_ok))
     return BrownianResult(columns=columns, rows=rows)
 
 
@@ -364,6 +354,7 @@ class FrequencyResult:
 
     m: int
     n0: int
+    N: int
     windows: int
     counts: np.ndarray
     freqs: np.ndarray
@@ -377,12 +368,14 @@ class FrequencyResult:
         return "".join(reversed(digits))
 
 
-def frequency_test(source: SeriesSource, m: int, n0: int, N: int) -> FrequencyResult:
+def frequency_test(source: SeriesSource, m: int, n0: int,
+                   N: int | None = None) -> FrequencyResult:
     """Frequencies of all length-n0 words over sliding windows vs m^-n0.
 
     Counts every window i = 0..N-n0 of the first N symbols and reports the
     per-word frequency table and the maximum deviation from the uniform
-    m^-n0, the normality diagnostic.
+    m^-n0, the normality diagnostic.  N=None uses every symbol of a
+    digit-file source, decoded in one pass; other sources need N.
     """
     if not 1 <= n0 <= 4:
         raise UsageError("word length n0 must lie in [1, 4]")
@@ -392,9 +385,16 @@ def frequency_test(source: SeriesSource, m: int, n0: int, N: int) -> FrequencyRe
         raise UsageError("frequency test needs a base-m symbol source")
     if source.m != m:
         raise UsageError("source base %r does not match m=%d" % (source.m, m))
+    if N is None:
+        if source.kind != "digit-file":
+            raise UsageError("N may be omitted only for a digit-file source")
+        # Read directly: symbols() takes a count, the whole file has none.
+        syms = read_digit_file(source.path, m, 0)
+        N = syms.size
+    elif N >= n0:
+        syms = source.symbols(0, N)
     if N < n0:
         raise DataError("need at least n0=%d symbols, got N=%d" % (n0, N))
-    syms = source.symbols(0, N)
     windows = N - n0 + 1
     codes = np.zeros(windows, dtype=np.int64)
     for t in range(n0):
@@ -402,5 +402,5 @@ def frequency_test(source: SeriesSource, m: int, n0: int, N: int) -> FrequencyRe
     counts = np.bincount(codes, minlength=m ** n0)
     freqs = counts / windows
     max_dev = float(np.max(np.abs(freqs - m ** (-float(n0)))))
-    return FrequencyResult(m=m, n0=n0, windows=windows, counts=counts,
+    return FrequencyResult(m=m, n0=n0, N=N, windows=windows, counts=counts,
                            freqs=freqs, max_dev=max_dev)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -109,9 +109,7 @@ def digit_indicator_model(m: int, a: int) -> ScgfModel:
         raise UsageError("base m must be an integer >= 2, got %r" % (m,))
     if not 0 <= a < m:
         raise UsageError("symbol a must lie in {0, ..., m-1}, got %r" % (a,))
-    b = bernoulli_model(1.0 / m)
-    return ScgfModel(name="digit:%d:%d" % (m, a), d=1, lam=b.lam, grad=b.grad,
-                     hess=b.hess, conj=b.conj, domain="all of R")
+    return replace(bernoulli_model(1.0 / m), name="digit:%d:%d" % (m, a))
 
 
 def gaussian_model(d: int) -> ScgfModel:
@@ -120,34 +118,22 @@ def gaussian_model(d: int) -> ScgfModel:
         raise UsageError("dimension must be >= 1")
 
     if d == 1:
-
-        @_scalarized
+        quad = _scalarized(lambda l: 0.5 * l * l)
+        grad = _scalarized(lambda l: l + 0.0)
+        hess = _scalarized(np.ones_like)
+    else:
         def quad(l):
-            return 0.5 * l * l
+            arr = np.asarray(l, dtype=np.float64)
+            return 0.5 * np.sum(arr * arr, axis=-1)
 
-        @_scalarized
         def grad(l):
-            return l + 0.0
+            return np.asarray(l, dtype=np.float64) + 0.0
 
-        @_scalarized
         def hess(l):
-            return np.ones_like(l)
+            return np.eye(d)
 
-        return ScgfModel(name="gaussian:1", d=1, lam=quad, grad=grad,
-                         hess=hess, conj=quad, domain="all of R")
-
-    def quad_vec(l):
-        arr = np.asarray(l, dtype=np.float64)
-        return 0.5 * np.sum(arr * arr, axis=-1)
-
-    def grad_vec(l):
-        return np.asarray(l, dtype=np.float64) + 0.0
-
-    def hess_vec(l):
-        return np.eye(d)
-
-    return ScgfModel(name="gaussian:%d" % d, d=d, lam=quad_vec, grad=grad_vec,
-                     hess=hess_vec, conj=quad_vec, domain="all of R^d")
+    return ScgfModel(name="gaussian:%d" % d, d=d, lam=quad, grad=grad, hess=hess,
+                     conj=quad, domain="all of R" if d == 1 else "all of R^d")
 
 
 def _spectral(P: np.ndarray, phi: np.ndarray, l: np.ndarray) -> np.ndarray:

@@ -98,8 +98,7 @@ def classify(model, lambda0: float, c: float) -> RegimeReport:
     <lambda0, x0> - Lambda(lambda0), exact at exposed points.  Ties within
     1e-12 on c classify as critical.
     """
-    if not np.isfinite(c) or c < 0.0:
-        raise UsageError("schedule exponent c must be finite and >= 0")
+    Schedule(c)  # validates c
     lam0 = np.asarray(lambda0, dtype=np.float64)
     x0 = model.grad(lambda0)
     threshold = rate_along(model, lambda0)
@@ -229,8 +228,7 @@ def predict_empty(model, x0: float, c: float, eps: float) -> EmptinessPrediction
         raise UsageError("predict_empty requires a 1-d model")
     if not eps > 0:
         raise UsageError("ball radius must be > 0")
-    if not np.isfinite(c) or c < 0.0:
-        raise UsageError("schedule exponent c must be finite and >= 0")
+    Schedule(c)  # validates c
     rate_x0 = model.conj(float(x0))
     if not c < rate_x0 - _TIE_TOL:
         raise UsageError(

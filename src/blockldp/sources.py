@@ -137,9 +137,7 @@ def gaussian_increment(seed: int, i: int, d: int) -> np.ndarray:
     Coordinate c applies Box-Muller (cosine branch) to the uniforms at
     counters (2i + c*2**40, 2i + 1 + c*2**40).
     """
-    if d < 1:
-        raise UsageError("dimension must be >= 1, got %r" % (d,))
-    return _gaussian_block(seed, i, 1, d)[0]
+    return gaussian_source(seed, d).get(i)
 
 
 def _gaussian_block(seed: int, start: int, count: int, d: int) -> np.ndarray:
@@ -278,28 +276,31 @@ def markov_path(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
     return spec.phi[states]
 
 
-def read_digit_file(path, m: int, offset: int, count: int) -> np.ndarray:
+def read_digit_file(path, m: int, offset: int, count: int | None = None) -> np.ndarray:
     """Decode base-m symbols from an ASCII digit file.
 
     Characters '0'..chr(ord('0')+m-1) are symbols; space, tab, CR, LF and at
     most one '.' are skipped.  Any other byte raises DataError with its byte
-    offset.  Returns `count` symbols starting after `offset` accepted symbols;
-    reaching EOF first raises DataError reporting how many were delivered.
+    offset.  Returns `count` symbols starting after `offset` accepted symbols,
+    or every symbol after them up to EOF when count is None; reaching EOF
+    before `count` symbols raises DataError reporting how many were delivered.
     Reads are chunked, so the decoded stream is independent of chunk size and
     files far above memory size are supported.
     """
     _check_base(m)
-    if offset < 0 or count < 0:
+    if offset < 0 or (count is not None and count < 0):
         raise UsageError("offset and count must be >= 0")
-    out = np.empty(count, dtype=np.int64)
+    parts = [np.zeros(0, dtype=np.uint8)]
     filled = 0
     skipped = 0
     seen_dot = False
     byte_pos = 0
     with open(path, "rb") as fh:
-        while filled < count:
+        while count is None or filled < count:
             chunk = fh.read(_FILE_CHUNK)
             if not chunk:
+                if count is None:
+                    break
                 err = DataError(
                     "digit file ended after %d symbols, delivered %d of the %d "
                     "requested (offset %d)" % (skipped + filled, filled, count, offset)
@@ -311,12 +312,12 @@ def read_digit_file(path, m: int, offset: int, count: int) -> np.ndarray:
             # Bytes past the one that completes the request are never
             # examined, so decoding and error reporting are independent of
             # the chunk size.
-            need_here = (offset + count) - (skipped + filled)
-            cum = np.cumsum(is_digit)
-            if cum[-1] >= need_here:
-                scan_end = int(np.searchsorted(cum, need_here)) + 1
-            else:
-                scan_end = len(arr)
+            scan_end = len(arr)
+            if count is not None:
+                need_here = (offset + count) - (skipped + filled)
+                cum = np.cumsum(is_digit)
+                if cum[-1] >= need_here:
+                    scan_end = int(np.searchsorted(cum, need_here)) + 1
             arr = arr[:scan_end]
             is_digit = is_digit[:scan_end]
             is_skip = (arr == 32) | (arr == 9) | (arr == 13) | (arr == 10)
@@ -334,16 +335,16 @@ def read_digit_file(path, m: int, offset: int, count: int) -> np.ndarray:
                     % (chr(arr[first_bad]), byte_pos + first_bad)
                 )
             seen_dot = seen_dot or len(dots) > 0
-            symbols = (arr[is_digit] - ord("0")).astype(np.int64)
+            symbols = arr[is_digit] - ord("0")
             if skipped < offset:
                 drop = min(offset - skipped, len(symbols))
                 skipped += drop
                 symbols = symbols[drop:]
-            take = min(count - filled, len(symbols))
-            out[filled : filled + take] = symbols[:take]
-            filled += take
+            if symbols.size:  # an empty view would keep its chunk alive
+                parts.append(symbols)
+            filled += len(symbols)
             byte_pos += len(chunk)
-    return out
+    return np.concatenate(parts).astype(np.int64)
 
 
 def pi_fixture_path() -> str:
@@ -381,6 +382,10 @@ class SeriesSource:
             raise UsageError("unknown source kind %r" % (self.kind,))
         if self.d < 1:
             raise UsageError("dimension must be >= 1")
+        if self.kind in ("iid-digit", "digit-file"):
+            _check_base(self.m)
+            if self.indicator_a is not None and not 0 <= self.indicator_a < self.m:
+                raise UsageError("indicator symbol must lie in {0, ..., m-1}")
 
     def with_seed(self, seed: int) -> "SeriesSource":
         return replace(self, seed=seed)
@@ -397,6 +402,8 @@ class SeriesSource:
         """Observations at indices start..start+count-1, shape (count, d)."""
         if count < 0 or start < 0:
             raise UsageError("start and count must be >= 0")
+        if count == 0:
+            return np.empty((0, self.d))
         if self.kind in ("iid-digit", "digit-file"):
             sym = self.symbols(start, count)
             if self.indicator_a is None:
@@ -419,9 +426,6 @@ class SeriesSource:
 def digit_source(seed: int, m: int, indicator_a: int | None = None) -> SeriesSource:
     """Uniform iid base-m digits; observations are the symbol values, or the
     0/1 indicator of symbol == indicator_a when it is given."""
-    _check_base(m)
-    if indicator_a is not None and not 0 <= indicator_a < m:
-        raise UsageError("indicator symbol must lie in {0, ..., m-1}")
     return SeriesSource(kind="iid-digit", d=1, seed=seed, m=m, indicator_a=indicator_a)
 
 
@@ -434,8 +438,6 @@ def bernoulli_source(seed: int, p: float) -> SeriesSource:
 
 def gaussian_source(seed: int, d: int) -> SeriesSource:
     """Iid standard-normal vectors in R^d."""
-    if d < 1:
-        raise UsageError("dimension must be >= 1")
     return SeriesSource(kind="gaussian", d=d, seed=seed)
 
 
@@ -448,8 +450,5 @@ def markov_source(spec: MarkovSpec, seed: int) -> SeriesSource:
 def file_source(path, m: int, indicator_a: int | None = None) -> SeriesSource:
     """Digit-file ingestion; observations as in digit_source.  The seed field
     is carried for manifests only, the stream is fixed by the file."""
-    _check_base(m)
-    if indicator_a is not None and not 0 <= indicator_a < m:
-        raise UsageError("indicator symbol must lie in {0, ..., m-1}")
     return SeriesSource(kind="digit-file", d=1, seed=0, m=m, path=str(path),
                         indicator_a=indicator_a)

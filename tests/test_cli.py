@@ -9,7 +9,7 @@ import pytest
 
 from blockldp import (MarkovSpec, digit_source, file_source, gaussian_source,
                       markov_path)
-from blockldp import cli
+from blockldp import cli, experiments, sources
 from blockldp._serialize import read_csv_columns
 from blockldp.cli import main
 
@@ -32,6 +32,11 @@ def test_usage_exit_codes(tmp_path, capsys):
     base = ["analyze", "--kind", "iid-digit", "--n", "5", "--out", out]
     assert main(base) == 2                      # neither --k nor --c
     assert main(base + ["--k", "2", "--c", "0.1"]) == 2  # both
+    # k = ceil(e^600) blocks cannot be indexed: usage error, no CSV written
+    assert main(["analyze", "--kind", "iid-digit", "--n", "2000", "--c", "0.3",
+                 "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert "n*k" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -228,6 +233,44 @@ def test_freq_cli_json_and_csv(tmp_path, capsys):
     code = main(["freq", "--in", str(data), "--n0", "1", "--count", "3"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["windows"] == 3
+
+
+def test_freq_cli_decodes_file_once(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "d.txt"
+    data.write_text("3.14159265358979")
+    real = sources.read_digit_file
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (cli, experiments, sources):
+        monkeypatch.setattr(mod, "read_digit_file", counting, raising=False)
+    assert main(["freq", "--in", str(data), "--n0", "2"]) == 0
+    assert len(calls) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["N"] == 15 and doc["windows"] == 14
+
+
+def test_manifest_flag_keys(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--kind", "gaussian", "--d", "2", "--count", "2",
+                 "--out", str(out)]) == 0
+    with open(str(out) + ".manifest.json") as fh:
+        keys = set(json.load(fh)["config"])
+    assert keys == {"kind", "seed", "m", "p", "d", "markov_file", "count", "out"}
+    out = tmp_path / "a.csv"
+    assert main(["analyze", "--kind", "iid-digit", "--n", "4", "--k", "3",
+                 "--lambda-grid", "0,1", "--out", str(out)]) == 0
+    with open(str(out) + ".manifest.json") as fh:
+        keys = set(json.load(fh)["config"])
+    assert keys == {"infile", "kind", "seed", "m", "a", "p", "d", "markov_file",
+                    "n", "k", "c", "lambda_grid", "ball", "out"}
+    assert main(["gen", "--count", "2", "--out", str(out)]) == 2  # --kind required
+    assert main(["gen", "--kind", "iid-digit", "--a", "1", "--count", "2",
+                 "--out", str(out)]) == 2  # no file flags on gen
+    capsys.readouterr()
 
 
 def test_out_env_var(tmp_path, monkeypatch, capsys):

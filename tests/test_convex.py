@@ -159,3 +159,12 @@ def test_level_points_guards():
         find_level_points(bernoulli_model(0.5), 5.0)
     with pytest.raises(UsageError):
         find_level_points(gaussian_model(2), 0.1)
+
+
+def test_shared_bisection_values_pinned():
+    # Bit-exact results of the slope and level bisections on digit:10:0.
+    model = digit_indicator_model(10, 0)
+    assert [solve_slope(model, x) for x in (0.05, 0.3, 0.9)] == [
+        -0.7472144030034542, 1.3499267166480422, 4.39444915461354]
+    assert find_level_points(model, 0.05) == (-1.6567451879382133, 0.8524678181856871)
+    assert find_level_points(model, 0.1) == (-4.786078631877899, 1.1349048523698002)

@@ -228,6 +228,19 @@ def test_frequency_guards(tmp_path):
         frequency_test(gaussian_source(0, 1), 10, 1, 100)
 
 
+def test_frequency_whole_file_default(tmp_path):
+    p = tmp_path / "d.txt"
+    p.write_text("3.14159 26535\n8979\n")
+    whole = frequency_test(file_source(p, 10), 10, 2)
+    fixed = frequency_test(file_source(p, 10), 10, 2, 15)
+    assert whole.N == fixed.N == 15 and whole.windows == fixed.windows == 14
+    assert np.array_equal(whole.counts, fixed.counts)
+    assert np.array_equal(whole.freqs, fixed.freqs)
+    assert whole.max_dev == fixed.max_dev
+    with pytest.raises(UsageError):  # a generated stream has no end
+        frequency_test(digit_source(1, 10), 10, 1)
+
+
 def test_frequency_pi_fixture_tallies():
     res = frequency_test(file_source(pi_fixture_path(), 10), 10, 1, 100000)
     assert list(res.counts) == PI_COUNTS

@@ -19,6 +19,13 @@ def test_fmt_cell_forms():
     assert fmt_cell("word") == "word"
 
 
+def test_fmt_cell_non_finite_and_vectors():
+    assert fmt_cell(np.inf) == "inf" and fmt_cell(-np.inf) == "-inf"
+    assert fmt_cell(np.float64("nan")) == "nan"
+    assert fmt_cell(np.array([0.5, -np.inf])) == "5.0000000000000000e-01;-inf"
+    assert fmt_cell(np.array([0.25])) == fmt_cell(0.25)
+
+
 def test_float_cells_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     vals = np.concatenate([rng.normal(0.0, 1e6, 50), rng.normal(0.0, 1e-6, 50),

@@ -295,3 +295,33 @@ def test_file_source_offsets(tmp_path):
     assert np.array_equal(src.symbols(2, 3), [4, 1, 5])
     obs = file_source(p, 10, indicator_a=1).batch(0, 6)
     assert np.array_equal(obs[:, 0], [0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", ["iid-digit", "iid-bernoulli", "gaussian",
+                                  "markov-chain", "digit-file"])
+def test_empty_batch_every_kind(kind, tmp_path):
+    p = tmp_path / "d.txt"
+    p.write_text("31415")
+    src = {"iid-digit": lambda: digit_source(1, 10),
+           "iid-bernoulli": lambda: bernoulli_source(1, 0.3),
+           "gaussian": lambda: gaussian_source(1, 3),
+           "markov-chain": lambda: markov_source(
+               MarkovSpec(P=[[0.9, 0.1], [0.1, 0.9]], phi=[[0.0, 1.0], [1.0, 0.0]]), 1),
+           "digit-file": lambda: file_source(p, 10)}[kind]()
+    for start in (0, 5):
+        out = src.batch(start, 0)
+        assert out.shape == (0, src.d) and out.dtype == np.float64
+
+
+def test_read_digit_file_to_eof(tmp_path):
+    p = tmp_path / "d.txt"
+    p.write_text("3.1415 9265\n358979\n")
+    whole = read_digit_file(p, 10, 0, None)
+    assert np.array_equal(whole, read_digit_file(p, 10, 0, 15))
+    assert whole.dtype == np.int64
+    assert np.array_equal(read_digit_file(p, 10, 13), [7, 9])
+    assert read_digit_file(p, 10, 15).size == 0
+    p.write_text("31415x")  # a bad byte after the last digit is still seen
+    with pytest.raises(DataError, match="offset 5"):
+        read_digit_file(p, 10, 0, None)
+    assert np.array_equal(read_digit_file(p, 10, 0, 5), [3, 1, 4, 1, 5])
