@@ -9,6 +9,7 @@ Identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -67,6 +68,23 @@ def read_csv_columns(path, expected_header: list[str] | None = None):
                 raise DataError("%s line %d has a non-numeric cell: %r"
                                 % (path, lineno, line))
     return {name: np.array(vals) for name, vals in zip(header, cols)}
+
+
+def json_safe(obj):
+    """Recursively convert to JSON-clean types; the one float policy of every JSON
+    output: non-finite floats become "inf", "-inf" and "nan", not bare Infinity."""
+    if isinstance(obj, dict):
+        return {str(k): json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        # str() spells the non-finite floats "inf", "-inf" and "nan".
+        return float(obj) if math.isfinite(obj) else str(float(obj))
+    return obj
 
 
 def file_checksum(path) -> str:

@@ -1,10 +1,10 @@
 """Command-line surface over sources, analysis, conjugation and experiments.
 
-Exit codes: 0 success, 2 usage errors, 3 domain/data/numerical errors,
-4 I/O errors.  Every file-writing run places a JSON manifest next to its
-outputs recording all flag values and seeds; outputs are byte-identical
-across runs with equal manifests.  Relative --out paths resolve against the
-BLOCKLDP_OUT environment variable when it is set.
+Exit codes: 0 success, 2 usage errors, 3 domain/data/numerical errors and
+out of memory, 4 I/O errors.  Every file-writing run places a JSON manifest
+next to its outputs recording all flag values and seeds; outputs are
+byte-identical across runs with equal manifests.  Relative --out paths
+resolve against the BLOCKLDP_OUT environment variable when it is set.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from ._errors import DataError, NumericalError, UsageError
-from ._serialize import (file_checksum, fmt_cell, make_grid, read_csv_columns,
-                         write_csv)
+from ._serialize import (file_checksum, fmt_cell, json_safe, make_grid,
+                         read_csv_columns, write_csv)
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
                          scgf_values)
 from .convex import find_level_points, legendre, rate_along
@@ -159,26 +159,6 @@ def _finish_manifest(command, args, anchor, files, started, checksums=None,
     return manifest.write(anchor + ".manifest.json")
 
 
-def _json_safe(obj):
-    """Recursively convert to JSON-clean types; non-finite floats to strings."""
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    return obj
-
-
 def cmd_gen(args) -> int:
     started = time.time()
     out = _resolve_out(args.out)
@@ -261,7 +241,7 @@ def cmd_regime(args) -> int:
            "threshold": report.threshold, "c": report.c,
            "lambda1": lam1, "lambda2": lam2, "x1": x1, "x2": x2,
            "prediction": report.prediction}
-    print(json.dumps(_json_safe(doc), indent=2, sort_keys=True))
+    print(json.dumps(json_safe(doc), indent=2, sort_keys=True))
     return 0
 
 
@@ -311,7 +291,7 @@ def cmd_freq(args) -> int:
         _finish_manifest("freq", args, out, files, started, checksums)
     doc = {"m": res.m, "n0": res.n0, "N": res.N, "windows": res.windows,
            "uniform": args.m ** (-float(args.n0)), "max_dev": res.max_dev}
-    print(json.dumps(_json_safe(doc), indent=2, sort_keys=True))
+    print(json.dumps(json_safe(doc), indent=2, sort_keys=True))
     return 0
 
 
@@ -484,6 +464,9 @@ def main(argv=None) -> int:
         return 2
     except (DataError, NumericalError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print("error: out of memory: %s" % exc, file=sys.stderr)
         return 3
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -15,11 +15,10 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import __version__
 from ._errors import DataError, UsageError
-from ._serialize import file_checksum, fmt_cell, grid_spec, make_grid, write_csv
+from ._serialize import file_checksum, fmt_cell, grid_spec, json_safe, make_grid, write_csv
 from .blockstats import SampledFunction, ball_mass, block_means, \
     empirical_scgf, local_rate
 from .convex import ConjugateResult, grad_estimate, legendre, rate_along
@@ -116,7 +115,7 @@ class RunManifest:
         doc = asdict(self)
         doc["files"] = sorted(os.path.basename(f) for f in self.files)
         with open(path, "w", newline="") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(json_safe(doc), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         return str(path)
 
@@ -335,8 +334,9 @@ def brownian_experiment(d: int, R: float, schedule: Schedule, n_list, x_list,
             rate = local_rate(stats, x, eps)
             if d == 1:
                 x0 = float(x[0])
-                oracle = float(ndtr((x0 + eps) * math.sqrt(n))
-                               - ndtr((x0 - eps) * math.sqrt(n)))
+                # Phi(z) = erfc(-z/sqrt(2))/2 at z = (x0 -+ eps) sqrt(n).
+                s = math.sqrt(n / 2.0)
+                oracle = 0.5 * (math.erfc(-(x0 + eps) * s) - math.erfc(-(x0 - eps) * s))
                 oracle_rate = -math.log(oracle) / n
                 rel = abs(mass - oracle) / oracle
                 xcell = x0

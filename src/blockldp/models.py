@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, rel_entr
 
 from ._errors import NumericalError, UsageError
 from .blockstats import _CHUNK_VALUES, SampledFunction
@@ -40,7 +39,6 @@ class ScgfModel:
     grad: Callable
     hess: Callable
     conj: Callable
-    domain: str = "all of R^d"
 
 
 def _scalarized(fn):
@@ -55,6 +53,28 @@ def _scalarized(fn):
         return out.reshape(arr.shape)
 
     return wrapped
+
+
+def _expit(v: float) -> float:
+    """scipy.special.expit bit for bit: 1/(1 + exp(-v)) with libm's exp (numpy's
+    vectorized exp differs in the last ulp), 0 where exp(-v) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
+def _rel_entr(x: float, y: float) -> float:
+    """scipy.special.rel_entr(x, y) bit for bit for 0 < y < 1, where x/y > 0 for
+    every x > 0: scipy's branches with libm's log1p and log."""
+    if math.isnan(x):
+        return math.nan
+    if x <= 0.0:
+        return 0.0 if x == 0.0 else math.inf
+    ratio = x / y
+    if 0.5 < ratio < 2.0:
+        return x * math.log1p((x - y) / y)
+    return x * (math.log(ratio) if ratio < math.inf else math.log(x) - math.log(y))
 
 
 def bernoulli_model(p: float) -> ScgfModel:
@@ -82,21 +102,21 @@ def bernoulli_model(p: float) -> ScgfModel:
 
     @_scalarized
     def grad(l):
-        return expit(l + logit_p)
+        return np.array([_expit(v) for v in (l + logit_p).tolist()], dtype=np.float64)
 
     @_scalarized
     def hess(l):
-        q = expit(l + logit_p)
+        q = grad(l)
         return q * (1.0 - q)
 
     @_scalarized
     def conj(x):
         # rel_entr covers the endpoints (0 log 0 = 0) and returns +inf for
         # arguments outside [0, 1].
-        return rel_entr(x, p) + rel_entr(1.0 - x, 1.0 - p)
+        return np.array([_rel_entr(v, p) + _rel_entr(1.0 - v, 1.0 - p)
+                         for v in x.tolist()], dtype=np.float64)
 
-    return ScgfModel(name="bernoulli:%r" % p, d=1, lam=lam, grad=grad,
-                     hess=hess, conj=conj, domain="all of R")
+    return ScgfModel(name="bernoulli:%r" % p, d=1, lam=lam, grad=grad, hess=hess, conj=conj)
 
 
 def digit_indicator_model(m: int, a: int) -> ScgfModel:
@@ -132,8 +152,7 @@ def gaussian_model(d: int) -> ScgfModel:
         def hess(l):
             return np.eye(d)
 
-    return ScgfModel(name="gaussian:%d" % d, d=d, lam=quad, grad=grad, hess=hess,
-                     conj=quad, domain="all of R" if d == 1 else "all of R^d")
+    return ScgfModel(name="gaussian:%d" % d, d=d, lam=quad, grad=grad, hess=hess, conj=quad)
 
 
 def _spectral(P: np.ndarray, phi: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -199,7 +218,7 @@ def markov_model(spec: MarkovSpec) -> ScgfModel:
 
     conj = _scalarized(lambda x: legendre(sampled(), x).values)
     return ScgfModel(name="markov:%d-state" % spec.s, d=1, lam=lam, grad=grad,
-                     hess=hess, conj=conj, domain="all of R")
+                     hess=hess, conj=conj)
 
 
 def exact_prefix_scgf(spec: MarkovSpec, lam: float, n: int) -> float:

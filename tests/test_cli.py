@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,17 @@ from blockldp import (MarkovSpec, digit_source, file_source, gaussian_source,
 from blockldp import cli, experiments, sources
 from blockldp._serialize import read_csv_columns
 from blockldp.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def _run_python(args, cwd, preexec_fn=None):
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    env.pop("BLOCKLDP_OUT", None)
+    return subprocess.run([sys.executable] + args, cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=preexec_fn)
 
 
 def _sym_chain_file(tmp_path):
@@ -251,6 +265,49 @@ def test_freq_cli_decodes_file_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["N"] == 15 and doc["windows"] == 14
+
+
+def test_out_of_memory_exit_code(tmp_path):
+    # An address-space limit on the child alone makes the 7.28 TiB block
+    # array fail to allocate; the CLI maps that to exit 3 and one error line.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    proc = _run_python(["-m", "blockldp.cli", "analyze", "--kind", "iid-digit",
+                        "--n", "1", "--k", "1000000000000", "--lambda-grid", "0",
+                        "--out", "x.csv"], tmp_path, preexec_fn=limit)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    proc = _run_python(["-c", "import sys, blockldp, blockldp.cli; "
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                       tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_manifests_strict_json_for_infinite_values(tmp_path, capsys):
+    def reject(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+
+    cfg = {"kind": "iid-digit", "m": 10, "a": 0, "n_list": [20], "seeds": [1],
+           "budget": "BUDGET", "lambda_grid": [-1.0, 1.0, 0.5],
+           "x_grid": [0.05, 0.25, 0.05], "out_dir": str(tmp_path / "out")}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg).replace('"BUDGET"', "1e999"))
+    assert main(["fig1", "--config", str(p)]) == 0
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        assert json.load(fh, parse_constant=reject)["config"]["budget"] == "inf"
+    out = str(tmp_path / "a.csv")
+    assert main(["analyze", "--kind", "iid-digit", "--n", "4", "--k", "3",
+                 "--lambda-grid", "0,1", "--p", "1e999", "--out", out]) == 0
+    with open(out + ".manifest.json") as fh:
+        assert json.load(fh, parse_constant=reject)["config"]["p"] == "inf"
+    capsys.readouterr()
 
 
 def test_manifest_flag_keys(tmp_path, capsys):

@@ -36,11 +36,17 @@ def test_config_from_json_roundtrip(tmp_path):
 
 
 def test_run_manifest_layout(tmp_path):
-    man = RunManifest(command="x", config={"a": 1}, seeds=[1, 2],
+    def reject(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+
+    man = RunManifest(command="x", seeds=[1, 2],
+                      config={"a": 1, "hi": math.inf, "v": [-math.inf, math.nan]},
                       files=[str(tmp_path / "b.csv"), str(tmp_path / "a.csv")])
     path = man.write(tmp_path / "m.json")
     with open(path) as fh:
-        doc = json.load(fh)
+        # strict JSON: non-finite floats are strings, not bare Infinity/NaN
+        doc = json.load(fh, parse_constant=reject)
+    assert doc["config"] == {"a": 1, "hi": "inf", "v": ["-inf", "nan"]}
     assert doc["files"] == ["a.csv", "b.csv"]
     assert doc["library_version"]
     assert list(doc) == sorted(doc)
@@ -174,6 +180,18 @@ def test_brownian_experiment_oracle_columns():
                                0.1, [1])
     # eps_n = log(10)/10 pushes the requirement above c = 0.4
     assert bool(slow.rows[0][-1]) is False
+
+
+def test_brownian_oracle_matches_scipy_ndtr():
+    from scipy.special import ndtr
+    eps = 0.1
+    res = brownian_experiment(1, 1.0, Schedule(0.9), [4, 10], [0.0, -0.45, 0.85],
+                              eps, [1])
+    for row in res.rows:
+        r = dict(zip(res.columns, row))
+        z = math.sqrt(r["n"])
+        want = ndtr((r["x"] + eps) * z) - ndtr((r["x"] - eps) * z)
+        assert abs(r["oracle_mass"] - want) <= 1e-15
 
 
 def test_brownian_empty_ball_and_guards():

@@ -284,3 +284,26 @@ def test_markov_spectral_chunk_independent(monkeypatch):
     monkeypatch.setattr(models, "_CHUNK_VALUES", 9 * 5)
     small = markov_model(_three_chain()).lam(grid)
     assert whole.tobytes() == pieces.tobytes() == small.tobytes()
+
+
+@pytest.mark.parametrize("p", [0.1, 0.37, 0.5])
+def test_bernoulli_matches_scipy_bit_for_bit(p):
+    # The libm forms in models.py reproduce scipy.special's expit and rel_entr
+    # bit for bit; scipy is kept as the independent reference.
+    from scipy.special import expit, rel_entr
+    mdl = bernoulli_model(p)
+    rng = np.random.default_rng(7)
+    edges = np.array([-800.0, -709.9, 709.9, -np.inf, np.inf, np.nan, 0.0, 1.0])
+    lams = np.concatenate([rng.uniform(-40.0, 40.0, 900_000),
+                           rng.uniform(-760.0, 760.0, 100_000), edges])
+    q = expit(lams + math.log(p / (1.0 - p)))
+    assert np.array_equal(mdl.grad(lams), q, equal_nan=True)
+    assert np.array_equal(mdl.hess(lams), q * (1.0 - q), equal_nan=True)
+    # x/p and (1-x)/(1-p) at and beside 1/2 and 2, the log1p branch edges
+    branch = np.array([p / 2.0, 2.0 * p, 1.0 - (1.0 - p) / 2.0, 1.0 - 2.0 * (1.0 - p)])
+    branch = np.concatenate([branch, np.nextafter(branch, -np.inf),
+                             np.nextafter(branch, np.inf)])
+    xs = np.concatenate([rng.uniform(-0.5, 1.5, 200_000), edges, branch,
+                         [-0.0, 1e300, -1e300]])
+    assert np.array_equal(mdl.conj(xs), rel_entr(xs, p) + rel_entr(1.0 - xs, 1.0 - p),
+                          equal_nan=True)
