@@ -47,7 +47,7 @@ def _resolve_out(path):
 
 
 def _load_markov_file(path) -> MarkovSpec:
-    """Parse and validate a Markov spec file {"P": ..., "phi": ..., "pi"?}."""
+    """Parse a Markov spec file {"P": ..., "phi": ..., "pi"?} into a checked spec."""
     if path is None:
         raise UsageError("a Markov model needs --markov-file")
     with open(path, "r") as fh:
@@ -62,13 +62,7 @@ def _load_markov_file(path) -> MarkovSpec:
         raise UsageError("unknown Markov spec keys: %s" % ", ".join(unknown))
     if "P" not in doc or "phi" not in doc:
         raise UsageError("Markov spec %s needs both P and phi" % path)
-    try:
-        P = np.asarray(doc["P"], dtype=np.float64)
-        phi = np.asarray(doc["phi"], dtype=np.float64)
-        pi = None if doc.get("pi") is None else np.asarray(doc["pi"], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise UsageError("Markov spec %s entries must be rectangular and numeric" % path)
-    return MarkovSpec(P=P, phi=phi, pi=pi).validate()
+    return MarkovSpec(P=doc["P"], phi=doc["phi"], pi=doc.get("pi"))
 
 
 def _parse_model(text):
@@ -263,7 +257,7 @@ def cmd_brownian(args) -> int:
             raise UsageError("brownian config needs %r" % name)
     if not cfg.x_list:
         raise UsageError("brownian config needs a nonempty x_list")
-    schedule = Schedule(cfg.c, cfg.gamma, cfg.gamma_prime)
+    schedule = Schedule(cfg.c, cfg.gamma)
     cfg.block_counts(schedule)
     res = brownian_experiment(cfg.d, cfg.R, schedule, cfg.n_list, cfg.x_list,
                               cfg.eps, cfg.seeds)

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DataError, NumericalError, UsageError
-from .blockstats import SampledFunction
+from .blockstats import _CHUNK_VALUES, SampledFunction
 
-_XS_CHUNK = 1024
 _LEVEL_BRACKET = 50.0
 _LEVEL_TOL = 1e-9
 _SLOPE_TOL = 1e-10
@@ -62,14 +61,15 @@ def legendre(f: SampledFunction, xs) -> ConjugateResult:
     values = np.empty(xs.shape)
     argmax = np.empty(xs.shape)
     boundary = np.empty(xs.shape, dtype=bool)
-    for i0 in range(0, len(xs), _XS_CHUNK):
-        xc = xs[i0 : i0 + _XS_CHUNK]
+    step = max(1, _CHUNK_VALUES // len(g))
+    for i0 in range(0, len(xs), step):
+        xc = xs[i0 : i0 + step]
         scores = xc[:, None] * g[None, :] - v[None, :]
         idx = np.argmax(scores, axis=1)
         rows = np.arange(len(xc))
-        values[i0 : i0 + _XS_CHUNK] = scores[rows, idx]
-        argmax[i0 : i0 + _XS_CHUNK] = g[idx]
-        boundary[i0 : i0 + _XS_CHUNK] = (idx == 0) | (idx == last)
+        values[i0 : i0 + step] = scores[rows, idx]
+        argmax[i0 : i0 + step] = g[idx]
+        boundary[i0 : i0 + step] = (idx == 0) | (idx == last)
     return ConjugateResult(xs=xs, values=values, argmax=argmax, boundary=boundary)
 
 

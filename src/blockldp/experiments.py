@@ -41,13 +41,11 @@ class ExperimentConfig:
     kind: str = "iid-digit"
     m: int = 10
     a: int = 0
-    p: float | None = None
     d: int = 1
     path: str | None = None
     lambda0: float | None = None
     c: float | None = None
     gamma: float | None = None
-    gamma_prime: float | None = None
     n_list: tuple = (150,)
     seeds: tuple = (1, 2, 3)
     lambda_grid: tuple = (-6.0, 6.0, 0.01)
@@ -69,11 +67,24 @@ class ExperimentConfig:
         if unknown:
             raise UsageError("unknown config keys: %s" % ", ".join(unknown))
         cfg = cls(**doc)
+
+        def number(v):
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+        for key in ("m", "a", "d", "lambda0", "c", "gamma", "budget", "R", "eps"):
+            val = getattr(cfg, key)
+            if not (number(val) or val is None and getattr(cls, key) is None):
+                raise UsageError("config %s: %s must be a number, got %r" % (path, key, val))
+        for key in ("lambda_grid", "x_grid"):
+            grid = getattr(cfg, key)
+            if not (isinstance(grid, (list, tuple)) and len(grid) == 3
+                    and all(map(number, grid))):
+                raise UsageError("config %s: %s must be three numbers lo, hi, step"
+                                 % (path, key))
+            setattr(cfg, key, tuple(float(v) for v in grid))
         try:
             cfg.n_list = tuple(int(n) for n in cfg.n_list)
             cfg.seeds = tuple(int(s) for s in cfg.seeds)
-            cfg.lambda_grid = tuple(float(v) for v in cfg.lambda_grid)
-            cfg.x_grid = tuple(float(v) for v in cfg.x_grid)
             cfg.x_list = tuple(
                 tuple(float(u) for u in v) if isinstance(v, (list, tuple)) else float(v)
                 for v in cfg.x_list)

@@ -127,8 +127,8 @@ def digit_indicator_model(m: int, a: int) -> ScgfModel:
     """
     if not (isinstance(m, (int, np.integer)) and m >= 2):
         raise UsageError("base m must be an integer >= 2, got %r" % (m,))
-    if not 0 <= a < m:
-        raise UsageError("symbol a must lie in {0, ..., m-1}, got %r" % (a,))
+    if not (isinstance(a, (int, np.integer)) and 0 <= a < m):
+        raise UsageError("symbol a must be an integer in {0, ..., m-1}, got %r" % (a,))
     return replace(bernoulli_model(1.0 / m), name="digit:%d:%d" % (m, a))
 
 
@@ -201,7 +201,6 @@ def markov_model(spec: MarkovSpec) -> ScgfModel:
     [-20, 20] at step 0.005 (a discrete sup, so values at tilts exposed
     outside that grid are lower bounds).
     """
-    spec.validate()
     if spec.phi.ndim != 1:
         raise UsageError("markov_model requires a scalar observable")
     P, phi = spec.P, spec.phi
@@ -229,7 +228,6 @@ def exact_prefix_scgf(spec: MarkovSpec, lam: float, n: int) -> float:
     P_lambda n times with per-step renormalization, so the result is exact
     up to float rounding for n <= 24.
     """
-    spec.validate()
     if spec.phi.ndim != 1:
         raise UsageError("exact_prefix_scgf requires a scalar observable")
     if not 1 <= n <= 24:

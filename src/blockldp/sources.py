@@ -157,28 +157,37 @@ def _check_base(m: int) -> None:
         raise UsageError("base m must be an integer in [2, 10], got %r" % (m,))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarkovSpec:
-    """Finite-state Markov chain with a per-state observable.
+    """Finite-state Markov chain with a per-state observable, checked when built.
 
     Fields
     ------
     P : (s, s) row-stochastic transition matrix (rows sum to 1 within 1e-12).
     phi : observable, shape (s,) for scalar or (s, d) for vector values.
     pi : optional initial distribution; defaults to the stationary
-        distribution computed by power iteration to 1e-13 residual.
+        distribution, the exact solution of pi (I - P + 1 1^T) = 1^T.
     """
 
     P: np.ndarray
     phi: np.ndarray
     pi: np.ndarray | None = None
-    _stationary: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _initial: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=np.float64)
-        self.phi = np.asarray(self.phi, dtype=np.float64)
-        if self.pi is not None:
-            self.pi = np.asarray(self.pi, dtype=np.float64)
+        for name in ("P", "phi", "pi"):
+            val = getattr(self, name)
+            if val is not None:
+                try:
+                    val = np.asarray(val, dtype=np.float64)
+                except (TypeError, ValueError):
+                    raise UsageError("Markov spec %s must be rectangular and numeric" % name)
+                object.__setattr__(self, name, val)
+        self.validate()
+        init = self.pi
+        if init is None:
+            init = np.linalg.solve((np.eye(self.s) - self.P + 1.0).T, np.ones(self.s))
+        object.__setattr__(self, "_initial", init)
 
     @property
     def s(self) -> int:
@@ -211,36 +220,21 @@ class MarkovSpec:
                 raise UsageError("initial distribution must have shape (s,)")
             if np.any(pi < 0.0) or abs(pi.sum() - 1.0) > 1e-12:
                 raise UsageError("initial distribution must be nonnegative and sum to 1")
-        reach = P > 0.0
-        step = reach.copy()
-        for _ in range(s * s):
-            if step.all():
-                break
-            step = (step.astype(np.int64) @ reach.astype(np.int64)) > 0
-        else:
-            if not step.all():
-                raise UsageError(
-                    "transition matrix is not primitive "
-                    "(no power up to s**2 is entrywise positive)"
-                )
+        # A primitive chain has P^k > 0 for every k >= (s-1)**2 + 1 (Wielandt),
+        # and repeated squaring of the reachability pattern reaches such a k.
+        reach = (P > 0.0).astype(np.int64)
+        for _ in range((s * s).bit_length()):
+            reach = (reach @ reach > 0).astype(np.int64)
+        if not reach.all():
+            raise UsageError(
+                "transition matrix is not primitive "
+                "(no power up to s**2 is entrywise positive)"
+            )
         return self
 
     def stationary(self) -> np.ndarray:
         """Initial distribution: the supplied pi, else the stationary one."""
-        if self.pi is not None:
-            return self.pi
-        if self._stationary is None:
-            v = np.full(self.s, 1.0 / self.s)
-            for _ in range(100000):
-                w = v @ self.P
-                w = w / w.sum()
-                if np.abs(w - v).sum() <= 1e-13:
-                    self._stationary = w
-                    break
-                v = w
-            else:
-                raise NumericalError("stationary-distribution power iteration did not converge")
-        return self._stationary
+        return self._initial
 
 
 def markov_path(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
@@ -252,7 +246,6 @@ def markov_path(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
     by regeneration.  A prefix scan of per-step state maps over segments of
     at most 2**16/s steps reproduces a step-by-step walk bit for bit.
     """
-    spec.validate()
     if length < 1:
         raise UsageError("length must be >= 1")
     cum_rows = np.cumsum(spec.P, axis=1)
@@ -276,6 +269,30 @@ def markov_path(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
     return spec.phi[states]
 
 
+def _file_symbols(path, m: int):
+    """Base-m symbols of a digit file, one uint8 array per byte chunk.
+
+    A chunk yields its symbols before its first invalid byte (anything but a
+    symbol, space, tab, CR or LF, or a '.' after the file's first); that
+    byte's DataError is raised only when the next chunk is requested.
+    """
+    seen_dot = False
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_FILE_CHUNK):
+            arr = np.frombuffer(chunk, dtype=np.uint8)
+            is_digit = (arr >= ord("0")) & (arr < ord("0") + m)
+            is_dot = arr == ord(".")
+            bad = ~(is_digit | is_dot | (arr == 32) | (arr == 9) | (arr == 13) | (arr == 10))
+            dots = np.flatnonzero(is_dot)
+            bad[dots[0 if seen_dot else 1:]] = True
+            seen_dot = seen_dot or dots.size > 0
+            end = int(np.argmax(bad)) if bad.any() else arr.size
+            yield arr[:end][is_digit[:end]] - ord("0")
+            if end < arr.size:
+                raise DataError("unexpected byte %r at offset %d in digit file"
+                                % (chr(arr[end]), fh.tell() - arr.size + end))
+
+
 def read_digit_file(path, m: int, offset: int, count: int | None = None) -> np.ndarray:
     """Decode base-m symbols from an ASCII digit file.
 
@@ -291,59 +308,22 @@ def read_digit_file(path, m: int, offset: int, count: int | None = None) -> np.n
     if offset < 0 or (count is not None and count < 0):
         raise UsageError("offset and count must be >= 0")
     parts = [np.zeros(0, dtype=np.uint8)]
-    filled = 0
-    skipped = 0
-    seen_dot = False
-    byte_pos = 0
-    with open(path, "rb") as fh:
-        while count is None or filled < count:
-            chunk = fh.read(_FILE_CHUNK)
-            if not chunk:
-                if count is None:
-                    break
-                err = DataError(
-                    "digit file ended after %d symbols, delivered %d of the %d "
-                    "requested (offset %d)" % (skipped + filled, filled, count, offset)
-                )
-                err.symbols_available = skipped + filled
-                raise err
-            arr = np.frombuffer(chunk, dtype=np.uint8)
-            is_digit = (arr >= ord("0")) & (arr < ord("0") + m)
-            # Bytes past the one that completes the request are never
-            # examined, so decoding and error reporting are independent of
-            # the chunk size.
-            scan_end = len(arr)
-            if count is not None:
-                need_here = (offset + count) - (skipped + filled)
-                cum = np.cumsum(is_digit)
-                if cum[-1] >= need_here:
-                    scan_end = int(np.searchsorted(cum, need_here)) + 1
-            arr = arr[:scan_end]
-            is_digit = is_digit[:scan_end]
-            is_skip = (arr == 32) | (arr == 9) | (arr == 13) | (arr == 10)
-            is_dot = arr == ord(".")
-            bad = ~(is_digit | is_skip | is_dot)
-            dots = np.nonzero(is_dot)[0]
-            first_bad = int(np.argmax(bad)) if bad.any() else scan_end
-            if seen_dot and len(dots) > 0:
-                first_bad = min(first_bad, int(dots[0]))
-            elif len(dots) > 1:
-                first_bad = min(first_bad, int(dots[1]))
-            if first_bad < scan_end:
-                raise DataError(
-                    "unexpected byte %r at offset %d in digit file"
-                    % (chr(arr[first_bad]), byte_pos + first_bad)
-                )
-            seen_dot = seen_dot or len(dots) > 0
-            symbols = arr[is_digit] - ord("0")
-            if skipped < offset:
-                drop = min(offset - skipped, len(symbols))
-                skipped += drop
-                symbols = symbols[drop:]
-            if symbols.size:  # an empty view would keep its chunk alive
-                parts.append(symbols)
-            filled += len(symbols)
-            byte_pos += len(chunk)
+    seen = 0
+    # Stop pulling once the request is met; dropping the generator closes the file.
+    for sym in _file_symbols(path, m):
+        part = sym[max(offset - seen, 0) : None if count is None else offset + count - seen]
+        if part.size:  # an empty view would keep its chunk alive
+            parts.append(part)
+        seen += sym.size
+        if count is not None and max(seen - offset, 0) >= count:
+            break
+    if count is not None and max(seen - offset, 0) < count:
+        err = DataError(
+            "digit file ended after %d symbols, delivered %d of the %d "
+            "requested (offset %d)" % (seen, max(seen - offset, 0), count, offset)
+        )
+        err.symbols_available = seen
+        raise err
     return np.concatenate(parts).astype(np.int64)
 
 
@@ -384,8 +364,9 @@ class SeriesSource:
             raise UsageError("dimension must be >= 1")
         if self.kind in ("iid-digit", "digit-file"):
             _check_base(self.m)
-            if self.indicator_a is not None and not 0 <= self.indicator_a < self.m:
-                raise UsageError("indicator symbol must lie in {0, ..., m-1}")
+            a = self.indicator_a
+            if a is not None and not (isinstance(a, (int, np.integer)) and 0 <= a < self.m):
+                raise UsageError("indicator symbol must be an integer in {0, ..., m-1}")
 
     def with_seed(self, seed: int) -> "SeriesSource":
         return replace(self, seed=seed)
@@ -443,7 +424,6 @@ def gaussian_source(seed: int, d: int) -> SeriesSource:
 
 def markov_source(spec: MarkovSpec, seed: int) -> SeriesSource:
     """Stationary Markov-chain observable sequence."""
-    spec.validate()
     return SeriesSource(kind="markov-chain", d=spec.d, seed=seed, markov=spec)
 
 

@@ -145,6 +145,19 @@ def test_gen_bad_markov_specs(tmp_path, capsys):
     assert main(argv) == 2
     bad.write_text(json.dumps({"P": [[1.0], [0.5, 0.5]], "phi": [0.0]}))
     assert main(argv) == 2
+    bad.write_text(json.dumps({"P": [["a"]], "phi": [0.0]}))
+    assert main(argv) == 2
+    capsys.readouterr()
+
+
+def test_gen_slow_markov_chain(tmp_path, capsys):
+    spec = tmp_path / "slow.json"
+    spec.write_text(json.dumps({"P": [[0.99999, 1e-5], [2e-5, 0.99998]],
+                                "phi": [0, 1]}))
+    out = tmp_path / "m.txt"
+    assert main(["gen", "--kind", "markov", "--markov-file", str(spec),
+                 "--seed", "1", "--count", "5", "--out", str(out)]) == 0
+    assert len(out.read_text().split()) == 5
     capsys.readouterr()
 
 
@@ -220,6 +233,14 @@ def test_regime_cli_gaussian_json(capsys):
     assert doc["x1"] == pytest.approx(-1.0, abs=1e-7)
     assert doc["x2"] == pytest.approx(1.0, abs=1e-7)
     assert doc["prediction"]["samples"]["2"] == pytest.approx(1.5, rel=1e-12)
+
+
+def test_regime_cli_zero_tilt(capsys):
+    assert main(["regime", "--model", "digit:10:0", "--lambda0", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["regime"] == "critical" and doc["threshold"] == 0.0
+    assert doc["lambda1"] == doc["lambda2"] == 0.0
+    assert doc["x1"] == doc["x2"] == doc["x0"]
 
 
 def test_regime_cli_markov_model(tmp_path, capsys):
@@ -356,6 +377,11 @@ def test_fig1_cli_and_bad_config(tmp_path, capsys):
     assert main(["fig1", "--config", str(p)]) == 2
     p.write_text(json.dumps({"n_list": "ab"}))
     assert main(["fig1", "--config", str(p)]) == 2
+    for key, val in (("lambda_grid", [0, 1]), ("x_grid", [0.1, 0.2, 0.1, 0.3]),
+                     ("lambda_grid", [-1, "1", 0.5]), ("budget", "x"), ("m", None),
+                     ("a", 1.5), ("a", True), ("p", 0.5), ("gamma_prime", 1.0)):
+        p.write_text(json.dumps(dict(cfg, **{key: val})))
+        assert main(["fig1", "--config", str(p)]) == 2, (key, val)
     assert main(["fig1", "--config", str(tmp_path / "nope.json")]) == 4
     capsys.readouterr()
 
@@ -379,6 +405,10 @@ def test_brownian_cli(tmp_path, capsys):
     bad["budget"] = 10
     p.write_text(json.dumps(bad))
     assert main(["brownian", "--config", str(p)]) == 2
+    for key, val in (("c", "0.7"), ("eps", "0.1"), ("R", "1"), ("d", "1"),
+                     ("gamma", "2"), ("gamma_prime", 1.0)):
+        p.write_text(json.dumps(dict(cfg, **{key: val})))
+        assert main(["brownian", "--config", str(p)]) == 2, (key, val)
     capsys.readouterr()
 
 

@@ -77,6 +77,8 @@ def test_digit_indicator_matches_bernoulli():
         digit_indicator_model(1, 0)
     with pytest.raises(UsageError):
         digit_indicator_model(10, 10)
+    with pytest.raises(UsageError):  # the symbol is an integer
+        digit_indicator_model(10, 1.5)
 
 
 def test_digit_level_values():
@@ -187,7 +189,7 @@ def test_markov_one_state_is_linear():
     mdl = markov_model(MarkovSpec(P=np.array([[1.0]]), phi=np.array([2.5])))
     for lam in (-3.0, 0.0, 0.7, 10.0):
         assert float(mdl.lam(lam)) == lam * 2.5
-    for bad in (np.nan, np.inf):  # exit code 3, as the power iteration gave
+    for bad in (np.nan, np.inf):  # exit code 3
         with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
             markov_model(_sym_chain()).lam(np.array([0.5, bad]))
     with pytest.raises(UsageError):  # vector observables are not supported

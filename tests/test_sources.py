@@ -8,10 +8,11 @@ import pytest
 from scipy.stats import chi2
 
 import blockldp.sources as sources
-from blockldp import (DataError, MarkovSpec, UsageError, bernoulli_source,
-                      digit_source, file_source, gaussian_increment,
-                      gaussian_source, markov_path, markov_source, next_digit,
-                      pi_fixture_path, read_digit_file)
+from blockldp import (DataError, MarkovSpec, NumericalError, UsageError,
+                      bernoulli_source, digit_source, file_source,
+                      gaussian_increment, gaussian_source, markov_path,
+                      markov_source, next_digit, pi_fixture_path,
+                      read_digit_file)
 from blockldp.sources import bernoulli_value, raw_word, uniform
 
 # Fixed outputs of the 64-bit mix, recomputed with a standalone big-integer
@@ -137,6 +138,8 @@ def test_source_parameter_guards():
         bernoulli_source(0, 1.0)
     with pytest.raises(UsageError):
         digit_source(0, 10, indicator_a=10)
+    with pytest.raises(UsageError):  # the indicator symbol is an integer
+        digit_source(0, 10, indicator_a=1.5)
     with pytest.raises(UsageError):
         gaussian_source(0, 0)
     with pytest.raises(UsageError):
@@ -162,6 +165,22 @@ def test_markov_validation_errors():
                    pi=np.array([0.7, 0.7])).validate()
     with pytest.raises(UsageError):  # reducible chain
         MarkovSpec(P=np.eye(2), phi=np.array([0.0, 1.0])).validate()
+    with pytest.raises(UsageError):  # periodic chain: no power is positive
+        MarkovSpec(P=[[0.0, 1.0], [1.0, 0.0]], phi=[0.0, 1.0])
+    with pytest.raises(UsageError, match="numeric"):  # checked at construction
+        MarkovSpec(P=[["a", "b"], [0.5, 0.5]], phi=[0.0, 1.0])
+    with pytest.raises(UsageError, match="numeric"):  # ragged rows
+        MarkovSpec(P=[[1.0], [0.5, 0.5]], phi=[0.0, 1.0])
+
+
+def test_markov_slow_chain_stationary_law():
+    # Mixing time ~1e5 steps; the law (2/3, 1/3) is an exact linear solve.
+    spec = MarkovSpec(P=[[0.99999, 1e-5], [2e-5, 0.99998]], phi=[0, 1])
+    assert np.max(np.abs(spec.stationary() - [2.0 / 3.0, 1.0 / 3.0])) <= 1e-12
+    assert markov_source(spec, 1).batch(0, 5).shape == (5, 1)
+    three = MarkovSpec(P=[[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
+                       phi=[0.0, 1.0, 2.0])
+    assert np.max(np.abs(three.stationary() - np.array([5, 9, 7]) / 21)) <= 1e-15
 
 
 def test_markov_stationary_and_supplied_pi():
@@ -170,6 +189,19 @@ def test_markov_stationary_and_supplied_pi():
     spec = MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]),
                       phi=np.array([0.0, 1.0]), pi=np.array([1.0, 0.0]))
     assert np.array_equal(spec.stationary(), [1.0, 0.0])
+
+
+def test_digit_rejection_chain(monkeypatch):
+    # A limit of 2**63 rejects about half the words, so the vectorized block
+    # must resolve its stragglers exactly as the scalar chain does.
+    monkeypatch.setattr(sources, "_digit_limit", lambda m: 1 << 63)
+    words = sources._raw_words(11, np.arange(512, dtype=np.uint64))
+    assert int(np.count_nonzero(words >= np.uint64(1 << 63))) == 257
+    assert np.array_equal(sources.digit_block(11, 0, 512, 2),
+                          [next_digit(11, i, 2) for i in range(512)])
+    monkeypatch.setattr(sources, "_digit_limit", lambda m: 2)
+    with pytest.raises(NumericalError, match="128 retries"):
+        sources.digit_block(11, 0, 4, 2)
 
 
 def test_markov_path_mean_and_random_access():
@@ -276,6 +308,10 @@ def test_read_digit_file_chunk_independent(tmp_path, monkeypatch):
     assert np.array_equal(read_digit_file(p, 10, 2, 12), want)
     with pytest.raises(DataError, match="offset"):
         read_digit_file(tmp_path / "d.txt", 2, 0, 3)  # '3' outside base 2
+    p.write_text("3.14.15")  # the second radix point is in the second chunk
+    with pytest.raises(DataError, match="offset 4"):
+        read_digit_file(p, 10, 0, 5)
+    assert np.array_equal(read_digit_file(p, 10, 0, 3), [3, 1, 4])
 
 
 def test_pi_fixture_contents():
@@ -321,6 +357,7 @@ def test_read_digit_file_to_eof(tmp_path):
     assert whole.dtype == np.int64
     assert np.array_equal(read_digit_file(p, 10, 13), [7, 9])
     assert read_digit_file(p, 10, 15).size == 0
+    assert read_digit_file(p, 10, 99, 0).size == 0  # nothing requested, no EOF error
     p.write_text("31415x")  # a bad byte after the last digit is still seen
     with pytest.raises(DataError, match="offset 5"):
         read_digit_file(p, 10, 0, None)
