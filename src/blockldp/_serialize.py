@@ -102,6 +102,8 @@ def grid_spec(lo: float, step: float, count: int) -> dict:
 
 def make_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Uniform grid lo + step*arange(count) covering [lo, hi]."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise UsageError("grid lo=%r, hi=%r and step=%r must be finite" % (lo, hi, step))
     if not step > 0:
         raise UsageError("grid step must be > 0")
     count = int(round((hi - lo) / step)) + 1

@@ -18,7 +18,7 @@ row order, so serial, chunked and parallel evaluations agree bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,12 +83,10 @@ class SampledFunction:
     """A function sampled on a strictly increasing scalar grid.
 
     Values live in R extended by +inf (serialized as the literal "inf").
-    meta carries run metadata such as n, k, seed and a model tag.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=np.float64)
@@ -99,13 +97,13 @@ class SampledFunction:
             raise UsageError("grid must be strictly increasing")
 
 
-def block_means(source: SeriesSource, n: int, k: int, start_index: int = 0) -> BlockStats:
-    """Means of k consecutive length-n blocks starting at start_index.
+def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
+    """Means of the first k consecutive length-n blocks of a source.
 
     Parameters
     ----------
     source : SeriesSource
-        Supplies n*k observations from start_index.
+        Supplies observations 0..n*k-1.
     n, k : int
         Block length and block count, both >= 1, with n*k < 2**63.
 
@@ -118,8 +116,6 @@ def block_means(source: SeriesSource, n: int, k: int, start_index: int = 0) -> B
     """
     if n < 1 or k < 1:
         raise UsageError("block length and block count must be >= 1")
-    if start_index < 0:
-        raise UsageError("start_index must be >= 0")
     if n * k > np.iinfo(np.int64).max:
         raise UsageError("n*k = %d*%d observations exceed 2**63 - 1" % (n, k))
     d = source.d
@@ -129,15 +125,14 @@ def block_means(source: SeriesSource, n: int, k: int, start_index: int = 0) -> B
     for j0 in range(0, k, step):
         cnt = min(step, k - j0)
         try:
-            batch = source.batch(start_index + j0 * n, cnt * n)
+            batch = source.batch(j0 * n, cnt * n)
         except DataError as err:
             avail = getattr(err, "symbols_available", None)
             if avail is None:
                 raise
-            full = max(0, (int(avail) - start_index) // n)
             raise DataError(
-                "source exhausted: only %d full blocks of length %d available "
-                "from index %d, needed %d" % (full, n, start_index, k)
+                "source exhausted: only %d full blocks of length %d available, "
+                "needed %d" % (int(avail) // n, n, k)
             ) from err
         part = pairwise_sum(batch.reshape(cnt, n, d), axis=1)
         sums[j0 : j0 + cnt] = part
@@ -182,7 +177,7 @@ def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
     return out
 
 
-def empirical_scgf(stats: BlockStats, lambdas, meta: dict | None = None) -> SampledFunction:
+def empirical_scgf(stats: BlockStats, lambdas) -> SampledFunction:
     """Empirical SCGF on a strictly increasing scalar tilt grid (d=1).
 
     Exact at lambda=0: there every shifted term is its integer weight, the
@@ -193,10 +188,7 @@ def empirical_scgf(stats: BlockStats, lambdas, meta: dict | None = None) -> Samp
     if lam.ndim != 1:
         raise UsageError("empirical_scgf needs a 1-d tilt grid; "
                          "use scgf_values for vector tilts")
-    base = {"n": stats.n, "k": stats.k, "d": stats.d}
-    if meta:
-        base.update(meta)
-    return SampledFunction(grid=lam, values=scgf_values(stats, lam), meta=base)
+    return SampledFunction(grid=lam, values=scgf_values(stats, lam))
 
 
 def ball_mass(stats: BlockStats, x, eps: float) -> tuple[int, float]:

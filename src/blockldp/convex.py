@@ -87,10 +87,7 @@ def grad_estimate(f: SampledFunction) -> SampledFunction:
     h = (f.grid[-1] - f.grid[0]) / (len(f.grid) - 1)
     if np.max(np.abs(np.diff(f.grid) - h)) > 1e-9 * max(1.0, abs(h)):
         raise UsageError("derivative estimation requires a uniform grid")
-    meta = dict(f.meta)
-    meta["derived"] = "grad"
-    return SampledFunction(grid=f.grid, values=np.gradient(f.values, h, edge_order=2),
-                           meta=meta)
+    return SampledFunction(grid=f.grid, values=np.gradient(f.values, h, edge_order=2))
 
 
 def _bisect(fn, target: float, lo: float, hi: float, tol: float, what: str) -> float:
@@ -132,15 +129,13 @@ def solve_slope(model, x: float) -> float:
     return _bisect(model.grad, x, lo, hi, _SLOPE_TOL, "slope")
 
 
-def rate_along(model, lam) -> float:
-    """g(lambda) = Lambda*(Lambda'(lambda)) via the duality identity.
+def rate_along(model, lam: float) -> float:
+    """g(lambda) = Lambda*(Lambda'(lambda)) of a 1-d model via the duality identity.
 
-    g(lambda) = <lambda, Lambda'(lambda)> - Lambda(lambda), exact at exposed
-    points; lam is a scalar or, for a d-dimensional model, a vector.  At the
-    tilt lambda0 it is the critical schedule exponent.
+    g(lambda) = lambda * Lambda'(lambda) - Lambda(lambda), exact at exposed
+    points.  At the tilt lambda0 it is the critical schedule exponent.
     """
-    return float(np.dot(np.atleast_1d(lam), np.atleast_1d(model.grad(lam)))
-                 - model.lam(lam))
+    return float(lam * model.grad(lam) - model.lam(lam))
 
 
 def _level_point_side(model, c: float, side: int) -> float | None:

@@ -71,25 +71,30 @@ class ExperimentConfig:
         def number(v):
             return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-        for key in ("m", "a", "d", "lambda0", "c", "gamma", "budget", "R", "eps"):
-            val = getattr(cfg, key)
-            if not (number(val) or val is None and getattr(cls, key) is None):
-                raise UsageError("config %s: %s must be a number, got %r" % (path, key, val))
-        for key in ("lambda_grid", "x_grid"):
-            grid = getattr(cfg, key)
-            if not (isinstance(grid, (list, tuple)) and len(grid) == 3
-                    and all(map(number, grid))):
-                raise UsageError("config %s: %s must be three numbers lo, hi, step"
-                                 % (path, key))
-            setattr(cfg, key, tuple(float(v) for v in grid))
-        try:
-            cfg.n_list = tuple(int(n) for n in cfg.n_list)
-            cfg.seeds = tuple(int(s) for s in cfg.seeds)
-            cfg.x_list = tuple(
-                tuple(float(u) for u in v) if isinstance(v, (list, tuple)) else float(v)
-                for v in cfg.x_list)
-        except (TypeError, ValueError) as exc:
-            raise UsageError("config %s has a badly shaped list: %s" % (path, exc))
+        def list_of(ok):
+            return lambda v: isinstance(v, (list, tuple)) and all(map(ok, v))
+
+        for what, ok, keys in (
+                ("a number", number,
+                 ("m", "a", "d", "lambda0", "c", "gamma", "budget", "R", "eps")),
+                ("a string", lambda v: isinstance(v, str), ("kind", "out_dir", "path")),
+                ("three numbers lo, hi, step", lambda v: list_of(number)(v) and len(v) == 3,
+                 ("lambda_grid", "x_grid")),
+                ("a list of integers", list_of(lambda u: number(u) and isinstance(u, int)),
+                 ("n_list", "seeds")),
+                ("a list of numbers or number lists",
+                 list_of(lambda u: number(u) or list_of(number)(u)), ("x_list",))):
+            for key in keys:
+                val = getattr(cfg, key)
+                # null is accepted exactly where the default is None.
+                if not (ok(val) or val is None and getattr(cls, key) is None):
+                    raise UsageError("config %s: %s must be %s, got %r"
+                                     % (path, key, what, val))
+        cfg.lambda_grid, cfg.x_grid = (tuple(map(float, g))
+                                       for g in (cfg.lambda_grid, cfg.x_grid))
+        cfg.n_list, cfg.seeds = tuple(cfg.n_list), tuple(cfg.seeds)
+        cfg.x_list = tuple(tuple(map(float, v)) if isinstance(v, (list, tuple))
+                           else float(v) for v in cfg.x_list)
         return cfg
 
     def block_counts(self, schedule: Schedule) -> dict:
@@ -206,8 +211,7 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     files = []
     summary_rows = []
     for seed, n, k, stats in _block_runs(base, schedule, config.n_list, seeds_eff):
-        meta = {"seed": seed, "model": model.name, "c": c}
-        scgf = empirical_scgf(stats, lam_grid, meta=meta)
+        scgf = empirical_scgf(stats, lam_grid)
         abs_err = np.abs(scgf.values - model.lam(lam_grid))
         conj = legendre(scgf, x_grid)
         grad = grad_estimate(scgf)
@@ -379,23 +383,22 @@ class FrequencyResult:
         return "".join(reversed(digits))
 
 
-def frequency_test(source: SeriesSource, m: int, n0: int,
-                   N: int | None = None) -> FrequencyResult:
+def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> FrequencyResult:
     """Frequencies of all length-n0 words over sliding windows vs m^-n0.
 
-    Counts every window i = 0..N-n0 of the first N symbols and reports the
-    per-word frequency table and the maximum deviation from the uniform
-    m^-n0, the normality diagnostic.  N=None uses every symbol of a
-    digit-file source, decoded in one pass; other sources need N.
+    The base m is the source's.  Counts every window i = 0..N-n0 of the
+    first N symbols and reports the per-word frequency table and the maximum
+    deviation from the uniform m^-n0, the normality diagnostic.  N=None uses
+    every symbol of a digit-file source, decoded in one pass; other sources
+    need N.
     """
     if not 1 <= n0 <= 4:
         raise UsageError("word length n0 must lie in [1, 4]")
-    if m ** n0 > 10000:
-        raise UsageError("word alphabet m^n0 must not exceed 1e4")
     if source.kind not in ("iid-digit", "digit-file"):
         raise UsageError("frequency test needs a base-m symbol source")
-    if source.m != m:
-        raise UsageError("source base %r does not match m=%d" % (source.m, m))
+    m = source.m
+    if m ** n0 > 10000:
+        raise UsageError("word alphabet m^n0 must not exceed 1e4")
     if N is None:
         if source.kind != "digit-file":
             raise UsageError("N may be omitted only for a digit-file source")

@@ -213,7 +213,7 @@ def markov_model(spec: MarkovSpec) -> ScgfModel:
     @functools.cache
     def sampled():
         grid = -20.0 + 0.005 * np.arange(8001)
-        return SampledFunction(grid=grid, values=lam(grid), meta={"model": "markov"})
+        return SampledFunction(grid=grid, values=lam(grid))
 
     conj = _scalarized(lambda x: legendre(sampled(), x).values)
     return ScgfModel(name="markov:%d-state" % spec.s, d=1, lam=lam, grad=grad,

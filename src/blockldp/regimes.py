@@ -8,7 +8,7 @@ splits the asymptotics into three regimes:
       Lambda near lambda0 and the ball mass at x0 decays at rate Lambda*(x0);
   subcritical (c < Lambda*(x0)): small balls around x0 are eventually empty;
   critical (c = Lambda*(x0)): beyond lambda0 the empirical SCGF follows the
-      affine continuation t -> Lambda(lambda0) + (t-1) <lambda0, x0>, t >= 1.
+      affine continuation t -> Lambda(lambda0) + (t-1) lambda0 x0, t >= 1.
 """
 
 from __future__ import annotations
@@ -27,15 +27,13 @@ _EXP_ARG_CAP = 709.0
 
 @dataclass(frozen=True)
 class Schedule:
-    """Block-count schedule k(n) = ceil(e^{c n}) with optional speed terms.
+    """Block-count schedule k(n) = ceil(e^{c n}) with an optional speed term.
 
-    gamma parameterizes eps_n = gamma * log(n) / n, gamma_prime the margin
-    sqrt(gamma_prime * log(n) / n).
+    gamma parameterizes eps_n = gamma * log(n) / n.
     """
 
     c: float
     gamma: float | None = None
-    gamma_prime: float | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.c) and self.c >= 0.0):
@@ -54,11 +52,6 @@ class Schedule:
             raise UsageError("schedule has no gamma for eps_n")
         return self.gamma * math.log(n) / n
 
-    def margin(self, n: int) -> float:
-        if self.gamma_prime is None:
-            raise UsageError("schedule has no gamma_prime for the margin")
-        return math.sqrt(self.gamma_prime * math.log(n) / n)
-
 
 @dataclass(frozen=True)
 class RegimeReport:
@@ -71,7 +64,7 @@ class RegimeReport:
           ball_rate (the local rate -(1/n) log mass -> Lambda*(x0)).
       subcritical: eps_max (largest ball radius around x0 that is
           eventually empty).
-      critical: value_at_t1 (= Lambda(lambda0)), slope (= <lambda0, x0>),
+      critical: value_at_t1 (= Lambda(lambda0)), slope (= lambda0 x0),
           samples (the affine continuation at t = 1, 1.5, 2).
     """
 
@@ -83,7 +76,7 @@ class RegimeReport:
     prediction: dict = field(default_factory=dict)
 
     def tilted(self, t: float) -> float:
-        """Affine continuation Lambda(lambda0) + (t-1) <lambda0, x0>, t >= 1."""
+        """Affine continuation Lambda(lambda0) + (t-1) lambda0 x0, t >= 1."""
         if self.regime != "critical":
             raise UsageError("tilted limit applies to the critical regime only")
         if t < 1.0:
@@ -92,15 +85,17 @@ class RegimeReport:
 
 
 def classify(model, lambda0: float, c: float) -> RegimeReport:
-    """Compare the schedule exponent with the rate at x0 = Lambda'(lambda0).
+    """Compare the schedule exponent with the rate at x0 = Lambda'(lambda0), 1-d models.
 
     The threshold Lambda*(x0) is computed through the duality identity
-    <lambda0, x0> - Lambda(lambda0), exact at exposed points.  Ties within
+    lambda0 * x0 - Lambda(lambda0), exact at exposed points.  Ties within
     1e-12 on c classify as critical.
     """
+    if model.d != 1:
+        raise UsageError("classify requires a 1-d model")
     Schedule(c)  # validates c
-    lam0 = np.asarray(lambda0, dtype=np.float64)
-    x0 = model.grad(lambda0)
+    lambda0 = float(lambda0)
+    x0 = float(model.grad(lambda0))
     threshold = rate_along(model, lambda0)
     diff = c - threshold
     if abs(diff) <= _TIE_TOL:
@@ -109,41 +104,33 @@ def classify(model, lambda0: float, c: float) -> RegimeReport:
         regime = "supercritical"
     else:
         regime = "subcritical"
-    scalar0 = float(lam0) if lam0.ndim == 0 else lam0
-    scalarx = float(x0) if np.ndim(x0) == 0 else x0
-    prediction: dict = {}
     if regime == "supercritical":
-        lo = hi = None
-        if model.d == 1 and c > 0:
-            hi = _level_point_side(model, c, +1)
-            lo = _level_point_side(model, c, -1)
+        # A side whose level lies beyond the +-50 bracket stays open.
+        hi = _level_point_side(model, c, +1) if c > 0 else None
+        lo = _level_point_side(model, c, -1) if c > 0 else None
         lo = -np.inf if lo is None else lo
         hi = np.inf if hi is None else hi
         prediction = {
             "claim": "empirical scgf converges uniformly to the model on "
                      "compact subsets of lambda_interval",
             "lambda_interval": (float(lo), float(hi)),
-            "radius": float(min(scalar0 - lo, hi - scalar0)) if model.d == 1 else None,
+            "radius": float(min(lambda0 - lo, hi - lambda0)),
             "ball_rate": threshold,
         }
     elif regime == "subcritical":
-        eps_max = None
-        if model.d == 1:
-            mean = model.grad(0.0)
-            side = +1 if scalarx > mean else -1
-            # c < Lambda*(x0) puts the level on this side of the mean; at
-            # c = 0 the sublevel region shrinks to the mean itself.  A None
-            # edge (level beyond the +-50 bracket) leaves eps_max unknown.
-            edge = _level_point_side(model, c, side) if c > 0 else 0.0
-            if edge is not None:
-                eps_max = float(abs(scalarx - model.grad(edge)))
+        side = +1 if x0 > model.grad(0.0) else -1
+        # c < Lambda*(x0) puts the level on this side of the mean; at
+        # c = 0 the sublevel region shrinks to the mean itself.  A None
+        # edge (level beyond the +-50 bracket) leaves eps_max unknown.
+        edge = _level_point_side(model, c, side) if c > 0 else 0.0
+        eps_max = None if edge is None else float(abs(x0 - model.grad(edge)))
         prediction = {
             "claim": "balls B(x0, eps) with eps < eps_max are eventually empty",
             "eps_max": eps_max,
         }
     else:
         v1 = float(model.lam(lambda0))
-        slope = float(np.dot(np.atleast_1d(lam0), np.atleast_1d(np.asarray(x0))))
+        slope = lambda0 * x0
         prediction = {
             "claim": "for t >= 1 the empirical scgf at t*lambda0 tends to the "
                      "affine continuation value_at_t1 + (t-1)*slope",
@@ -151,7 +138,7 @@ def classify(model, lambda0: float, c: float) -> RegimeReport:
             "slope": slope,
             "samples": {"1": v1, "1.5": v1 + 0.5 * slope, "2": v1 + slope},
         }
-    return RegimeReport(regime=regime, lambda0=scalar0, x0=scalarx,
+    return RegimeReport(regime=regime, lambda0=lambda0, x0=x0,
                         threshold=threshold, c=float(c), prediction=prediction)
 
 

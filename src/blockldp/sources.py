@@ -131,15 +131,6 @@ def _bernoulli_block(seed: int, start: int, count: int, p: float) -> np.ndarray:
     return (_uniforms(seed, idx) < p).astype(np.float64)
 
 
-def gaussian_increment(seed: int, i: int, d: int) -> np.ndarray:
-    """Standard-normal vector in R^d at index i.
-
-    Coordinate c applies Box-Muller (cosine branch) to the uniforms at
-    counters (2i + c*2**40, 2i + 1 + c*2**40).
-    """
-    return gaussian_source(seed, d).get(i)
-
-
 def _gaussian_block(seed: int, start: int, count: int, d: int) -> np.ndarray:
     idx = np.arange(start, start + count, dtype=np.uint64)
     base = idx * np.uint64(2)
@@ -164,7 +155,7 @@ class MarkovSpec:
     Fields
     ------
     P : (s, s) row-stochastic transition matrix (rows sum to 1 within 1e-12).
-    phi : observable, shape (s,) for scalar or (s, d) for vector values.
+    phi : finite observable, shape (s,) for scalar or (s, d) for vector values.
     pi : optional initial distribution; defaults to the stationary
         distribution, the exact solution of pi (I - P + 1 1^T) = 1^T.
     """
@@ -214,11 +205,14 @@ class MarkovSpec:
             )
         if self.phi.ndim not in (1, 2) or self.phi.shape[0] != s:
             raise UsageError("observable must have shape (s,) or (s, d) with s=%d" % s)
+        if not np.all(np.isfinite(self.phi)):
+            raise UsageError("observable entries must be finite")
         if self.pi is not None:
             pi = self.pi
             if pi.shape != (s,):
                 raise UsageError("initial distribution must have shape (s,)")
-            if np.any(pi < 0.0) or abs(pi.sum() - 1.0) > 1e-12:
+            # Written so that a NaN entry fails both comparisons.
+            if not (np.all(pi >= 0.0) and abs(pi.sum() - 1.0) <= 1e-12):
                 raise UsageError("initial distribution must be nonnegative and sum to 1")
         # A primitive chain has P^k > 0 for every k >= (s-1)**2 + 1 (Wielandt),
         # and repeated squaring of the reachability pattern reaches such a k.

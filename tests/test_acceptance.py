@@ -188,7 +188,7 @@ def _run_fig1(out_dir):
 
 
 def _run_frequency():
-    return frequency_test(digit_source(1, 10), 10, 1, 10 ** 6)
+    return frequency_test(digit_source(1, 10), 1, 10 ** 6)
 
 
 # ----- module-scoped fixtures so criterion 12 can reuse the first runs ------

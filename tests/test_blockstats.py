@@ -48,18 +48,6 @@ def test_block_means_digits(tmp_path):
     assert np.array_equal(stats.means[:, 0], [1.5, 3.5])
 
 
-def test_block_means_start_index():
-    src = digit_source(3, 10)
-    sym = src.symbols(0, 100).astype(np.float64)
-    stats = block_means(src, 10, 4, start_index=20)
-    # integer-valued sums up to 90 are exact, so equality is exact; integer
-    # sums are stored as distinct means in increasing order with counts
-    values, counts = np.unique(sym[20:60].reshape(4, 10).mean(axis=1),
-                               return_counts=True)
-    assert np.array_equal(stats.means[:, 0], values)
-    assert np.array_equal(stats.weights, counts)
-
-
 def test_block_means_chunk_independent(monkeypatch):
     src = gaussian_source(7, 2)
     want = block_means(src, 16, 33)
@@ -204,10 +192,9 @@ def test_scgf_rejects_nonfinite_means():
         scgf_values(stats, np.array([0.0]))
 
 
-def test_empirical_scgf_meta_and_validation():
+def test_empirical_scgf_validation():
     stats = BlockStats(n=3, k=2, d=1, means=np.array([[0.1], [0.2]]))
-    f = empirical_scgf(stats, np.array([-1.0, 0.0, 1.0]), meta={"tag": "x"})
-    assert f.meta["n"] == 3 and f.meta["k"] == 2 and f.meta["tag"] == "x"
+    f = empirical_scgf(stats, np.array([-1.0, 0.0, 1.0]))
     assert f.values[1] == 0.0
     with pytest.raises(UsageError):
         empirical_scgf(stats, np.array([[0.0], [1.0]]))  # needs a 1-d grid

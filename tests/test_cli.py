@@ -150,6 +150,20 @@ def test_gen_bad_markov_specs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec", [
+    {"P": [[0.9, 0.1], [0.1, 0.9]], "phi": [float("nan"), 1.0]},
+    {"P": [[0.9, 0.1], [0.1, 0.9]], "phi": [0.0, 1.0], "pi": [float("nan"), 1.0]},
+], ids=["phi-nan", "pi-nan"])
+def test_gen_rejects_nonfinite_markov_spec(tmp_path, capsys, spec):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(spec))  # json writes the bare NaN literal
+    out = tmp_path / "m.txt"
+    assert main(["gen", "--kind", "markov", "--markov-file", str(bad),
+                 "--count", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_gen_slow_markov_chain(tmp_path, capsys):
     spec = tmp_path / "slow.json"
     spec.write_text(json.dumps({"P": [[0.99999, 1e-5], [2e-5, 0.99998]],
@@ -384,6 +398,57 @@ def test_fig1_cli_and_bad_config(tmp_path, capsys):
         assert main(["fig1", "--config", str(p)]) == 2, (key, val)
     assert main(["fig1", "--config", str(tmp_path / "nope.json")]) == 4
     capsys.readouterr()
+
+
+FIG1_SMALL = {"kind": "iid-digit", "n_list": [20], "seeds": [1], "budget": 1e5,
+              "lambda_grid": [-1.0, 1.0, 0.5], "x_grid": [0.05, 0.25, 0.05]}
+BROWNIAN_SMALL = {"kind": "gaussian", "d": 1, "c": 0.5, "R": 1.0, "eps": 0.2,
+                  "n_list": [6], "seeds": [1], "x_list": [0.0], "budget": 1e5}
+
+
+@pytest.mark.parametrize("command, base, key, val", [
+    ("fig1", FIG1_SMALL, "seeds", [1.7]),
+    ("fig1", FIG1_SMALL, "seeds", [True]),
+    ("fig1", FIG1_SMALL, "n_list", [20.9]),
+    ("brownian", BROWNIAN_SMALL, "x_list", ["0.5"]),
+    ("brownian", BROWNIAN_SMALL, "kind", None),
+    ("fig1", FIG1_SMALL, "out_dir", None),
+    ("fig1", dict(FIG1_SMALL, kind="digit-file"), "path", 7),
+], ids=["seeds-float", "seeds-bool", "n_list-float", "x_list-string", "kind-null",
+        "out_dir-null", "path-int"])
+def test_config_values_keep_their_json_types(tmp_path, capsys, command, base, key,
+                                             val):
+    cfg = dict(base, out_dir=str(tmp_path / "out"))
+    cfg[key] = val
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(p)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--kind", "iid-digit", "--n", "2", "--k", "2",
+     "--lambda-grid=0:inf:1", "--out", "s.csv"],
+    ["analyze", "--kind", "iid-digit", "--n", "2", "--k", "2",
+     "--lambda-grid=nan:1:0.1", "--out", "s.csv"],
+    ["analyze", "--kind", "iid-digit", "--n", "2", "--k", "2",
+     "--lambda-grid=0:1:inf", "--out", "s.csv"],
+    ["legendre", "--in", "f.csv", "--x-grid", "0:inf:1", "--out", "c.csv"],
+    ["fig1", "--config", "cfg.json"],
+], ids=["analyze-inf-hi", "analyze-nan-lo", "analyze-inf-step", "legendre-inf-hi",
+        "fig1-inf-hi"])
+def test_nonfinite_grid_bounds_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.csv").write_text("lambda,value\n0,0\n1,1\n")
+    # JSON has no infinity literal; 1e999 overflows to inf when parsed.
+    (tmp_path / "cfg.json").write_text(
+        json.dumps(dict(FIG1_SMALL, out_dir="out")).replace(
+            '"lambda_grid": [-1.0, 1.0, 0.5]', '"lambda_grid": [0, 1e999, 0.1]'))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: grid ")
+    assert not any(p.name in ("s.csv", "c.csv", "out") for p in tmp_path.iterdir())
 
 
 def test_brownian_cli(tmp_path, capsys):

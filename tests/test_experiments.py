@@ -219,15 +219,23 @@ def test_brownian_vector_centers():
 def test_frequency_word_table(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("010101")
-    res = frequency_test(file_source(p, 2), 2, 2, 6)
+    res = frequency_test(file_source(p, 2), 2, 6)
     assert res.windows == 5
     assert list(res.counts) == [0, 3, 2, 0]
     assert res.word(1) == "01" and res.word(2) == "10"
     assert res.max_dev == pytest.approx(0.6 - 0.25, rel=1e-12)
-    single = frequency_test(file_source(p, 2), 2, 1, 6)
+    single = frequency_test(file_source(p, 2), 1, 6)
     assert list(single.counts) == [3, 3] and single.windows == 6
-    one = frequency_test(file_source(p, 2), 2, 2, 2)  # N = n0: one window
+    one = frequency_test(file_source(p, 2), 2, 2)  # N = n0: one window
     assert one.windows == 1 and list(one.freqs) == [0.0, 1.0, 0.0, 0.0]
+
+
+def test_frequency_base_from_source():
+    sym = digit_source(4, 7).symbols(0, 500)
+    res = frequency_test(digit_source(4, 7), 2, 500)
+    assert res.m == 7 and res.counts.size == 49 and res.word(48) == "66"
+    codes = sym[:-1] * 7 + sym[1:]
+    assert np.array_equal(res.counts, np.bincount(codes, minlength=49))
 
 
 def test_frequency_guards(tmp_path):
@@ -235,32 +243,30 @@ def test_frequency_guards(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("0101")
     with pytest.raises(UsageError):  # word length out of range
-        frequency_test(file_source(p, 2), 2, 5, 4)
-    with pytest.raises(UsageError):  # base mismatch with the source
-        frequency_test(file_source(p, 2), 10, 1, 4)
+        frequency_test(file_source(p, 2), 5, 4)
     with pytest.raises(DataError):   # file shorter than the request
-        frequency_test(file_source(p, 2), 2, 1, 9)
+        frequency_test(file_source(p, 2), 1, 9)
     with pytest.raises(DataError):   # fewer symbols than the word length
-        frequency_test(file_source(p, 2), 2, 3, 2)
+        frequency_test(file_source(p, 2), 3, 2)
     with pytest.raises(UsageError):  # no symbol alphabet
-        frequency_test(gaussian_source(0, 1), 10, 1, 100)
+        frequency_test(gaussian_source(0, 1), 1, 100)
 
 
 def test_frequency_whole_file_default(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("3.14159 26535\n8979\n")
-    whole = frequency_test(file_source(p, 10), 10, 2)
-    fixed = frequency_test(file_source(p, 10), 10, 2, 15)
+    whole = frequency_test(file_source(p, 10), 2)
+    fixed = frequency_test(file_source(p, 10), 2, 15)
     assert whole.N == fixed.N == 15 and whole.windows == fixed.windows == 14
     assert np.array_equal(whole.counts, fixed.counts)
     assert np.array_equal(whole.freqs, fixed.freqs)
     assert whole.max_dev == fixed.max_dev
     with pytest.raises(UsageError):  # a generated stream has no end
-        frequency_test(digit_source(1, 10), 10, 1)
+        frequency_test(digit_source(1, 10), 1)
 
 
 def test_frequency_pi_fixture_tallies():
-    res = frequency_test(file_source(pi_fixture_path(), 10), 10, 1, 100000)
+    res = frequency_test(file_source(pi_fixture_path(), 10), 1, 100000)
     assert list(res.counts) == PI_COUNTS
     assert sum(res.counts) == 100000
     assert res.max_dev == pytest.approx(0.00137, abs=1e-12)

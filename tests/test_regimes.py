@@ -45,10 +45,8 @@ def test_schedule_guards_and_windows():
         Schedule(8.0).k(100)  # e^800 overflows a double
     with pytest.raises(UsageError):
         Schedule(0.1).eps_n(10)  # needs gamma
-    s = Schedule(0.1, gamma=9.0, gamma_prime=4.0)
+    s = Schedule(0.1, gamma=9.0)
     assert s.eps_n(100) == pytest.approx(9.0 * math.log(100) / 100, rel=1e-15)
-    assert s.margin(100) == pytest.approx(math.sqrt(4.0 * math.log(100) / 100),
-                                          rel=1e-15)
 
 
 def test_classify_threshold_and_regimes():
@@ -70,6 +68,13 @@ def test_classify_gaussian_threshold_exact():
     rep = classify(gaussian_model(1), 1.2, 0.3)
     assert rep.threshold == 0.72  # lambda0^2 / 2 with exact float arithmetic
     assert rep.regime == "subcritical"
+
+
+def test_classify_requires_1d_model():
+    # The supercritical region of |lambda|^2/2 at c = 1/2 is |lambda| < 1; a
+    # vector report would need level sets that classify does not compute.
+    with pytest.raises(UsageError, match="1-d model"):
+        classify(gaussian_model(2), [0.5, 0.5], 0.5)
 
 
 def test_supercritical_prediction_interval():

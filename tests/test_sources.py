@@ -10,9 +10,8 @@ from scipy.stats import chi2
 import blockldp.sources as sources
 from blockldp import (DataError, MarkovSpec, NumericalError, UsageError,
                       bernoulli_source, digit_source, file_source,
-                      gaussian_increment, gaussian_source, markov_path,
-                      markov_source, next_digit, pi_fixture_path,
-                      read_digit_file)
+                      gaussian_source, markov_path, markov_source, next_digit,
+                      pi_fixture_path, read_digit_file)
 from blockldp.sources import bernoulli_value, raw_word, uniform
 
 # Fixed outputs of the 64-bit mix, recomputed with a standalone big-integer
@@ -88,7 +87,7 @@ def test_gaussian_transform_from_uniforms():
     # each coordinate c uses counters 2i and 2i+1 offset by c * 2^40
     seed, d = 9, 3
     for i in (0, 5):
-        vec = gaussian_increment(seed, i, d)
+        vec = gaussian_source(seed, d).get(i)
         for c in range(d):
             off = (c * (1 << 40)) & ((1 << 64) - 1)
             u1 = uniform(seed, 2 * i + off)
@@ -99,7 +98,7 @@ def test_gaussian_transform_from_uniforms():
 
 def test_gaussian_block_matches_scalar():
     blk = gaussian_source(5, 2).batch(3, 40)
-    ref = np.array([gaussian_increment(5, i, 2) for i in range(3, 43)])
+    ref = np.array([gaussian_source(5, 2).get(i) for i in range(3, 43)])
     assert np.array_equal(blk, ref)
 
 
