@@ -24,7 +24,8 @@ from ._serialize import (file_checksum, fmt_cell, json_safe, make_grid,
                          read_csv_columns, write_csv)
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
                          scgf_values)
-from .convex import find_level_points, legendre, rate_along
+from .convex import (_level_point_side, find_level_points, legendre,
+                     rate_along)
 from .experiments import (ExperimentConfig, RunManifest, brownian_experiment,
                           fig1_pipeline, frequency_test)
 from .models import (bernoulli_model, digit_indicator_model, gaussian_model,
@@ -32,6 +33,8 @@ from .models import (bernoulli_model, digit_indicator_model, gaussian_model,
 from .regimes import Schedule, classify
 from .sources import (MarkovSpec, bernoulli_source, digit_source, file_source,
                       gaussian_source, markov_source, pi_fixture_path)
+
+_GEN_ROWS = 1 << 16  # rows generated and written per gen batch
 
 
 def _resolve_out(path):
@@ -159,10 +162,15 @@ def cmd_gen(args) -> int:
     src, _, seeds = _build_source(args)
     # Digit and Bernoulli observations are integers and print as such.
     as_int = src.kind in ("iid-digit", "iid-bernoulli")
-    lines = [" ".join(str(int(v)) if as_int else fmt_cell(v) for v in row)
-             for row in src.batch(0, count)]
+    # A Markov batch replays the chain from index 0, so that chain is walked
+    # once and written in slices; the counter kinds generate each slice.
+    path = src.batch(0, count) if src.kind == "markov-chain" else None
     with open(out, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for start in range(0, count, _GEN_ROWS):
+            n = min(_GEN_ROWS, count - start)
+            rows = src.batch(start, n) if path is None else path[start : start + n]
+            fh.write("".join(" ".join(str(int(v)) if as_int else fmt_cell(v)
+                                      for v in row) + "\n" for row in rows))
     _finish_manifest("gen", args, out, [out], started, seeds=seeds)
     print("wrote %d lines to %s" % (count, out))
     return 0
@@ -220,9 +228,15 @@ def cmd_regime(args) -> int:
     report = classify(model, lambda0, c)
     # The level points lambda1 < lambda2 solve lambda L'(lambda) - L(lambda)
     # = threshold; they bracket the tilts, their slopes x1 < x2 the means.
+    # A side whose level is not attained within the bracket stays open, as
+    # in classify: its lambda is -inf or +inf and its x is null.
     if report.threshold > 1e-12:
-        lam1, lam2 = find_level_points(model, report.threshold)
-        x1, x2 = float(model.grad(lam1)), float(model.grad(lam2))
+        lam1 = _level_point_side(model, report.threshold, -1)
+        lam2 = _level_point_side(model, report.threshold, +1)
+        x1 = None if lam1 is None else float(model.grad(lam1))
+        x2 = None if lam2 is None else float(model.grad(lam2))
+        lam1 = -math.inf if lam1 is None else lam1
+        lam2 = math.inf if lam2 is None else lam2
     else:
         lam1 = lam2 = 0.0
         x1 = x2 = report.x0

@@ -17,6 +17,10 @@ before reducing mod m, which removes modulo bias exactly.  Gaussian
 coordinates use Box-Muller on the counter pair (2i, 2i+1), offset by a
 per-dimension stride of 2**40 (collision-free for indices below 2**39 per
 dimension, far beyond any supported run length).
+
+The vector kernels run in place over blocks of 2**14 counters, with a few
+reused buffers and no whole-array temporaries; for any split into blocks
+their words and uniforms equal raw_word and uniform bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ _DIM_STRIDE = 1 << 40
 _MAX_DIGIT_RETRIES = 128
 _FILE_CHUNK = 1 << 20
 _SCAN_VALUES = 1 << 16  # per Markov scan segment: cache-sized, log2(steps) passes
+_BLOCK = 1 << 14  # counters per kernel pass: its 128 KB buffers stay in cache
+_RAMP = np.arange(_BLOCK, dtype=np.uint64)
 
 
 def raw_word(seed: int, i: int) -> int:
@@ -49,25 +55,37 @@ def raw_word(seed: int, i: int) -> int:
     return z
 
 
-def _raw_words(seed: int, idx: np.ndarray) -> np.ndarray:
-    """Vectorized raw_word over a uint64 counter array."""
-    z = np.uint64(seed & _MASK64) + (idx + np.uint64(1)) * np.uint64(_GOLDEN)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return z
-
-
 def uniform(seed: int, i: int) -> float:
     """Uniform draw in the open interval (0, 1) at counter i."""
     return ((raw_word(seed, i) >> 11) + 0.5) * _U53
 
 
-def _uniforms(seed: int, idx: np.ndarray) -> np.ndarray:
-    w = _raw_words(seed, idx) >> np.uint64(11)
-    return (w.astype(np.float64) + 0.5) * _U53
+def _mix_into(z: np.ndarray, tmp: np.ndarray, seed: int, first: int,
+              step: int) -> np.ndarray:
+    """raw_word(seed, first + j * step) into z[j] for j < z.size <= _BLOCK.
+
+    tmp is uint64 scratch of z's size.  Counters wrap mod 2**64 as in raw_word.
+    """
+    np.multiply(_RAMP[:z.size], np.uint64((step * _GOLDEN) & _MASK64), out=z)
+    np.add(z, np.uint64((seed + (int(first) + 1) * _GOLDEN) & _MASK64), out=z)
+    np.right_shift(z, np.uint64(30), out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+    np.multiply(z, np.uint64(_MIX1), out=z)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+    np.multiply(z, np.uint64(_MIX2), out=z)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+    return z
+
+
+def _uniforms_into(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """uniform() of the words z into the float64 buffer u; z is overwritten."""
+    np.right_shift(z, np.uint64(11), out=z)
+    u[...] = z
+    np.add(u, 0.5, out=u)
+    np.multiply(u, _U53, out=u)
+    return u
 
 
 def _digit_limit(m: int) -> int:
@@ -105,19 +123,27 @@ def next_digit(seed: int, i: int, m: int) -> int:
     return _sample_digit(seed, i, m, _digit_limit(m))
 
 
+def _blocks(count: int):
+    """(b0, z, tmp) per block of range(count); z, tmp are reused uint64 buffers."""
+    z, tmp = np.empty((2, min(count, _BLOCK)), dtype=np.uint64)
+    for b0 in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - b0)
+        yield b0, z[:n], tmp[:n]
+
+
 def digit_block(seed: int, start: int, count: int, m: int) -> np.ndarray:
     """Vectorized next_digit over indices start..start+count-1."""
     _check_base(m)
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    z = _raw_words(seed, idx)
     limit = _digit_limit(m)
-    out = (z % np.uint64(m)).astype(np.int64)
-    if limit <= _MASK64:
-        # Rejection fires with probability (2**64 mod m)/2**64 < 1e-18 per
-        # draw; resolve the stragglers through the scalar chain.
-        bad = np.nonzero(z >= np.uint64(limit))[0]
-        for j in bad:
-            out[j] = _sample_digit(seed, int(start + j), m, limit)
+    out = np.empty(count, dtype=np.int64)
+    for b0, z, tmp in _blocks(count):
+        _mix_into(z, tmp, seed, start + b0, 1)
+        np.remainder(z, np.uint64(m), out=out[b0 : b0 + z.size])
+        if limit <= _MASK64:
+            # Rejection fires with probability (2**64 mod m)/2**64 < 1e-18 per
+            # draw; resolve the stragglers through the scalar chain.
+            for j in np.flatnonzero(z >= np.uint64(limit)):
+                out[b0 + j] = _sample_digit(seed, int(start + b0 + j), m, limit)
     return out
 
 
@@ -127,20 +153,37 @@ def bernoulli_value(seed: int, i: int, p: float) -> float:
 
 
 def _bernoulli_block(seed: int, start: int, count: int, p: float) -> np.ndarray:
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    return (_uniforms(seed, idx) < p).astype(np.float64)
+    out = np.empty(count, dtype=np.float64)
+    u = np.empty(min(count, _BLOCK), dtype=np.float64)
+    for b0, z, tmp in _blocks(count):
+        ub = _uniforms_into(_mix_into(z, tmp, seed, start + b0, 1), u[:z.size])
+        np.less(ub, p, out=out[b0 : b0 + z.size])
+    return out
 
 
 def _gaussian_block(seed: int, start: int, count: int, d: int) -> np.ndarray:
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    base = idx * np.uint64(2)
+    # Box-Muller sqrt(-2 log u1) cos(2 pi u2), u1 and u2 at counters 2i and
+    # 2i + 1 of coordinate c's stream, which is offset by c * _DIM_STRIDE.
     out = np.empty((count, d), dtype=np.float64)
-    for c in range(d):
-        off = base + np.uint64((c * _DIM_STRIDE) & _MASK64)
-        u1 = _uniforms(seed, off)
-        u2 = _uniforms(seed, off + np.uint64(1))
-        out[:, c] = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    buf = np.empty((2, min(count, _BLOCK)), dtype=np.float64)
+    for b0, z, tmp in _blocks(count):
+        u1, u2 = buf[0, :z.size], buf[1, :z.size]
+        for c in range(d):
+            first = 2 * (start + b0) + c * _DIM_STRIDE
+            _uniforms_into(_mix_into(z, tmp, seed, first, 2), u1)
+            _uniforms_into(_mix_into(z, tmp, seed, first + 1, 2), u2)
+            np.log(u1, out=u1)
+            np.multiply(u1, -2.0, out=u1)
+            np.sqrt(u1, out=u1)
+            np.multiply(u2, 2.0 * np.pi, out=u2)
+            np.cos(u2, out=u2)
+            np.multiply(u1, u2, out=out[b0 : b0 + z.size, c])
     return out
+
+
+def _check_span(start: int, count: int) -> None:
+    if start < 0 or count < 0:
+        raise UsageError("start and count must be >= 0")
 
 
 def _check_base(m: int) -> None:
@@ -243,7 +286,9 @@ def markov_path(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
     if length < 1:
         raise UsageError("length must be >= 1")
     cum_rows = np.cumsum(spec.P, axis=1)
-    u = _uniforms(seed, np.arange(length, dtype=np.uint64))
+    u = np.empty(length, dtype=np.float64)
+    for b0, z, tmp in _blocks(length):
+        _uniforms_into(_mix_into(z, tmp, seed, b0, 1), u[b0 : b0 + z.size])
     states = np.empty(length, dtype=np.int64)
     top = spec.s - 1
     cum_pi = np.cumsum(spec.stationary())
@@ -367,6 +412,7 @@ class SeriesSource:
 
     def symbols(self, start: int, count: int) -> np.ndarray:
         """Raw base-m symbols (digit kinds only)."""
+        _check_span(start, count)
         if self.kind == "iid-digit":
             return digit_block(self.seed, start, count, self.m)
         if self.kind == "digit-file":
@@ -375,8 +421,7 @@ class SeriesSource:
 
     def batch(self, start: int, count: int) -> np.ndarray:
         """Observations at indices start..start+count-1, shape (count, d)."""
-        if count < 0 or start < 0:
-            raise UsageError("start and count must be >= 0")
+        _check_span(start, count)
         if count == 0:
             return np.empty((0, self.d))
         if self.kind in ("iid-digit", "digit-file"):

@@ -13,7 +13,7 @@ import pytest
 from blockldp import (MarkovSpec, digit_source, file_source, gaussian_source,
                       markov_path)
 from blockldp import cli, experiments, sources
-from blockldp._serialize import read_csv_columns
+from blockldp._serialize import fmt_cell, read_csv_columns
 from blockldp.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -126,6 +126,42 @@ def test_gen_gaussian_and_markov(tmp_path, capsys):
     spec = MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]),
                       phi=np.array([0.0, 1.0]))
     assert got == list(markov_path(spec, 5, 6))
+    capsys.readouterr()
+
+
+GEN_KINDS = {
+    "iid-digit": ["--kind", "iid-digit", "--m", "10"],
+    "iid-bernoulli": ["--kind", "iid-bernoulli", "--p", "0.3"],
+    "gaussian": ["--kind", "gaussian", "--d", "2"],
+    "markov": ["--kind", "markov"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GEN_KINDS))
+def test_gen_writes_in_batches(kind, tmp_path, monkeypatch, capsys):
+    # 23 rows in batches of 7: the file equals one-shot formatting of every row.
+    monkeypatch.setattr(cli, "_GEN_ROWS", 7)
+    sizes = []
+    batch = sources.SeriesSource.batch
+
+    def counted(self, start, count):
+        sizes.append(count)
+        return batch(self, start, count)
+
+    monkeypatch.setattr(sources.SeriesSource, "batch", counted)
+    flags = GEN_KINDS[kind] + ["--seed", "4", "--count", "23"]
+    if kind == "markov":
+        flags += ["--markov-file", _sym_chain_file(tmp_path)]
+    out = tmp_path / "g.txt"
+    assert main(["gen"] + flags + ["--out", str(out)]) == 0
+    src, _, _ = cli._build_source(cli.build_parser().parse_args(
+        ["gen"] + flags + ["--out", str(out)]))
+    as_int = kind in ("iid-digit", "iid-bernoulli")
+    lines = [" ".join(str(int(v)) if as_int else fmt_cell(v) for v in row)
+             for row in batch(src, 0, 23)]
+    assert out.read_text() == "\n".join(lines) + "\n"
+    # the counter kinds never generate more than one batch at a time
+    assert sizes == ([23] if kind == "markov" else [7, 7, 7, 2])
     capsys.readouterr()
 
 
@@ -264,6 +300,30 @@ def test_regime_cli_markov_model(tmp_path, capsys):
                      "--c", c])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["regime"] == want
+
+
+def test_regime_cli_unattained_left_level_is_open(tmp_path, capsys):
+    # The threshold exceeds the rate at the left edge of the mean range, so
+    # no lambda < 0 reaches it: that side is open, the other is unchanged.
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"P": [[0.9, 0.1], [0.2, 0.8]], "phi": [0, 1]}))
+    for model, lambda0 in (("digit:10:0", "2.0"), ("markov:" + str(chain), "0.8")):
+        assert main(["regime", "--model", model, "--lambda0", lambda0]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["regime"] == "critical"
+        assert doc["lambda1"] == "-inf" and doc["x1"] is None
+        assert doc["lambda2"] == pytest.approx(float(lambda0), abs=1e-7)
+        assert doc["x2"] == pytest.approx(doc["x0"], abs=1e-7)
+
+
+def test_regime_cli_unattained_right_level_is_open(capsys):
+    # Mirror image of the digit case: Bernoulli(0.9) has the small rate
+    # -log 0.9 at its right edge x = 1, below the threshold at lambda0 = -2.
+    assert main(["regime", "--model", "bernoulli:0.9", "--lambda0", "-2.0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda2"] == "inf" and doc["x2"] is None
+    assert doc["lambda1"] == pytest.approx(-2.0, abs=1e-7)
+    assert doc["x1"] == pytest.approx(doc["x0"], abs=1e-7)
 
 
 def test_freq_cli_json_and_csv(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the deterministic sources: counter PRNG, chains, file decoding."""
 
+import hashlib
 import math
 import os
 
@@ -113,6 +114,7 @@ def test_random_access_consistency():
                 gaussian_source(2, 2)):
         full = src.batch(0, 64)
         assert np.array_equal(src.batch(17, 31), full[17:48])
+        assert np.array_equal(src.batch(np.int64(17), 31), full[17:48])
         assert np.array_equal(src.get(40), full[40])
 
 
@@ -194,13 +196,97 @@ def test_digit_rejection_chain(monkeypatch):
     # A limit of 2**63 rejects about half the words, so the vectorized block
     # must resolve its stragglers exactly as the scalar chain does.
     monkeypatch.setattr(sources, "_digit_limit", lambda m: 1 << 63)
-    words = sources._raw_words(11, np.arange(512, dtype=np.uint64))
+    words = sources._mix_into(np.empty(512, dtype=np.uint64),
+                              np.empty(512, dtype=np.uint64), 11, 0, 1)
     assert int(np.count_nonzero(words >= np.uint64(1 << 63))) == 257
     assert np.array_equal(sources.digit_block(11, 0, 512, 2),
                           [next_digit(11, i, 2) for i in range(512)])
     monkeypatch.setattr(sources, "_digit_limit", lambda m: 2)
     with pytest.raises(NumericalError, match="128 retries"):
         sources.digit_block(11, 0, 4, 2)
+
+
+B = sources._BLOCK
+BOUNDARY_COUNTS = (B - 1, B, B + 1, 3 * B + 7)
+BOUNDARY_START = 12345  # odd, so no block starts on an aligned counter
+BOUNDARY_CHAIN = MarkovSpec(P=[[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
+                            phi=[0.0, 1.0, 2.0])
+# sha256 of the outputs at BOUNDARY_COUNTS, concatenated, as the whole-array
+# kernels produced them before blocking.  The Gaussian digests also fix
+# numpy's float64 log and cos, like the brownian hashes the benchmark pins.
+BOUNDARY_SHA256 = {
+    "digit2": "8ab68efc618c1eb4958734272f0aa506902e7fab1ea0cd660a50ebffcb4203c1",
+    "digit10": "c92c1336b33df9abe8dac9feb9c4670b622626e42d09d100ba960d37d7cb6ce1",
+    "bernoulli": "fb1b14d9f5c0c2c544a6d746bf3a7c20c625deb51e4e2beb1c3ee2d0903733bf",
+    "gaussian1": "96f32da86b1e352c148da6858224eed5abc12fa9e90a76a05a9ede3bb7c0004c",
+    "gaussian2": "41b237c793fdbcb3a11a6d93d7c7bffb2a8388b2e642916eaf8f00f6dc54ffbc",
+    "markov": "772b8942186368a6c13af86d26ae886fbf63fa95dc70b68b89267c3bb8bd8c8b",
+}
+
+
+def _scalar_uniforms(seed: int, first: int, count: int, step: int = 1) -> np.ndarray:
+    return np.array([uniform(seed, first + step * j) for j in range(count)])
+
+
+def _box_muller_reference(seed: int, start: int, count: int, d: int) -> np.ndarray:
+    cols = []
+    for c in range(d):
+        first = 2 * start + c * (1 << 40)
+        u1 = _scalar_uniforms(seed, first, count, 2)
+        u2 = _scalar_uniforms(seed, first + 1, count, 2)
+        cols.append(np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
+    return np.stack(cols, axis=1)
+
+
+def _boundary_case(name: str, top: int):
+    """(kernel(count), scalar reference for counts up to top) for one source."""
+    s0 = BOUNDARY_START
+    if name.startswith("digit"):
+        m = int(name[5:])
+        return (lambda n: sources.digit_block(7, s0, n, m),
+                np.array([next_digit(7, s0 + j, m) for j in range(top)]))
+    if name == "bernoulli":
+        return (lambda n: bernoulli_source(6, 0.3).batch(s0, n)[:, 0],
+                (_scalar_uniforms(6, s0, top) < 0.3).astype(np.float64))
+    if name.startswith("gaussian"):
+        d = int(name[8:])
+        return (lambda n: gaussian_source(5, d).batch(s0, n),
+                _box_muller_reference(5, s0, top, d))
+    walk = _walk(BOUNDARY_CHAIN, _scalar_uniforms(3, 0, s0 + top))
+    return (lambda n: markov_source(BOUNDARY_CHAIN, 3).batch(s0, n)[:, 0],
+            walk[s0:])
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_SHA256))
+def test_kernels_at_block_boundaries(name):
+    # Each count ends just before, on, or just after a block edge, or spans
+    # several blocks; every output must equal the scalar forms bit for bit.
+    kernel, ref = _boundary_case(name, BOUNDARY_COUNTS[-1])
+    digest = hashlib.sha256()
+    for count in BOUNDARY_COUNTS:
+        got = kernel(count)
+        assert np.array_equal(got, ref[:count]), count
+        digest.update(np.ascontiguousarray(got).tobytes())
+    assert digest.hexdigest() == BOUNDARY_SHA256[name]
+
+
+def test_digit_rejection_straggler_in_later_block(monkeypatch):
+    # Reject exactly the largest word of the run, which lies past block 0.
+    s0, count = BOUNDARY_START, BOUNDARY_COUNTS[-1]
+    words = [raw_word(7, s0 + j) for j in range(count)]
+    j = int(np.argmax(np.array(words, dtype=np.uint64)))
+    assert j >= B and words.count(words[j]) == 1
+    monkeypatch.setattr(sources, "_digit_limit", lambda m: words[j])
+    got = sources.digit_block(7, s0, count, 10)
+    assert got[j] == raw_word(words[j], s0 + j) % 10 != words[j] % 10
+    assert np.array_equal(got, [next_digit(7, s0 + i, 10) for i in range(count)])
+
+
+def test_symbols_rejects_negative_span():
+    with pytest.raises(UsageError, match=">= 0"):
+        digit_source(1, 10).symbols(-1, 5)
+    with pytest.raises(UsageError, match=">= 0"):
+        digit_source(1, 10).symbols(0, -5)
 
 
 def test_markov_path_mean_and_random_access():
@@ -213,14 +299,20 @@ def test_markov_path_mean_and_random_access():
 
 
 def _loop_states(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
-    """Reference walk: one searchsorted per step on the current state's row."""
+    """Reference walk on the kernel's uniforms; length fits one kernel block."""
+    z = sources._mix_into(np.empty(length, dtype=np.uint64),
+                          np.empty(length, dtype=np.uint64), seed, 0, 1)
+    return _walk(spec, sources._uniforms_into(z, np.empty(length)))
+
+
+def _walk(spec: MarkovSpec, u) -> np.ndarray:
+    """States driven by uniforms u: one searchsorted per step on the current row."""
     cum_rows = np.cumsum(spec.P, axis=1)
-    u = sources._uniforms(seed, np.arange(length, dtype=np.uint64))
     top = spec.s - 1
     state = min(int(np.searchsorted(np.cumsum(spec.stationary()), u[0],
                                     side="right")), top)
     states = [state]
-    for t in range(1, length):
+    for t in range(1, len(u)):
         state = min(int(np.searchsorted(cum_rows[state], u[t], side="right")), top)
         states.append(state)
     return np.array(states, dtype=np.float64)
@@ -242,7 +334,7 @@ def test_markov_scan_matches_loop(name, scan_values, monkeypatch):
     P = np.array(MARKOV_CHAINS[name])
     spec = MarkovSpec(P=P, phi=np.arange(P.shape[0], dtype=np.float64))
     for seed in (0, 5):
-        for length in (1, 2, 3, 7, 13, 1000):
+        for length in (1, 2, 3, 7, 13, 1000):  # one kernel block each
             assert np.array_equal(markov_path(spec, seed, length),
                                   _loop_states(spec, seed, length)), (seed, length)
     src = markov_source(spec, 5)
