@@ -18,9 +18,9 @@ coordinates use Box-Muller on the counter pair (2i, 2i+1), offset by a
 per-dimension stride of 2**40 (collision-free for indices below 2**39 per
 dimension, far beyond any supported run length).
 
-The vector kernels run in place over blocks of 2**14 counters, with a few
-reused buffers and no whole-array temporaries; for any split into blocks
-their words and uniforms equal raw_word and uniform bit for bit.
+The vector kernels compute words and uniforms in place, over blocks of 2**14
+counters in reused buffers; for any split into blocks they equal raw_word and
+uniform bit for bit.
 """
 
 from __future__ import annotations
