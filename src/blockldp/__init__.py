@@ -11,7 +11,7 @@ CLI with deterministic CSV outputs.
 __version__ = "0.1.0"
 
 from ._errors import DataError, NumericalError, UsageError
-from .sources import (MarkovSpec, SeriesSource, bernoulli_source, digit_source,
+from .sources import (MarkovSpec, Reader, SeriesSource, bernoulli_source, digit_source,
                       file_source, gaussian_source, markov_path,
                       markov_source, next_digit, pi_fixture_path, read_digit_file)
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
@@ -30,7 +30,7 @@ from .experiments import (BrownianResult, ExperimentConfig, Fig1Result,
 __all__ = [
     "__version__",
     "DataError", "NumericalError", "UsageError",
-    "MarkovSpec", "SeriesSource", "bernoulli_source", "digit_source",
+    "MarkovSpec", "Reader", "SeriesSource", "bernoulli_source", "digit_source",
     "file_source", "gaussian_source", "markov_path", "markov_source",
     "next_digit", "pi_fixture_path", "read_digit_file",
     "BlockStats", "SampledFunction", "ball_mass", "block_means",

@@ -103,7 +103,7 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
     Parameters
     ----------
     source : SeriesSource
-        Supplies observations 0..n*k-1.
+        Supplies observations 0..n*k-1, read in order through one reader.
     n, k : int
         Block length and block count, both >= 1, with n*k < 2**63.
 
@@ -122,18 +122,13 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
     sums = np.empty((k, d), dtype=np.float64)
     integral = d == 1
     step = max(1, _CHUNK_VALUES // max(1, n * d))
+    reader = source.reader()
     for j0 in range(0, k, step):
         cnt = min(step, k - j0)
-        try:
-            batch = source.batch(j0 * n, cnt * n)
-        except DataError as err:
-            avail = getattr(err, "symbols_available", None)
-            if avail is None:
-                raise
-            raise DataError(
-                "source exhausted: only %d full blocks of length %d available, "
-                "needed %d" % (int(avail) // n, n, k)
-            ) from err
+        batch = reader.read(cnt * n)
+        if len(batch) < cnt * n:
+            raise DataError("source exhausted: only %d full blocks of length %d "
+                            "available, needed %d" % (reader.pos // n, n, k))
         part = pairwise_sum(batch.reshape(cnt, n, d), axis=1)
         sums[j0 : j0 + cnt] = part
         integral = integral and np.array_equal(part, np.rint(part))

@@ -162,13 +162,10 @@ def cmd_gen(args) -> int:
     src, _, seeds = _build_source(args)
     # Digit and Bernoulli observations are integers and print as such.
     as_int = src.kind in ("iid-digit", "iid-bernoulli")
-    # A Markov batch replays the chain from index 0, so that chain is walked
-    # once and written in slices; the counter kinds generate each slice.
-    path = src.batch(0, count) if src.kind == "markov-chain" else None
+    reader = src.reader()
     with open(out, "w", newline="") as fh:
         for start in range(0, count, _GEN_ROWS):
-            n = min(_GEN_ROWS, count - start)
-            rows = src.batch(start, n) if path is None else path[start : start + n]
+            rows = reader.read(min(_GEN_ROWS, count - start))
             fh.write("".join(" ".join(str(int(v)) if as_int else fmt_cell(v)
                                       for v in row) + "\n" for row in rows))
     _finish_manifest("gen", args, out, [out], started, seeds=seeds)

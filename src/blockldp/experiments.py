@@ -19,13 +19,12 @@ import numpy as np
 from . import __version__
 from ._errors import DataError, UsageError
 from ._serialize import file_checksum, fmt_cell, grid_spec, json_safe, make_grid, write_csv
-from .blockstats import SampledFunction, ball_mass, block_means, \
+from .blockstats import _CHUNK_VALUES, SampledFunction, ball_mass, block_means, \
     empirical_scgf, local_rate
 from .convex import ConjugateResult, grad_estimate, legendre, rate_along
 from .models import ScgfModel, digit_indicator_model
 from .regimes import RegimeReport, Schedule, classify
-from .sources import (SeriesSource, digit_source, file_source, gaussian_source,
-                      read_digit_file)
+from .sources import SeriesSource, digit_source, file_source, gaussian_source
 
 
 @dataclass
@@ -389,8 +388,8 @@ def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> Frequ
     The base m is the source's.  Counts every window i = 0..N-n0 of the
     first N symbols and reports the per-word frequency table and the maximum
     deviation from the uniform m^-n0, the normality diagnostic.  N=None uses
-    every symbol of a digit-file source, decoded in one pass; other sources
-    need N.
+    every symbol of a digit-file source; other sources need N.  The symbols
+    stream through one reader, so memory stays flat in N.
     """
     if not 1 <= n0 <= 4:
         raise UsageError("word length n0 must lie in [1, 4]")
@@ -399,21 +398,26 @@ def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> Frequ
     m = source.m
     if m ** n0 > 10000:
         raise UsageError("word alphabet m^n0 must not exceed 1e4")
-    if N is None:
-        if source.kind != "digit-file":
-            raise UsageError("N may be omitted only for a digit-file source")
-        # Read directly: symbols() takes a count, the whole file has none.
-        syms = read_digit_file(source.path, m, 0)
-        N = syms.size
-    elif N >= n0:
-        syms = source.symbols(0, N)
-    if N < n0:
-        raise DataError("need at least n0=%d symbols, got N=%d" % (n0, N))
+    if N is None and source.kind != "digit-file":
+        raise UsageError("N may be omitted only for a digit-file source")
+    reader = source.reader()
+    counts = np.zeros(m ** n0, dtype=np.int64)
+    # syms keeps the n0 - 1 symbols before the fresh ones: no window is lost at a split.
+    syms = np.zeros(0, dtype=np.int64)
+    while N is None or reader.pos < N:
+        want = _CHUNK_VALUES if N is None else min(_CHUNK_VALUES, N - reader.pos)
+        fresh = reader.symbols(want)
+        syms = np.concatenate([syms[max(0, syms.size - n0 + 1):], fresh])
+        windows = max(syms.size - n0 + 1, 0)
+        codes = sum(syms[t : windows + t] * m ** (n0 - 1 - t) for t in range(n0))
+        counts += np.bincount(codes, minlength=m ** n0)
+        if fresh.size < want:
+            break
+    if reader.pos < max(n0, N or 0):
+        raise DataError("need at least %d symbols (n0=%d, N=%s), got %d"
+                        % (max(n0, N or 0), n0, N, reader.pos))
+    N = reader.pos
     windows = N - n0 + 1
-    codes = np.zeros(windows, dtype=np.int64)
-    for t in range(n0):
-        codes = codes * m + syms[t : windows + t]
-    counts = np.bincount(codes, minlength=m ** n0)
     freqs = counts / windows
     max_dev = float(np.max(np.abs(freqs - m ** (-float(n0)))))
     return FrequencyResult(m=m, n0=n0, N=N, windows=windows, counts=counts,

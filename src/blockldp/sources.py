@@ -1,8 +1,9 @@
 """Deterministic generation and ingestion of stationary observation sequences.
 
-Every generator is a pure function of (seed, parameters, index): regenerating
-any index yields bit-identical values, so disjoint index ranges can be produced
-concurrently or in chunks with no coordination.
+Every value is a pure function of (seed, parameters, index), or of the file.
+A Reader (SeriesSource.reader) reads a source in order, generating or decoding
+each value once; the counter kinds also give random access, while a Markov
+chain and a digit file replay from index 0 on each random-access read.
 
 The counter-based core maps (seed, i) to a 64-bit word with the finalizer
 
@@ -274,27 +275,27 @@ class MarkovSpec:
         return self._initial
 
 
-def markov_path(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
-    """Observable sequence phi(X_0), ..., phi(X_{length-1}).
+def _markov_states(spec: MarkovSpec, seed: int, first: int, count: int,
+                   state) -> np.ndarray:
+    """States X_first, ..., X_{first+count-1} (int64) after X_{first-1} = state.
 
-    The state path starts from spec's initial distribution (stationary by
-    default) and is driven by the counter-based uniforms at indices
-    0..length-1, so the whole path is reproducible and randomly accessible
-    by regeneration.  A prefix scan of per-step state maps over segments of
-    at most 2**16/s steps reproduces a step-by-step walk bit for bit.
+    state None starts the path with X_0 drawn from spec's initial law.  Step t
+    uses the uniform at counter t.  A prefix scan of per-step state maps over
+    segments of at most 2**16/s steps reproduces a step-by-step walk bit for
+    bit, however the path is split into calls.
     """
-    if length < 1:
-        raise UsageError("length must be >= 1")
-    cum_rows = np.cumsum(spec.P, axis=1)
-    u = np.empty(length, dtype=np.float64)
-    for b0, z, tmp in _blocks(length):
-        _uniforms_into(_mix_into(z, tmp, seed, b0, 1), u[b0 : b0 + z.size])
-    states = np.empty(length, dtype=np.int64)
+    u = np.empty(count, dtype=np.float64)
+    for b0, z, tmp in _blocks(count):
+        _uniforms_into(_mix_into(z, tmp, seed, first + b0, 1), u[b0 : b0 + z.size])
+    states = np.empty(count, dtype=np.int64)
     top = spec.s - 1
-    cum_pi = np.cumsum(spec.stationary())
-    states[0] = min(int(np.searchsorted(cum_pi, u[0], side="right")), top)
+    t1 = int(state is None and count > 0)
+    if t1:
+        cum_pi = np.cumsum(spec.stationary())
+        state = states[0] = min(int(np.searchsorted(cum_pi, u[0], side="right")), top)
+    cum_rows = np.cumsum(spec.P, axis=1)
     seg = max(1, _SCAN_VALUES // spec.s)
-    for t0 in range(1, length, seg):
+    for t0 in range(t1, count, seg):
         uc = u[t0 : t0 + seg]
         # maps[t, x] is the state after step t0 + t from state x; the doubling
         # scan composes them into maps from the state before step t0.
@@ -304,8 +305,18 @@ def markov_path(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
         while d < uc.size:
             maps[d:] = np.take_along_axis(maps[d:], maps[:-d], axis=1)
             d *= 2
-        states[t0 : t0 + uc.size] = maps[:, states[t0 - 1]]
-    return spec.phi[states]
+        states[t0 : t0 + uc.size] = maps[:, state]
+        state = states[t0 + uc.size - 1]
+    return states
+
+
+def markov_path(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
+    """Observable sequence phi(X_0), ..., phi(X_{length-1}), X_0 drawn from
+    spec's initial distribution (stationary by default); the path that
+    markov_source(spec, seed).reader() streams."""
+    if length < 1:
+        raise UsageError("length must be >= 1")
+    return spec.phi[_markov_states(spec, seed, 0, length, None)]
 
 
 def _file_symbols(path, m: int):
@@ -333,37 +344,17 @@ def _file_symbols(path, m: int):
 
 
 def read_digit_file(path, m: int, offset: int, count: int | None = None) -> np.ndarray:
-    """Decode base-m symbols from an ASCII digit file.
+    """Base-m symbols of an ASCII digit file, decoded as file_source(path, m) does.
 
     Characters '0'..chr(ord('0')+m-1) are symbols; space, tab, CR, LF and at
-    most one '.' are skipped.  Any other byte raises DataError with its byte
-    offset.  Returns `count` symbols starting after `offset` accepted symbols,
-    or every symbol after them up to EOF when count is None; reaching EOF
-    before `count` symbols raises DataError reporting how many were delivered.
-    Reads are chunked, so the decoded stream is independent of chunk size and
-    files far above memory size are supported.
+    most one '.' are skipped, and any other byte raises DataError with its
+    offset.  Returns `count` symbols after the first `offset`, or all up to
+    EOF when count is None; EOF before `count` symbols raises DataError.
     """
-    _check_base(m)
-    if offset < 0 or (count is not None and count < 0):
-        raise UsageError("offset and count must be >= 0")
-    parts = [np.zeros(0, dtype=np.uint8)]
-    seen = 0
-    # Stop pulling once the request is met; dropping the generator closes the file.
-    for sym in _file_symbols(path, m):
-        part = sym[max(offset - seen, 0) : None if count is None else offset + count - seen]
-        if part.size:  # an empty view would keep its chunk alive
-            parts.append(part)
-        seen += sym.size
-        if count is not None and max(seen - offset, 0) >= count:
-            break
-    if count is not None and max(seen - offset, 0) < count:
-        err = DataError(
-            "digit file ended after %d symbols, delivered %d of the %d "
-            "requested (offset %d)" % (seen, max(seen - offset, 0), count, offset)
-        )
-        err.symbols_available = seen
-        raise err
-    return np.concatenate(parts).astype(np.int64)
+    source = file_source(path, m)
+    if count is None:  # no file holds 2**63 - 1 symbols: the read stops at EOF
+        return source.reader(offset).symbols(np.iinfo(np.int64).max)
+    return source.symbols(offset, count)
 
 
 def pi_fixture_path() -> str:
@@ -376,15 +367,71 @@ def pi_fixture_path() -> str:
 _KINDS = ("iid-digit", "iid-bernoulli", "gaussian", "markov-chain", "digit-file")
 
 
+class Reader:
+    """Sequential reader of a source from index `start` on; pos is the next index.
+
+    read and symbols return fewer values than asked only at the end of a
+    digit file.  A counter kind keeps pos, a Markov chain also its last
+    state, a digit file its open chunk decoder (byte position, radix-point
+    flag) and its unread symbols; those two replay the values before start.
+    Dropping the reader closes its file.
+    """
+
+    def __init__(self, source: "SeriesSource", start: int = 0):
+        self.source = source
+        self.pos = 0 if source.kind in ("markov-chain", "digit-file") else start
+        self._state = None  # Markov: the state at index pos - 1
+        self._chunks = _file_symbols(source.path, source.m) if source.path else None
+        self._rest = np.zeros(0, dtype=np.uint8)  # digit file: unread symbols
+        while self.pos < start and self.read(min(start - self.pos, _FILE_CHUNK)).size:
+            pass
+
+    def symbols(self, count: int) -> np.ndarray:
+        """The next count raw base-m symbols as int64 (digit kinds only)."""
+        src = self.source
+        if src.kind == "iid-digit":
+            out = digit_block(src.seed, self.pos, count, src.m)
+        elif src.kind == "digit-file":
+            parts, got = [self._rest], self._rest.size
+            while got < count and (chunk := next(self._chunks, None)) is not None:
+                parts.append(chunk)
+                got += chunk.size
+            rest = np.concatenate(parts) if len(parts) > 1 else self._rest
+            out, self._rest = rest[:count].astype(np.int64), rest[count:]
+        else:
+            raise UsageError("source kind %r has no symbol stream" % (src.kind,))
+        self.pos += out.size
+        return out
+
+    def read(self, count: int) -> np.ndarray:
+        """The next count observations, shape (count, d)."""
+        src = self.source
+        if src.kind in ("iid-digit", "digit-file"):
+            sym = self.symbols(count)
+            vals = sym if src.indicator_a is None else sym == src.indicator_a
+            return vals.astype(np.float64).reshape(-1, 1)
+        if src.kind == "iid-bernoulli":
+            out = _bernoulli_block(src.seed, self.pos, count, src.p)
+        elif src.kind == "gaussian":
+            out = _gaussian_block(src.seed, self.pos, count, src.d)
+        else:
+            states = _markov_states(src.markov, src.seed, self.pos, count, self._state)
+            self._state = states[-1] if count else self._state
+            out = src.markov.phi[states]
+        self.pos += count
+        return out.reshape(count, src.d)
+
+
 @dataclass(frozen=True)
 class SeriesSource:
-    """Seed-indexed producer of real-vector observations with random access.
+    """Seed-indexed producer of real-vector observations.
 
     Two sources with equal (kind, seed, parameters) are observationally
-    identical, and get/batch are pure, so streamed and random-access reads
-    agree bit-exactly.  Use the module constructors (digit_source,
-    bernoulli_source, gaussian_source, markov_source, file_source) rather
-    than instantiating directly.
+    identical.  reader(start) reads in order; batch, symbols and get read at
+    random through a fresh reader, so both agree bit-exactly (a Markov chain
+    or digit file replays from index 0 on each).  Use the module constructors
+    (digit_source, bernoulli_source, gaussian_source, markov_source,
+    file_source) rather than instantiating directly.
     """
 
     kind: str
@@ -410,33 +457,30 @@ class SeriesSource:
     def with_seed(self, seed: int) -> "SeriesSource":
         return replace(self, seed=seed)
 
+    def reader(self, start: int = 0) -> Reader:
+        """Sequential Reader of the values from index start on."""
+        _check_span(start, 0)
+        return Reader(self, start)
+
     def symbols(self, start: int, count: int) -> np.ndarray:
-        """Raw base-m symbols (digit kinds only)."""
-        _check_span(start, count)
-        if self.kind == "iid-digit":
-            return digit_block(self.seed, start, count, self.m)
-        if self.kind == "digit-file":
-            return read_digit_file(self.path, self.m, start, count)
-        raise UsageError("source kind %r has no symbol stream" % (self.kind,))
+        """Raw base-m symbols at indices start..start+count-1 (digit kinds only)."""
+        return self._span(start, count, Reader.symbols)
 
     def batch(self, start: int, count: int) -> np.ndarray:
         """Observations at indices start..start+count-1, shape (count, d)."""
+        return self._span(start, count, Reader.read)
+
+    def _span(self, start: int, count: int, take) -> np.ndarray:
+        """take(reader, count) from a fresh reader at start; it must not end short."""
         _check_span(start, count)
-        if count == 0:
-            return np.empty((0, self.d))
-        if self.kind in ("iid-digit", "digit-file"):
-            sym = self.symbols(start, count)
-            if self.indicator_a is None:
-                vals = sym.astype(np.float64)
-            else:
-                vals = (sym == self.indicator_a).astype(np.float64)
-            return vals.reshape(count, 1)
-        if self.kind == "iid-bernoulli":
-            return _bernoulli_block(self.seed, start, count, self.p).reshape(count, 1)
-        if self.kind == "gaussian":
-            return _gaussian_block(self.seed, start, count, self.d)
-        obs = markov_path(self.markov, self.seed, start + count)[start:]
-        return obs.reshape(count, self.d)
+        reader = self.reader(start)
+        out = take(reader, count)
+        if len(out) < count:
+            err = DataError("digit file ended after %d symbols, %d requested from "
+                            "offset %d" % (reader.pos, count, start))
+            err.symbols_available = reader.pos
+            raise err
+        return out
 
     def get(self, i: int) -> np.ndarray:
         """Single observation at index i, shape (d,)."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import blockldp.blockstats as blockstats
+import blockldp.sources as sources
 from blockldp import (BlockStats, DataError, MarkovSpec, SampledFunction,
                       UsageError, ball_mass, bernoulli_source, block_means,
                       digit_source, empirical_scgf, file_source, gaussian_source,
@@ -54,6 +55,26 @@ def test_block_means_chunk_independent(monkeypatch):
     monkeypatch.setattr(blockstats, "_CHUNK_VALUES", 64)
     got = block_means(src, 16, 33)
     assert np.array_equal(got.means, want.means)
+
+
+def test_markov_block_means_generate_each_value_once(monkeypatch):
+    # Every counter is mixed once: a replay from index 0 per chunk would mix
+    # about (n*k)**2 / (2 * chunk) of them (6,500 here).
+    spec = MarkovSpec(P=[[0.9, 0.1], [0.2, 0.8]], phi=[0.0, 1.0])
+    want = block_means(markov_source(spec, 3), 10, 50)
+    mixed = []
+    mix = sources._mix_into
+
+    def counted(z, tmp, seed, first, step):
+        mixed.append(z.size)
+        return mix(z, tmp, seed, first, step)
+
+    monkeypatch.setattr(sources, "_mix_into", counted)
+    monkeypatch.setattr(blockstats, "_CHUNK_VALUES", 20)
+    got = block_means(markov_source(spec, 3), 10, 50)
+    assert sum(mixed) == 10 * 50
+    assert np.array_equal(got.means, want.means)
+    assert np.array_equal(got.weights, want.weights)
 
 
 @pytest.mark.parametrize("kind", sorted(LATTICE_SOURCES))

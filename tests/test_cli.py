@@ -142,26 +142,26 @@ def test_gen_writes_in_batches(kind, tmp_path, monkeypatch, capsys):
     # 23 rows in batches of 7: the file equals one-shot formatting of every row.
     monkeypatch.setattr(cli, "_GEN_ROWS", 7)
     sizes = []
-    batch = sources.SeriesSource.batch
+    read = sources.Reader.read
 
-    def counted(self, start, count):
+    def counted(self, count):
         sizes.append(count)
-        return batch(self, start, count)
+        return read(self, count)
 
-    monkeypatch.setattr(sources.SeriesSource, "batch", counted)
+    monkeypatch.setattr(sources.Reader, "read", counted)
     flags = GEN_KINDS[kind] + ["--seed", "4", "--count", "23"]
     if kind == "markov":
         flags += ["--markov-file", _sym_chain_file(tmp_path)]
     out = tmp_path / "g.txt"
     assert main(["gen"] + flags + ["--out", str(out)]) == 0
+    # every kind, a Markov chain too, generates one batch at a time
+    assert sizes == [7, 7, 7, 2]
     src, _, _ = cli._build_source(cli.build_parser().parse_args(
         ["gen"] + flags + ["--out", str(out)]))
     as_int = kind in ("iid-digit", "iid-bernoulli")
     lines = [" ".join(str(int(v)) if as_int else fmt_cell(v) for v in row)
-             for row in batch(src, 0, 23)]
+             for row in read(src.reader(), 23)]
     assert out.read_text() == "\n".join(lines) + "\n"
-    # the counter kinds never generate more than one batch at a time
-    assert sizes == ([23] if kind == "markov" else [7, 7, 7, 2])
     capsys.readouterr()
 
 
@@ -342,20 +342,21 @@ def test_freq_cli_json_and_csv(tmp_path, capsys):
     code = main(["freq", "--in", str(data), "--n0", "1", "--count", "3"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["windows"] == 3
+    # a count past the end of the file is a data error
+    assert main(["freq", "--in", str(data), "--n0", "1", "--count", "16"]) == 3
 
 
 def test_freq_cli_decodes_file_once(tmp_path, monkeypatch, capsys):
     data = tmp_path / "d.txt"
     data.write_text("3.14159265358979")
-    real = sources.read_digit_file
+    real = sources._file_symbols
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for mod in (cli, experiments, sources):
-        monkeypatch.setattr(mod, "read_digit_file", counting, raising=False)
+    monkeypatch.setattr(sources, "_file_symbols", counting)
     assert main(["freq", "--in", str(data), "--n0", "2"]) == 0
     assert len(calls) == 1
     doc = json.loads(capsys.readouterr().out)

@@ -7,11 +7,12 @@ import os
 import numpy as np
 import pytest
 
-from blockldp import (ExperimentConfig, RunManifest, Schedule, UsageError,
+from blockldp import (DataError, ExperimentConfig, RunManifest, Schedule, UsageError,
                       bernoulli_model, bernoulli_source, brownian_experiment,
                       digit_indicator_model, digit_source, fig1_pipeline,
                       file_source, frequency_test, gaussian_source,
-                      pi_fixture_path, regime_experiment)
+                      pi_fixture_path, read_digit_file, regime_experiment)
+from blockldp import experiments
 
 DIGIT_THRESHOLD = 0.04299898970786353
 DIGIT_LAM_08 = 0.11560652909389964
@@ -250,6 +251,32 @@ def test_frequency_guards(tmp_path):
         frequency_test(file_source(p, 2), 3, 2)
     with pytest.raises(UsageError):  # no symbol alphabet
         frequency_test(gaussian_source(0, 1), 1, 100)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_frequency_streams_in_pieces(chunk, tmp_path, monkeypatch):
+    # Pieces of 1 or 7 symbols, shorter than some words, give the counts of
+    # one pass over every window of the first N symbols.
+    p = tmp_path / "d.txt"
+    p.write_text("3.14159 26535\n89793 23846 26433 83279\n")
+    sym = read_digit_file(p, 10, 0)
+    monkeypatch.setattr(experiments, "_CHUNK_VALUES", chunk)
+    for n0 in (1, 2, 3, 4):
+        for N in (None, 30, sym.size):
+            res = frequency_test(file_source(p, 10), n0, N)
+            size = sym.size if N is None else N
+            words = [int("".join(map(str, sym[i:i + n0]))) for i in range(size - n0 + 1)]
+            assert res.N == size and res.windows == size - n0 + 1
+            assert np.array_equal(res.counts, np.bincount(words, minlength=10 ** n0))
+    src = digit_source(4, 7)
+    res = frequency_test(src, 3, 200)
+    s7 = src.symbols(0, 200)
+    assert np.array_equal(res.counts, np.bincount(s7[:-2] * 49 + s7[1:-1] * 7 + s7[2:],
+                                                  minlength=343))
+    with pytest.raises(DataError, match="got %d" % sym.size):  # N past the end
+        frequency_test(file_source(p, 10), 2, sym.size + 1)
+    with pytest.raises(UsageError, match="digit-file"):  # a counter source has no end
+        frequency_test(src, 2)
 
 
 def test_frequency_whole_file_default(tmp_path):

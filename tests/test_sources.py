@@ -341,6 +341,12 @@ def test_markov_scan_matches_loop(name, scan_values, monkeypatch):
     full = src.batch(0, 1000)
     for start, count in ((0, 1), (1, 2), (11, 1), (37, 500)):
         assert np.array_equal(src.batch(start, count), full[start:start + count])
+    # one reader in uneven pieces, and readers from offsets, give the same path
+    reader = src.reader()
+    pieces = [reader.read(c) for c in (1, 0, 2, 13, 11, 500, 473)]
+    assert np.array_equal(np.concatenate(pieces), full) and reader.pos == 1000
+    for start in (1, 11, 12, 37, 999):
+        assert np.array_equal(src.reader(start).read(1000 - start), full[start:])
 
 
 def test_markov_constant_chain():
@@ -403,6 +409,19 @@ def test_read_digit_file_chunk_independent(tmp_path, monkeypatch):
     with pytest.raises(DataError, match="offset 4"):
         read_digit_file(p, 10, 0, 5)
     assert np.array_equal(read_digit_file(p, 10, 0, 3), [3, 1, 4])
+    # the radix point in a later chunk; a reader's uneven pieces and readers
+    # from offsets equal one batch
+    p.write_text("  31.4159 2653\n58979")
+    src = file_source(p, 10)
+    full = src.symbols(0, 15)
+    assert np.array_equal(full, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9])
+    reader = src.reader()
+    pieces = [reader.symbols(c) for c in (1, 0, 2, 5, 4, 3)]
+    assert np.array_equal(np.concatenate(pieces), full) and reader.pos == 15
+    assert reader.symbols(4).size == 0 and reader.pos == 15  # at EOF: fewer, no error
+    for start in (1, 2, 7, 14, 15):
+        assert np.array_equal(src.reader(start).symbols(20), full[start:])
+    assert np.array_equal(src.reader(4).read(3)[:, 0], full[4:7])
 
 
 def test_pi_fixture_contents():
