@@ -7,13 +7,16 @@ empirical SCGF is
     L_n(lambda) = (1/n) * log( (1/k) * sum_j exp(n * <lambda, mean_j>) )
 
 evaluated through a log-sum-exp shift.  The measure is stored as distinct
-means with integer counts: when every block sum of a scalar observable is an
-integer (digits, indicators, Bernoulli and integer-valued Markov observables)
-the sums take few values (at most n+1 for a 0/1 observable), and the means
-are the distinct sums divided by n in increasing order, each weighted by its
-block count.  Otherwise the means stay in block order with unit weights.
-Every reduction in this module uses one fixed pairwise (tree) summation over
-row order, so serial, chunked and parallel evaluations agree bit-exactly.
+means with integer counts when the source is a lattice: an integer-valued
+scalar observable (digits, indicators, Bernoulli and integer-valued Markov
+observables).  Its block sums are summed exactly as integers, with no float
+tree, and take few values (at most n+1 for a 0/1 observable); the means are
+the distinct sums divided by n in increasing order, each weighted by its
+block count.  Lattice-ness is a property of the source, never of the data:
+a continuous source keeps its means in block order with unit weights even
+when every block sum happens to be an integer.  Every float reduction in
+this module uses one fixed pairwise (tree) summation over row order, so
+serial, chunked and parallel evaluations agree bit-exactly.
 """
 
 from __future__ import annotations
@@ -107,11 +110,14 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
     n, k : int
         Block length and block count, both >= 1, with n*k < 2**63.
 
-    Each block sum uses the fixed pairwise tree over its n observations, so
-    the result does not depend on the internal batching.  When d == 1 and
-    every block sum is an integer, the stats hold the distinct sums / n in
-    increasing order with their block counts as weights; otherwise they hold
-    the means in block order with unit weights.  Raises DataError when the
+    A lattice source, an integer-valued scalar one (source.int_bound is not
+    None) whose block sums stay within n * int_bound <= 2**53, is read as
+    integers and summed exactly in int64; the stats hold the distinct sums / n
+    in increasing order with their block counts as weights, merged chunk by
+    chunk, so memory stays flat in k and in the observable's range.  Any other
+    source is summed with the fixed pairwise tree over each block's n
+    observations and keeps its means in block order with unit weights.
+    Neither form depends on the internal batching.  Raises DataError when the
     source is exhausted, stating how many full blocks were available.
     """
     if n < 1 or k < 1:
@@ -119,24 +125,46 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
     if n * k > np.iinfo(np.int64).max:
         raise UsageError("n*k = %d*%d observations exceed 2**63 - 1" % (n, k))
     d = source.d
-    sums = np.empty((k, d), dtype=np.float64)
-    integral = d == 1
-    step = max(1, _CHUNK_VALUES // max(1, n * d))
+    bound = source.int_bound
+    lattice = bound is not None and n * bound <= 2 ** 53
     reader = source.reader()
+    step = max(1, _CHUNK_VALUES // max(1, n * d))
+    if lattice:
+        # tallies[0] holds the merged (distinct sums, counts); the chunks after
+        # it are merged in once they hold as many sums, so each merge costs at
+        # most twice the sums it takes in and the total stays O(k log k).
+        tallies = [(np.zeros(0, dtype=np.int64),) * 2]
+    else:
+        sums = np.empty((k, d), dtype=np.float64)
     for j0 in range(0, k, step):
         cnt = min(step, k - j0)
-        batch = reader.read(cnt * n)
+        batch = reader.integers(cnt * n) if lattice else reader.read(cnt * n)
         if len(batch) < cnt * n:
             raise DataError("source exhausted: only %d full blocks of length %d "
                             "available, needed %d" % (reader.pos // n, n, k))
-        part = pairwise_sum(batch.reshape(cnt, n, d), axis=1)
-        sums[j0 : j0 + cnt] = part
-        integral = integral and np.array_equal(part, np.rint(part))
-    if integral:
-        values, counts = np.unique(sums[:, 0], return_counts=True)
+        if lattice:
+            tallies.append(np.unique(batch.reshape(cnt, n).sum(axis=1, dtype=np.int64),
+                                     return_counts=True))
+            if sum(t[0].size for t in tallies[1:]) >= tallies[0][0].size:
+                tallies = [_merge_tallies(tallies)]
+        else:
+            # part stays bound until the next chunk replaces it: freeing it at
+            # once raised a Gaussian run's peak RSS by 2 MB under glibc malloc.
+            part = pairwise_sum(batch.reshape(cnt, n, d), axis=1)
+            sums[j0 : j0 + cnt] = part
+    if lattice:
+        values, counts = _merge_tallies(tallies)
         return BlockStats(n=n, k=k, d=d, means=(values / n)[:, None], weights=counts)
     sums /= n
     return BlockStats(n=n, k=k, d=d, means=sums)
+
+
+def _merge_tallies(tallies):
+    """One (distinct values, counts) pair from several, counts added exactly."""
+    values, slot = np.unique(np.concatenate([t[0] for t in tallies]), return_inverse=True)
+    counts = np.zeros(values.size, dtype=np.int64)
+    np.add.at(counts, slot, np.concatenate([t[1] for t in tallies]))
+    return values, counts
 
 
 def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
@@ -146,7 +174,7 @@ def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
     (1/n) * (M + log(sum_i w_i exp(n <lambda, mean_i> - M) / k)) with M the
     maximum exponent and w the weights, the sum taken with the fixed pairwise
     tree over the rows of stats.means (distinct sums in increasing order for
-    integer block sums, block order otherwise).
+    a lattice source, block order otherwise).
     """
     lam = np.asarray(lambdas, dtype=np.float64)
     if lam.ndim == 1 and stats.d != 1:

@@ -403,13 +403,17 @@ def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> Frequ
     reader = source.reader()
     counts = np.zeros(m ** n0, dtype=np.int64)
     # syms keeps the n0 - 1 symbols before the fresh ones: no window is lost at a split.
-    syms = np.zeros(0, dtype=np.int64)
+    syms = np.zeros(0, dtype=np.uint8)
     while N is None or reader.pos < N:
         want = _CHUNK_VALUES if N is None else min(_CHUNK_VALUES, N - reader.pos)
         fresh = reader.symbols(want)
         syms = np.concatenate([syms[max(0, syms.size - n0 + 1):], fresh])
         windows = max(syms.size - n0 + 1, 0)
-        codes = sum(syms[t : windows + t] * m ** (n0 - 1 - t) for t in range(n0))
+        # Horner form in uint16, which holds every code below m^n0 <= 1e4.
+        codes = syms[:windows].astype(np.uint16)
+        for t in range(1, n0):
+            codes *= np.uint16(m)
+            codes += syms[t : windows + t]
         counts += np.bincount(codes, minlength=m ** n0)
         if fresh.size < want:
             break

@@ -20,13 +20,17 @@ per-dimension stride of 2**40 (collision-free for indices below 2**39 per
 dimension, far beyond any supported run length).
 
 The vector kernels compute words and uniforms in place, over blocks of 2**14
-counters in reused buffers; for any split into blocks they equal raw_word and
-uniform bit for bit.
+counters in reused buffers, and write into an output array of the caller's
+dtype; for any split into blocks they equal raw_word and uniform bit for bit.
+The digit kernel reduces a word as z - m * (z // m), which is z mod m exactly
+in unsigned 64-bit arithmetic: numpy divides by a scalar with a multiply and
+shift, several times faster than its remainder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -132,20 +136,36 @@ def _blocks(count: int):
         yield b0, z[:n], tmp[:n]
 
 
-def digit_block(seed: int, start: int, count: int, m: int) -> np.ndarray:
-    """Vectorized next_digit over indices start..start+count-1."""
+def _digits_into(out: np.ndarray, seed: int, start: int, m: int,
+                 a: int | None = None) -> np.ndarray:
+    """next_digit over indices start..start+out.size-1 into out, any dtype;
+    the 0/1 indicators of symbol == a instead when a is given."""
     _check_base(m)
     limit = _digit_limit(m)
-    out = np.empty(count, dtype=np.int64)
-    for b0, z, tmp in _blocks(count):
+    base = np.uint64(m)
+    for b0, z, tmp in _blocks(out.size):
         _mix_into(z, tmp, seed, start + b0, 1)
-        np.remainder(z, np.uint64(m), out=out[b0 : b0 + z.size])
-        if limit <= _MASK64:
-            # Rejection fires with probability (2**64 mod m)/2**64 < 1e-18 per
-            # draw; resolve the stragglers through the scalar chain.
-            for j in np.flatnonzero(z >= np.uint64(limit)):
-                out[b0 + j] = _sample_digit(seed, int(start + b0 + j), m, limit)
+        # Rejection fires with probability (2**64 mod m)/2**64 < 1e-18 per
+        # draw; the stragglers are resolved through the scalar chain.
+        late = (np.flatnonzero(z >= np.uint64(limit))
+                if limit <= _MASK64 and z.max() >= np.uint64(limit) else ())
+        np.floor_divide(z, base, out=tmp)
+        np.multiply(tmp, base, out=tmp)
+        np.subtract(z, tmp, out=z)
+        dst = out[b0 : b0 + z.size]
+        if a is None:
+            dst[...] = z
+        else:
+            np.equal(z, np.uint64(a), out=dst)
+        for j in late:
+            sym = _sample_digit(seed, int(start + b0 + j), m, limit)
+            dst[j] = sym if a is None else sym == a
     return out
+
+
+def digit_block(seed: int, start: int, count: int, m: int) -> np.ndarray:
+    """Vectorized next_digit over indices start..start+count-1, as int64."""
+    return _digits_into(np.empty(count, dtype=np.int64), seed, start, m)
 
 
 def bernoulli_value(seed: int, i: int, p: float) -> float:
@@ -153,10 +173,10 @@ def bernoulli_value(seed: int, i: int, p: float) -> float:
     return 1.0 if uniform(seed, i) < p else 0.0
 
 
-def _bernoulli_block(seed: int, start: int, count: int, p: float) -> np.ndarray:
-    out = np.empty(count, dtype=np.float64)
-    u = np.empty(min(count, _BLOCK), dtype=np.float64)
-    for b0, z, tmp in _blocks(count):
+def _bernoulli_block(seed: int, start: int, p: float, out: np.ndarray) -> np.ndarray:
+    """Bernoulli(p) draws at indices start..start+out.size-1 into out, any dtype."""
+    u = np.empty(min(out.size, _BLOCK), dtype=np.float64)
+    for b0, z, tmp in _blocks(out.size):
         ub = _uniforms_into(_mix_into(z, tmp, seed, start + b0, 1), u[:z.size])
         np.less(ub, p, out=out[b0 : b0 + z.size])
     return out
@@ -324,7 +344,8 @@ def _file_symbols(path, m: int):
 
     A chunk yields its symbols before its first invalid byte (anything but a
     symbol, space, tab, CR or LF, or a '.' after the file's first); that
-    byte's DataError is raised only when the next chunk is requested.
+    byte's DataError is yielded in place of every later chunk, so no read
+    past it can look like the end of the file.
     """
     seen_dot = False
     with open(path, "rb") as fh:
@@ -339,8 +360,9 @@ def _file_symbols(path, m: int):
             end = int(np.argmax(bad)) if bad.any() else arr.size
             yield arr[:end][is_digit[:end]] - ord("0")
             if end < arr.size:
-                raise DataError("unexpected byte %r at offset %d in digit file"
-                                % (chr(arr[end]), fh.tell() - arr.size + end))
+                yield from repeat(DataError("unexpected byte %r at offset %d in digit "
+                                            "file" % (chr(arr[end]),
+                                                      fh.tell() - arr.size + end)))
 
 
 def read_digit_file(path, m: int, offset: int, count: int | None = None) -> np.ndarray:
@@ -353,7 +375,7 @@ def read_digit_file(path, m: int, offset: int, count: int | None = None) -> np.n
     """
     source = file_source(path, m)
     if count is None:  # no file holds 2**63 - 1 symbols: the read stops at EOF
-        return source.reader(offset).symbols(np.iinfo(np.int64).max)
+        return source.reader(offset).symbols(np.iinfo(np.int64).max).astype(np.int64)
     return source.symbols(offset, count)
 
 
@@ -370,8 +392,9 @@ _KINDS = ("iid-digit", "iid-bernoulli", "gaussian", "markov-chain", "digit-file"
 class Reader:
     """Sequential reader of a source from index `start` on; pos is the next index.
 
-    read and symbols return fewer values than asked only at the end of a
-    digit file.  A counter kind keeps pos, a Markov chain also its last
+    read, symbols and integers return fewer values than asked only at the
+    end of a digit file, and raise again the DataError of a bad byte on every
+    read after it.  A counter kind keeps pos, a Markov chain also its last
     state, a digit file its open chunk decoder (byte position, radix-point
     flag) and its unread symbols; those two replay the values before start.
     Dropping the reader closes its file.
@@ -387,39 +410,52 @@ class Reader:
             pass
 
     def symbols(self, count: int) -> np.ndarray:
-        """The next count raw base-m symbols as int64 (digit kinds only)."""
+        """The next count raw base-m symbols as uint8 (digit kinds only)."""
+        if self.source.kind not in ("iid-digit", "digit-file"):
+            raise UsageError("source kind %r has no symbol stream" % (self.source.kind,))
+        return self._values(count, np.uint8, raw=True)
+
+    def integers(self, count: int) -> np.ndarray:
+        """The next count observations of an integer-valued scalar source
+        (SeriesSource.int_bound is not None), 1-d: uint8 for the digit kinds
+        and Bernoulli, int64 for a Markov chain."""
         src = self.source
+        if src.int_bound is None:
+            raise UsageError("source kind %r with these parameters is not "
+                             "integer-valued" % (src.kind,))
+        dtype = np.int64 if src.kind == "markov-chain" else np.uint8
+        return self._values(count, dtype).reshape(-1)
+
+    def read(self, count: int) -> np.ndarray:
+        """The next count observations as float64, shape (count, d)."""
+        return self._values(count, np.float64).reshape(-1, self.source.d)
+
+    def _values(self, count: int, dtype, raw: bool = False) -> np.ndarray:
+        """The next count observations (raw symbols if raw) as dtype."""
+        src = self.source
+        a = None if raw else src.indicator_a
         if src.kind == "iid-digit":
-            out = digit_block(src.seed, self.pos, count, src.m)
+            out = _digits_into(np.empty(count, dtype), src.seed, self.pos, src.m, a)
         elif src.kind == "digit-file":
             parts, got = [self._rest], self._rest.size
             while got < count and (chunk := next(self._chunks, None)) is not None:
+                if isinstance(chunk, DataError):
+                    raise chunk
                 parts.append(chunk)
                 got += chunk.size
             rest = np.concatenate(parts) if len(parts) > 1 else self._rest
-            out, self._rest = rest[:count].astype(np.int64), rest[count:]
-        else:
-            raise UsageError("source kind %r has no symbol stream" % (src.kind,))
-        self.pos += out.size
-        return out
-
-    def read(self, count: int) -> np.ndarray:
-        """The next count observations, shape (count, d)."""
-        src = self.source
-        if src.kind in ("iid-digit", "digit-file"):
-            sym = self.symbols(count)
-            vals = sym if src.indicator_a is None else sym == src.indicator_a
-            return vals.astype(np.float64).reshape(-1, 1)
-        if src.kind == "iid-bernoulli":
-            out = _bernoulli_block(src.seed, self.pos, count, src.p)
+            sym, self._rest = rest[:count], rest[count:]
+            out = (sym if a is None else sym == a).astype(dtype)
+        elif src.kind == "iid-bernoulli":
+            out = _bernoulli_block(src.seed, self.pos, src.p, np.empty(count, dtype))
         elif src.kind == "gaussian":
             out = _gaussian_block(src.seed, self.pos, count, src.d)
         else:
             states = _markov_states(src.markov, src.seed, self.pos, count, self._state)
             self._state = states[-1] if count else self._state
-            out = src.markov.phi[states]
-        self.pos += count
-        return out.reshape(count, src.d)
+            out = src.markov.phi.astype(dtype, copy=False)[states]
+        self.pos += len(out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -454,6 +490,22 @@ class SeriesSource:
             if a is not None and not (isinstance(a, (int, np.integer)) and 0 <= a < self.m):
                 raise UsageError("indicator symbol must be an integer in {0, ..., m-1}")
 
+    @property
+    def int_bound(self) -> int | None:
+        """Largest |observation| of an integer-valued scalar source (digit
+        kinds, Bernoulli, a Markov chain with integer scalar phi of magnitude
+        at most 2**53); None for any other source."""
+        if self.kind in ("iid-digit", "digit-file"):
+            return self.m - 1 if self.indicator_a is None else 1
+        if self.kind == "iid-bernoulli":
+            return 1
+        if self.kind == "markov-chain" and self.d == 1:
+            phi = self.markov.phi
+            top = np.abs(phi).max()
+            if top <= 2 ** 53 and np.array_equal(phi, np.rint(phi)):
+                return int(top)
+        return None
+
     def with_seed(self, seed: int) -> "SeriesSource":
         return replace(self, seed=seed)
 
@@ -463,8 +515,9 @@ class SeriesSource:
         return Reader(self, start)
 
     def symbols(self, start: int, count: int) -> np.ndarray:
-        """Raw base-m symbols at indices start..start+count-1 (digit kinds only)."""
-        return self._span(start, count, Reader.symbols)
+        """Raw base-m symbols at indices start..start+count-1 as int64 (digit
+        kinds only)."""
+        return self._span(start, count, Reader.symbols).astype(np.int64)
 
     def batch(self, start: int, count: int) -> np.ndarray:
         """Observations at indices start..start+count-1, shape (count, d)."""

@@ -1,6 +1,7 @@
 """Tests for block means, the empirical SCGF and ball statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import blockldp.sources as sources
 from blockldp import (BlockStats, DataError, MarkovSpec, SampledFunction,
                       UsageError, ball_mass, bernoulli_source, block_means,
                       digit_source, empirical_scgf, file_source, gaussian_source,
-                      local_rate, markov_source, pairwise_sum, scgf_values)
+                      local_rate, markov_source, pairwise_sum, pi_fixture_path,
+                      scgf_values)
 
 LATTICE_SOURCES = {
     "digit-indicator": lambda: digit_source(5, 10, indicator_a=0),
@@ -104,6 +106,61 @@ def test_lattice_stats_chunk_independent(monkeypatch):
     assert np.array_equal(got.means, want.means)
     assert np.array_equal(got.weights, want.weights)
     assert scgf_values(got, lam).tobytes() == want_scgf.tobytes()
+
+
+def _chain(phi):
+    return MarkovSpec(P=[[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]], phi=phi)
+
+
+# Every integer-valued kind, including observables with negative values and
+# with a range far wider than any block count.
+INTEGER_SOURCES = {
+    **LATTICE_SOURCES,
+    "raw-digit-base7": lambda: digit_source(3, 7),
+    "digit-file": lambda: file_source(pi_fixture_path(), 10),
+    "digit-file-indicator": lambda: file_source(pi_fixture_path(), 10, indicator_a=1),
+    "markov-negative": lambda: markov_source(_chain([-5.0, 2.0, -1.0]), 4),
+    "markov-wide": lambda: markov_source(_chain([0.0, 1e9, 3.0]), 4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INTEGER_SOURCES))
+def test_lattice_block_means_equal_sorted_block_order(kind, monkeypatch):
+    # The exact integer reduction, merged over 5 chunks, equals the distinct
+    # values and counts of the pairwise-tree means in block order, bit for bit.
+    src = INTEGER_SOURCES[kind]()
+    n, k = 30, 3000
+    values, counts = np.unique(_block_order_means(src, n, k)[:, 0], return_counts=True)
+    monkeypatch.setattr(blockstats, "_CHUNK_VALUES", 700 * n)
+    stats = block_means(src, n, k)
+    assert stats.means.tobytes() == values.tobytes()
+    assert stats.weights.tobytes() == counts.tobytes()
+
+
+@pytest.mark.parametrize("phi, n", [((0.5, 1.5), 10), ((0.0, 2.0 ** 50), 16)])
+def test_non_lattice_observable_stays_in_block_order(phi, n):
+    # Lattice-ness is a property of the source: phi = (0.5, 1.5) with n even,
+    # and phi = (0, 2**50) with n * 2**50 beyond 2**53, give integer block
+    # sums, yet the means stay in block order.
+    src = markov_source(MarkovSpec(P=[[0.9, 0.1], [0.2, 0.8]], phi=phi), 4)
+    k = 400
+    dense = _block_order_means(src, n, k)
+    assert np.array_equal(dense * n, np.rint(dense * n))
+    stats = block_means(src, n, k)
+    assert np.array_equal(stats.means, dense)
+    assert np.array_equal(stats.weights, np.ones(k, dtype=np.int64))
+
+
+def test_lattice_block_means_memory_flat_in_k(monkeypatch):
+    # A k x 1 float array of sums would add 7.2 MB between these two runs.
+    monkeypatch.setattr(blockstats, "_CHUNK_VALUES", 1 << 16)
+    peaks = []
+    for k in (100_000, 1_000_000):
+        tracemalloc.start()
+        block_means(digit_source(1, 10, 0), 4, k)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < peaks[0] + (1 << 20)
 
 
 def test_gaussian_stats_stay_dense():

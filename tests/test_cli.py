@@ -364,12 +364,14 @@ def test_freq_cli_decodes_file_once(tmp_path, monkeypatch, capsys):
 
 
 def test_out_of_memory_exit_code(tmp_path):
-    # An address-space limit on the child alone makes the 7.28 TiB block
-    # array fail to allocate; the CLI maps that to exit 3 and one error line.
+    # An address-space limit on the child alone makes the 7.28 TiB array of
+    # Gaussian block means fail to allocate (a lattice source such as iid-digit
+    # keeps a histogram flat in k instead); the CLI maps that to exit 3 and
+    # one error line.
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
-    proc = _run_python(["-m", "blockldp.cli", "analyze", "--kind", "iid-digit",
+    proc = _run_python(["-m", "blockldp.cli", "analyze", "--kind", "gaussian",
                         "--n", "1", "--k", "1000000000000", "--lambda-grid", "0",
                         "--out", "x.csv"], tmp_path, preexec_fn=limit)
     assert proc.returncode == 3, proc.stderr

@@ -279,6 +279,20 @@ def test_frequency_streams_in_pieces(chunk, tmp_path, monkeypatch):
         frequency_test(src, 2)
 
 
+@pytest.mark.parametrize("m", [2, 10])
+def test_frequency_counts_across_pieces_match_brute_force(m, monkeypatch):
+    # Three pieces whose splits cut through windows; every code up to
+    # m^4 - 1 (9,999 for m = 10) is formed in the narrow word dtype.
+    src = digit_source(8, m)
+    N, n0 = 12_000, 4
+    sym = src.symbols(0, N)
+    words = sum(sym[t : N - n0 + 1 + t] * m ** (n0 - 1 - t) for t in range(n0))
+    monkeypatch.setattr(experiments, "_CHUNK_VALUES", 4099)
+    res = frequency_test(src, n0, N)
+    assert res.counts.dtype == np.int64
+    assert np.array_equal(res.counts, np.bincount(words, minlength=m ** n0))
+
+
 def test_frequency_whole_file_default(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("3.14159 26535\n8979\n")

@@ -282,6 +282,78 @@ def test_digit_rejection_straggler_in_later_block(monkeypatch):
     assert np.array_equal(got, [next_digit(7, s0 + i, 10) for i in range(count)])
 
 
+def _narrow_digit_kernels(m: int, count: int):
+    """(uint8 symbols, uint8 indicators of m - 1) at BOUNDARY_START, each from
+    the kernel and from a reader's integer read."""
+    s0, a = BOUNDARY_START, m - 1
+    kernel = [sources._digits_into(np.empty(count, dtype=np.uint8), 7, s0, m, b)
+              for b in (None, a)]
+    read = [digit_source(7, m, b).reader(s0).integers(count) for b in (None, a)]
+    for got in kernel + read:
+        assert got.dtype == np.uint8
+    return kernel, read
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_narrow_digit_kernels_at_block_boundaries(m):
+    ref = np.array([next_digit(7, BOUNDARY_START + j, m)
+                    for j in range(BOUNDARY_COUNTS[-1])])
+    for count in BOUNDARY_COUNTS:
+        (sym, ind), (sym_read, ind_read) = _narrow_digit_kernels(m, count)
+        assert np.array_equal(sym, ref[:count]) and np.array_equal(sym_read, sym)
+        assert np.array_equal(ind, ref[:count] == m - 1)
+        assert np.array_equal(ind_read, ind)
+
+
+def test_narrow_digit_kernels_resolve_stragglers(monkeypatch):
+    # As in the int64 kernel: the one rejected word lies past block 0.
+    s0, count = BOUNDARY_START, BOUNDARY_COUNTS[-1]
+    words = [raw_word(7, s0 + j) for j in range(count)]
+    j = int(np.argmax(np.array(words, dtype=np.uint64)))
+    monkeypatch.setattr(sources, "_digit_limit", lambda m: words[j])
+    for m in (3, 7, 10):
+        ref = np.array([next_digit(7, s0 + i, m) for i in range(count)])
+        assert ref[j] == raw_word(words[j], s0 + j) % m
+        (sym, ind), (sym_read, ind_read) = _narrow_digit_kernels(m, count)
+        assert np.array_equal(sym, ref) and np.array_equal(sym_read, ref)
+        assert np.array_equal(ind, ref == m - 1) and np.array_equal(ind_read, ind)
+
+
+def test_integer_reads_match_float_reads(tmp_path):
+    p = tmp_path / "d.txt"
+    p.write_text("3.1415 9265\n358979\n")
+    chain = [[0.9, 0.1], [0.2, 0.8]]
+    for src, bound in ((digit_source(2, 10), 9), (digit_source(2, 10, 3), 1),
+                       (bernoulli_source(4, 0.3), 1), (file_source(p, 10), 9),
+                       (markov_source(MarkovSpec(P=chain, phi=[-3.0, 1e9]), 5), 10 ** 9)):
+        assert src.int_bound == bound
+        ints = src.reader(1).integers(14)
+        assert ints.dtype == (np.int64 if src.kind == "markov-chain" else np.uint8)
+        assert np.array_equal(ints, src.batch(1, 14)[:, 0])
+    for src in (gaussian_source(1, 1),
+                markov_source(MarkovSpec(P=chain, phi=[0.5, 1.5]), 1),
+                markov_source(MarkovSpec(P=chain, phi=[0.0, 2.0 ** 60]), 1),
+                markov_source(MarkovSpec(P=chain, phi=[[0.0, 1.0], [1.0, 0.0]]), 1)):
+        assert src.int_bound is None
+        with pytest.raises(UsageError, match="not integer-valued"):
+            src.reader().integers(4)
+
+
+def test_file_reader_repeats_decode_error(tmp_path):
+    # Once the decoder has raised, every later read raises the same error;
+    # none may return a short read as if the file had ended.
+    p = tmp_path / "d.txt"
+    p.write_text("123x456")
+    reader = file_source(p, 10).reader()
+    assert np.array_equal(reader.symbols(2), [1, 2])
+    with pytest.raises(DataError, match="offset 3") as first:
+        reader.symbols(5)
+    for take in (reader.symbols, reader.read, reader.integers):
+        with pytest.raises(DataError, match="offset 3") as again:
+            take(5)
+        assert again.value is first.value
+
+
 def test_symbols_rejects_negative_span():
     with pytest.raises(UsageError, match=">= 0"):
         digit_source(1, 10).symbols(-1, 5)
