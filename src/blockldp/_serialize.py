@@ -9,34 +9,49 @@ Identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 
 from ._errors import DataError, UsageError
 
+_BATCH_ROWS = 1 << 12  # rows formatted per row-template batch
+# A cell's %-spec by type, "%s" for any other; %.16e always carries 17
+# significant digits and prints inf, -inf and nan bare.
+_SPECS = (("%.16e", (float, np.floating)), ("%d", (int, np.integer, np.bool_)))
+
 
 def fmt_cell(v) -> str:
     """Render one CSV cell deterministically (a 1-d array as ';'-joined cells)."""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        # .16e always carries 17 significant digits and prints inf, -inf and
-        # nan bare.
-        return "%.16e" % float(v)
     if isinstance(v, np.ndarray):
-        return ";".join(fmt_cell(u) for u in v)
-    return str(v)
+        return ";".join(map(fmt_cell, v))
+    return next((spec for spec, kinds in _SPECS if isinstance(v, kinds)), "%s") % (v,)
+
+
+def write_rows(fh, rows, sep: str = ",") -> None:
+    """Write equal-length rows as lines of fmt_cell cells, formatting each batch
+    of _BATCH_ROWS rows with one row template: a column whose cells share one
+    %-spec takes it, any other is rendered by fmt_cell and written as %s."""
+    rows = iter(rows)
+    while batch := list(map(tuple, itertools.islice(rows, _BATCH_ROWS))):
+        if len({len(row) for row in batch}) > 1:
+            raise UsageError("CSV rows must all have the same number of cells")
+        flat, width, specs = list(itertools.chain.from_iterable(batch)), len(batch[0]), []
+        for col in range(width):
+            types = set(map(type, flat[col::width]))
+            specs.append(next((spec for spec, kinds in _SPECS
+                               if all(issubclass(t, kinds) for t in types)), "%s"))
+            if specs[-1] == "%s" and types != {str}:
+                flat[col::width] = map(fmt_cell, flat[col::width])
+        fh.write(((sep.join(specs) + "\n") * len(batch)) % tuple(flat))
 
 
 def write_csv(path, header: list[str], rows) -> str:
     """Write rows (iterables of cells) under a header; returns the path."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt_cell(v) for v in row) + "\n")
+        write_rows(fh, rows)
     return str(path)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from ._errors import DataError, NumericalError, UsageError
 from ._serialize import (file_checksum, fmt_cell, json_safe, make_grid,
-                         read_csv_columns, write_csv)
+                         read_csv_columns, write_csv, write_rows)
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
                          scgf_values)
 from .convex import (_level_point_side, find_level_points, legendre,
@@ -103,8 +103,8 @@ def _parse_grid(text) -> np.ndarray:
         vals = [float(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
         raise UsageError("grid %r has non-numeric values" % text)
-    if not vals:
-        raise UsageError("grid %r is empty" % text)
+    if not vals or not all(map(math.isfinite, vals)):
+        raise UsageError("grid %r must list one or more finite values" % text)
     return np.asarray(vals, dtype=np.float64)
 
 
@@ -166,8 +166,7 @@ def cmd_gen(args) -> int:
     with open(out, "w", newline="") as fh:
         for start in range(0, count, _GEN_ROWS):
             rows = reader.read(min(_GEN_ROWS, count - start))
-            fh.write("".join(" ".join(str(int(v)) if as_int else fmt_cell(v)
-                                      for v in row) + "\n" for row in rows))
+            write_rows(fh, (rows.astype(np.int64) if as_int else rows).tolist(), " ")
     _finish_manifest("gen", args, out, [out], started, seeds=seeds)
     print("wrote %d lines to %s" % (count, out))
     return 0
@@ -286,9 +285,8 @@ def cmd_freq(args) -> int:
     res = frequency_test(src, args.n0, args.count)
     if args.out is not None:
         out = _resolve_out(args.out)
-        rows = [(res.word(i), int(res.counts[i]), float(res.freqs[i]))
-                for i in range(res.counts.size)]
-        files = [write_csv(out, ["word", "count", "freq"], rows)]
+        files = [write_csv(out, ["word", "count", "freq"],
+                           zip(map(res.word, range(res.counts.size)), res.counts, res.freqs))]
         _finish_manifest("freq", args, out, files, started, checksums)
     doc = {"m": res.m, "n0": res.n0, "N": res.N, "windows": res.windows,
            "uniform": args.m ** (-float(args.n0)), "max_dev": res.max_dev}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DataError, NumericalError, UsageError
-from .blockstats import _CHUNK_VALUES, SampledFunction
+from .blockstats import SampledFunction
 
 _LEVEL_BRACKET = 50.0
 _LEVEL_TOL = 1e-9
@@ -45,32 +45,49 @@ def legendre(f: SampledFunction, xs) -> ConjugateResult:
     the grid, the discrete max undershoots the true conjugate by at most
     h^2/8 times the local second derivative of f (h the grid step).
 
-    Raises DataError if no grid value is finite.
+    Cost O(G + X) for G samples of a convex f and X slopes (Lucet's linear-
+    time transform): a search over the hull's edge slopes finds each x's
+    exposing vertex of the samples' lower convex hull; comparing float scores
+    near it then gives the dense max over all samples bit for bit.
+
+    Raises UsageError for a non-finite x, DataError if no value is finite.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if xs.ndim != 1:
-        raise UsageError("x grid must be one-dimensional")
+    if xs.ndim != 1 or not np.all(np.isfinite(xs)):
+        raise UsageError("x grid must be a one-dimensional array of finite values")
     if np.any(np.isnan(f.values)):
         raise DataError("sampled function contains NaN values")
     finite = np.isfinite(f.values)
     if not finite.any():
         raise DataError("sampled function has empty finite support")
-    g = f.grid[finite]
-    v = f.values[finite]
-    last = len(g) - 1
-    values = np.empty(xs.shape)
-    argmax = np.empty(xs.shape)
-    boundary = np.empty(xs.shape, dtype=bool)
-    step = max(1, _CHUNK_VALUES // len(g))
-    for i0 in range(0, len(xs), step):
-        xc = xs[i0 : i0 + step]
-        scores = xc[:, None] * g[None, :] - v[None, :]
-        idx = np.argmax(scores, axis=1)
-        rows = np.arange(len(xc))
-        values[i0 : i0 + step] = scores[rows, idx]
-        argmax[i0 : i0 + step] = g[idx]
-        boundary[i0 : i0 + step] = (idx == 0) | (idx == last)
-    return ConjugateResult(xs=xs, values=values, argmax=argmax, boundary=boundary)
+    g, v = f.grid[finite], f.values[finite]
+    gl, vl, hull = g.tolist(), v.tolist(), []
+    for j in range(len(gl)):  # Andrew's monotone chain; collinear points drop
+        while len(hull) > 1 and ((gl[hull[-1]] - gl[hull[-2]]) * (vl[j] - vl[hull[-2]])
+                                 <= (vl[hull[-1]] - vl[hull[-2]]) * (gl[j] - gl[hull[-2]])):
+            hull.pop()
+        hull.append(j)
+    hull, last = np.array(hull), len(hull) - 1
+    # The first hull vertex whose right edge is at least x steep exposes x.
+    pos = np.searchsorted(np.diff(v[hull]) / np.diff(g[hull]), xs)
+
+    def score(at):
+        return xs * g[hull[at]] - v[hull[at]]
+
+    # Widen each window while an outer hull vertex scores within a margin, far
+    # above rounding, of the exposing one: no sample outside can win in float.
+    floor = score(pos) - 2.0 ** -40 * (np.abs(xs) * np.abs(g).max() + np.abs(v).max())
+    lo, hi = np.maximum(pos - 1, 0), np.minimum(pos + 1, last)
+    while (left := (lo > 0) & (score(lo) >= floor)).any() | \
+            (right := (hi < last) & (score(hi) >= floor)).any():
+        lo, hi = lo - left, hi + right
+    idx, top = hull[lo], score(lo)
+    for t in range(1, int(np.max(hull[hi] - hull[lo], initial=0)) + 1):
+        j = np.minimum(hull[lo] + t, hull[hi])
+        s = xs * g[j] - v[j]
+        idx, top = np.where(s > top, j, idx), np.where(s > top, s, top)
+    return ConjugateResult(xs=xs, values=top, argmax=g[idx],
+                           boundary=(idx == 0) | (idx == len(g) - 1))
 
 
 def grad_estimate(f: SampledFunction) -> SampledFunction:

@@ -199,7 +199,8 @@ def markov_model(spec: MarkovSpec) -> ScgfModel:
     float-accurate (about 1e-15 on small well-conditioned chains).  The
     conjugate is the numerical Legendre transform of Lambda sampled on
     [-20, 20] at step 0.005 (a discrete sup, so values at tilts exposed
-    outside that grid are lower bounds).
+    outside that grid are lower bounds), O(8001 + X) for X slopes by the
+    hull sweep of convex.legendre once the sample is cached.
     """
     if spec.phi.ndim != 1:
         raise UsageError("markov_model requires a scalar observable")

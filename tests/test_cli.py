@@ -498,10 +498,13 @@ def test_config_values_keep_their_json_types(tmp_path, capsys, command, base, ke
      "--lambda-grid=nan:1:0.1", "--out", "s.csv"],
     ["analyze", "--kind", "iid-digit", "--n", "2", "--k", "2",
      "--lambda-grid=0:1:inf", "--out", "s.csv"],
+    ["analyze", "--kind", "iid-digit", "--n", "2", "--k", "2",
+     "--lambda-grid=0.5,-inf", "--out", "s.csv"],
     ["legendre", "--in", "f.csv", "--x-grid", "0:inf:1", "--out", "c.csv"],
+    ["legendre", "--in", "f.csv", "--x-grid", "nan,inf,0.5", "--out", "c.csv"],
     ["fig1", "--config", "cfg.json"],
-], ids=["analyze-inf-hi", "analyze-nan-lo", "analyze-inf-step", "legendre-inf-hi",
-        "fig1-inf-hi"])
+], ids=["analyze-inf-hi", "analyze-nan-lo", "analyze-inf-step", "analyze-list-inf",
+        "legendre-inf-hi", "legendre-list-nan", "fig1-inf-hi"])
 def test_nonfinite_grid_bounds_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "f.csv").write_text("lambda,value\n0,0\n1,1\n")
@@ -510,7 +513,8 @@ def test_nonfinite_grid_bounds_are_usage_errors(tmp_path, monkeypatch, capsys, a
         json.dumps(dict(FIG1_SMALL, out_dir="out")).replace(
             '"lambda_grid": [-1.0, 1.0, 0.5]', '"lambda_grid": [0, 1e999, 0.1]'))
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: grid ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid ") and err.count("\n") == 1
     assert not any(p.name in ("s.csv", "c.csv", "out") for p in tmp_path.iterdir())
 
 

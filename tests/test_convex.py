@@ -95,6 +95,72 @@ def test_conjugate_convex_on_uniform_grid():
     assert np.min(np.diff(res.values, 2)) >= -1e-9
 
 
+def _dense_legendre(f: SampledFunction, xs: np.ndarray):
+    """Reference: every x against every finite grid value, first max wins."""
+    keep = np.isfinite(f.values)
+    g, v = f.grid[keep], f.values[keep]
+    scores = xs[:, None] * g[None, :] - v[None, :]
+    idx = np.argmax(scores, axis=1)
+    return scores[np.arange(xs.size), idx], g[idx], (idx == 0) | (idx == g.size - 1)
+
+
+def _probe_slopes(f: SampledFunction, rng) -> np.ndarray:
+    """Every chord slope of neighbouring finite samples, one ulp either side,
+    a few random slopes and slopes beyond both ends, shuffled, some twice."""
+    keep = np.isfinite(f.values)
+    slopes = np.diff(f.values[keep]) / np.diff(f.grid[keep])
+    near = np.concatenate([slopes, np.nextafter(slopes, np.inf),
+                           np.nextafter(slopes, -np.inf), rng.normal(0.0, 3.0, 8),
+                           [-1e6, 1e6]])
+    return rng.permutation(np.concatenate([near, near[::3]]))
+
+
+def _assert_matches_dense(f: SampledFunction, xs: np.ndarray):
+    res = legendre(f, xs)
+    values, argmax, boundary = _dense_legendre(f, xs)
+    assert res.values.tobytes() == values.tobytes()
+    assert res.argmax.tobytes() == argmax.tobytes()
+    assert res.boundary.tobytes() == boundary.tobytes()
+
+
+@pytest.mark.parametrize("case", ["collinear-exact", "collinear-rounded", "ties",
+                                  "infinite", "one", "two", "kink", "concave"])
+def test_legendre_hull_sweep_matches_dense(case):
+    rng = np.random.default_rng(5)
+    g = make_grid(-2.0, 2.0, 0.25)
+    v = {"collinear-exact": 3.0 * np.arange(g.size) - 7.0,
+         "collinear-rounded": 0.3 * g + 0.1,
+         "ties": np.zeros(g.size),
+         "infinite": np.where(np.abs(g) > 1.2, np.inf, g * g),
+         "one": np.where(g == 0.5, 1.0, np.inf),
+         "two": np.where(np.abs(g) == 0.5, 1.0, np.inf),
+         "kink": np.abs(g),
+         "concave": -g * g}[case]
+    grid = np.arange(g.size, dtype=np.float64) if case == "collinear-exact" else g
+    f = SampledFunction(grid=grid, values=v)
+    xs = _probe_slopes(f, rng)
+    _assert_matches_dense(f, xs)
+    if case in ("one", "two", "infinite"):
+        assert legendre(f, [-1e6, 1e6]).boundary.all()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_legendre_hull_sweep_ulp_perturbed(seed):
+    # A convex sample and a near-linear one, each moved by -1, 0 or +1 ulp per
+    # value, so that rounding leaves some samples off the hull.
+    rng = np.random.default_rng(seed)
+    g = make_grid(-3.0, 3.0, 0.05)
+    for v in (0.5 * g * g, np.log1p(np.exp(g)), 0.7 * g - 0.2):
+        f = SampledFunction(grid=g, values=v + rng.integers(-1, 2, g.size) * np.spacing(v))
+        _assert_matches_dense(f, _probe_slopes(f, rng))
+
+
+def test_legendre_rejects_non_finite_x():
+    for x in (np.nan, np.inf, -np.inf):
+        with pytest.raises(UsageError):
+            legendre(_quad(), np.array([0.5, x]))
+
+
 def test_grad_estimate_low_degree_exact():
     g = make_grid(-2.0, 2.0, 0.01)
     est = grad_estimate(SampledFunction(grid=g, values=2.0 * g - 1.0))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ def test_frequency_streams_in_pieces(chunk, tmp_path, monkeypatch):
     p = tmp_path / "d.txt"
     p.write_text("3.14159 26535\n89793 23846 26433 83279\n")
     sym = read_digit_file(p, 10, 0)
-    monkeypatch.setattr(experiments, "_CHUNK_VALUES", chunk)
+    monkeypatch.setattr(experiments, "_WORD_PIECE", chunk)
     for n0 in (1, 2, 3, 4):
         for N in (None, 30, sym.size):
             res = frequency_test(file_source(p, 10), n0, N)
@@ -287,10 +288,21 @@ def test_frequency_counts_across_pieces_match_brute_force(m, monkeypatch):
     N, n0 = 12_000, 4
     sym = src.symbols(0, N)
     words = sum(sym[t : N - n0 + 1 + t] * m ** (n0 - 1 - t) for t in range(n0))
-    monkeypatch.setattr(experiments, "_CHUNK_VALUES", 4099)
+    monkeypatch.setattr(experiments, "_WORD_PIECE", 4099)
     res = frequency_test(src, n0, N)
     assert res.counts.dtype == np.int64
     assert np.array_equal(res.counts, np.bincount(words, minlength=m ** n0))
+
+
+def test_frequency_memory_flat_in_n():
+    # An intp copy of one 2^21-symbol piece's word codes took 16.8 MB.
+    peaks = []
+    for n in (1 << 19, 1 << 22):
+        tracemalloc.start()
+        frequency_test(digit_source(1, 10), 3, n)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < peaks[0] + (1 << 18) and peaks[1] < 2 << 20
 
 
 def test_frequency_whole_file_default(tmp_path):

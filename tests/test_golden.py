@@ -3,12 +3,13 @@
 The digests were recorded from the per-cell writer and the dense Legendre
 transform; any change to how a CSV is computed or formatted shows here as a
 changed digest.  The runs cover the fig1 pipeline (summary included), the
-legendre, freq and gen commands, and the Markov model's conjugate.
+legendre, freq and gen commands, and the Markov model's conjugate.  Like
+BOUNDARY_SHA256 in test_sources, the digests assume numpy's float64 exp, log
+and eig round as on the x86-64 build they were recorded with (numpy 2.4).
 """
 
 import hashlib
 import os
-
 
 from blockldp import ExperimentConfig, MarkovSpec, fig1_pipeline, markov_model
 from blockldp._serialize import make_grid, write_csv

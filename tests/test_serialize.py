@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from blockldp import DataError, UsageError
+from blockldp import DataError, Schedule, UsageError, brownian_experiment
+from blockldp import _serialize
 from blockldp._serialize import (file_checksum, fmt_cell, grid_spec, make_grid,
                                  read_csv_columns, write_csv)
 
@@ -39,6 +40,48 @@ def test_write_csv_exact_bytes(tmp_path):
     path = write_csv(tmp_path / "r.csv", ["a", "b"], [(1, 2.5), (True, "x")])
     with open(path, "rb") as fh:
         assert fh.read() == b"a,b\n1,2.5000000000000000e+00\n1,x\n"
+
+
+def _per_cell(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(fmt_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _typed_rows(count: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    specials = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308]
+    rows = []
+    for i in range(count):
+        x = float(rng.normal()) if i % 7 else specials[i % len(specials)]
+        rows.append((i % 2 == 0, np.bool_(i % 3 == 0), i - 5, np.int64(-i), x,
+                     np.float64(x * 1e-9), "w%d" % i, rng.normal(size=2)))
+    return rows
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, _serialize._BATCH_ROWS + 3])
+def test_write_csv_matches_per_cell_formatting(tmp_path, count):
+    header = ["b", "nb", "i", "ni", "f", "nf", "s", "vec"]
+    rows = _typed_rows(count, count)
+    path = write_csv(tmp_path / "t.csv", header, iter(rows))
+    with open(path, "rb") as fh:
+        assert fh.read() == _per_cell(header, rows)
+
+
+def test_write_csv_mixed_columns_and_generators(tmp_path):
+    # Every column mixes cell types, within one batch and across batches.
+    cells = [True, np.bool_(False), 3, np.int64(-4), 0.1, np.float64(-np.inf),
+             np.float64(np.nan), "x", np.array([0.5, np.inf]), np.array([])]
+    count = _serialize._BATCH_ROWS + 11
+    rows = [tuple(cells[(i + j * j) % len(cells)] for j in range(3)) for i in range(count)]
+    path = write_csv(tmp_path / "m.csv", ["a", "b", "c"], (r for r in rows))
+    with open(path, "rb") as fh:
+        assert fh.read() == _per_cell(["a", "b", "c"], rows)
+    brown = brownian_experiment(2, 2.0, Schedule(0.5), (4,), ((0.1, -0.2),), 0.5, (1,))
+    path = write_csv(tmp_path / "b.csv", brown.columns, brown.rows)
+    with open(path, "rb") as fh:
+        assert fh.read() == _per_cell(brown.columns, brown.rows)
+    with pytest.raises(UsageError):
+        write_csv(tmp_path / "r.csv", ["a", "b"], [(1, 2), (3,)])
 
 
 def test_read_csv_header_mismatch(tmp_path):
