@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from ._errors import DataError, NumericalError, UsageError
 from .sources import (MarkovSpec, Reader, SeriesSource, bernoulli_source, digit_source,
-                      file_source, gaussian_source, markov_path,
-                      markov_source, next_digit, pi_fixture_path, read_digit_file)
+                      file_source, gaussian_source, markov_source, next_digit,
+                      pi_fixture_path)
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
                          empirical_scgf, local_rate, pairwise_sum, scgf_values)
 from .models import (ScgfModel, bernoulli_model, digit_indicator_model,
@@ -31,8 +31,8 @@ __all__ = [
     "__version__",
     "DataError", "NumericalError", "UsageError",
     "MarkovSpec", "Reader", "SeriesSource", "bernoulli_source", "digit_source",
-    "file_source", "gaussian_source", "markov_path", "markov_source",
-    "next_digit", "pi_fixture_path", "read_digit_file",
+    "file_source", "gaussian_source", "markov_source", "next_digit",
+    "pi_fixture_path",
     "BlockStats", "SampledFunction", "ball_mass", "block_means",
     "empirical_scgf", "local_rate", "pairwise_sum", "scgf_values",
     "ScgfModel", "bernoulli_model", "digit_indicator_model",

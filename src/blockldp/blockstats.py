@@ -111,8 +111,8 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
         Block length and block count, both >= 1, with n*k < 2**63.
 
     A lattice source, an integer-valued scalar one (source.int_bound is not
-    None) whose block sums stay within n * int_bound <= 2**53, is read as
-    integers and summed exactly in int64; the stats hold the distinct sums / n
+    None) whose block sums stay within n * int_bound <= 2**53, has its values
+    summed exactly in int64; the stats hold the distinct sums / n
     in increasing order with their block counts as weights, merged chunk by
     chunk, so memory stays flat in k and in the observable's range.  Any other
     source is summed with the fixed pairwise tree over each block's n
@@ -138,7 +138,7 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
         sums = np.empty((k, d), dtype=np.float64)
     for j0 in range(0, k, step):
         cnt = min(step, k - j0)
-        batch = reader.integers(cnt * n) if lattice else reader.read(cnt * n)
+        batch = reader.read(cnt * n)
         if len(batch) < cnt * n:
             raise DataError("source exhausted: only %d full blocks of length %d "
                             "available, needed %d" % (reader.pos // n, n, k))

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -165,7 +165,7 @@ def _block_runs(source: SeriesSource, schedule: Schedule, n_list, seeds):
     every k(n) is computed, and so checked, before the first run."""
     ks = [schedule.k(n) for n in n_list]
     for seed in seeds:
-        src = source.with_seed(seed)
+        src = replace(source, seed=seed)
         for n, k in zip(n_list, ks):
             yield seed, n, k, block_means(src, n, k)
 
@@ -175,7 +175,8 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
 
     The source yields base-m symbols (counter-based generator or digit file);
     the observable is the 0/1 indicator of symbol a.  The schedule is
-    critical at lambda0: c = Lambda*(Lambda'(lambda0)).  For each n and seed
+    critical at lambda0: c = Lambda*(Lambda'(lambda0)), so a config that
+    sets c raises UsageError.  For each n and seed
     it emits CSVs of the empirical SCGF on the lambda grid, its absolute
     error against the model, the numerical conjugate on the x grid and the
     derivative estimate, plus a summary of the attained-mean intervals
@@ -189,6 +190,8 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     started = time.time()
     if config.kind not in ("iid-digit", "digit-file"):
         raise UsageError("fig1 pipeline needs an iid-digit or digit-file source")
+    if config.c is not None:
+        raise UsageError("fig1 runs at the critical c of lambda0; leave c unset")
     model = digit_indicator_model(config.m, config.a)
     lambda0 = 0.8 if config.lambda0 is None else float(config.lambda0)
     c = rate_along(model, lambda0)
@@ -388,7 +391,8 @@ class FrequencyResult:
 def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> FrequencyResult:
     """Frequencies of all length-n0 words over sliding windows vs m^-n0.
 
-    The base m is the source's.  Counts every window i = 0..N-n0 of the
+    The base m is the source's, and its raw symbols are read even when it
+    carries an indicator.  Counts every window i = 0..N-n0 of the
     first N symbols and reports the per-word frequency table and the maximum
     deviation from the uniform m^-n0, the normality diagnostic.  N=None uses
     every symbol of a digit-file source; other sources need N.  The symbols
@@ -403,13 +407,15 @@ def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> Frequ
         raise UsageError("word alphabet m^n0 must not exceed 1e4")
     if N is None and source.kind != "digit-file":
         raise UsageError("N may be omitted only for a digit-file source")
-    reader = source.reader()
+    if N is not None and N < n0:
+        raise UsageError("N=%d symbols hold no window of length n0=%d" % (N, n0))
+    reader = replace(source, indicator_a=None).reader()
     counts = np.zeros(m ** n0, dtype=np.int64)
     # syms keeps the n0 - 1 symbols before the fresh ones: no window is lost at a split.
     syms = np.zeros(0, dtype=np.uint8)
     while N is None or reader.pos < N:
         want = _WORD_PIECE if N is None else min(_WORD_PIECE, N - reader.pos)
-        fresh = reader.symbols(want)
+        fresh = reader.read(want)[:, 0]
         syms = np.concatenate([syms[max(0, syms.size - n0 + 1):], fresh])
         windows = max(syms.size - n0 + 1, 0)
         # Horner form in uint16, which holds every code below m^n0 <= 1e4.
@@ -420,9 +426,9 @@ def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> Frequ
         counts += np.bincount(codes, minlength=m ** n0)
         if fresh.size < want:
             break
-    if reader.pos < max(n0, N or 0):
+    if reader.pos < (N or n0):
         raise DataError("need at least %d symbols (n0=%d, N=%s), got %d"
-                        % (max(n0, N or 0), n0, N, reader.pos))
+                        % (N or n0, n0, N, reader.pos))
     N = reader.pos
     windows = N - n0 + 1
     freqs = counts / windows

@@ -1,9 +1,10 @@
 """Deterministic generation and ingestion of stationary observation sequences.
 
 Every value is a pure function of (seed, parameters, index), or of the file.
-A Reader (SeriesSource.reader) reads a source in order, generating or decoding
-each value once; the counter kinds also give random access, while a Markov
-chain and a digit file replay from index 0 on each random-access read.
+A Reader (SeriesSource.reader) is the one way to take values from a source: it
+reads in order, generating or decoding each value once.  A counter kind starts
+a reader at any index directly; a Markov chain or a digit file reads and drops
+the values before it.
 
 The counter-based core maps (seed, i) to a 64-bit word with the finalizer
 
@@ -29,7 +30,8 @@ shift, several times faster than its remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -44,7 +46,6 @@ _U53 = 2.0 ** -53
 _DIM_STRIDE = 1 << 40
 _MAX_DIGIT_RETRIES = 128
 _FILE_CHUNK = 1 << 20
-_SCAN_VALUES = 1 << 16  # per Markov scan segment: cache-sized, log2(steps) passes
 _BLOCK = 1 << 14  # counters per kernel pass: its 128 KB buffers stay in cache
 _RAMP = np.arange(_BLOCK, dtype=np.uint64)
 
@@ -163,11 +164,6 @@ def _digits_into(out: np.ndarray, seed: int, start: int, m: int,
     return out
 
 
-def digit_block(seed: int, start: int, count: int, m: int) -> np.ndarray:
-    """Vectorized next_digit over indices start..start+count-1, as int64."""
-    return _digits_into(np.empty(count, dtype=np.int64), seed, start, m)
-
-
 def bernoulli_value(seed: int, i: int, p: float) -> float:
     """Bernoulli(p) observation (0.0 or 1.0) at index i."""
     return 1.0 if uniform(seed, i) < p else 0.0
@@ -200,11 +196,6 @@ def _gaussian_block(seed: int, start: int, count: int, d: int) -> np.ndarray:
             np.cos(u2, out=u2)
             np.multiply(u1, u2, out=out[b0 : b0 + z.size, c])
     return out
-
-
-def _check_span(start: int, count: int) -> None:
-    if start < 0 or count < 0:
-        raise UsageError("start and count must be >= 0")
 
 
 def _check_base(m: int) -> None:
@@ -299,44 +290,24 @@ def _markov_states(spec: MarkovSpec, seed: int, first: int, count: int,
                    state) -> np.ndarray:
     """States X_first, ..., X_{first+count-1} (int64) after X_{first-1} = state.
 
-    state None starts the path with X_0 drawn from spec's initial law.  Step t
-    uses the uniform at counter t.  A prefix scan of per-step state maps over
-    segments of at most 2**16/s steps reproduces a step-by-step walk bit for
-    bit, however the path is split into calls.
+    state None starts the path with X_0 drawn from spec's initial law, the
+    row of a virtual state s before X_0.  Step t uses the uniform at counter
+    t: the next state is the first whose cumulative row entry exceeds it.
+    Each row's last entry is +inf, so a uniform past a row's rounded total
+    lands in state s - 1.  The walk goes one kernel block at a time, and a
+    path split into calls equals the path in one call.
     """
-    u = np.empty(count, dtype=np.float64)
-    for b0, z, tmp in _blocks(count):
-        _uniforms_into(_mix_into(z, tmp, seed, first + b0, 1), u[b0 : b0 + z.size])
+    rows = np.vstack([np.cumsum(spec.P, axis=1), np.cumsum(spec.stationary())])
+    rows[:, -1] = np.inf
+    rows = rows.tolist()
+    state = spec.s if state is None else state
     states = np.empty(count, dtype=np.int64)
-    top = spec.s - 1
-    t1 = int(state is None and count > 0)
-    if t1:
-        cum_pi = np.cumsum(spec.stationary())
-        state = states[0] = min(int(np.searchsorted(cum_pi, u[0], side="right")), top)
-    cum_rows = np.cumsum(spec.P, axis=1)
-    seg = max(1, _SCAN_VALUES // spec.s)
-    for t0 in range(t1, count, seg):
-        uc = u[t0 : t0 + seg]
-        # maps[t, x] is the state after step t0 + t from state x; the doubling
-        # scan composes them into maps from the state before step t0.
-        maps = np.minimum(np.stack([np.searchsorted(row, uc, side="right")
-                                    for row in cum_rows], axis=1), top)
-        d = 1
-        while d < uc.size:
-            maps[d:] = np.take_along_axis(maps[d:], maps[:-d], axis=1)
-            d *= 2
-        states[t0 : t0 + uc.size] = maps[:, state]
-        state = states[t0 + uc.size - 1]
+    u = np.empty(min(count, _BLOCK), dtype=np.float64)
+    for b0, z, tmp in _blocks(count):
+        ub = _uniforms_into(_mix_into(z, tmp, seed, first + b0, 1), u[:z.size])
+        states[b0 : b0 + z.size] = [state := bisect_right(rows[state], x)
+                                    for x in ub.tolist()]
     return states
-
-
-def markov_path(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
-    """Observable sequence phi(X_0), ..., phi(X_{length-1}), X_0 drawn from
-    spec's initial distribution (stationary by default); the path that
-    markov_source(spec, seed).reader() streams."""
-    if length < 1:
-        raise UsageError("length must be >= 1")
-    return spec.phi[_markov_states(spec, seed, 0, length, None)]
 
 
 def _file_symbols(path, m: int):
@@ -365,20 +336,6 @@ def _file_symbols(path, m: int):
                                                       fh.tell() - arr.size + end)))
 
 
-def read_digit_file(path, m: int, offset: int, count: int | None = None) -> np.ndarray:
-    """Base-m symbols of an ASCII digit file, decoded as file_source(path, m) does.
-
-    Characters '0'..chr(ord('0')+m-1) are symbols; space, tab, CR, LF and at
-    most one '.' are skipped, and any other byte raises DataError with its
-    offset.  Returns `count` symbols after the first `offset`, or all up to
-    EOF when count is None; EOF before `count` symbols raises DataError.
-    """
-    source = file_source(path, m)
-    if count is None:  # no file holds 2**63 - 1 symbols: the read stops at EOF
-        return source.reader(offset).symbols(np.iinfo(np.int64).max).astype(np.int64)
-    return source.symbols(offset, count)
-
-
 def pi_fixture_path() -> str:
     """Path of the bundled 1e5-digit Pi fixture (test data, base 10)."""
     from importlib import resources
@@ -392,12 +349,14 @@ _KINDS = ("iid-digit", "iid-bernoulli", "gaussian", "markov-chain", "digit-file"
 class Reader:
     """Sequential reader of a source from index `start` on; pos is the next index.
 
-    read, symbols and integers return fewer values than asked only at the
-    end of a digit file, and raise again the DataError of a bad byte on every
-    read after it.  A counter kind keeps pos, a Markov chain also its last
-    state, a digit file its open chunk decoder (byte position, radix-point
-    flag) and its unread symbols; those two replay the values before start.
-    Dropping the reader closes its file.
+    read returns each kind's native values: uint8 for the digit kinds (base-m
+    symbols, or the 0/1 indicators of indicator_a) and Bernoulli draws,
+    float64 for Gaussian and Markov sources.  It returns fewer values than
+    asked only at the end of a digit file, and raises again the DataError of
+    a bad byte on every read after it.  A counter kind keeps pos, a Markov
+    chain also its last state, a digit file its open chunk decoder (byte
+    position, radix-point flag) and its unread symbols; those two read and
+    drop the values before start.  Dropping the reader closes its file.
     """
 
     def __init__(self, source: "SeriesSource", start: int = 0):
@@ -406,36 +365,17 @@ class Reader:
         self._state = None  # Markov: the state at index pos - 1
         self._chunks = _file_symbols(source.path, source.m) if source.path else None
         self._rest = np.zeros(0, dtype=np.uint8)  # digit file: unread symbols
-        while self.pos < start and self.read(min(start - self.pos, _FILE_CHUNK)).size:
+        while self.pos < start and len(self.read(min(start - self.pos, _FILE_CHUNK))):
             pass
 
-    def symbols(self, count: int) -> np.ndarray:
-        """The next count raw base-m symbols as uint8 (digit kinds only)."""
-        if self.source.kind not in ("iid-digit", "digit-file"):
-            raise UsageError("source kind %r has no symbol stream" % (self.source.kind,))
-        return self._values(count, np.uint8, raw=True)
-
-    def integers(self, count: int) -> np.ndarray:
-        """The next count observations of an integer-valued scalar source
-        (SeriesSource.int_bound is not None), 1-d: uint8 for the digit kinds
-        and Bernoulli, int64 for a Markov chain."""
-        src = self.source
-        if src.int_bound is None:
-            raise UsageError("source kind %r with these parameters is not "
-                             "integer-valued" % (src.kind,))
-        dtype = np.int64 if src.kind == "markov-chain" else np.uint8
-        return self._values(count, dtype).reshape(-1)
-
     def read(self, count: int) -> np.ndarray:
-        """The next count observations as float64, shape (count, d)."""
-        return self._values(count, np.float64).reshape(-1, self.source.d)
-
-    def _values(self, count: int, dtype, raw: bool = False) -> np.ndarray:
-        """The next count observations (raw symbols if raw) as dtype."""
+        """The next count observations in the kind's native dtype, shape (count, d)."""
+        if count < 0:
+            raise UsageError("count must be >= 0")
         src = self.source
-        a = None if raw else src.indicator_a
+        a = src.indicator_a
         if src.kind == "iid-digit":
-            out = _digits_into(np.empty(count, dtype), src.seed, self.pos, src.m, a)
+            out = _digits_into(np.empty(count, np.uint8), src.seed, self.pos, src.m, a)
         elif src.kind == "digit-file":
             parts, got = [self._rest], self._rest.size
             while got < count and (chunk := next(self._chunks, None)) is not None:
@@ -444,18 +384,19 @@ class Reader:
                 parts.append(chunk)
                 got += chunk.size
             rest = np.concatenate(parts) if len(parts) > 1 else self._rest
-            sym, self._rest = rest[:count], rest[count:]
-            out = (sym if a is None else sym == a).astype(dtype)
+            out, self._rest = rest[:count], rest[count:]
+            if a is not None:
+                out = (out == a).view(np.uint8)
         elif src.kind == "iid-bernoulli":
-            out = _bernoulli_block(src.seed, self.pos, src.p, np.empty(count, dtype))
+            out = _bernoulli_block(src.seed, self.pos, src.p, np.empty(count, np.uint8))
         elif src.kind == "gaussian":
             out = _gaussian_block(src.seed, self.pos, count, src.d)
         else:
             states = _markov_states(src.markov, src.seed, self.pos, count, self._state)
             self._state = states[-1] if count else self._state
-            out = src.markov.phi.astype(dtype, copy=False)[states]
+            out = src.markov.phi[states]
         self.pos += len(out)
-        return out
+        return out.reshape(-1, src.d)
 
 
 @dataclass(frozen=True)
@@ -463,9 +404,8 @@ class SeriesSource:
     """Seed-indexed producer of real-vector observations.
 
     Two sources with equal (kind, seed, parameters) are observationally
-    identical.  reader(start) reads in order; batch, symbols and get read at
-    random through a fresh reader, so both agree bit-exactly (a Markov chain
-    or digit file replays from index 0 on each).  Use the module constructors
+    identical; reader(start) reads them in order from any index, and readers
+    from different starts agree bit-exactly.  Use the module constructors
     (digit_source, bernoulli_source, gaussian_source, markov_source,
     file_source) rather than instantiating directly.
     """
@@ -506,38 +446,11 @@ class SeriesSource:
                 return int(top)
         return None
 
-    def with_seed(self, seed: int) -> "SeriesSource":
-        return replace(self, seed=seed)
-
     def reader(self, start: int = 0) -> Reader:
         """Sequential Reader of the values from index start on."""
-        _check_span(start, 0)
+        if start < 0:
+            raise UsageError("start must be >= 0")
         return Reader(self, start)
-
-    def symbols(self, start: int, count: int) -> np.ndarray:
-        """Raw base-m symbols at indices start..start+count-1 as int64 (digit
-        kinds only)."""
-        return self._span(start, count, Reader.symbols).astype(np.int64)
-
-    def batch(self, start: int, count: int) -> np.ndarray:
-        """Observations at indices start..start+count-1, shape (count, d)."""
-        return self._span(start, count, Reader.read)
-
-    def _span(self, start: int, count: int, take) -> np.ndarray:
-        """take(reader, count) from a fresh reader at start; it must not end short."""
-        _check_span(start, count)
-        reader = self.reader(start)
-        out = take(reader, count)
-        if len(out) < count:
-            err = DataError("digit file ended after %d symbols, %d requested from "
-                            "offset %d" % (reader.pos, count, start))
-            err.symbols_available = reader.pos
-            raise err
-        return out
-
-    def get(self, i: int) -> np.ndarray:
-        """Single observation at index i, shape (d,)."""
-        return self.batch(i, 1)[0]
 
 
 def digit_source(seed: int, m: int, indicator_a: int | None = None) -> SeriesSource:

@@ -25,7 +25,7 @@ LATTICE_SOURCES = {
 
 def _block_order_means(src, n, k):
     """Means of the first k length-n blocks in block order (the dense form)."""
-    return pairwise_sum(src.batch(0, n * k).reshape(k, n, src.d), axis=1) / n
+    return pairwise_sum(src.reader().read(n * k).reshape(k, n, src.d), axis=1) / n
 
 
 def test_pairwise_sum_fixed_tree():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from blockldp import (MarkovSpec, digit_source, file_source, gaussian_source,
-                      markov_path)
+                      markov_source)
 from blockldp import cli, experiments, sources
 from blockldp._serialize import fmt_cell, read_csv_columns
 from blockldp.cli import main
@@ -105,8 +105,8 @@ def test_gen_rerun_identical_and_roundtrip(tmp_path, capsys):
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     # the emitted file re-ingests as the same symbol stream
-    sym = file_source(a, 10).symbols(0, 64)
-    assert np.array_equal(sym, digit_source(1, 10).symbols(0, 64))
+    sym = file_source(a, 10).reader().read(64)
+    assert np.array_equal(sym, digit_source(1, 10).reader().read(64))
     capsys.readouterr()
 
 
@@ -117,7 +117,7 @@ def test_gen_gaussian_and_markov(tmp_path, capsys):
     rows = [line.split() for line in out.read_text().splitlines()]
     assert len(rows) == 4 and all(len(r) == 2 for r in rows)
     got = np.array([[float(c) for c in r] for r in rows])
-    assert np.array_equal(got, gaussian_source(3, 2).batch(0, 4))
+    assert np.array_equal(got, gaussian_source(3, 2).reader().read(4))
     out2 = tmp_path / "m.txt"
     assert main(["gen", "--kind", "markov", "--markov-file",
                  _sym_chain_file(tmp_path), "--seed", "5", "--count", "6",
@@ -125,7 +125,7 @@ def test_gen_gaussian_and_markov(tmp_path, capsys):
     got = [float(line) for line in out2.read_text().split()]
     spec = MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]),
                       phi=np.array([0.0, 1.0]))
-    assert got == list(markov_path(spec, 5, 6))
+    assert got == markov_source(spec, 5).reader().read(6)[:, 0].tolist()
     capsys.readouterr()
 
 
@@ -158,9 +158,8 @@ def test_gen_writes_in_batches(kind, tmp_path, monkeypatch, capsys):
     assert sizes == [7, 7, 7, 2]
     src, _, _ = cli._build_source(cli.build_parser().parse_args(
         ["gen"] + flags + ["--out", str(out)]))
-    as_int = kind in ("iid-digit", "iid-bernoulli")
-    lines = [" ".join(str(int(v)) if as_int else fmt_cell(v) for v in row)
-             for row in read(src.reader(), 23)]
+    # uint8 digit and Bernoulli values format as integers
+    lines = [" ".join(map(fmt_cell, row)) for row in read(src.reader(), 23)]
     assert out.read_text() == "\n".join(lines) + "\n"
     capsys.readouterr()
 
@@ -342,8 +341,12 @@ def test_freq_cli_json_and_csv(tmp_path, capsys):
     code = main(["freq", "--in", str(data), "--n0", "1", "--count", "3"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["windows"] == 3
-    # a count past the end of the file is a data error
+    # a count past the end of the file is a data error; a count that holds
+    # no window is a usage error, whatever the file holds
     assert main(["freq", "--in", str(data), "--n0", "1", "--count", "16"]) == 3
+    assert main(["freq", "--in", str(data), "--count", "-5"]) == 2
+    assert main(["freq", "--in", str(data), "--n0", "3", "--count", "2"]) == 2
+    capsys.readouterr()
 
 
 def test_freq_cli_decodes_file_once(tmp_path, monkeypatch, capsys):
@@ -467,6 +470,16 @@ FIG1_SMALL = {"kind": "iid-digit", "n_list": [20], "seeds": [1], "budget": 1e5,
               "lambda_grid": [-1.0, 1.0, 0.5], "x_grid": [0.05, 0.25, 0.05]}
 BROWNIAN_SMALL = {"kind": "gaussian", "d": 1, "c": 0.5, "R": 1.0, "eps": 0.2,
                   "n_list": [6], "seeds": [1], "x_list": [0.0], "budget": 1e5}
+
+
+def test_fig1_rejects_c(tmp_path, capsys):
+    # fig1 always runs at the critical c of lambda0; a given c is refused,
+    # not silently replaced.
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FIG1_SMALL, c=0.5, out_dir=str(tmp_path / "out"))))
+    assert main(["fig1", "--config", str(p)]) == 2
+    assert "leave c unset" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, base, key, val", [

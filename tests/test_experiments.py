@@ -12,7 +12,7 @@ from blockldp import (DataError, ExperimentConfig, RunManifest, Schedule, UsageE
                       bernoulli_model, bernoulli_source, brownian_experiment,
                       digit_indicator_model, digit_source, fig1_pipeline,
                       file_source, frequency_test, gaussian_source,
-                      pi_fixture_path, read_digit_file, regime_experiment)
+                      pi_fixture_path, regime_experiment)
 from blockldp import experiments
 
 DIGIT_THRESHOLD = 0.04299898970786353
@@ -233,11 +233,14 @@ def test_frequency_word_table(tmp_path):
 
 
 def test_frequency_base_from_source():
-    sym = digit_source(4, 7).symbols(0, 500)
+    sym = digit_source(4, 7).reader().read(500)[:, 0].astype(np.int64)
     res = frequency_test(digit_source(4, 7), 2, 500)
     assert res.m == 7 and res.counts.size == 49 and res.word(48) == "66"
     codes = sym[:-1] * 7 + sym[1:]
     assert np.array_equal(res.counts, np.bincount(codes, minlength=49))
+    # the raw symbols are counted, not the indicator an observable carries
+    flagged = frequency_test(digit_source(4, 7, indicator_a=3), 2, 500)
+    assert np.array_equal(flagged.counts, res.counts)
 
 
 def test_frequency_guards(tmp_path):
@@ -248,8 +251,12 @@ def test_frequency_guards(tmp_path):
         frequency_test(file_source(p, 2), 5, 4)
     with pytest.raises(DataError):   # file shorter than the request
         frequency_test(file_source(p, 2), 1, 9)
-    with pytest.raises(DataError):   # fewer symbols than the word length
+    with pytest.raises(UsageError):  # N shorter than the word length: no window
         frequency_test(file_source(p, 2), 3, 2)
+    short = tmp_path / "short.txt"
+    short.write_text("010")
+    with pytest.raises(DataError):   # the whole file is shorter than one word
+        frequency_test(file_source(short, 2), 4)
     with pytest.raises(UsageError):  # no symbol alphabet
         frequency_test(gaussian_source(0, 1), 1, 100)
 
@@ -260,7 +267,7 @@ def test_frequency_streams_in_pieces(chunk, tmp_path, monkeypatch):
     # one pass over every window of the first N symbols.
     p = tmp_path / "d.txt"
     p.write_text("3.14159 26535\n89793 23846 26433 83279\n")
-    sym = read_digit_file(p, 10, 0)
+    sym = file_source(p, 10).reader().read(100)[:, 0].astype(np.int64)
     monkeypatch.setattr(experiments, "_WORD_PIECE", chunk)
     for n0 in (1, 2, 3, 4):
         for N in (None, 30, sym.size):
@@ -271,7 +278,7 @@ def test_frequency_streams_in_pieces(chunk, tmp_path, monkeypatch):
             assert np.array_equal(res.counts, np.bincount(words, minlength=10 ** n0))
     src = digit_source(4, 7)
     res = frequency_test(src, 3, 200)
-    s7 = src.symbols(0, 200)
+    s7 = src.reader().read(200)[:, 0].astype(np.int64)
     assert np.array_equal(res.counts, np.bincount(s7[:-2] * 49 + s7[1:-1] * 7 + s7[2:],
                                                   minlength=343))
     with pytest.raises(DataError, match="got %d" % sym.size):  # N past the end
@@ -286,7 +293,7 @@ def test_frequency_counts_across_pieces_match_brute_force(m, monkeypatch):
     # m^4 - 1 (9,999 for m = 10) is formed in the narrow word dtype.
     src = digit_source(8, m)
     N, n0 = 12_000, 4
-    sym = src.symbols(0, N)
+    sym = src.reader().read(N)[:, 0].astype(np.int64)
     words = sum(sym[t : N - n0 + 1 + t] * m ** (n0 - 1 - t) for t in range(n0))
     monkeypatch.setattr(experiments, "_WORD_PIECE", 4099)
     res = frequency_test(src, n0, N)

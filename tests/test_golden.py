@@ -3,12 +3,13 @@
 The digests were recorded from the per-cell writer and the dense Legendre
 transform; any change to how a CSV is computed or formatted shows here as a
 changed digest.  The runs cover the fig1 pipeline (summary included), the
-legendre, freq and gen commands, and the Markov model's conjugate.  Like
+legendre and freq commands, gen for every generated kind, and the Markov model's conjugate.  Like
 BOUNDARY_SHA256 in test_sources, the digests assume numpy's float64 exp, log
 and eig round as on the x86-64 build they were recorded with (numpy 2.4).
 """
 
 import hashlib
+import json
 import os
 
 from blockldp import ExperimentConfig, MarkovSpec, fig1_pipeline, markov_model
@@ -35,8 +36,10 @@ GOLDEN_SHA256 = {
     "fig1/scgf_n30_s2.csv": "83c782bf7a1b782af3481961e7a733f02e059906818df4f6bc0fbd914ebf47c5",
     "fig1/summary.csv": "13a2d6c3c926b09070d8b7e276cf35b87a2efb7e51ba1bcb6317276db96b2dd5",
     "freq.csv": "619fbc740bb253f64edd2874d2b8ed5b33f24ffccde7d77a8a4aa42dc1e487a5",
+    "gen_bernoulli.txt": "6c5410dda6f5ddc98f87e638fee9785f5f8fec65a97a2ba71b10ed651bed080a",
     "gen_digit.txt": "aca82b86fe26d8e18e07ff2c2af68443697039bb442843940df161fc4b5a49c1",
     "gen_gauss.txt": "9a66f6ddc2838b0362f22e54f633fa80b8cd4fc8e4a3d3a8b3565b2b8fe80659",
+    "gen_markov.txt": "87be82f3d101963f97b0467630176d9980a989dae59c3caebd3d36bb9faba2e0",
     "legendre.csv": "a3203402439f677004cbe2a1b6db29bf11f46bf6319108184be093b2cbaef02f",
     "markov_conj.csv": "f5b35721cd3cb1909b065b9775a21bd494d078f867fc11c341f04979e62b71d9",
 }
@@ -53,12 +56,20 @@ def _digests(out) -> dict:
     res = fig1_pipeline(cfg)
     got = {"fig1/" + os.path.basename(f): _sha(f) for f in res.files}
     scgf = os.path.join(out, "fig1", "scgf_n30_s2.csv")
+    chain = os.path.join(out, "chain.json")
+    with open(chain, "w") as fh:
+        json.dump({"P": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],
+                   "phi": [[0.0, 1.5], [-2.25, 0.1], [3.0, -0.7]]}, fh)
     runs = {
         "legendre.csv": ["legendre", "--in", scgf],
         "freq.csv": ["freq", "--in", pi_fixture_path(), "--n0", "2"],
         "gen_digit.txt": ["gen", "--kind", "iid-digit", "--seed", "3", "--count", "70000"],
         "gen_gauss.txt": ["gen", "--kind", "gaussian", "--d", "2", "--seed", "3",
                           "--count", "1000"],
+        "gen_bernoulli.txt": ["gen", "--kind", "iid-bernoulli", "--p", "0.3", "--seed", "3",
+                              "--count", "70000"],
+        "gen_markov.txt": ["gen", "--kind", "markov", "--markov-file", chain, "--seed", "3",
+                           "--count", "40000"],
     }
     for name, argv in runs.items():
         path = os.path.join(out, name)
@@ -73,5 +84,5 @@ def _digests(out) -> dict:
 
 def test_output_bytes_are_pinned(tmp_path, capsys):
     got = _digests(str(tmp_path))
-    assert len(got) == 22
+    assert len(got) == 24
     assert got == GOLDEN_SHA256

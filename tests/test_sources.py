@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,7 @@ from scipy.stats import chi2
 import blockldp.sources as sources
 from blockldp import (DataError, MarkovSpec, NumericalError, UsageError,
                       bernoulli_source, digit_source, file_source,
-                      gaussian_source, markov_path, markov_source, next_digit,
-                      pi_fixture_path, read_digit_file)
+                      gaussian_source, markov_source, next_digit, pi_fixture_path)
 from blockldp.sources import bernoulli_value, raw_word, uniform
 
 # Fixed outputs of the 64-bit mix, recomputed with a standalone big-integer
@@ -50,9 +50,9 @@ def test_digit_sequence_frozen():
 
 def test_digit_block_matches_scalar():
     for m in (2, 10):
-        blk = digit_source(11, m).symbols(0, 512)
+        blk = digit_source(11, m).reader().read(512)[:, 0]
         ref = [next_digit(11, i, m) for i in range(512)]
-        assert np.array_equal(blk, ref)
+        assert blk.dtype == np.uint8 and np.array_equal(blk, ref)
         assert blk.min() >= 0 and blk.max() < m
 
 
@@ -65,7 +65,7 @@ def test_digit_rejection_limit_arithmetic():
 
 
 def test_digit_uniformity_chi_square():
-    sym = digit_source(1, 10).symbols(0, 100000)
+    sym = digit_source(1, 10).reader().read(100000)[:, 0]
     obs = np.bincount(sym, minlength=10)
     stat = float(((obs - 10000.0) ** 2 / 10000.0).sum())
     assert stat < chi2.ppf(0.999, 9)
@@ -78,7 +78,7 @@ def test_base_validation():
 
 
 def test_bernoulli_uniform_threshold():
-    obs = bernoulli_source(6, 0.3).batch(0, 128)[:, 0]
+    obs = bernoulli_source(6, 0.3).reader().read(128)[:, 0]
     ref = [1.0 if uniform(6, i) < 0.3 else 0.0 for i in range(128)]
     assert np.array_equal(obs, ref)
     assert bernoulli_value(6, 0, 0.3) == obs[0]
@@ -88,7 +88,7 @@ def test_gaussian_transform_from_uniforms():
     # each coordinate c uses counters 2i and 2i+1 offset by c * 2^40
     seed, d = 9, 3
     for i in (0, 5):
-        vec = gaussian_source(seed, d).get(i)
+        vec = gaussian_source(seed, d).reader(i).read(1)[0]
         for c in range(d):
             off = (c * (1 << 40)) & ((1 << 64) - 1)
             u1 = uniform(seed, 2 * i + off)
@@ -98,13 +98,13 @@ def test_gaussian_transform_from_uniforms():
 
 
 def test_gaussian_block_matches_scalar():
-    blk = gaussian_source(5, 2).batch(3, 40)
-    ref = np.array([gaussian_source(5, 2).get(i) for i in range(3, 43)])
+    blk = gaussian_source(5, 2).reader(3).read(40)
+    ref = np.array([gaussian_source(5, 2).reader(i).read(1)[0] for i in range(3, 43)])
     assert np.array_equal(blk, ref)
 
 
 def test_gaussian_moments():
-    b = gaussian_source(5, 2).batch(0, 200000)
+    b = gaussian_source(5, 2).reader().read(200000)
     assert np.all(np.abs(b.mean(axis=0)) < 0.01)
     assert np.all(np.abs(b.var(axis=0) - 1.0) < 0.02)
 
@@ -112,24 +112,24 @@ def test_gaussian_moments():
 def test_random_access_consistency():
     for src in (digit_source(2, 10), bernoulli_source(2, 0.3),
                 gaussian_source(2, 2)):
-        full = src.batch(0, 64)
-        assert np.array_equal(src.batch(17, 31), full[17:48])
-        assert np.array_equal(src.batch(np.int64(17), 31), full[17:48])
-        assert np.array_equal(src.get(40), full[40])
+        full = src.reader().read(64)
+        assert np.array_equal(src.reader(17).read(31), full[17:48])
+        assert np.array_equal(src.reader(np.int64(17)).read(31), full[17:48])
+        assert np.array_equal(src.reader(40).read(1)[0], full[40])
 
 
 def test_with_seed_changes_stream():
     src = digit_source(1, 10)
-    assert not np.array_equal(src.symbols(0, 64),
-                              src.with_seed(2).symbols(0, 64))
-    assert np.array_equal(src.symbols(0, 64), src.with_seed(1).symbols(0, 64))
+    first = [replace(src, seed=seed).reader().read(64) for seed in (1, 2)]
+    assert not np.array_equal(*first)
+    assert np.array_equal(first[0], src.reader().read(64))
 
 
 def test_indicator_observable():
-    sym = digit_source(4, 10).symbols(0, 256)
-    obs = digit_source(4, 10, indicator_a=0).batch(0, 256)
-    assert obs.shape == (256, 1)
-    assert np.array_equal(obs[:, 0], (sym == 0).astype(np.float64))
+    sym = digit_source(4, 10).reader().read(256)
+    obs = digit_source(4, 10, indicator_a=0).reader().read(256)
+    assert obs.shape == (256, 1) and obs.dtype == np.uint8
+    assert np.array_equal(obs, sym == 0)
 
 
 def test_source_parameter_guards():
@@ -144,9 +144,7 @@ def test_source_parameter_guards():
     with pytest.raises(UsageError):
         gaussian_source(0, 0)
     with pytest.raises(UsageError):
-        gaussian_source(0, 2).symbols(0, 4)  # no symbol alphabet
-    with pytest.raises(UsageError):
-        digit_source(0, 10).batch(-1, 4)
+        digit_source(0, 10).reader(-1)
 
 
 def test_markov_validation_errors():
@@ -178,7 +176,7 @@ def test_markov_slow_chain_stationary_law():
     # Mixing time ~1e5 steps; the law (2/3, 1/3) is an exact linear solve.
     spec = MarkovSpec(P=[[0.99999, 1e-5], [2e-5, 0.99998]], phi=[0, 1])
     assert np.max(np.abs(spec.stationary() - [2.0 / 3.0, 1.0 / 3.0])) <= 1e-12
-    assert markov_source(spec, 1).batch(0, 5).shape == (5, 1)
+    assert markov_source(spec, 1).reader().read(5).shape == (5, 1)
     three = MarkovSpec(P=[[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
                        phi=[0.0, 1.0, 2.0])
     assert np.max(np.abs(three.stationary() - np.array([5, 9, 7]) / 21)) <= 1e-15
@@ -199,11 +197,11 @@ def test_digit_rejection_chain(monkeypatch):
     words = sources._mix_into(np.empty(512, dtype=np.uint64),
                               np.empty(512, dtype=np.uint64), 11, 0, 1)
     assert int(np.count_nonzero(words >= np.uint64(1 << 63))) == 257
-    assert np.array_equal(sources.digit_block(11, 0, 512, 2),
+    assert np.array_equal(digit_source(11, 2).reader().read(512)[:, 0],
                           [next_digit(11, i, 2) for i in range(512)])
     monkeypatch.setattr(sources, "_digit_limit", lambda m: 2)
     with pytest.raises(NumericalError, match="128 retries"):
-        sources.digit_block(11, 0, 4, 2)
+        digit_source(11, 2).reader().read(4)
 
 
 B = sources._BLOCK
@@ -212,7 +210,8 @@ BOUNDARY_START = 12345  # odd, so no block starts on an aligned counter
 BOUNDARY_CHAIN = MarkovSpec(P=[[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
                             phi=[0.0, 1.0, 2.0])
 # sha256 of the outputs at BOUNDARY_COUNTS, concatenated, as the whole-array
-# kernels produced them before blocking.  The Gaussian digests also fix
+# kernels produced them before blocking: digits as int64, Bernoulli draws as
+# float64.  The Gaussian digests also fix
 # numpy's float64 log and cos, like the brownian hashes the benchmark pins.
 BOUNDARY_SHA256 = {
     "digit2": "8ab68efc618c1eb4958734272f0aa506902e7fab1ea0cd660a50ebffcb4203c1",
@@ -239,21 +238,22 @@ def _box_muller_reference(seed: int, start: int, count: int, d: int) -> np.ndarr
 
 
 def _boundary_case(name: str, top: int):
-    """(kernel(count), scalar reference for counts up to top) for one source."""
+    """(read(count) from a reader at BOUNDARY_START, scalar reference for
+    counts up to top) for one source."""
     s0 = BOUNDARY_START
     if name.startswith("digit"):
         m = int(name[5:])
-        return (lambda n: sources.digit_block(7, s0, n, m),
+        return (lambda n: digit_source(7, m).reader(s0).read(n)[:, 0].astype(np.int64),
                 np.array([next_digit(7, s0 + j, m) for j in range(top)]))
     if name == "bernoulli":
-        return (lambda n: bernoulli_source(6, 0.3).batch(s0, n)[:, 0],
+        return (lambda n: bernoulli_source(6, 0.3).reader(s0).read(n)[:, 0].astype(np.float64),
                 (_scalar_uniforms(6, s0, top) < 0.3).astype(np.float64))
     if name.startswith("gaussian"):
         d = int(name[8:])
-        return (lambda n: gaussian_source(5, d).batch(s0, n),
+        return (lambda n: gaussian_source(5, d).reader(s0).read(n),
                 _box_muller_reference(5, s0, top, d))
     walk = _walk(BOUNDARY_CHAIN, _scalar_uniforms(3, 0, s0 + top))
-    return (lambda n: markov_source(BOUNDARY_CHAIN, 3).batch(s0, n)[:, 0],
+    return (lambda n: markov_source(BOUNDARY_CHAIN, 3).reader(s0).read(n)[:, 0],
             walk[s0:])
 
 
@@ -277,18 +277,18 @@ def test_digit_rejection_straggler_in_later_block(monkeypatch):
     j = int(np.argmax(np.array(words, dtype=np.uint64)))
     assert j >= B and words.count(words[j]) == 1
     monkeypatch.setattr(sources, "_digit_limit", lambda m: words[j])
-    got = sources.digit_block(7, s0, count, 10)
+    got = digit_source(7, 10).reader(s0).read(count)[:, 0]
     assert got[j] == raw_word(words[j], s0 + j) % 10 != words[j] % 10
     assert np.array_equal(got, [next_digit(7, s0 + i, 10) for i in range(count)])
 
 
 def _narrow_digit_kernels(m: int, count: int):
     """(uint8 symbols, uint8 indicators of m - 1) at BOUNDARY_START, each from
-    the kernel and from a reader's integer read."""
+    the kernel and from a reader's read."""
     s0, a = BOUNDARY_START, m - 1
     kernel = [sources._digits_into(np.empty(count, dtype=np.uint8), 7, s0, m, b)
               for b in (None, a)]
-    read = [digit_source(7, m, b).reader(s0).integers(count) for b in (None, a)]
+    read = [digit_source(7, m, b).reader(s0).read(count)[:, 0] for b in (None, a)]
     for got in kernel + read:
         assert got.dtype == np.uint8
     return kernel, read
@@ -320,6 +320,8 @@ def test_narrow_digit_kernels_resolve_stragglers(monkeypatch):
 
 
 def test_integer_reads_match_float_reads(tmp_path):
+    # An integer-valued scalar source reads in its native dtype, and its
+    # values cast to int64 exactly, as block_means sums them.
     p = tmp_path / "d.txt"
     p.write_text("3.1415 9265\n358979\n")
     chain = [[0.9, 0.1], [0.2, 0.8]]
@@ -327,16 +329,15 @@ def test_integer_reads_match_float_reads(tmp_path):
                        (bernoulli_source(4, 0.3), 1), (file_source(p, 10), 9),
                        (markov_source(MarkovSpec(P=chain, phi=[-3.0, 1e9]), 5), 10 ** 9)):
         assert src.int_bound == bound
-        ints = src.reader(1).integers(14)
-        assert ints.dtype == (np.int64 if src.kind == "markov-chain" else np.uint8)
-        assert np.array_equal(ints, src.batch(1, 14)[:, 0])
+        vals = src.reader(1).read(14)
+        assert vals.dtype == (np.float64 if src.kind == "markov-chain" else np.uint8)
+        assert np.array_equal(vals.astype(np.int64), vals.astype(np.float64))
     for src in (gaussian_source(1, 1),
                 markov_source(MarkovSpec(P=chain, phi=[0.5, 1.5]), 1),
                 markov_source(MarkovSpec(P=chain, phi=[0.0, 2.0 ** 60]), 1),
                 markov_source(MarkovSpec(P=chain, phi=[[0.0, 1.0], [1.0, 0.0]]), 1)):
         assert src.int_bound is None
-        with pytest.raises(UsageError, match="not integer-valued"):
-            src.reader().integers(4)
+        assert src.reader().read(4).dtype == np.float64
 
 
 def test_file_reader_repeats_decode_error(tmp_path):
@@ -345,36 +346,29 @@ def test_file_reader_repeats_decode_error(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("123x456")
     reader = file_source(p, 10).reader()
-    assert np.array_equal(reader.symbols(2), [1, 2])
+    assert np.array_equal(reader.read(2)[:, 0], [1, 2])
     with pytest.raises(DataError, match="offset 3") as first:
-        reader.symbols(5)
-    for take in (reader.symbols, reader.read, reader.integers):
+        reader.read(5)
+    for _ in range(2):
         with pytest.raises(DataError, match="offset 3") as again:
-            take(5)
+            reader.read(5)
         assert again.value is first.value
 
 
 def test_symbols_rejects_negative_span():
     with pytest.raises(UsageError, match=">= 0"):
-        digit_source(1, 10).symbols(-1, 5)
+        digit_source(1, 10).reader(-1)
     with pytest.raises(UsageError, match=">= 0"):
-        digit_source(1, 10).symbols(0, -5)
+        digit_source(1, 10).reader().read(-5)
 
 
 def test_markov_path_mean_and_random_access():
-    obs = markov_path(_sym_chain(), 11, 100000)
-    assert abs(float(np.mean(obs)) - 0.5) < 0.01
     src = markov_source(_sym_chain(), 11)
-    full = src.batch(0, 200)
-    assert np.array_equal(src.batch(50, 100), full[50:150])
-    assert np.array_equal(full[:, 0], markov_path(_sym_chain(), 11, 200))
-
-
-def _loop_states(spec: MarkovSpec, seed: int, length: int) -> np.ndarray:
-    """Reference walk on the kernel's uniforms; length fits one kernel block."""
-    z = sources._mix_into(np.empty(length, dtype=np.uint64),
-                          np.empty(length, dtype=np.uint64), seed, 0, 1)
-    return _walk(spec, sources._uniforms_into(z, np.empty(length)))
+    obs = src.reader().read(100000)
+    assert abs(float(np.mean(obs)) - 0.5) < 0.01
+    full = src.reader().read(200)
+    assert np.array_equal(src.reader(50).read(100), full[50:150])
+    assert np.array_equal(full, obs[:200])
 
 
 def _walk(spec: MarkovSpec, u) -> np.ndarray:
@@ -396,123 +390,146 @@ MARKOV_CHAINS = {
     "three-state": [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
     "zero-entries": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]],
 }
+LONG_PATH = 2 * B + 77  # spans three kernel blocks
+
+
+def _chain(name: str) -> MarkovSpec:
+    """A MARKOV_CHAINS entry, or a sparse 50-state chain, with phi(x) = x."""
+    if name == "fifty-state":
+        rng = np.random.default_rng(50)
+        P = np.where(rng.random((50, 50)) < 0.3, rng.random((50, 50)), 0.0)
+        np.fill_diagonal(P, 0.1)
+        P /= P.sum(axis=1, keepdims=True)
+    else:
+        P = np.array(MARKOV_CHAINS[name])
+    return MarkovSpec(P=P, phi=np.arange(P.shape[0], dtype=np.float64))
 
 
 @pytest.mark.parametrize("name", sorted(MARKOV_CHAINS))
-@pytest.mark.parametrize("scan_values", [None, 12])
-def test_markov_scan_matches_loop(name, scan_values, monkeypatch):
-    if scan_values is not None:  # many short segments, with carries between them
-        monkeypatch.setattr(sources, "_SCAN_VALUES", scan_values)
-    P = np.array(MARKOV_CHAINS[name])
-    spec = MarkovSpec(P=P, phi=np.arange(P.shape[0], dtype=np.float64))
+@pytest.mark.parametrize("piece", [None, 12])
+def test_markov_scan_matches_loop(name, piece):
+    # Paths of every length up to three kernel blocks, each read whole
+    # (piece None) or in reads of 12 values that carry the state between
+    # them, equal the reference walk on the scalar uniforms.
+    spec = _chain(name)
     for seed in (0, 5):
-        for length in (1, 2, 3, 7, 13, 1000):  # one kernel block each
-            assert np.array_equal(markov_path(spec, seed, length),
-                                  _loop_states(spec, seed, length)), (seed, length)
-    src = markov_source(spec, 5)
-    full = src.batch(0, 1000)
-    for start, count in ((0, 1), (1, 2), (11, 1), (37, 500)):
-        assert np.array_equal(src.batch(start, count), full[start:start + count])
-    # one reader in uneven pieces, and readers from offsets, give the same path
+        ref = _walk(spec, _scalar_uniforms(seed, 0, LONG_PATH))
+        for length in (1, 2, 3, 7, 13, 1000, LONG_PATH):
+            reader = markov_source(spec, seed).reader()
+            step = piece or length
+            got = np.concatenate([reader.read(min(step, length - t))
+                                  for t in range(0, length, step)])
+            assert np.array_equal(got[:, 0], ref[:length]), (seed, length)
+
+
+@pytest.mark.parametrize("name", sorted(MARKOV_CHAINS) + ["fifty-state"])
+def test_markov_walk_matches_reference(name):
+    # One reader in uneven pieces, some longer than a kernel block, and
+    # readers from offsets around the block edges equal the reference walk.
+    spec = _chain(name)
+    ref = _walk(spec, _scalar_uniforms(3, 0, LONG_PATH))
+    src = markov_source(spec, 3)
     reader = src.reader()
-    pieces = [reader.read(c) for c in (1, 0, 2, 13, 11, 500, 473)]
-    assert np.array_equal(np.concatenate(pieces), full) and reader.pos == 1000
-    for start in (1, 11, 12, 37, 999):
-        assert np.array_equal(src.reader(start).read(1000 - start), full[start:])
+    pieces = [reader.read(c) for c in (1, 0, 2, B - 5, 13, B + 40)]
+    pieces.append(reader.read(LONG_PATH - reader.pos))
+    assert np.array_equal(np.concatenate(pieces)[:, 0], ref)
+    for start in (1, B - 1, B, B + 1, LONG_PATH - 1):
+        assert np.array_equal(src.reader(start).read(LONG_PATH - start)[:, 0], ref[start:])
 
 
 def test_markov_constant_chain():
-    spec = MarkovSpec(P=np.array([[1.0]]), phi=np.array([2.5]))
-    assert np.all(markov_path(spec, 3, 50) == 2.5)
-    with pytest.raises(UsageError):
-        markov_path(spec, 3, 0)
+    reader = markov_source(MarkovSpec(P=np.array([[1.0]]), phi=np.array([2.5])), 3).reader()
+    assert np.all(reader.read(50) == 2.5)
+    assert reader.read(0).shape == (0, 1) and reader.pos == 50
+
+
+def _file_digits(path, m: int, start: int, count: int) -> np.ndarray:
+    """Up to count symbols of a digit file from index start, through one reader."""
+    return file_source(path, m).reader(start).read(count)[:, 0]
 
 
 def test_read_digit_file_basic(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("3.14159")
-    assert np.array_equal(read_digit_file(p, 10, 0, 6), [3, 1, 4, 1, 5, 9])
-    assert np.array_equal(read_digit_file(p, 10, 2, 3), [4, 1, 5])
+    assert np.array_equal(_file_digits(p, 10, 0, 6), [3, 1, 4, 1, 5, 9])
+    assert np.array_equal(_file_digits(p, 10, 2, 3), [4, 1, 5])
 
 
 def test_read_digit_file_skips_whitespace(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("1 0\t1\r\n0")
-    assert np.array_equal(read_digit_file(p, 2, 0, 4), [1, 0, 1, 0])
+    assert np.array_equal(_file_digits(p, 2, 0, 4), [1, 0, 1, 0])
 
 
 def test_read_digit_file_rejects_bad_bytes(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("12a4")
     with pytest.raises(DataError, match="offset 2"):
-        read_digit_file(p, 10, 0, 4)
+        _file_digits(p, 10, 0, 4)
     p.write_text("3.14.15")
     with pytest.raises(DataError, match="offset 4"):  # second radix point
-        read_digit_file(p, 10, 0, 5)
+        _file_digits(p, 10, 0, 5)
     p.write_text("012")
     with pytest.raises(DataError, match="offset 2"):  # '2' outside base 2
-        read_digit_file(p, 2, 0, 3)
+        _file_digits(p, 2, 0, 3)
 
 
 def test_read_digit_file_stops_at_request(tmp_path):
     # bytes past the one that completes the request are never examined
     p = tmp_path / "d.txt"
     p.write_text("123x")
-    assert np.array_equal(read_digit_file(p, 10, 0, 3), [1, 2, 3])
+    assert np.array_equal(_file_digits(p, 10, 0, 3), [1, 2, 3])
 
 
 def test_read_digit_file_eof_reports_available(tmp_path):
+    # A read past the end returns the symbols there are; pos counts them.
     p = tmp_path / "d.txt"
     p.write_text("1234567")
-    with pytest.raises(DataError) as err:
-        read_digit_file(p, 10, 0, 9)
-    assert err.value.symbols_available == 7
+    reader = file_source(p, 10).reader()
+    assert reader.read(9).shape == (7, 1) and reader.pos == 7
 
 
 def test_read_digit_file_chunk_independent(tmp_path, monkeypatch):
     p = tmp_path / "d.txt"
     p.write_text("3.1415 9265\n358979")
-    want = read_digit_file(p, 10, 2, 12)
+    want = _file_digits(p, 10, 2, 12)
     monkeypatch.setattr(sources, "_FILE_CHUNK", 3)
-    assert np.array_equal(read_digit_file(p, 10, 2, 12), want)
+    assert np.array_equal(_file_digits(p, 10, 2, 12), want)
     with pytest.raises(DataError, match="offset"):
-        read_digit_file(tmp_path / "d.txt", 2, 0, 3)  # '3' outside base 2
+        _file_digits(p, 2, 0, 3)  # '3' outside base 2
     p.write_text("3.14.15")  # the second radix point is in the second chunk
     with pytest.raises(DataError, match="offset 4"):
-        read_digit_file(p, 10, 0, 5)
-    assert np.array_equal(read_digit_file(p, 10, 0, 3), [3, 1, 4])
+        _file_digits(p, 10, 0, 5)
+    assert np.array_equal(_file_digits(p, 10, 0, 3), [3, 1, 4])
     # the radix point in a later chunk; a reader's uneven pieces and readers
-    # from offsets equal one batch
+    # from offsets equal one read
     p.write_text("  31.4159 2653\n58979")
     src = file_source(p, 10)
-    full = src.symbols(0, 15)
-    assert np.array_equal(full, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9])
+    full = src.reader().read(15)
+    assert np.array_equal(full[:, 0], [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9])
     reader = src.reader()
-    pieces = [reader.symbols(c) for c in (1, 0, 2, 5, 4, 3)]
+    pieces = [reader.read(c) for c in (1, 0, 2, 5, 4, 3)]
     assert np.array_equal(np.concatenate(pieces), full) and reader.pos == 15
-    assert reader.symbols(4).size == 0 and reader.pos == 15  # at EOF: fewer, no error
+    assert len(reader.read(4)) == 0 and reader.pos == 15  # at EOF: fewer, no error
     for start in (1, 2, 7, 14, 15):
-        assert np.array_equal(src.reader(start).symbols(20), full[start:])
-    assert np.array_equal(src.reader(4).read(3)[:, 0], full[4:7])
+        assert np.array_equal(src.reader(start).read(20), full[start:])
 
 
 def test_pi_fixture_contents():
     path = pi_fixture_path()
     assert os.path.exists(path)
-    first = read_digit_file(path, 10, 0, 12)
-    assert np.array_equal(first, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8])
-    with pytest.raises(DataError) as err:
-        read_digit_file(path, 10, 0, 100001)
-    assert err.value.symbols_available == 100000
+    assert np.array_equal(_file_digits(path, 10, 0, 12), [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8])
+    reader = file_source(path, 10).reader()
+    assert len(reader.read(100001)) == reader.pos == 100000
 
 
 def test_file_source_offsets(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("3.14159")
-    src = file_source(p, 10)
-    assert np.array_equal(src.symbols(2, 3), [4, 1, 5])
-    obs = file_source(p, 10, indicator_a=1).batch(0, 6)
-    assert np.array_equal(obs[:, 0], [0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(_file_digits(p, 10, 2, 3), [4, 1, 5])
+    obs = file_source(p, 10, indicator_a=1).reader().read(6)
+    assert obs.dtype == np.uint8
+    assert np.array_equal(obs[:, 0], [0, 1, 0, 1, 0, 0])
 
 
 @pytest.mark.parametrize("kind", ["iid-digit", "iid-bernoulli", "gaussian",
@@ -526,21 +543,22 @@ def test_empty_batch_every_kind(kind, tmp_path):
            "markov-chain": lambda: markov_source(
                MarkovSpec(P=[[0.9, 0.1], [0.1, 0.9]], phi=[[0.0, 1.0], [1.0, 0.0]]), 1),
            "digit-file": lambda: file_source(p, 10)}[kind]()
+    native = np.float64 if kind in ("gaussian", "markov-chain") else np.uint8
     for start in (0, 5):
-        out = src.batch(start, 0)
-        assert out.shape == (0, src.d) and out.dtype == np.float64
+        out = src.reader(start).read(0)
+        assert out.shape == (0, src.d) and out.dtype == native
 
 
 def test_read_digit_file_to_eof(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("3.1415 9265\n358979\n")
-    whole = read_digit_file(p, 10, 0, None)
-    assert np.array_equal(whole, read_digit_file(p, 10, 0, 15))
-    assert whole.dtype == np.int64
-    assert np.array_equal(read_digit_file(p, 10, 13), [7, 9])
-    assert read_digit_file(p, 10, 15).size == 0
-    assert read_digit_file(p, 10, 99, 0).size == 0  # nothing requested, no EOF error
+    whole = _file_digits(p, 10, 0, 100)
+    assert np.array_equal(whole, _file_digits(p, 10, 0, 15))
+    assert whole.dtype == np.uint8 and whole.size == 15
+    assert np.array_equal(_file_digits(p, 10, 13, 100), [7, 9])
+    assert _file_digits(p, 10, 15, 100).size == 0
+    assert _file_digits(p, 10, 99, 0).size == 0  # nothing requested, no EOF error
     p.write_text("31415x")  # a bad byte after the last digit is still seen
     with pytest.raises(DataError, match="offset 5"):
-        read_digit_file(p, 10, 0, None)
-    assert np.array_equal(read_digit_file(p, 10, 0, 5), [3, 1, 4, 1, 5])
+        _file_digits(p, 10, 0, 100)
+    assert np.array_equal(_file_digits(p, 10, 0, 5), [3, 1, 4, 1, 5])
