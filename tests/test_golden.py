@@ -3,18 +3,25 @@
 The digests were recorded from the per-cell writer and the dense Legendre
 transform; any change to how a CSV is computed or formatted shows here as a
 changed digest.  The runs cover the fig1 pipeline (summary included), the
-legendre and freq commands, gen for every generated kind, and the Markov model's conjugate.  Like
+legendre and freq commands, gen for every generated kind, and the Markov model's conjugate.
+REGIME_SHA256 pins the regime layer: the stdout of the regime command (open
+level sides included) and regime_experiment's rows in all three regimes,
+written as CSVs; the critical run at lambda0 = -0.9 has decreasing tilts.  Like
 BOUNDARY_SHA256 in test_sources, the digests assume numpy's float64 exp, log
 and eig round as on the x86-64 build they were recorded with (numpy 2.4).
 """
 
 import hashlib
 import json
+import math
 import os
 
-from blockldp import ExperimentConfig, MarkovSpec, fig1_pipeline, markov_model
+from blockldp import (ExperimentConfig, MarkovSpec, bernoulli_model, bernoulli_source,
+                      digit_indicator_model, digit_source, fig1_pipeline, markov_model,
+                      regime_experiment)
 from blockldp._serialize import make_grid, write_csv
 from blockldp.cli import main
+from blockldp.convex import rate_along
 from blockldp.sources import pi_fixture_path
 
 GOLDEN_SHA256 = {
@@ -42,6 +49,20 @@ GOLDEN_SHA256 = {
     "gen_markov.txt": "87be82f3d101963f97b0467630176d9980a989dae59c3caebd3d36bb9faba2e0",
     "legendre.csv": "a3203402439f677004cbe2a1b6db29bf11f46bf6319108184be093b2cbaef02f",
     "markov_conj.csv": "f5b35721cd3cb1909b065b9775a21bd494d078f867fc11c341f04979e62b71d9",
+}
+
+REGIME_SHA256 = {
+    "regime/bernoulli-0.3-c0.01": "b9e1f755898e7b88e7fc48116f4805dbc14b1bfc05befb9387052e761f1fcd5a",
+    "regime/bernoulli-0.5-c0.1": "1fcaa362c4a7fd9903fc90914be64428ad6cad9fbd414a2cb648daf934f18cca",
+    "regime/digit-0.8": "ce6d4b1f2dcc4482c0847044db481bfef65215438f7a20e247811c7daf9b6c09",
+    "regime/digit-2.0": "e0cf07d0b7ccd4bb17aea5cf06ff844ddeb78698c167f38ea236300107022195",
+    "regime/gaussian-0": "983a1b883b9478de9938bca07ad4fb42e16e40d400906f7648bae20f9a1ddac5",
+    "regime/markov-0.8": "157126431973badb160f804a87c7d31e679d0eac05225caa0dff80ebf7c7f2a8",
+    "regime/markov-0.8-c0.3": "1936c1babbf3701780992f74bc2e3715c46f3b0133054673e0136b3fe8c46dff",
+    "rows/critical-0.8.csv": "fbe47bdb4fe65b23c3c73e4f5f6cdcafe7fb57949f49c06d72c8e965f3e1ae3c",
+    "rows/critical-neg-0.9.csv": "da7b601510c7a675c63936d54f5be27e694821f1219eee9ba30b2611047afbe3",
+    "rows/subcritical.csv": "9eaf5b43d125f693689fc17fd826105fef9f5b0bb648a7260519517fa36e33dd",
+    "rows/supercritical.csv": "cdca65d0cd698367e8f752cb9683b09c62deb18cad9f81b0f975badb000b3242",
 }
 
 
@@ -86,3 +107,37 @@ def test_output_bytes_are_pinned(tmp_path, capsys):
     got = _digests(str(tmp_path))
     assert len(got) == 24
     assert got == GOLDEN_SHA256
+
+
+def test_regime_outputs_are_pinned(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"P": [[0.9, 0.1], [0.2, 0.8]], "phi": [0, 1]}))
+    markov = "markov:" + str(chain)
+    runs = {
+        "digit-0.8": ["--model", "digit:10:0", "--lambda0", "0.8"],
+        "bernoulli-0.5-c0.1": ["--model", "bernoulli:0.5", "--lambda0", "0.5", "--c", "0.1"],
+        "digit-2.0": ["--model", "digit:10:0", "--lambda0", "2.0"],
+        "gaussian-0": ["--model", "gaussian:1", "--lambda0", "0"],
+        "markov-0.8": ["--model", markov, "--lambda0", "0.8"],
+        "markov-0.8-c0.3": ["--model", markov, "--lambda0", "0.8", "--c", "0.3"],
+        "bernoulli-0.3-c0.01": ["--model", "bernoulli:0.3", "--lambda0", "-1.5",
+                                "--c", "0.01"],
+    }
+    got = {}
+    capsys.readouterr()
+    for name, argv in runs.items():
+        assert main(["regime"] + argv) == 0
+        got["regime/" + name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    digit, digits = digit_indicator_model(10, 0), digit_source(0, 10, indicator_a=0)
+    coin, coins = bernoulli_model(0.5), bernoulli_source(0, 0.5)
+    experiments = {
+        "supercritical.csv": (coin, coins, 0.5, 0.10, (20, 40), None),
+        "subcritical.csv": (coin, coins, math.log(9.0), 0.10, (20, 40), 0.2),
+        "critical-0.8.csv": (digit, digits, 0.8, rate_along(digit, 0.8), (20, 40), None),
+        "critical-neg-0.9.csv": (digit, digits, -0.9, rate_along(digit, -0.9), (40, 150),
+                                 None),
+    }
+    for name, (model, source, lambda0, c, n_list, eps) in experiments.items():
+        ev = regime_experiment(model, source, lambda0, c, n_list, (1, 2), eps=eps)
+        got["rows/" + name] = _sha(write_csv(tmp_path / name, ev.columns, ev.rows))
+    assert got == REGIME_SHA256
