@@ -170,29 +170,23 @@ def _merge_tallies(tallies):
 def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
     """Empirical SCGF values at an array of tilt vectors.
 
-    lambdas has shape (G,) for d=1 or (G, d); the value at each lambda is
+    lambdas has shape (G,) for d=1 or (G, d), in any order; each value is
     (1/n) * (M + log(sum_i w_i exp(n <lambda, mean_i> - M) / k)) with M the
     maximum exponent and w the weights, the sum taken with the fixed pairwise
     tree over the rows of stats.means (distinct sums in increasing order for
     a lattice source, block order otherwise).
     """
     lam = np.asarray(lambdas, dtype=np.float64)
-    if lam.ndim == 1 and stats.d != 1:
-        raise UsageError("scalar tilt grid requires d=1 block stats")
-    if lam.ndim == 2 and lam.shape[1] != stats.d:
-        raise UsageError("tilt vectors have dimension %d, stats have d=%d"
-                         % (lam.shape[1], stats.d))
+    vecs = lam[:, None] if lam.ndim == 1 else lam  # a scalar grid is (G, 1)
+    if vecs.ndim != 2 or vecs.shape[1] != stats.d:
+        raise UsageError("tilts of shape %s do not match d=%d block stats"
+                         % (lam.shape, stats.d))
     if not np.all(np.isfinite(stats.means)):
         raise DataError("block means contain non-finite entries")
-    proj = stats.means[:, 0] if lam.ndim == 1 else None
-    out = np.empty(lam.shape[0], dtype=np.float64)
+    out = np.empty(len(vecs), dtype=np.float64)
     gstep = max(1, _CHUNK_VALUES // max(1, stats.means.shape[0]))
-    for g0 in range(0, lam.shape[0], gstep):
-        lam_c = lam[g0 : g0 + gstep]
-        if lam.ndim == 1:
-            t = np.outer(lam_c, proj) * stats.n
-        else:
-            t = (lam_c @ stats.means.T) * stats.n
+    for g0 in range(0, len(vecs), gstep):
+        t = (vecs[g0 : g0 + gstep] @ stats.means.T) * stats.n
         M = t.max(axis=1)
         terms = np.exp(t - M[:, None]) * stats.weights
         mean = pairwise_sum(terms, axis=1) / stats.k

@@ -24,8 +24,7 @@ from ._serialize import (file_checksum, fmt_cell, json_safe, make_grid,
                          read_csv_columns, write_csv, write_rows)
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
                          scgf_values)
-from .convex import (_level_point_side, find_level_points, legendre,
-                     rate_along)
+from .convex import find_level_points, legendre, rate_along
 from .experiments import (ExperimentConfig, RunManifest, brownian_experiment,
                           fig1_pipeline, frequency_test)
 from .models import (bernoulli_model, digit_indicator_model, gaussian_model,
@@ -123,33 +122,34 @@ def _parse_ball(text, d: int):
 
 
 def _build_source(args):
-    """Source from --in or --kind flags; returns (source, checksums, seeds)."""
+    """Source from --in or --kind flags."""
     infile = getattr(args, "infile", None)
     if infile:
-        src = file_source(infile, args.m, indicator_a=getattr(args, "a", None))
-        return src, {os.path.basename(infile): file_checksum(infile)}, []
+        return file_source(infile, args.m, indicator_a=getattr(args, "a", None))
     kind = getattr(args, "kind", None)
     if kind is None:
         raise UsageError("provide --in FILE or --kind")
     seed = int(args.seed)
     if kind == "iid-digit":
-        return digit_source(seed, args.m, indicator_a=getattr(args, "a", None)), {}, [seed]
+        return digit_source(seed, args.m, indicator_a=getattr(args, "a", None))
     if kind == "iid-bernoulli":
-        return bernoulli_source(seed, args.p), {}, [seed]
+        return bernoulli_source(seed, args.p)
     if kind == "gaussian":
-        return gaussian_source(seed, args.d), {}, [seed]
-    return markov_source(_load_markov_file(args.markov_file), seed), {}, [seed]
+        return gaussian_source(seed, args.d)
+    return markov_source(_load_markov_file(args.markov_file), seed)
 
 
-def _finish_manifest(command, args, anchor, files, started, checksums=None,
-                     seeds=None) -> str:
-    """Write <anchor>.manifest.json recording all flags, seeds and outputs."""
+def _finish_manifest(args, anchor, files, started, source=None) -> str:
+    """Write <anchor>.manifest.json recording all flags and outputs, a generated
+    source's seed and the checksum of an input file (the source's or --in)."""
     flags = {key: val for key, val in vars(args).items()
              if key not in ("func", "command")}
-    manifest = RunManifest(command=command, config=flags,
-                           seeds=list(seeds or []), files=list(files),
+    path = args.infile if source is None else source.path
+    checksums = {os.path.basename(path): file_checksum(path)} if path else {}
+    manifest = RunManifest(command=args.command, config=flags,
+                           seeds=[] if path else [source.seed], files=list(files),
                            wallclock_s=round(time.time() - started, 3),
-                           input_checksums=dict(checksums or {}))
+                           input_checksums=checksums)
     return manifest.write(anchor + ".manifest.json")
 
 
@@ -159,13 +159,13 @@ def cmd_gen(args) -> int:
     count = int(args.count)
     if count < 1:
         raise UsageError("count must be >= 1")
-    src, _, seeds = _build_source(args)
+    src = _build_source(args)
     reader = src.reader()
     with open(out, "w", newline="") as fh:
         for start in range(0, count, _GEN_ROWS):
             # Digit and Bernoulli values are uint8 and print as integers.
             write_rows(fh, reader.read(min(_GEN_ROWS, count - start)).tolist(), " ")
-    _finish_manifest("gen", args, out, [out], started, seeds=seeds)
+    _finish_manifest(args, out, [out], started, src)
     print("wrote %d lines to %s" % (count, out))
     return 0
 
@@ -179,7 +179,7 @@ def cmd_analyze(args) -> int:
     if n < 1:
         raise UsageError("n must be >= 1")
     k = int(args.k) if args.k is not None else Schedule(float(args.c)).k(n)
-    src, checksums, seeds = _build_source(args)
+    src = _build_source(args)
     lam = _parse_grid(args.lambda_grid)
     ball = None if args.ball is None else _parse_ball(args.ball, src.d)
     stats = block_means(src, n, k)
@@ -191,7 +191,7 @@ def cmd_analyze(args) -> int:
         root, ext = os.path.splitext(out)
         files.append(write_csv(root + "_ball" + (ext or ".csv"),
                                ["x", "mass"], [(center, mass)]))
-    _finish_manifest("analyze", args, out, files, started, checksums, seeds)
+    _finish_manifest(args, out, files, started, src)
     print("wrote %s (n=%d, k=%d, %d tilt points)" % (out, n, k, lam.size))
     return 0
 
@@ -207,8 +207,7 @@ def cmd_legendre(args) -> int:
                    _parse_grid(args.x_grid))
     files = [write_csv(out, ["x", "value", "argmax_lambda", "boundary"],
                        zip(res.xs, res.values, res.argmax, res.boundary))]
-    checksums = {os.path.basename(args.infile): file_checksum(args.infile)}
-    _finish_manifest("legendre", args, out, files, started, checksums)
+    _finish_manifest(args, out, files, started)
     print("wrote %s (%d conjugate points)" % (out, res.xs.size))
     return 0
 
@@ -225,12 +224,9 @@ def cmd_regime(args) -> int:
     # A side whose level is not attained within the bracket stays open, as
     # in classify: its lambda is -inf or +inf and its x is null.
     if report.threshold > 1e-12:
-        lam1 = _level_point_side(model, report.threshold, -1)
-        lam2 = _level_point_side(model, report.threshold, +1)
-        x1 = None if lam1 is None else float(model.grad(lam1))
-        x2 = None if lam2 is None else float(model.grad(lam2))
-        lam1 = -math.inf if lam1 is None else lam1
-        lam2 = math.inf if lam2 is None else lam2
+        lam1, lam2 = find_level_points(model, report.threshold)
+        x1, x2 = (float(model.grad(lam)) if math.isfinite(lam) else None
+                  for lam in (lam1, lam2))
     else:
         lam1 = lam2 = 0.0
         x1 = x2 = report.x0
@@ -256,6 +252,8 @@ def cmd_brownian(args) -> int:
     started = time.time()
     cfg = ExperimentConfig.from_json(args.config)
     cfg.out_dir = _resolve_out(cfg.out_dir)
+    cfg.check_reads("brownian", ("gaussian",),
+                    ("m", "a", "path", "lambda0", "lambda_grid", "x_grid"))
     for name in ("c", "eps", "R"):
         if getattr(cfg, name) is None:
             raise UsageError("brownian config needs %r" % name)
@@ -279,13 +277,12 @@ def cmd_brownian(args) -> int:
 def cmd_freq(args) -> int:
     started = time.time()
     src = file_source(args.infile, args.m)
-    checksums = {os.path.basename(args.infile): file_checksum(args.infile)}
     res = frequency_test(src, args.n0, args.count)
     if args.out is not None:
         out = _resolve_out(args.out)
         files = [write_csv(out, ["word", "count", "freq"],
                            zip(map(res.word, range(res.counts.size)), res.counts, res.freqs))]
-        _finish_manifest("freq", args, out, files, started, checksums)
+        _finish_manifest(args, out, files, started, src)
     doc = {"m": res.m, "n0": res.n0, "N": res.N, "windows": res.windows,
            "uniform": args.m ** (-float(args.n0)), "max_dev": res.max_dev}
     print(json.dumps(json_safe(doc), indent=2, sort_keys=True))

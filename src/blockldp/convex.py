@@ -155,16 +155,16 @@ def rate_along(model, lam: float) -> float:
     return float(lam * model.grad(lam) - model.lam(lam))
 
 
-def _level_point_side(model, c: float, side: int) -> float | None:
+def _level_point_side(model, c: float, side: int) -> float:
     """Solve g(lambda) = c on one side of 0 (side=+1 right, -1 left).
 
     g vanishes at 0 and is nondecreasing in |lambda| (g'(lambda) =
     lambda * Lambda''(lambda)), so bisection on [0, 50] or [-50, 0] applies.
-    Returns None when the level is not attained inside the bracket.
+    Returns side * inf when the level is not attained inside the bracket.
     """
     outer = side * _LEVEL_BRACKET
     if rate_along(model, outer) < c - _LEVEL_TOL:
-        return None
+        return side * np.inf
     return _bisect(lambda lam: rate_along(model, lam), c, 0.0, outer, _LEVEL_TOL,
                    "level")
 
@@ -172,17 +172,12 @@ def _level_point_side(model, c: float, side: int) -> float | None:
 def find_level_points(model, c: float) -> tuple[float, float]:
     """The two solutions (lambda1 < 0 < lambda2) of Lambda*(Lambda'(lambda)) = c.
 
-    Both solutions satisfy |g(lambda) - c| <= 1e-9.  Raises DataError when
-    the level is not attained on a side within the bracket [-50, 50].
+    Both solutions satisfy |g(lambda) - c| <= 1e-9.  A side whose level is
+    not attained within the bracket [-50, 50] is open: its point is -inf
+    (left) or +inf (right).
     """
     if model.d != 1:
         raise UsageError("find_level_points requires a 1-d model")
     if not c > 0:
         raise UsageError("level must be > 0, got %r" % (c,))
-    lam2 = _level_point_side(model, c, +1)
-    if lam2 is None:
-        raise DataError("level %g not attained for lambda in (0, 50]" % c)
-    lam1 = _level_point_side(model, c, -1)
-    if lam1 is None:
-        raise DataError("level %g not attained for lambda in [-50, 0)" % c)
-    return lam1, lam2
+    return _level_point_side(model, c, -1), _level_point_side(model, c, +1)

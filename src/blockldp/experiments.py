@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from ._errors import DataError, UsageError
 from ._serialize import file_checksum, fmt_cell, grid_spec, json_safe, make_grid, write_csv
-from .blockstats import SampledFunction, ball_mass, block_means, empirical_scgf, local_rate
+from .blockstats import (SampledFunction, ball_mass, block_means, empirical_scgf, local_rate,
+                         scgf_values)
 from .convex import ConjugateResult, grad_estimate, legendre, rate_along
 from .models import ScgfModel, digit_indicator_model
 from .regimes import RegimeReport, Schedule, classify
@@ -96,6 +97,17 @@ class ExperimentConfig:
         cfg.x_list = tuple(tuple(map(float, v)) if isinstance(v, (list, tuple))
                            else float(v) for v in cfg.x_list)
         return cfg
+
+    def check_reads(self, pipeline: str, kinds, unread) -> None:
+        """Raise UsageError unless kind is one of kinds and every key in unread
+        keeps its default: a key the pipeline ignores must not reach its manifest."""
+        if self.kind not in kinds:
+            raise UsageError("config kind %r: %s needs %s"
+                             % (self.kind, pipeline, " or ".join(kinds)))
+        keys = ", ".join(k for k in unread if getattr(self, k) != getattr(type(self), k))
+        if keys:
+            raise UsageError("config sets %s, which %s does not read; leave %s unset"
+                             % (keys, pipeline, keys))
 
     def block_counts(self, schedule: Schedule) -> dict:
         """{n: k(n)} for every n in n_list, after checking n * k(n) <= budget."""
@@ -176,7 +188,7 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     The source yields base-m symbols (counter-based generator or digit file);
     the observable is the 0/1 indicator of symbol a.  The schedule is
     critical at lambda0: c = Lambda*(Lambda'(lambda0)), so a config that
-    sets c raises UsageError.  For each n and seed
+    sets c (or d, gamma, R, x_list or eps) raises UsageError.  For each n and seed
     it emits CSVs of the empirical SCGF on the lambda grid, its absolute
     error against the model, the numerical conjugate on the x grid and the
     derivative estimate, plus a summary of the attained-mean intervals
@@ -188,10 +200,8 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     k = 633: E[max sum] = 27.5 against 150*x2 = 29.7).
     """
     started = time.time()
-    if config.kind not in ("iid-digit", "digit-file"):
-        raise UsageError("fig1 pipeline needs an iid-digit or digit-file source")
-    if config.c is not None:
-        raise UsageError("fig1 runs at the critical c of lambda0; leave c unset")
+    config.check_reads("fig1", ("iid-digit", "digit-file"),
+                       ("d", "c", "gamma", "R", "x_list", "eps"))
     model = digit_indicator_model(config.m, config.a)
     lambda0 = 0.8 if config.lambda0 is None else float(config.lambda0)
     c = rate_along(model, lambda0)
@@ -285,8 +295,7 @@ def regime_experiment(model: ScgfModel, source: SeriesSource, lambda0: float,
         columns = ["n", "seed", "k", "sup_error"]
 
         def tails(stats):
-            emp = empirical_scgf(stats, window)
-            return [(float(np.max(np.abs(emp.values - truth))),)]
+            return [(float(np.max(np.abs(scgf_values(stats, window) - truth))),)]
     elif report.regime == "subcritical":
         if eps is None:
             raise UsageError("subcritical evidence needs the ball radius eps")
@@ -300,14 +309,11 @@ def regime_experiment(model: ScgfModel, source: SeriesSource, lambda0: float,
         ts = (1.0, 1.5, 2.0)
         preds = [report.tilted(t) for t in ts]
         tilts = np.array([t * lambda0 for t in ts])
-        order = np.argsort(tilts)
         columns = ["n", "seed", "k", "t", "empirical", "predicted", "abs_error"]
 
         def tails(stats):
-            emp = empirical_scgf(stats, tilts[order])
-            by_t = {ts[i]: float(emp.values[pos]) for pos, i in enumerate(order)}
-            return [(t, by_t[t], pred, abs(by_t[t] - pred))
-                    for t, pred in zip(ts, preds)]
+            return [(t, emp, pred, abs(emp - pred))
+                    for t, emp, pred in zip(ts, scgf_values(stats, tilts).tolist(), preds)]
     rows = [(n, seed, k) + tuple(tail)
             for seed, n, k, stats in _block_runs(source, Schedule(c), n_list, seeds)
             for tail in tails(stats)]

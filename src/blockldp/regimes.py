@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import UsageError
-from .convex import _level_point_side, rate_along
+from .convex import _level_point_side, find_level_points, rate_along
 
 _TIE_TOL = 1e-12
 _EXP_ARG_CAP = 709.0
@@ -106,10 +106,7 @@ def classify(model, lambda0: float, c: float) -> RegimeReport:
         regime = "subcritical"
     if regime == "supercritical":
         # A side whose level lies beyond the +-50 bracket stays open.
-        hi = _level_point_side(model, c, +1) if c > 0 else None
-        lo = _level_point_side(model, c, -1) if c > 0 else None
-        lo = -np.inf if lo is None else lo
-        hi = np.inf if hi is None else hi
+        lo, hi = find_level_points(model, c) if c > 0 else (-np.inf, np.inf)
         prediction = {
             "claim": "empirical scgf converges uniformly to the model on "
                      "compact subsets of lambda_interval",
@@ -120,10 +117,10 @@ def classify(model, lambda0: float, c: float) -> RegimeReport:
     elif regime == "subcritical":
         side = +1 if x0 > model.grad(0.0) else -1
         # c < Lambda*(x0) puts the level on this side of the mean; at
-        # c = 0 the sublevel region shrinks to the mean itself.  A None
+        # c = 0 the sublevel region shrinks to the mean itself.  An open
         # edge (level beyond the +-50 bracket) leaves eps_max unknown.
         edge = _level_point_side(model, c, side) if c > 0 else 0.0
-        eps_max = None if edge is None else float(abs(x0 - model.grad(edge)))
+        eps_max = float(abs(x0 - model.grad(edge))) if math.isfinite(edge) else None
         prediction = {
             "claim": "balls B(x0, eps) with eps < eps_max are eventually empty",
             "eps_max": eps_max,

@@ -156,7 +156,7 @@ def test_gen_writes_in_batches(kind, tmp_path, monkeypatch, capsys):
     assert main(["gen"] + flags + ["--out", str(out)]) == 0
     # every kind, a Markov chain too, generates one batch at a time
     assert sizes == [7, 7, 7, 2]
-    src, _, _ = cli._build_source(cli.build_parser().parse_args(
+    src = cli._build_source(cli.build_parser().parse_args(
         ["gen"] + flags + ["--out", str(out)]))
     # uint8 digit and Bernoulli values format as integers
     lines = [" ".join(map(fmt_cell, row)) for row in read(src.reader(), 23)]
@@ -490,8 +490,12 @@ def test_fig1_rejects_c(tmp_path, capsys):
     ("brownian", BROWNIAN_SMALL, "kind", None),
     ("fig1", FIG1_SMALL, "out_dir", None),
     ("fig1", dict(FIG1_SMALL, kind="digit-file"), "path", 7),
+    ("fig1", dict(FIG1_SMALL, gamma=0.3, R=2.0), "eps", 0.1),
+    ("brownian", dict(BROWNIAN_SMALL, lambda0=0.7), "m", 3),
+    ("brownian", BROWNIAN_SMALL, "kind", "iid-digit"),
 ], ids=["seeds-float", "seeds-bool", "n_list-float", "x_list-string", "kind-null",
-        "out_dir-null", "path-int"])
+        "out_dir-null", "path-int", "fig1-unread-keys", "brownian-unread-keys",
+        "brownian-digit-kind"])
 def test_config_values_keep_their_json_types(tmp_path, capsys, command, base, key,
                                              val):
     cfg = dict(base, out_dir=str(tmp_path / "out"))

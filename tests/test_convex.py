@@ -221,8 +221,8 @@ def test_level_points_quadratic_and_digit():
 def test_level_points_guards():
     with pytest.raises(UsageError):
         find_level_points(gaussian_model(1), 0.0)
-    with pytest.raises(DataError):  # the Bernoulli rate never exceeds log 2
-        find_level_points(bernoulli_model(0.5), 5.0)
+    # the Bernoulli rate never exceeds log 2: both sides are open
+    assert find_level_points(bernoulli_model(0.5), 5.0) == (-np.inf, np.inf)
     with pytest.raises(UsageError):
         find_level_points(gaussian_model(2), 0.1)
 
