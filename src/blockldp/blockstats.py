@@ -221,9 +221,13 @@ def ball_mass(stats: BlockStats, x, eps: float) -> tuple[int, float]:
     return count, count / stats.k
 
 
-def local_rate(stats: BlockStats, x, eps: float) -> float:
-    """-(1/n) log of the ball mass; +inf sentinel when the ball is empty."""
-    count, mass = ball_mass(stats, x, eps)
+def _ball_rate(count: int, mass: float, n: int) -> float:
+    """-(1/n) log of a ball mass; +inf sentinel when the ball is empty."""
     if count == 0:
         return np.inf
-    return (-np.log(mass) / stats.n) + 0.0
+    return (-np.log(mass) / n) + 0.0
+
+
+def local_rate(stats: BlockStats, x, eps: float) -> float:
+    """-(1/n) log of the ball mass; +inf sentinel when the ball is empty."""
+    return _ball_rate(*ball_mass(stats, x, eps), stats.n)

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from ._errors import DataError, UsageError
 from ._serialize import file_checksum, fmt_cell, grid_spec, json_safe, make_grid, write_csv
-from .blockstats import (SampledFunction, ball_mass, block_means, empirical_scgf, local_rate,
+from .blockstats import (SampledFunction, _ball_rate, ball_mass, block_means, empirical_scgf,
                          scgf_values)
 from .convex import ConjugateResult, grad_estimate, legendre, rate_along
 from .models import ScgfModel, digit_indicator_model
@@ -357,7 +357,7 @@ def brownian_experiment(d: int, R: float, schedule: Schedule, n_list, x_list,
         margin_ok = schedule.c > (1.0 + math.sqrt(eps_n)) * R * R / 2.0
         for x in xs:
             count, mass = ball_mass(stats, x, eps)
-            rate = local_rate(stats, x, eps)
+            rate = _ball_rate(count, mass, stats.n)
             if d == 1:
                 x0 = float(x[0])
                 # Phi(z) = erfc(-z/sqrt(2))/2 at z = (x0 -+ eps) sqrt(n).

@@ -155,9 +155,10 @@ def gaussian_model(d: int) -> ScgfModel:
     return ScgfModel(name="gaussian:%d" % d, d=d, lam=quad, grad=grad, hess=hess, conj=quad)
 
 
-def _spectral(P: np.ndarray, phi: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Rows Lambda, Lambda', Lambda'' of markov_model at the tilts l."""
-    out = np.empty((3, l.size))
+def _spectral(P: np.ndarray, phi: np.ndarray, l: np.ndarray, row: int) -> np.ndarray:
+    """Row `row` (0: Lambda, 1: Lambda', 2: Lambda'') of markov_model at the
+    tilts l, running each chunk's stages only as far as that row needs."""
+    out = np.empty(l.size)
     gstep = max(1, _CHUNK_VALUES // P.size)
     for g0 in range(0, l.size, gstep):
         lc = l[g0 : g0 + gstep]
@@ -168,20 +169,25 @@ def _spectral(P: np.ndarray, phi: np.ndarray, l: np.ndarray) -> np.ndarray:
         shift = expo.max(axis=1)
         T = P * np.exp(expo - shift[:, None])[:, None, :]
         w, R = np.linalg.eig(T)
-        wt, U = np.linalg.eig(np.swapaxes(T, 1, 2))
         top = np.argmax(w.real, axis=1)
         rho = w.real[g, top]
         if not np.all(rho > 0.0):
             raise NumericalError("tilted matrix has no positive Perron root")
+        if row == 0:
+            # P is stochastic, so its Perron root is 1 and Lambda(0) = 0 exactly.
+            out[g0 : g0 + gstep] = shift + np.where(lc == 0.0, 0.0, np.log(rho))
+            continue
+        wt, U = np.linalg.eig(np.swapaxes(T, 1, 2))
         r, u = np.abs(R[g, :, top]), np.abs(U[g, :, np.argmax(wt.real, axis=1)])
         mu = u * r / np.sum(u * r, axis=1, keepdims=True)
+        if row == 1:
+            out[g0 : g0 + gstep] = mu @ phi
+            continue
         cen = phi - (mu @ phi)[:, None]
         # z solves the Poisson equation of cen under the Doob transform Q.
         Q = T * r[:, None, :] / (rho[:, None, None] * r[:, :, None])
         z = np.linalg.solve(np.eye(len(P)) - Q + mu[:, None, :], cen[..., None])[..., 0]
-        # P is stochastic, so its Perron root is 1 and Lambda(0) = 0 exactly.
-        out[:, g0 : g0 + gstep] = (shift + np.where(lc == 0.0, 0.0, np.log(rho)), mu @ phi,
-                                   np.sum(mu * cen * (2.0 * z - cen), axis=1))
+        out[g0 : g0 + gstep] = np.sum(mu * cen * (2.0 * z - cen), axis=1)
     return out
 
 
@@ -190,24 +196,27 @@ def markov_model(spec: MarkovSpec) -> ScgfModel:
 
     Lambda(lambda) = log rho(P_lambda), rho the Perron root of (P_lambda)_{xy}
     = P_{xy} e^{lambda phi(y) - shift}, shift = max_y lambda phi(y) (so no
-    overflow, a linear one-state chain, and Lambda(0) = 0 exactly).  Batched
-    eigen-decompositions of P_lambda and its transpose give rho and Perron
-    vectors r, u; Lambda' = sum u phi r / sum u r, and Lambda'' is the
-    asymptotic variance of phi under the Doob transform Q = P_lambda diag(r) /
-    (rho diag(r)), stationary law mu = u r / sum u r: with c = phi - Lambda'
-    and (I - Q + 1 mu^T) z = c, Lambda'' = sum mu c (2z - c).  All three are
+    overflow, a linear one-state chain, and Lambda(0) = 0 exactly).  Each call
+    pays only for the derivative it returns, per chunk of tilts:
+    Lambda costs one batched eigen-decomposition of P_lambda; Lambda' adds one
+    of its transpose for the Perron vectors r, u and returns sum u phi r /
+    sum u r; Lambda'' adds one batched solve for the asymptotic variance of
+    phi under the Doob transform Q = P_lambda diag(r) / (rho diag(r)),
+    stationary law mu = u r / sum u r: with c = phi - Lambda' and
+    (I - Q + 1 mu^T) z = c, Lambda'' = sum mu c (2z - c).  All three are
     float-accurate (about 1e-15 on small well-conditioned chains).  The
-    conjugate is the numerical Legendre transform of Lambda sampled on
-    [-20, 20] at step 0.005 (a discrete sup, so values at tilts exposed
-    outside that grid are lower bounds), O(8001 + X) for X slopes by the
-    hull sweep of convex.legendre once the sample is cached.
+    conjugate is +inf outside [min phi, max phi]; inside, it is the numerical
+    Legendre transform of Lambda sampled on [-20, 20] at step 0.005 (a
+    discrete sup, so values at tilts exposed outside that grid are lower
+    bounds), O(8001 + X) for X slopes by the hull sweep of convex.legendre
+    once the sample is cached.
     """
     if spec.phi.ndim != 1:
         raise UsageError("markov_model requires a scalar observable")
     P, phi = spec.P, spec.phi
 
     def view(row):
-        return _scalarized(lambda l: _spectral(P, phi, l)[row])
+        return _scalarized(lambda l: _spectral(P, phi, l, row))
 
     lam, grad, hess = view(0), view(1), view(2)
 
@@ -216,7 +225,9 @@ def markov_model(spec: MarkovSpec) -> ScgfModel:
         grid = -20.0 + 0.005 * np.arange(8001)
         return SampledFunction(grid=grid, values=lam(grid))
 
-    conj = _scalarized(lambda x: legendre(sampled(), x).values)
+    lo, hi = phi.min(), phi.max()
+    conj = _scalarized(lambda x: np.where((x < lo) | (x > hi), np.inf,
+                                          legendre(sampled(), x).values))
     return ScgfModel(name="markov:%d-state" % spec.s, d=1, lam=lam, grad=grad,
                      hess=hess, conj=conj)
 

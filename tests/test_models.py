@@ -1,5 +1,6 @@
 """Tests for the closed-form and spectral SCGF models."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from blockldp import (MarkovSpec, NumericalError, UsageError, bernoulli_model,
                       digit_indicator_model, exact_prefix_scgf, gaussian_model,
-                      markov_model, models)
+                      markov_model, models, predict_empty)
 
 # Spectral and finite-n values for the two-state chain with stay probability
 # 0.9 and the state-1 indicator observable, frozen from a 40-digit evaluation
@@ -19,6 +20,18 @@ SYM_PREFIX = {
     (1.0, 12): 0.86155693744534841,
     (-1.0, 6): -0.17838802178157572,
     (-1.0, 12): -0.13844306255465159,
+}
+
+
+# sha256 of the float64 bytes of lam, grad and hess on the tilts -6:6:0.01
+# (1,201 points), recorded before the spectral rows were staged.
+SPECTRAL_ROW_SHA256 = {
+    ("symmetric", "lam"): "4cc958a334c707e0d636a2712863d934bca653eb7fb1734290b9254010a6ee03",
+    ("symmetric", "grad"): "1a9c4e8c722c1b54f92b764f1f97ae80e0939c3f603b674403f9711cd95164e6",
+    ("symmetric", "hess"): "a238c89592ef53f296b4720fda14bef3021a1ebb47394ac809036b6302a49880",
+    ("three-state", "lam"): "7b25312d6d4cf3e64a05d03bc4be9b9637bbc870fe5045b784ff44413c66a4d4",
+    ("three-state", "grad"): "dd11e911d6f82c3768ddc2d73928ff3d46972c4dbfada00f4d0c549ed82ee184",
+    ("three-state", "hess"): "6bd67daac0afed28cdbb8e78998fb1eb09a44e3f0a7d56b8d1ea47078ae46323",
 }
 
 
@@ -189,12 +202,37 @@ def test_markov_one_state_is_linear():
     mdl = markov_model(MarkovSpec(P=np.array([[1.0]]), phi=np.array([2.5])))
     for lam in (-3.0, 0.0, 0.7, 10.0):
         assert float(mdl.lam(lam)) == lam * 2.5
-    for bad in (np.nan, np.inf):  # exit code 3
-        with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
-            markov_model(_sym_chain()).lam(np.array([0.5, bad]))
+    chain = markov_model(_sym_chain())
+    for field in ("lam", "grad", "hess"):
+        for bad in (np.nan, np.inf):  # exit code 3
+            with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+                getattr(chain, field)(np.array([0.5, bad]))
     with pytest.raises(UsageError):  # vector observables are not supported
         markov_model(MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]),
                                 phi=np.array([[0.0, 1.0], [1.0, 0.0]])))
+
+
+@pytest.mark.parametrize("name, spec", [("symmetric", _sym_chain()),
+                                        ("three-state", _three_chain())])
+def test_markov_spectral_rows_are_pinned(name, spec):
+    grid = -6.0 + 0.01 * np.arange(1201)
+    mdl = markov_model(spec)
+    for field in ("lam", "grad", "hess"):
+        got = hashlib.sha256(getattr(mdl, field)(grid).tobytes()).hexdigest()
+        assert got == SPECTRAL_ROW_SHA256[name, field], field
+
+
+def test_markov_conjugate_infinite_outside_mean_range():
+    mdl = markov_model(_sym_chain())
+    for x in (-0.5, -1e-9, 1.0 + 1e-9, 1.5):
+        assert mdl.conj(x) == np.inf, x
+    assert np.all(np.isfinite(mdl.conj(np.array([0.001, 0.5, 0.999]))))
+    one = markov_model(MarkovSpec(P=np.array([[1.0]]), phi=np.array([2.5])))
+    assert one.conj(2.4) == one.conj(2.6) == np.inf
+    # a ball beyond the range is empty from n = 1, as under the Bernoulli law
+    pred = predict_empty(mdl, 1.2, 0.1, 0.05)
+    assert pred.claim and pred.inf_rate == np.inf and pred.heuristic_onset_n == 1
+    assert pred == predict_empty(bernoulli_model(0.5), 1.2, 0.1, 0.05)
 
 
 def test_markov_conjugate_duality_loose():
