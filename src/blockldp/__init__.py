@@ -17,11 +17,9 @@ from .sources import (MarkovSpec, Reader, SeriesSource, bernoulli_source, digit_
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
                          empirical_scgf, local_rate, pairwise_sum, scgf_values)
 from .models import (ScgfModel, bernoulli_model, digit_indicator_model,
-                     exact_prefix_scgf, gaussian_model, markov_model)
-from .convex import (ConjugateResult, find_level_points, grad_estimate,
-                     legendre, solve_slope)
-from .regimes import (EmptinessPrediction, EnvelopeResult, RegimeReport,
-                      Schedule, classify, envelope, predict_empty)
+                     gaussian_model, markov_model)
+from .convex import ConjugateResult, find_level_points, grad_estimate, legendre
+from .regimes import RegimeReport, Schedule, classify
 from .experiments import (BrownianResult, ExperimentConfig, Fig1Result,
                           FrequencyResult, RegimeEvidence, RunManifest,
                           brownian_experiment, fig1_pipeline, frequency_test,
@@ -35,12 +33,10 @@ __all__ = [
     "pi_fixture_path",
     "BlockStats", "SampledFunction", "ball_mass", "block_means",
     "empirical_scgf", "local_rate", "pairwise_sum", "scgf_values",
-    "ScgfModel", "bernoulli_model", "digit_indicator_model",
-    "exact_prefix_scgf", "gaussian_model", "markov_model",
+    "ScgfModel", "bernoulli_model", "digit_indicator_model", "gaussian_model",
+    "markov_model",
     "ConjugateResult", "find_level_points", "grad_estimate", "legendre",
-    "solve_slope",
-    "EmptinessPrediction", "EnvelopeResult", "RegimeReport", "Schedule",
-    "classify", "envelope", "predict_empty",
+    "RegimeReport", "Schedule", "classify",
     "BrownianResult", "ExperimentConfig", "Fig1Result", "FrequencyResult",
     "RegimeEvidence", "RunManifest", "brownian_experiment", "fig1_pipeline",
     "frequency_test", "regime_experiment",

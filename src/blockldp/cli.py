@@ -113,6 +113,8 @@ def _parse_ball(text, d: int):
         vals = [float(p) for p in str(text).split(",")]
     except ValueError:
         raise UsageError("--ball %r must be numeric x1,...,xd,eps" % text)
+    if not all(map(math.isfinite, vals)):
+        raise UsageError("--ball %r must list finite values" % text)
     if len(vals) != d + 1:
         raise UsageError("--ball needs %d center coordinates plus a radius" % d)
     eps = vals[-1]

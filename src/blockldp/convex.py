@@ -16,8 +16,6 @@ from .blockstats import SampledFunction
 
 _LEVEL_BRACKET = 50.0
 _LEVEL_TOL = 1e-9
-_SLOPE_TOL = 1e-10
-_SLOPE_EXPAND_CAP = 2.0 ** 60
 
 
 @dataclass(frozen=True)
@@ -107,51 +105,15 @@ def grad_estimate(f: SampledFunction) -> SampledFunction:
     return SampledFunction(grid=f.grid, values=np.gradient(f.values, h, edge_order=2))
 
 
-def _bisect(fn, target: float, lo: float, hi: float, tol: float, what: str) -> float:
-    """Halve [lo, hi] up to 500 times until |fn(mid) - target| <= tol; fn is
-    monotone, below target at lo and above at hi (lo may exceed hi)."""
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if abs(fm - target) <= tol:
-            return mid
-        if fm < target:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalError("%s bisection did not reach tolerance %g" % (what, tol))
-
-
-def solve_slope(model, x: float) -> float:
-    """The tilt lambda with Lambda'(lambda) = x, for a 1-d model.
-
-    Bisection on the nondecreasing derivative, bracket auto-expanded, down
-    to |Lambda'(lambda) - x| <= 1e-10.  Raises DataError when x is outside
-    the attainable slopes.
-    """
-    if model.d != 1:
-        raise UsageError("solve_slope requires a 1-d model")
-    x = float(x)
-    if not np.isfinite(x):
-        raise UsageError("target slope must be finite")
-    lo, hi = -1.0, 1.0
-    while model.grad(lo) >= x:
-        lo *= 2.0
-        if -lo > _SLOPE_EXPAND_CAP:
-            raise DataError("x=%r is at or below the attainable slope range" % (x,))
-    while model.grad(hi) <= x:
-        hi *= 2.0
-        if hi > _SLOPE_EXPAND_CAP:
-            raise DataError("x=%r is at or above the attainable slope range" % (x,))
-    return _bisect(model.grad, x, lo, hi, _SLOPE_TOL, "slope")
-
-
 def rate_along(model, lam: float) -> float:
     """g(lambda) = Lambda*(Lambda'(lambda)) of a 1-d model via the duality identity.
 
     g(lambda) = lambda * Lambda'(lambda) - Lambda(lambda), exact at exposed
     points.  At the tilt lambda0 it is the critical schedule exponent.
+    Raises UsageError for a non-finite tilt.
     """
+    if not np.isfinite(lam):
+        raise UsageError("tilt lambda=%g must be finite" % (lam,))
     return float(lam * model.grad(lam) - model.lam(lam))
 
 
@@ -159,14 +121,24 @@ def _level_point_side(model, c: float, side: int) -> float:
     """Solve g(lambda) = c on one side of 0 (side=+1 right, -1 left).
 
     g vanishes at 0 and is nondecreasing in |lambda| (g'(lambda) =
-    lambda * Lambda''(lambda)), so bisection on [0, 50] or [-50, 0] applies.
-    Returns side * inf when the level is not attained inside the bracket.
+    lambda * Lambda''(lambda)), so bisection on [0, 50] or [-50, 0] applies:
+    up to 500 halvings until |g(mid) - c| <= 1e-9.  Returns side * inf when
+    the level is not attained inside the bracket.
     """
     outer = side * _LEVEL_BRACKET
     if rate_along(model, outer) < c - _LEVEL_TOL:
         return side * np.inf
-    return _bisect(lambda lam: rate_along(model, lam), c, 0.0, outer, _LEVEL_TOL,
-                   "level")
+    lo, hi = 0.0, outer
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        g = rate_along(model, mid)
+        if abs(g - c) <= _LEVEL_TOL:
+            return mid
+        if g < c:
+            lo = mid
+        else:
+            hi = mid
+    raise NumericalError("level bisection did not reach tolerance %g" % _LEVEL_TOL)
 
 
 def find_level_points(model, c: float) -> tuple[float, float]:

@@ -95,8 +95,9 @@ def classify(model, lambda0: float, c: float) -> RegimeReport:
         raise UsageError("classify requires a 1-d model")
     Schedule(c)  # validates c
     lambda0 = float(lambda0)
-    x0 = float(model.grad(lambda0))
+    # rate_along first: it refuses a non-finite lambda0 before grad sees it.
     threshold = rate_along(model, lambda0)
+    x0 = float(model.grad(lambda0))
     diff = c - threshold
     if abs(diff) <= _TIE_TOL:
         regime = "critical"
@@ -137,100 +138,3 @@ def classify(model, lambda0: float, c: float) -> RegimeReport:
         }
     return RegimeReport(regime=regime, lambda0=lambda0, x0=x0,
                         threshold=threshold, c=float(c), prediction=prediction)
-
-
-@dataclass(frozen=True)
-class EnvelopeResult:
-    """Uniform error envelope over a tilt window plus the validity flag."""
-
-    xi1: float
-    xi2: float
-    eps_n: float
-    value: float
-    valid: bool
-
-
-def envelope(model, B: tuple[float, float], rho: float, gamma: float,
-             gamma_prime: float, n: int, eta: float = 1.0) -> EnvelopeResult:
-    """Error envelope E(n, eta) = (eta + 2 xi1(B)) * eps_n for iid sources.
-
-    xi1(B) = sup |Lambda'| over B and xi2(B_rho) = sup of
-    (1/2) lambda^2 Lambda'' over the rho-enlargement of B, both by dense
-    grid scan with spacing at most rho/100 (endpoints included exactly);
-    eps_n = gamma * log(n) / n.  The flag checks the schedule validity
-    condition sqrt(gamma * gamma_prime) > d + 2 + gamma * xi2(B_rho).
-    eta is the free slack parameter of the envelope.
-    """
-    if model.d != 1:
-        raise UsageError("envelope requires a 1-d model")
-    lo, hi = float(B[0]), float(B[1])
-    if not lo < hi:
-        raise UsageError("tilt window must satisfy lo < hi")
-    if not (rho > 0 and gamma > 0 and gamma_prime > 0):
-        raise UsageError("rho, gamma and gamma_prime must be > 0")
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    step = rho / 100.0
-
-    def scan(a, b):
-        pts = max(2, math.ceil((b - a) / step) + 1)
-        return np.linspace(a, b, pts)
-
-    xi1 = float(np.max(np.abs(model.grad(scan(lo, hi)))))
-    grid_rho = scan(lo - rho, hi + rho)
-    xi2 = float(np.max(0.5 * grid_rho * grid_rho * model.hess(grid_rho)))
-    eps_n = gamma * math.log(n) / n
-    value = (eta + 2.0 * xi1) * eps_n
-    valid = math.sqrt(gamma * gamma_prime) > model.d + 2.0 + gamma * xi2
-    return EnvelopeResult(xi1=xi1, xi2=xi2, eps_n=eps_n, value=value, valid=valid)
-
-
-@dataclass(frozen=True)
-class EmptinessPrediction:
-    """Union-bound heuristic for when a subcritical ball should empty out.
-
-    heuristic_onset_n is the smallest n with e^{c n} * e^{-n inf} < 1e-3,
-    inf being the infimum of Lambda* over the closed ball; it is a heuristic
-    onset, not a theorem (the limit statement guarantees only eventual
-    emptiness).  claim is False when the ball touches the region where the
-    rate is at most c (its mass then does not vanish).
-    """
-
-    claim: bool
-    heuristic_onset_n: int | None
-    inf_rate: float
-    c: float
-
-
-def predict_empty(model, x0: float, c: float, eps: float) -> EmptinessPrediction:
-    """Eventual-emptiness prediction for the ball B(x0, eps), 1-d models.
-
-    Requires the subcritical regime at x0 (c < Lambda*(x0) beyond the 1e-12
-    tie tolerance); raises UsageError otherwise.
-    """
-    if model.d != 1:
-        raise UsageError("predict_empty requires a 1-d model")
-    if not eps > 0:
-        raise UsageError("ball radius must be > 0")
-    Schedule(c)  # validates c
-    rate_x0 = model.conj(float(x0))
-    if not c < rate_x0 - _TIE_TOL:
-        raise UsageError(
-            "regime at x0=%g is not subcritical: c=%g vs Lambda*(x0)=%g"
-            % (x0, c, rate_x0))
-    mean = model.grad(0.0)
-    lo, hi = x0 - eps, x0 + eps
-    if lo <= mean <= hi:
-        inf_rate = 0.0
-    else:
-        edge = lo if mean < lo else hi
-        inf_rate = float(model.conj(edge))
-    if inf_rate <= c:
-        return EmptinessPrediction(claim=False, heuristic_onset_n=None,
-                                   inf_rate=inf_rate, c=float(c))
-    if math.isinf(inf_rate):
-        return EmptinessPrediction(claim=True, heuristic_onset_n=1,
-                                   inf_rate=inf_rate, c=float(c))
-    n_star = math.floor(math.log(1000.0) / (inf_rate - c)) + 1
-    return EmptinessPrediction(claim=True, heuristic_onset_n=n_star,
-                               inf_rate=inf_rate, c=float(c))

@@ -27,12 +27,13 @@ from scipy.stats import binom
 from blockldp import (BlockStats, ExperimentConfig, MarkovSpec, Schedule,
                       SampledFunction, bernoulli_model, bernoulli_source,
                       block_means, brownian_experiment, digit_indicator_model,
-                      digit_source, empirical_scgf, exact_prefix_scgf,
-                      fig1_pipeline, frequency_test, gaussian_model, legendre,
-                      markov_model, pi_fixture_path, regime_experiment,
-                      scgf_values)
+                      digit_source, empirical_scgf, fig1_pipeline,
+                      frequency_test, gaussian_model, legendre, markov_model,
+                      pi_fixture_path, regime_experiment, scgf_values)
 from blockldp._serialize import make_grid, write_csv
 from blockldp.cli import main
+
+from _reference import exact_prefix_scgf
 
 # closed-form reference values, frozen from a 40-digit evaluation
 DIGIT_THRESHOLD = 0.04299898970786353   # 0.8 L'(0.8) - L(0.8), digit:10:0

@@ -42,6 +42,10 @@ def test_usage_exit_codes(tmp_path, capsys):
     assert main(["regime", "--model", "nope:1", "--lambda0", "0.5"]) == 2
     assert main(["regime", "--model", "bernoulli:2.0", "--lambda0", "0.5"]) == 2
     assert main(["regime", "--model", "gaussian:2", "--lambda0", "0.5"]) == 2
+    capsys.readouterr()
+    for lambda0 in ("nan", "inf"):
+        assert main(["regime", "--model", "bernoulli:0.5", "--lambda0", lambda0]) == 2
+        assert "tilt" in capsys.readouterr().err
     out = str(tmp_path / "x.csv")
     base = ["analyze", "--kind", "iid-digit", "--n", "5", "--out", out]
     assert main(base) == 2                      # neither --k nor --c
@@ -234,10 +238,12 @@ def test_analyze_known_values(tmp_path, capsys):
 
 def test_analyze_bad_ball_writes_nothing(tmp_path, capsys):
     out = tmp_path / "scgf.csv"
-    code = main(["analyze", "--kind", "iid-digit", "--n", "5", "--k", "2",
-                 "--lambda-grid", "0,1", "--ball", "0.1", "--out", str(out)])
-    assert code == 2  # a center but no radius
-    assert not out.exists()
+    # a center but no radius; a non-finite center; a non-finite radius
+    for ball in ("0.1", "nan,0.1", "0,inf"):
+        code = main(["analyze", "--kind", "iid-digit", "--n", "5", "--k", "2",
+                     "--lambda-grid", "0,1", "--ball", ball, "--out", str(out)])
+        assert code == 2, ball
+        assert not out.exists()
     capsys.readouterr()
 
 
@@ -462,6 +468,10 @@ def test_fig1_cli_and_bad_config(tmp_path, capsys):
                      ("a", 1.5), ("a", True), ("p", 0.5), ("gamma_prime", 1.0)):
         p.write_text(json.dumps(dict(cfg, **{key: val})))
         assert main(["fig1", "--config", str(p)]) == 2, (key, val)
+    capsys.readouterr()
+    p.write_text(json.dumps(dict(cfg, lambda0=math.nan)))  # the bare NaN literal
+    assert main(["fig1", "--config", str(p)]) == 2
+    assert "tilt" in capsys.readouterr().err
     assert main(["fig1", "--config", str(tmp_path / "nope.json")]) == 4
     capsys.readouterr()
 

@@ -6,7 +6,7 @@ import pytest
 from blockldp import (BlockStats, DataError, SampledFunction, UsageError,
                       bernoulli_model, digit_indicator_model, empirical_scgf,
                       find_level_points, gaussian_model, grad_estimate,
-                      legendre, solve_slope)
+                      legendre)
 from blockldp._serialize import make_grid
 
 DIGIT_THRESHOLD = 0.04299898970786353  # 0.8 * L'(0.8) - L(0.8), digit:10:0
@@ -188,24 +188,6 @@ def test_grad_estimate_grid_guards():
                                       values=np.array([0.0, np.inf, 2.0])))
 
 
-def test_solve_slope_examples():
-    mdl = digit_indicator_model(10, 0)
-    assert abs(solve_slope(mdl, 0.19825689850220396) - 0.8) <= 1e-8
-    assert abs(solve_slope(bernoulli_model(0.25), 0.25)) <= 1e-9
-    assert solve_slope(gaussian_model(1), 0.37) == pytest.approx(0.37, abs=1e-9)
-
-
-def test_solve_slope_out_of_range():
-    mdl = bernoulli_model(0.5)
-    for x in (-0.2, 0.0, 1.0, 1.4):
-        with pytest.raises(DataError):
-            solve_slope(mdl, x)
-    with pytest.raises(UsageError):
-        solve_slope(mdl, np.inf)
-    with pytest.raises(UsageError):
-        solve_slope(gaussian_model(2), 0.5)
-
-
 def test_level_points_quadratic_and_digit():
     lam1, lam2 = find_level_points(gaussian_model(1), 0.125)
     assert lam1 == pytest.approx(-0.5, abs=1e-7)
@@ -228,9 +210,7 @@ def test_level_points_guards():
 
 
 def test_shared_bisection_values_pinned():
-    # Bit-exact results of the slope and level bisections on digit:10:0.
+    # Bit-exact results of the level bisection on digit:10:0.
     model = digit_indicator_model(10, 0)
-    assert [solve_slope(model, x) for x in (0.05, 0.3, 0.9)] == [
-        -0.7472144030034542, 1.3499267166480422, 4.39444915461354]
     assert find_level_points(model, 0.05) == (-1.6567451879382133, 0.8524678181856871)
     assert find_level_points(model, 0.1) == (-4.786078631877899, 1.1349048523698002)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from blockldp import (MarkovSpec, NumericalError, UsageError, bernoulli_model,
-                      digit_indicator_model, exact_prefix_scgf, gaussian_model,
-                      markov_model, models, predict_empty)
+                      digit_indicator_model, gaussian_model, markov_model, models)
+
+from _reference import exact_prefix_scgf
 
 # Spectral and finite-n values for the two-state chain with stay probability
 # 0.9 and the state-1 indicator observable, frozen from a 40-digit evaluation
@@ -229,10 +230,6 @@ def test_markov_conjugate_infinite_outside_mean_range():
     assert np.all(np.isfinite(mdl.conj(np.array([0.001, 0.5, 0.999]))))
     one = markov_model(MarkovSpec(P=np.array([[1.0]]), phi=np.array([2.5])))
     assert one.conj(2.4) == one.conj(2.6) == np.inf
-    # a ball beyond the range is empty from n = 1, as under the Bernoulli law
-    pred = predict_empty(mdl, 1.2, 0.1, 0.05)
-    assert pred.claim and pred.inf_rate == np.inf and pred.heuristic_onset_n == 1
-    assert pred == predict_empty(bernoulli_model(0.5), 1.2, 0.1, 0.05)
 
 
 def test_markov_conjugate_duality_loose():

@@ -1,13 +1,12 @@
-"""Tests for schedules, regime classification, envelopes and emptiness."""
+"""Tests for schedules and regime classification."""
 
 import math
 
 import numpy as np
 import pytest
 
-from blockldp import (Schedule, UsageError, bernoulli_model, classify,
-                      digit_indicator_model, envelope, gaussian_model,
-                      predict_empty)
+from blockldp import (MarkovSpec, Schedule, UsageError, bernoulli_model, classify,
+                      digit_indicator_model, gaussian_model, markov_model)
 
 # frozen closed-form constants for the digit:10:0 model at lambda0 = 0.8
 DIGIT_THRESHOLD = 0.04299898970786353
@@ -75,6 +74,13 @@ def test_classify_requires_1d_model():
     # vector report would need level sets that classify does not compute.
     with pytest.raises(UsageError, match="1-d model"):
         classify(gaussian_model(2), [0.5, 0.5], 0.5)
+    # A non-finite lambda0 is refused by name, before any model derivative.
+    chain = markov_model(MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]),
+                                    phi=np.array([0.0, 1.0])))
+    for mdl, lambda0 in ((bernoulli_model(0.5), math.nan), (gaussian_model(1), math.inf),
+                         (chain, math.nan), (chain, -math.inf)):
+        with pytest.raises(UsageError, match="tilt"):
+            classify(mdl, lambda0, 0.1)
 
 
 def test_supercritical_prediction_interval():
@@ -111,71 +117,3 @@ def test_subcritical_prediction_eps_max():
     assert rep.regime == "subcritical"
     assert rep.x0 == pytest.approx(0.9, abs=1e-12)
     assert rep.prediction["eps_max"] == pytest.approx(BERN_EPS_MAX, abs=1e-8)
-
-
-def test_envelope_suprema_and_flag():
-    mdl = gaussian_model(1)
-    res = envelope(mdl, (-1.0, 1.0), 0.5, 9.0, 9.0, 100)
-    assert res.xi1 == pytest.approx(1.0, abs=1e-12)
-    assert res.xi2 == pytest.approx(1.125, abs=1e-12)
-    assert res.eps_n == pytest.approx(9.0 * math.log(100) / 100, rel=1e-15)
-    assert res.value == pytest.approx((1.0 + 2.0 * res.xi1) * res.eps_n,
-                                      rel=1e-15)
-    assert res.valid is False  # sqrt(81) = 9 < 1 + 2 + 9 * 1.125
-    ok = envelope(mdl, (-1.0, 1.0), 0.5, 2.0, 200.0, 100)
-    assert ok.valid is True    # sqrt(400) = 20 > 3 + 2 * 1.125
-
-
-def test_envelope_digit_monotone_gradient():
-    mdl = digit_indicator_model(10, 0)
-    res = envelope(mdl, (-1.45, 0.8), 0.5, 9.0, 9.0, 100)
-    # |L'| is increasing here, so the sup sits exactly at the right endpoint
-    assert res.xi1 == float(mdl.grad(0.8))
-
-
-def test_envelope_eta_and_guards():
-    mdl = gaussian_model(1)
-    base = envelope(mdl, (-1.0, 1.0), 0.5, 9.0, 9.0, 100, eta=1.0)
-    wide = envelope(mdl, (-1.0, 1.0), 0.5, 9.0, 9.0, 100, eta=2.0)
-    assert wide.value == pytest.approx(base.value + base.eps_n, rel=1e-12)
-    with pytest.raises(UsageError):
-        envelope(mdl, (1.0, -1.0), 0.5, 9.0, 9.0, 100)
-    with pytest.raises(UsageError):
-        envelope(mdl, (-1.0, 1.0), 0.0, 9.0, 9.0, 100)
-    with pytest.raises(UsageError):
-        envelope(gaussian_model(2), (-1.0, 1.0), 0.5, 9.0, 9.0, 100)
-
-
-def test_predict_empty_bernoulli_onset():
-    pred = predict_empty(bernoulli_model(0.5), 0.9, 0.1, 0.05)
-    assert pred.claim and pred.heuristic_onset_n == 41
-    assert pred.inf_rate == pytest.approx(0.27043809275395444, abs=1e-12)
-
-
-def test_predict_empty_gaussian_onset():
-    pred = predict_empty(gaussian_model(1), 2.0, 1.0, 0.5)
-    assert pred.claim and pred.heuristic_onset_n == 56
-    assert pred.inf_rate == pytest.approx(1.125, rel=1e-15)
-
-
-def test_predict_empty_withdrawn_claims():
-    # ball containing the mean: the mass cannot vanish
-    pred = predict_empty(bernoulli_model(0.5), 0.62, 0.001, 0.2)
-    assert pred.claim is False and pred.heuristic_onset_n is None
-    assert pred.inf_rate == 0.0
-    # rate on the near edge below c: growth wins, claim withdrawn
-    pred2 = predict_empty(bernoulli_model(0.5), 0.62, 0.02, 0.05)
-    assert pred2.claim is False and 0.0 < pred2.inf_rate < 0.02
-    # rate infinite on the whole ball: empty from the first n
-    pred3 = predict_empty(bernoulli_model(0.5), 1.2, 0.1, 0.05)
-    assert pred3.claim and pred3.heuristic_onset_n == 1
-    assert math.isinf(pred3.inf_rate)
-
-
-def test_predict_empty_guards():
-    with pytest.raises(UsageError):  # supercritical pair rejected
-        predict_empty(gaussian_model(1), 0.5, 1.0, 0.1)
-    with pytest.raises(UsageError):
-        predict_empty(bernoulli_model(0.5), 0.9, 0.1, 0.0)
-    with pytest.raises(UsageError):
-        predict_empty(gaussian_model(2), 2.0, 1.0, 0.5)
