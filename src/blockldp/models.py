@@ -168,7 +168,10 @@ def _spectral(P: np.ndarray, phi: np.ndarray, l: np.ndarray, row: int) -> np.nda
             raise NumericalError("tilted matrix is not finite (non-finite tilt)")
         shift = expo.max(axis=1)
         T = P * np.exp(expo - shift[:, None])[:, None, :]
-        w, R = np.linalg.eig(T)
+        if row == 0:
+            w = np.linalg.eigvals(T)
+        else:
+            w, R = np.linalg.eig(T)
         top = np.argmax(w.real, axis=1)
         rho = w.real[g, top]
         if not np.all(rho > 0.0):
@@ -198,8 +201,9 @@ def markov_model(spec: MarkovSpec) -> ScgfModel:
     = P_{xy} e^{lambda phi(y) - shift}, shift = max_y lambda phi(y) (so no
     overflow, a linear one-state chain, and Lambda(0) = 0 exactly).  Each call
     pays only for the derivative it returns, per chunk of tilts:
-    Lambda costs one batched eigen-decomposition of P_lambda; Lambda' adds one
-    of its transpose for the Perron vectors r, u and returns sum u phi r /
+    Lambda costs one batched eigenvalue computation of P_lambda, with no
+    eigenvectors; Lambda' takes its eigen-decomposition and one of its
+    transpose for the Perron vectors r, u and returns sum u phi r /
     sum u r; Lambda'' adds one batched solve for the asymptotic variance of
     phi under the Doob transform Q = P_lambda diag(r) / (rho diag(r)),
     stationary law mu = u r / sum u r: with c = phi - Lambda' and

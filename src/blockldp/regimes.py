@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import UsageError
-from .convex import _level_point_side, find_level_points, rate_along
+from .convex import _level_point_side, _rate_and_slope, find_level_points
 
 _TIE_TOL = 1e-12
 _EXP_ARG_CAP = 709.0
@@ -95,9 +95,9 @@ def classify(model, lambda0: float, c: float) -> RegimeReport:
         raise UsageError("classify requires a 1-d model")
     Schedule(c)  # validates c
     lambda0 = float(lambda0)
-    # rate_along first: it refuses a non-finite lambda0 before grad sees it.
-    threshold = rate_along(model, lambda0)
-    x0 = float(model.grad(lambda0))
+    # One grad call gives x0 and the threshold lambda0 * x0 - Lambda(lambda0);
+    # a non-finite lambda0 is refused before grad sees it.
+    threshold, x0 = map(float, _rate_and_slope(model, lambda0))
     diff = c - threshold
     if abs(diff) <= _TIE_TOL:
         regime = "critical"

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from blockldp import MarkovSpec, UsageError
+from blockldp import MarkovSpec, NumericalError, UsageError
+from blockldp.convex import _LEVEL_BRACKET, _LEVEL_TOL, rate_along
 
 
 def exact_prefix_scgf(spec: MarkovSpec, lam: float, n: int) -> float:
@@ -30,3 +31,38 @@ def exact_prefix_scgf(spec: MarkovSpec, lam: float, n: int) -> float:
         total += math.log(s)
         v /= s
     return total / n
+
+
+def level_point_side(model, c: float, side: int) -> float:
+    """The one-tilt level bisection that convex._level_point_side batches.
+
+    Solves g(lambda) = c on one side of 0 with one rate_along call per
+    midpoint: the outer probe at side * 50, then up to 500 halvings until
+    |g(mid) - c| <= 1e-9.  Returns side * inf when the level is not attained
+    inside the bracket.
+    """
+    outer = side * _LEVEL_BRACKET
+    if rate_along(model, outer) < c - _LEVEL_TOL:
+        return side * np.inf
+    lo, hi = 0.0, outer
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        g = rate_along(model, mid)
+        if abs(g - c) <= _LEVEL_TOL:
+            return mid
+        if g < c:
+            lo = mid
+        else:
+            hi = mid
+    raise NumericalError("level bisection did not reach tolerance %g" % _LEVEL_TOL)
+
+
+def log_perron_eig(spec: MarkovSpec, lams: np.ndarray) -> np.ndarray:
+    """Lambda at the tilts lams from np.linalg.eig's eigenvalues, as the
+    spectral model computed it before its Lambda row took eigenvalues only:
+    shift + log of the top real eigenvalue of the shifted tilted matrices."""
+    expo = lams[:, None] * spec.phi
+    shift = expo.max(axis=1)
+    w = np.linalg.eig(spec.P * np.exp(expo - shift[:, None])[:, None, :])[0]
+    rho = w.real[np.arange(lams.size), np.argmax(w.real, axis=1)]
+    return shift + np.where(lams == 0.0, 0.0, np.log(rho))

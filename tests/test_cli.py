@@ -331,6 +331,17 @@ def test_regime_cli_unattained_right_level_is_open(capsys):
     assert doc["x1"] == pytest.approx(doc["x0"], abs=1e-7)
 
 
+def test_regime_cli_overflowing_tilt_exits_3(tmp_path):
+    # g = lambda L'(lambda) - L(lambda) is inf - inf at lambda0 = 1e200: a
+    # numerical error naming the tilt, with no numpy warning on stderr.
+    for extra in ([], ["--c", "0.1"]):
+        proc = _run_python(["-m", "blockldp.cli", "regime", "--model", "gaussian:1",
+                            "--lambda0", "1e200"] + extra, str(tmp_path))
+        assert proc.returncode == 3, proc.stderr
+        assert "lambda=1e+200" in proc.stderr and "Warning" not in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_freq_cli_json_and_csv(tmp_path, capsys):
     data = tmp_path / "d.txt"
     data.write_text("3.14159265358979")

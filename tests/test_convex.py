@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from blockldp import (BlockStats, DataError, SampledFunction, UsageError,
-                      bernoulli_model, digit_indicator_model, empirical_scgf,
-                      find_level_points, gaussian_model, grad_estimate,
+from blockldp import (BlockStats, DataError, NumericalError, SampledFunction,
+                      UsageError, bernoulli_model, classify, digit_indicator_model,
+                      empirical_scgf, find_level_points, gaussian_model, grad_estimate,
                       legendre)
 from blockldp._serialize import make_grid
+from blockldp.convex import rate_along
 
 DIGIT_THRESHOLD = 0.04299898970786353  # 0.8 * L'(0.8) - L(0.8), digit:10:0
 
@@ -214,3 +215,25 @@ def test_shared_bisection_values_pinned():
     model = digit_indicator_model(10, 0)
     assert find_level_points(model, 0.05) == (-1.6567451879382133, 0.8524678181856871)
     assert find_level_points(model, 0.1) == (-4.786078631877899, 1.1349048523698002)
+
+
+def test_rate_along_scalars_and_arrays():
+    mdl = gaussian_model(1)
+    assert rate_along(mdl, 0.5) == 0.125 and type(rate_along(mdl, 0.5)) is float
+    got = rate_along(mdl, np.array([[0.5, -2.0], [0.0, 1.0]]))
+    assert got.shape == (2, 2) and got.tolist() == [[0.125, 2.0], [0.0, 0.5]]
+    with pytest.raises(UsageError, match="nan"):
+        rate_along(mdl, np.array([0.5, np.nan]))
+
+
+def test_rate_along_non_finite_rate_is_numerical_error():
+    # 1e200 * Lambda'(1e200) - Lambda(1e200) is inf - inf for the Gaussian;
+    # the overflow must surface as NumericalError naming the tilt, not as a
+    # RuntimeWarning (an error under this suite's warning filter).
+    mdl = gaussian_model(1)
+    with pytest.raises(NumericalError, match=r"lambda=1e\+200"):
+        rate_along(mdl, 1e200)
+    with pytest.raises(NumericalError, match=r"lambda=-1e\+200"):
+        rate_along(mdl, np.array([0.5, -1e200, 2.0]))
+    with pytest.raises(NumericalError, match=r"lambda=1e\+200"):
+        classify(mdl, 1e200, 0.1)
