@@ -18,8 +18,8 @@ from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
                          empirical_scgf, local_rate, pairwise_sum, scgf_values)
 from .models import (ScgfModel, bernoulli_model, digit_indicator_model,
                      gaussian_model, markov_model)
-from .convex import ConjugateResult, find_level_points, grad_estimate, legendre
-from .regimes import RegimeReport, Schedule, classify
+from .convex import ConjugateResult, grad_estimate, legendre
+from .regimes import RegimeReport, Schedule, classify, find_level_points
 from .experiments import (BrownianResult, ExperimentConfig, Fig1Result,
                           FrequencyResult, RegimeEvidence, RunManifest,
                           brownian_experiment, fig1_pipeline, frequency_test,

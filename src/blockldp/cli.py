@@ -24,12 +24,12 @@ from ._serialize import (file_checksum, fmt_cell, json_safe, make_grid,
                          read_csv_columns, write_csv, write_rows)
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
                          scgf_values)
-from .convex import find_level_points, legendre, rate_along
+from .convex import legendre
 from .experiments import (ExperimentConfig, RunManifest, brownian_experiment,
                           fig1_pipeline, frequency_test)
 from .models import (bernoulli_model, digit_indicator_model, gaussian_model,
                      markov_model)
-from .regimes import Schedule, classify
+from .regimes import Schedule, classify, find_level_points, rate_along
 from .sources import (MarkovSpec, bernoulli_source, digit_source, file_source,
                       gaussian_source, markov_source, pi_fixture_path)
 

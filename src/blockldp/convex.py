@@ -1,8 +1,8 @@
-"""Numerical Legendre-Fenchel transforms, grid derivatives and level solvers.
+"""Numerical Legendre-Fenchel transforms and grid derivatives of sampled functions.
 
-All operations here are one-dimensional: the experiments and the acceptance
-targets are 1-d, and d-dimensional conjugates are exposed only through
-closed-form models.
+Nothing here evaluates a model.  All operations are one-dimensional: the
+experiments and the acceptance targets are 1-d, and d-dimensional
+conjugates are exposed only through closed-form models.
 """
 
 from __future__ import annotations
@@ -11,13 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import DataError, NumericalError, UsageError
+from ._errors import DataError, UsageError
 from .blockstats import SampledFunction
-
-_LEVEL_BRACKET = 50.0
-_LEVEL_TOL = 1e-9
-# Halvings per batched level-solver call (2^D - 1 tilts); D divides 500.
-_LEVEL_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -106,83 +101,3 @@ def grad_estimate(f: SampledFunction) -> SampledFunction:
         raise UsageError("derivative estimation requires a uniform grid")
     return SampledFunction(grid=f.grid, values=np.gradient(f.values, h, edge_order=2))
 
-
-def _rate_and_slope(model, lam):
-    """(rate_along(model, lam), Lambda'(lam)) from one grad and one lam call."""
-    t = np.asarray(lam, dtype=np.float64)
-    bad = t[~np.isfinite(t)]
-    if bad.size:
-        raise UsageError("tilt lambda=%g must be finite" % bad[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = model.grad(t)
-        g = t * x - model.lam(t)
-    bad = t[~np.isfinite(g)]
-    if bad.size:
-        raise NumericalError("lambda*Lambda'(lambda) - Lambda(lambda) is not finite "
-                             "at tilt lambda=%g" % bad[0])
-    return g, x
-
-
-def rate_along(model, lam):
-    """g(lambda) = Lambda*(Lambda'(lambda)) of a 1-d model via the duality identity.
-
-    g(lambda) = lambda * Lambda'(lambda) - Lambda(lambda), exact at exposed
-    points.  At the tilt lambda0 it is the critical schedule exponent.
-    lam is a scalar (the result is a float) or an array of tilts (the result
-    is an array of the same shape, each value bit for bit the scalar one).
-    Raises UsageError for a non-finite tilt and NumericalError, naming the
-    tilt, where g is not finite.
-    """
-    g = _rate_and_slope(model, lam)[0]
-    return float(g) if np.ndim(g) == 0 else g
-
-
-def _level_point_side(model, c: float, side: int) -> float:
-    """Solve g(lambda) = c on one side of 0 (side=+1 right, -1 left).
-
-    g vanishes at 0 and is nondecreasing in |lambda| (g'(lambda) =
-    lambda * Lambda''(lambda)), so bisection on [0, 50] or [-50, 0] applies:
-    up to 500 halvings until |g(mid) - c| <= 1e-9.  Returns side * inf when
-    the level is not attained inside the bracket.
-
-    Each rate_along call takes, as one array, every midpoint that the next
-    D = _LEVEL_DEPTH halvings could visit: a heap of 2^D - 1 tilts, node i
-    the midpoint 0.5 * (lo + hi) of its bracket and nodes 2i + 1, 2i + 2
-    those of its left and right halves (the first call also takes the outer
-    probe at side * 50).  The walk then compares them one at a time in the
-    one-tilt order, so the result is the one-tilt bisection's bit for bit.
-    """
-    outer = side * _LEVEL_BRACKET
-    lo, hi, probe = 0.0, outer, [outer]
-    for _ in range(500 // _LEVEL_DEPTH):
-        mids, spans = [], [(lo, hi)]
-        for i in range(2 ** _LEVEL_DEPTH - 1):
-            a, b = spans[i]
-            mids.append(0.5 * (a + b))
-            spans += [(a, mids[i]), (mids[i], b)]
-        g = rate_along(model, np.array(probe + mids)).tolist()
-        if probe and g.pop(0) < c - _LEVEL_TOL:
-            return side * np.inf
-        probe, i = [], 0
-        for _ in range(_LEVEL_DEPTH):
-            if abs(g[i] - c) <= _LEVEL_TOL:
-                return mids[i]
-            if g[i] < c:
-                lo, i = mids[i], 2 * i + 2
-            else:
-                hi, i = mids[i], 2 * i + 1
-    raise NumericalError("level bisection did not reach tolerance %g" % _LEVEL_TOL)
-
-
-def find_level_points(model, c: float) -> tuple[float, float]:
-    """The two solutions (lambda1 < 0 < lambda2) of Lambda*(Lambda'(lambda)) = c.
-
-    Both solutions satisfy |g(lambda) - c| <= 1e-9.  A side whose level is
-    not attained within the bracket [-50, 50] is open: its point is -inf
-    (left) or +inf (right).
-    """
-    if model.d != 1:
-        raise UsageError("find_level_points requires a 1-d model")
-    if not c > 0:
-        raise UsageError("level must be > 0, got %r" % (c,))
-    return _level_point_side(model, c, -1), _level_point_side(model, c, +1)

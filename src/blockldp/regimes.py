@@ -1,4 +1,4 @@
-"""Growth schedules, regime classification and quantitative predictions.
+"""Growth schedules, the rate along tilts, its level points and regime classification.
 
 A schedule grows the block count as k(n) = ceil(e^{c n}).  Comparing the
 exponent c with the rate Lambda*(x0) at the target mean x0 = Lambda'(lambda0)
@@ -9,6 +9,9 @@ splits the asymptotics into three regimes:
   subcritical (c < Lambda*(x0)): small balls around x0 are eventually empty;
   critical (c = Lambda*(x0)): beyond lambda0 the empirical SCGF follows the
       affine continuation t -> Lambda(lambda0) + (t-1) lambda0 x0, t >= 1.
+
+The rate along tilts g(lambda) = lambda Lambda'(lambda) - Lambda(lambda) is
+Lambda*(x0) at lambda0; its level points g = c bound the attained block means.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._errors import UsageError
-from .convex import _level_point_side, _rate_and_slope, find_level_points
+from ._errors import NumericalError, UsageError
 
 _TIE_TOL = 1e-12
 _EXP_ARG_CAP = 709.0
+_LEVEL_BRACKET = 50.0
+_LEVEL_TOL = 1e-9
+# Halvings per batched level-solver call (2^D - 1 tilts per side); D divides 500.
+_LEVEL_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,104 @@ class RegimeReport:
         return self.prediction["value_at_t1"] + (t - 1.0) * self.prediction["slope"]
 
 
+def _rate_and_slope(model, lam):
+    """(rate_along(model, lam), Lambda'(lam), Lambda(lam)) from one grad and one lam call."""
+    t = np.asarray(lam, dtype=np.float64)
+    bad = t[~np.isfinite(t)]
+    if bad.size:
+        raise UsageError("tilt lambda=%g must be finite" % bad[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, v = model.grad(t), model.lam(t)
+        tx = t * x
+        g = tx - v
+        # Rounding leaves g within 2^-52 (|lambda x| + |Lambda|); where that
+        # exceeds both the tie tolerance and 2^-26 |g|, g has lost its digits.
+        err = 2.0 ** -52 * np.abs(tx) + 2.0 ** -52 * np.abs(v)
+        bad = t[~(np.isfinite(g) & (err <= np.maximum(_TIE_TOL, 2.0 ** -26 * np.abs(g))))]
+    if bad.size:
+        raise NumericalError("lambda*Lambda'(lambda) - Lambda(lambda) is not finite or has "
+                             "lost its digits at tilt lambda=%g" % bad[0])
+    return g, x, v
+
+
+def rate_along(model, lam):
+    """g(lambda) = Lambda*(Lambda'(lambda)) of a 1-d model via the duality identity.
+
+    g(lambda) = lambda * Lambda'(lambda) - Lambda(lambda), exact at exposed
+    points.  At the tilt lambda0 it is the critical schedule exponent.
+    lam is a scalar (the result is a float) or an array of tilts (the result
+    is an array of the same shape, each value bit for bit the scalar one).
+    Raises UsageError for a non-finite tilt and NumericalError, naming the
+    tilt, where g is not finite or has cancelled (Lambda' saturates at huge
+    |lambda|, so lambda * Lambda' and Lambda agree in their leading digits).
+    """
+    g = _rate_and_slope(model, lam)[0]
+    return float(g) if np.ndim(g) == 0 else g
+
+
+def _level_points(model, c: float, sides) -> list[float]:
+    """Solve g(lambda) = c on each given side of 0 (+1 right, -1 left).
+
+    g vanishes at 0 and is nondecreasing in |lambda| (g'(lambda) =
+    lambda * Lambda''(lambda)), so bisection on [0, 50] or [-50, 0] applies:
+    up to 500 halvings until |g(mid) - c| <= 1e-9.  A side whose level is
+    not attained inside its bracket gives side * inf.
+
+    Each rate_along call takes, as one array, every midpoint that the next
+    D = _LEVEL_DEPTH halvings of every unsolved side could visit: per side a
+    heap of 2^D - 1 tilts, node i the midpoint 0.5 * (lo + hi) of its
+    bracket and nodes 2i + 1, 2i + 2 those of its left and right halves (the
+    first call also takes each side's outer probe at side * 50).  Each side
+    then compares its heap one node at a time in the one-tilt order, so its
+    point is the one-tilt bisection's bit for bit.
+    """
+    points = dict.fromkeys(sides)  # None while a side is unsolved
+    spans = {side: (0.0, side * _LEVEL_BRACKET) for side in sides}
+    probes = [side * _LEVEL_BRACKET for side in sides]
+    for _ in range(500 // _LEVEL_DEPTH):
+        heaps = {}
+        for side, (lo, hi) in spans.items():
+            mids, halves = [], [(lo, hi)]
+            for i in range(2 ** _LEVEL_DEPTH - 1):
+                a, b = halves[i]
+                mids.append(0.5 * (a + b))
+                halves += [(a, mids[i]), (mids[i], b)]
+            heaps[side] = mids
+        g = iter(rate_along(model, np.array(probes + sum(heaps.values(), []))).tolist())
+        for side, _ in zip(sides, probes):  # the first call only
+            if next(g) < c - _LEVEL_TOL:
+                points[side] = side * np.inf
+        probes = []
+        for side, mids in heaps.items():
+            gs, (lo, hi), i = [next(g) for _ in mids], spans.pop(side), 0
+            while i < len(mids) and points[side] is None:
+                if abs(gs[i] - c) <= _LEVEL_TOL:
+                    points[side] = mids[i]
+                elif gs[i] < c:
+                    lo, i = mids[i], 2 * i + 2
+                else:
+                    hi, i = mids[i], 2 * i + 1
+            if points[side] is None:
+                spans[side] = (lo, hi)
+        if not spans:
+            return [points[side] for side in sides]
+    raise NumericalError("level bisection did not reach tolerance %g" % _LEVEL_TOL)
+
+
+def find_level_points(model, c: float) -> tuple[float, float]:
+    """The two solutions (lambda1 < 0 < lambda2) of Lambda*(Lambda'(lambda)) = c.
+
+    Both solutions satisfy |g(lambda) - c| <= 1e-9.  A side whose level is
+    not attained within the bracket [-50, 50] is open: its point is -inf
+    (left) or +inf (right).
+    """
+    if model.d != 1:
+        raise UsageError("find_level_points requires a 1-d model")
+    if not c > 0:
+        raise UsageError("level must be > 0, got %r" % (c,))
+    return tuple(_level_points(model, c, (-1, +1)))
+
+
 def classify(model, lambda0: float, c: float) -> RegimeReport:
     """Compare the schedule exponent with the rate at x0 = Lambda'(lambda0), 1-d models.
 
@@ -95,9 +199,9 @@ def classify(model, lambda0: float, c: float) -> RegimeReport:
         raise UsageError("classify requires a 1-d model")
     Schedule(c)  # validates c
     lambda0 = float(lambda0)
-    # One grad call gives x0 and the threshold lambda0 * x0 - Lambda(lambda0);
-    # a non-finite lambda0 is refused before grad sees it.
-    threshold, x0 = map(float, _rate_and_slope(model, lambda0))
+    # One grad and one lam call give x0, Lambda(lambda0) and the threshold
+    # lambda0 * x0 - Lambda(lambda0); a non-finite lambda0 is refused first.
+    threshold, x0, v1 = map(float, _rate_and_slope(model, lambda0))
     diff = c - threshold
     if abs(diff) <= _TIE_TOL:
         regime = "critical"
@@ -116,18 +220,18 @@ def classify(model, lambda0: float, c: float) -> RegimeReport:
             "ball_rate": threshold,
         }
     elif regime == "subcritical":
-        side = +1 if x0 > model.grad(0.0) else -1
-        # c < Lambda*(x0) puts the level on this side of the mean; at
+        # c < Lambda*(x0) puts the level on lambda0's side of 0 (g(lambda0)
+        # > 0 makes lambda0 nonzero, and Lambda' rises from 0 to lambda0); at
         # c = 0 the sublevel region shrinks to the mean itself.  An open
         # edge (level beyond the +-50 bracket) leaves eps_max unknown.
-        edge = _level_point_side(model, c, side) if c > 0 else 0.0
+        side = +1 if lambda0 > 0 else -1
+        edge = _level_points(model, c, (side,))[0] if c > 0 else 0.0
         eps_max = float(abs(x0 - model.grad(edge))) if math.isfinite(edge) else None
         prediction = {
             "claim": "balls B(x0, eps) with eps < eps_max are eventually empty",
             "eps_max": eps_max,
         }
     else:
-        v1 = float(model.lam(lambda0))
         slope = lambda0 * x0
         prediction = {
             "claim": "for t >= 1 the empirical scgf at t*lambda0 tends to the "

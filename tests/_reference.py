@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from blockldp import MarkovSpec, NumericalError, UsageError
-from blockldp.convex import _LEVEL_BRACKET, _LEVEL_TOL, rate_along
+from blockldp.regimes import _LEVEL_BRACKET, _LEVEL_TOL, rate_along
 
 
 def exact_prefix_scgf(spec: MarkovSpec, lam: float, n: int) -> float:
@@ -34,7 +34,7 @@ def exact_prefix_scgf(spec: MarkovSpec, lam: float, n: int) -> float:
 
 
 def level_point_side(model, c: float, side: int) -> float:
-    """The one-tilt level bisection that convex._level_point_side batches.
+    """The one-tilt level bisection that regimes._level_points batches per side.
 
     Solves g(lambda) = c on one side of 0 with one rate_along call per
     midpoint: the outer probe at side * 50, then up to 500 halvings until

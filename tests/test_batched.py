@@ -1,8 +1,8 @@
 """Batched model evaluation against one tilt at a time, bit for bit.
 
-The level solver evaluates a heap of midpoints per model call and the
-spectral model's Lambda row takes eigenvalues only; both must give the bytes
-of the one-tilt computations they replace.  Nothing here is pinned to a
+The level solver evaluates every side's heap of midpoints in one model call
+and the spectral model's Lambda row takes eigenvalues only; both must give
+the bytes of the one-tilt computations they replace.  Nothing here is pinned to a
 recorded value, so these tests hold under any numpy SIMD dispatch.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from blockldp import (MarkovSpec, bernoulli_model, classify, digit_indicator_model,
                       find_level_points, gaussian_model, markov_model, regimes)
-from blockldp.convex import _LEVEL_DEPTH, _level_point_side, rate_along
+from blockldp.regimes import _LEVEL_DEPTH, _level_points, rate_along
 
 from _reference import level_point_side, log_perron_eig
 
@@ -54,15 +54,16 @@ def test_level_solver_matches_one_tilt_bisection(name):
     model = MODELS[name]()
     levels = LEVELS + tuple(rate_along(model, l0) for l0 in (0.5, -0.7))
     for c in levels:
-        wants = []
+        wants, midpoints = [], 0
         for side in (-1, +1):
             ref_model, ref_calls = _counting(model)
             wants.append(level_point_side(ref_model, c, side))
-            new_model, new_calls = _counting(model)
-            got = _level_point_side(new_model, c, side)
-            assert repr(got) == repr(wants[-1]), (c, side)
-            midpoints = len(ref_calls) - 1
-            assert len(new_calls) <= math.ceil(midpoints / _LEVEL_DEPTH) + 1, (c, side)
+            midpoints = max(midpoints, len(ref_calls) - 1)
+            assert repr(_level_points(model, c, (side,))) == repr(wants[-1:]), (c, side)
+        # One walk solves both sides: a call per D halvings of the longer one.
+        new_model, new_calls = _counting(model)
+        assert repr(_level_points(new_model, c, (-1, +1))) == repr(wants), c
+        assert len(new_calls) <= math.ceil(midpoints / _LEVEL_DEPTH) + 1, c
         assert repr(find_level_points(model, c)) == repr(tuple(wants))
 
 
@@ -74,13 +75,14 @@ def test_classify_matches_one_tilt_bisection(name, monkeypatch):
         thr = rate_along(model, l0)
         cases += [(l0, c) for c in (0.0, 0.5 * thr, thr, 2.0 * thr, thr + 1e-3, 5.0)]
     got = [classify(model, l0, c) for l0, c in cases]
-    monkeypatch.setattr(regimes, "_level_point_side", level_point_side)
+    monkeypatch.setattr(regimes, "_level_points",
+                        lambda m, c, sides: [level_point_side(m, c, s) for s in sides])
     monkeypatch.setattr(regimes, "find_level_points",
                         lambda m, c: (level_point_side(m, c, -1), level_point_side(m, c, +1)))
     want = [classify(model, l0, c) for l0, c in cases]
     for (l0, c), g, w in zip(cases, got, want):
         assert repr(g) == repr(w), (l0, c)
-        # the threshold and x0 that classify computed with two grad calls
+        # classify's one-call threshold and x0 equal the separate calls' values
         assert repr(g.threshold) == repr(rate_along(model, l0))
         assert repr(g.x0) == repr(float(model.grad(l0)))
     assert {r.regime for r in got} == {"subcritical", "critical", "supercritical"}

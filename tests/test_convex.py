@@ -1,16 +1,11 @@
-"""Tests for the discrete Legendre transform, grid gradients and level solvers."""
+"""Tests for the discrete Legendre transform and grid gradients."""
 
 import numpy as np
 import pytest
 
-from blockldp import (BlockStats, DataError, NumericalError, SampledFunction,
-                      UsageError, bernoulli_model, classify, digit_indicator_model,
-                      empirical_scgf, find_level_points, gaussian_model, grad_estimate,
-                      legendre)
+from blockldp import (BlockStats, DataError, SampledFunction, UsageError,
+                      digit_indicator_model, empirical_scgf, grad_estimate, legendre)
 from blockldp._serialize import make_grid
-from blockldp.convex import rate_along
-
-DIGIT_THRESHOLD = 0.04299898970786353  # 0.8 * L'(0.8) - L(0.8), digit:10:0
 
 
 def _quad() -> SampledFunction:
@@ -187,53 +182,3 @@ def test_grad_estimate_grid_guards():
     with pytest.raises(DataError):
         grad_estimate(SampledFunction(grid=np.array([0.0, 1.0, 2.0]),
                                       values=np.array([0.0, np.inf, 2.0])))
-
-
-def test_level_points_quadratic_and_digit():
-    lam1, lam2 = find_level_points(gaussian_model(1), 0.125)
-    assert lam1 == pytest.approx(-0.5, abs=1e-7)
-    assert lam2 == pytest.approx(0.5, abs=1e-7)
-    mdl = digit_indicator_model(10, 0)
-    lam1, lam2 = find_level_points(mdl, DIGIT_THRESHOLD)
-    assert lam2 == pytest.approx(0.8, abs=1e-6)
-    assert lam1 == pytest.approx(-1.45, abs=0.02)
-    g1 = lam1 * float(mdl.grad(lam1)) - float(mdl.lam(lam1))
-    assert g1 == pytest.approx(DIGIT_THRESHOLD, abs=1e-9)
-
-
-def test_level_points_guards():
-    with pytest.raises(UsageError):
-        find_level_points(gaussian_model(1), 0.0)
-    # the Bernoulli rate never exceeds log 2: both sides are open
-    assert find_level_points(bernoulli_model(0.5), 5.0) == (-np.inf, np.inf)
-    with pytest.raises(UsageError):
-        find_level_points(gaussian_model(2), 0.1)
-
-
-def test_shared_bisection_values_pinned():
-    # Bit-exact results of the level bisection on digit:10:0.
-    model = digit_indicator_model(10, 0)
-    assert find_level_points(model, 0.05) == (-1.6567451879382133, 0.8524678181856871)
-    assert find_level_points(model, 0.1) == (-4.786078631877899, 1.1349048523698002)
-
-
-def test_rate_along_scalars_and_arrays():
-    mdl = gaussian_model(1)
-    assert rate_along(mdl, 0.5) == 0.125 and type(rate_along(mdl, 0.5)) is float
-    got = rate_along(mdl, np.array([[0.5, -2.0], [0.0, 1.0]]))
-    assert got.shape == (2, 2) and got.tolist() == [[0.125, 2.0], [0.0, 0.5]]
-    with pytest.raises(UsageError, match="nan"):
-        rate_along(mdl, np.array([0.5, np.nan]))
-
-
-def test_rate_along_non_finite_rate_is_numerical_error():
-    # 1e200 * Lambda'(1e200) - Lambda(1e200) is inf - inf for the Gaussian;
-    # the overflow must surface as NumericalError naming the tilt, not as a
-    # RuntimeWarning (an error under this suite's warning filter).
-    mdl = gaussian_model(1)
-    with pytest.raises(NumericalError, match=r"lambda=1e\+200"):
-        rate_along(mdl, 1e200)
-    with pytest.raises(NumericalError, match=r"lambda=-1e\+200"):
-        rate_along(mdl, np.array([0.5, -1e200, 2.0]))
-    with pytest.raises(NumericalError, match=r"lambda=1e\+200"):
-        classify(mdl, 1e200, 0.1)

@@ -21,7 +21,7 @@ from blockldp import (ExperimentConfig, MarkovSpec, bernoulli_model, bernoulli_s
                       regime_experiment)
 from blockldp._serialize import make_grid, write_csv
 from blockldp.cli import main
-from blockldp.convex import rate_along
+from blockldp.regimes import rate_along
 from blockldp.sources import pi_fixture_path
 
 GOLDEN_SHA256 = {

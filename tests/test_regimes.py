@@ -1,12 +1,17 @@
-"""Tests for schedules and regime classification."""
+"""Tests for schedules, the rate along tilts, level points and regime classification."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from blockldp import (MarkovSpec, Schedule, UsageError, bernoulli_model, classify,
-                      digit_indicator_model, gaussian_model, markov_model)
+from blockldp import (MarkovSpec, NumericalError, Schedule, UsageError, bernoulli_model,
+                      classify, digit_indicator_model, find_level_points, gaussian_model,
+                      markov_model)
+from blockldp.cli import main
+from blockldp.regimes import rate_along
 
 # frozen closed-form constants for the digit:10:0 model at lambda0 = 0.8
 DIGIT_THRESHOLD = 0.04299898970786353
@@ -117,3 +122,144 @@ def test_subcritical_prediction_eps_max():
     assert rep.regime == "subcritical"
     assert rep.x0 == pytest.approx(0.9, abs=1e-12)
     assert rep.prediction["eps_max"] == pytest.approx(BERN_EPS_MAX, abs=1e-8)
+
+
+def test_level_points_quadratic_and_digit():
+    lam1, lam2 = find_level_points(gaussian_model(1), 0.125)
+    assert lam1 == pytest.approx(-0.5, abs=1e-7)
+    assert lam2 == pytest.approx(0.5, abs=1e-7)
+    mdl = digit_indicator_model(10, 0)
+    lam1, lam2 = find_level_points(mdl, DIGIT_THRESHOLD)
+    assert lam2 == pytest.approx(0.8, abs=1e-6)
+    assert lam1 == pytest.approx(-1.45, abs=0.02)
+    g1 = lam1 * float(mdl.grad(lam1)) - float(mdl.lam(lam1))
+    assert g1 == pytest.approx(DIGIT_THRESHOLD, abs=1e-9)
+
+
+def test_level_points_guards():
+    with pytest.raises(UsageError):
+        find_level_points(gaussian_model(1), 0.0)
+    # the Bernoulli rate never exceeds log 2: both sides are open
+    assert find_level_points(bernoulli_model(0.5), 5.0) == (-np.inf, np.inf)
+    with pytest.raises(UsageError):
+        find_level_points(gaussian_model(2), 0.1)
+
+
+def test_shared_bisection_values_pinned():
+    # Bit-exact results of the level bisection on digit:10:0.
+    model = digit_indicator_model(10, 0)
+    assert find_level_points(model, 0.05) == (-1.6567451879382133, 0.8524678181856871)
+    assert find_level_points(model, 0.1) == (-4.786078631877899, 1.1349048523698002)
+
+
+def test_rate_along_scalars_and_arrays():
+    mdl = gaussian_model(1)
+    assert rate_along(mdl, 0.5) == 0.125 and type(rate_along(mdl, 0.5)) is float
+    got = rate_along(mdl, np.array([[0.5, -2.0], [0.0, 1.0]]))
+    assert got.shape == (2, 2) and got.tolist() == [[0.125, 2.0], [0.0, 0.5]]
+    for lam in (1e4, 1e8, 1e12, 1e16, -1e16):  # wide rates keep their digits
+        assert rate_along(mdl, lam) == 0.5 * lam * lam
+    with pytest.raises(UsageError, match="nan"):
+        rate_along(mdl, np.array([0.5, np.nan]))
+
+
+def test_rate_along_non_finite_rate_is_numerical_error():
+    # 1e200 * Lambda'(1e200) - Lambda(1e200) is inf - inf for the Gaussian;
+    # the overflow must surface as NumericalError naming the tilt, not as a
+    # RuntimeWarning (an error under this suite's warning filter).
+    mdl = gaussian_model(1)
+    with pytest.raises(NumericalError, match=r"lambda=1e\+200"):
+        rate_along(mdl, 1e200)
+    with pytest.raises(NumericalError, match=r"lambda=-1e\+200"):
+        rate_along(mdl, np.array([0.5, -1e200, 2.0]))
+    with pytest.raises(NumericalError, match=r"lambda=1e\+200"):
+        classify(mdl, 1e200, 0.1)
+
+
+BENCH_CHAIN = MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]), phi=np.array([0.0, 1.0]))
+THREE_CHAIN = MarkovSpec(P=np.array([[0.5, 0.3, 0.2], [0.2, 0.6, 0.2],
+                                     [0.1, 0.3, 0.6]]),
+                         phi=np.array([0.0, 1.0, 2.5]))
+SATURATING = {"bernoulli:0.3": lambda: bernoulli_model(0.3),
+              "digit:10:0": lambda: digit_indicator_model(10, 0),
+              "markov-bench": lambda: markov_model(BENCH_CHAIN),
+              "markov-3": lambda: markov_model(THREE_CHAIN)}
+
+
+@pytest.mark.parametrize("name", sorted(SATURATING))
+def test_rate_along_refuses_cancelled_digits(name):
+    # Lambda' saturates at huge lambda, so lambda * Lambda' - Lambda cancels to
+    # a wrong finite value (0.0 at 1e200, 2.0 for bernoulli:0.3 at 1e16).
+    model = SATURATING[name]()
+    for lam in (1e16, 1e200):
+        with pytest.raises(NumericalError, match=r"lambda=1e\+%d" % round(math.log10(lam))):
+            rate_along(model, lam)
+        with pytest.raises(NumericalError, match="tilt"):
+            rate_along(model, np.array([0.5, lam]))
+        with pytest.raises(NumericalError):
+            classify(model, lam, 0.1)
+    # Tilts where g keeps its digits still give lambda * Lambda' - Lambda.
+    for lam in (0.0, 1e-300, -1e-300, 1e-15, -1e-15, 0.5, -0.5, 50.0, -50.0, 60.0,
+                1e3, 1e4, -1e9, -1e200):
+        assert rate_along(model, lam) == lam * model.grad(lam) - model.lam(lam), lam
+
+
+def test_cancelled_threshold_exits_3_and_writes_nothing(tmp_path, capsys):
+    for lambda0 in ("1e16", "1e200"):
+        assert main(["regime", "--model", "bernoulli:0.3", "--lambda0", lambda0]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "lambda=" in err
+    cfg = {"kind": "iid-digit", "m": 10, "a": 0, "lambda0": 1e200, "n_list": [20],
+           "seeds": [1], "budget": 1e5, "lambda_grid": [-1.0, 1.0, 0.5],
+           "x_grid": [0.05, 0.25, 0.05], "out_dir": str(tmp_path / "out")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["fig1", "--config", str(tmp_path / "cfg.json")]) == 3
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
+
+
+def _counting(model):
+    """The model with its lam and grad calls recorded (argument per call)."""
+    calls = {"lam": [], "grad": []}
+
+    def counted(name):
+        def fn(lam):
+            calls[name].append(np.copy(lam))
+            return getattr(model, name)(lam)
+        return fn
+
+    return dataclasses.replace(model, lam=counted("lam"), grad=counted("grad")), calls
+
+
+def test_classify_evaluates_each_model_value_once():
+    model = markov_model(BENCH_CHAIN)
+    thr = rate_along(model, 0.5)
+    counting, calls = _counting(model)
+    find_level_points(counting, thr)
+    assert len(calls["grad"]) <= 8  # one walk for both sides
+    for c, regime, grads in ((thr + 0.03, "supercritical", 8),
+                             (0.6 * thr, "subcritical", 10)):
+        counting, calls = _counting(model)
+        assert classify(counting, 0.5, c).regime == regime
+        assert len(calls["grad"]) <= grads, regime
+    # critical: Lambda(lambda0) comes from the call that gave the threshold
+    counting, calls = _counting(model)
+    assert classify(counting, 0.5, thr).regime == "critical"
+    assert (len(calls["lam"]), len(calls["grad"])) == (1, 1)
+
+
+def test_subcritical_side_is_the_sign_of_lambda0():
+    makers = {**SATURATING, "gaussian:1": lambda: gaussian_model(1)}
+    for name, make in sorted(makers.items()):
+        model = make()
+        for l0 in (0.5, -0.7, 2.0, -3.0):
+            thr = rate_along(model, l0)
+            for c in (0.0, 0.3 * thr, 0.9 * thr):
+                counting, calls = _counting(model)
+                rep = classify(counting, l0, c)
+                assert rep.regime == "subcritical", (name, l0, c)
+                # Lambda'(0) is read only as the edge slope when c = 0, never
+                # to pick the side
+                grad_at_0 = any(np.all(t == 0.0) for t in calls["grad"])
+                assert grad_at_0 == (c == 0.0), (name, l0, c)
+                assert (l0 > 0) == (rep.x0 > model.grad(0.0)), (name, l0, c)
