@@ -168,25 +168,25 @@ def _merge_tallies(tallies):
 
 
 def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
-    """Empirical SCGF values at an array of tilt vectors.
+    """Empirical SCGF values of d = 1 block stats at a 1-d array of tilts.
 
-    lambdas has shape (G,) for d=1 or (G, d), in any order; each value is
-    (1/n) * (M + log(sum_i w_i exp(n <lambda, mean_i> - M) / k)) with M the
+    The tilts may come in any order; each value is
+    (1/n) * (M + log(sum_i w_i exp(n lambda mean_i - M) / k)) with M the
     maximum exponent and w the weights, the sum taken with the fixed pairwise
     tree over the rows of stats.means (distinct sums in increasing order for
-    a lattice source, block order otherwise).
+    a lattice source, block order otherwise).  Other tilt shapes or d > 1
+    stats raise UsageError.
     """
     lam = np.asarray(lambdas, dtype=np.float64)
-    vecs = lam[:, None] if lam.ndim == 1 else lam  # a scalar grid is (G, 1)
-    if vecs.ndim != 2 or vecs.shape[1] != stats.d:
-        raise UsageError("tilts of shape %s do not match d=%d block stats"
-                         % (lam.shape, stats.d))
+    if lam.ndim != 1 or stats.d != 1:
+        raise UsageError("the empirical SCGF needs a 1-d tilt array and d=1 block "
+                         "stats, got tilts of shape %s and d=%d" % (lam.shape, stats.d))
     if not np.all(np.isfinite(stats.means)):
         raise DataError("block means contain non-finite entries")
-    out = np.empty(len(vecs), dtype=np.float64)
+    out = np.empty(lam.size, dtype=np.float64)
     gstep = max(1, _CHUNK_VALUES // max(1, stats.means.shape[0]))
-    for g0 in range(0, len(vecs), gstep):
-        t = (vecs[g0 : g0 + gstep] @ stats.means.T) * stats.n
+    for g0 in range(0, lam.size, gstep):
+        t = (lam[g0 : g0 + gstep, None] @ stats.means.T) * stats.n
         M = t.max(axis=1)
         terms = np.exp(t - M[:, None]) * stats.weights
         mean = pairwise_sum(terms, axis=1) / stats.k
@@ -195,16 +195,12 @@ def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
 
 
 def empirical_scgf(stats: BlockStats, lambdas) -> SampledFunction:
-    """Empirical SCGF on a strictly increasing scalar tilt grid (d=1).
+    """Empirical SCGF on a strictly increasing tilt grid.
 
     Exact at lambda=0: there every shifted term is its integer weight, the
     pairwise sum of the weights is exactly k, and the mean is exactly 1.
-    For vector tilts with d>1 use scgf_values directly.
     """
     lam = np.asarray(lambdas, dtype=np.float64)
-    if lam.ndim != 1:
-        raise UsageError("empirical_scgf needs a 1-d tilt grid; "
-                         "use scgf_values for vector tilts")
     return SampledFunction(grid=lam, values=scgf_values(stats, lam))
 
 

@@ -65,15 +65,15 @@ def _load_markov_file(path) -> MarkovSpec:
 
 
 def _parse_model(text):
-    """Model specifier: digit:m:a, bernoulli:p, gaussian:d or markov:path."""
+    """Model specifier: digit:m:a, bernoulli:p, gaussian:1 or markov:path."""
     parts = str(text).split(":")
     try:
         if parts[0] == "digit" and len(parts) == 3:
             return digit_indicator_model(int(parts[1]), int(parts[2]))
         if parts[0] == "bernoulli" and len(parts) == 2:
             return bernoulli_model(float(parts[1]))
-        if parts[0] == "gaussian" and len(parts) == 2:
-            return gaussian_model(int(parts[1]))
+        if parts == ["gaussian", "1"]:
+            return gaussian_model()
         if parts[0] == "markov" and len(parts) >= 2:
             # Paths may contain ':'; only the first separator is structural.
             return markov_model(_load_markov_file(":".join(parts[1:])))
@@ -83,7 +83,7 @@ def _parse_model(text):
         raise UsageError("bad model specifier %r: %s" % (text, exc))
     raise UsageError(
         "bad model specifier %r (expected digit:m:a, bernoulli:p, "
-        "gaussian:d or markov:path)" % (text,))
+        "gaussian:1 or markov:path)" % (text,))
 
 
 def _parse_grid(text) -> np.ndarray:
@@ -107,20 +107,17 @@ def _parse_grid(text) -> np.ndarray:
     return np.asarray(vals, dtype=np.float64)
 
 
-def _parse_ball(text, d: int):
-    """--ball flag: d center coordinates then the radius, comma-separated."""
+def _parse_ball(text):
+    """--ball flag: the center and the radius, X,EPS."""
     try:
         vals = [float(p) for p in str(text).split(",")]
     except ValueError:
-        raise UsageError("--ball %r must be numeric x1,...,xd,eps" % text)
-    if not all(map(math.isfinite, vals)):
-        raise UsageError("--ball %r must list finite values" % text)
-    if len(vals) != d + 1:
-        raise UsageError("--ball needs %d center coordinates plus a radius" % d)
-    eps = vals[-1]
-    if not eps > 0:
+        raise UsageError("--ball %r must be numeric X,EPS" % text)
+    if len(vals) != 2 or not all(map(math.isfinite, vals)):
+        raise UsageError("--ball %r must be two finite values X,EPS" % text)
+    if not vals[1] > 0:
         raise UsageError("ball radius must be > 0")
-    return np.asarray(vals[:-1], dtype=np.float64), eps
+    return vals
 
 
 def _build_source(args):
@@ -182,8 +179,10 @@ def cmd_analyze(args) -> int:
         raise UsageError("n must be >= 1")
     k = int(args.k) if args.k is not None else Schedule(float(args.c)).k(n)
     src = _build_source(args)
+    if src.d != 1:
+        raise UsageError("analyze needs a scalar source; this one has d=%d" % src.d)
     lam = _parse_grid(args.lambda_grid)
-    ball = None if args.ball is None else _parse_ball(args.ball, src.d)
+    ball = None if args.ball is None else _parse_ball(args.ball)
     stats = block_means(src, n, k)
     values = scgf_values(stats, lam)
     files = [write_csv(out, ["lambda", "value"], zip(lam, values))]
@@ -216,8 +215,6 @@ def cmd_legendre(args) -> int:
 
 def cmd_regime(args) -> int:
     model = _parse_model(args.model)
-    if model.d != 1:
-        raise UsageError("regime reports need a scalar (d=1) model")
     lambda0 = float(args.lambda0)
     c = rate_along(model, lambda0) if args.c is None else float(args.c)
     report = classify(model, lambda0, c)
@@ -320,10 +317,10 @@ SELFTESTS = [
                                       values=np.array([1.0, 0.0, 1.0])), [0.5, 2.0])
      .values.tolist() == [0.0, 1.0]),
     ("level points of the gaussian rate at 1/8 are -1/2 and 1/2",
-     lambda: np.allclose(find_level_points(gaussian_model(1), 0.125), (-0.5, 0.5),
+     lambda: np.allclose(find_level_points(gaussian_model(), 0.125), (-0.5, 0.5),
                          rtol=0.0, atol=1e-7)),
     ("gaussian tilt 1 at c = 1/2 is critical with tilted value 3/2 at t = 2",
-     lambda: classify(gaussian_model(1), 1.0, 0.5).tilted(2.0) == 1.5),
+     lambda: classify(gaussian_model(), 1.0, 0.5).tilted(2.0) == 1.5),
     ("the first 15 digits of pi hold three 5s",
      lambda: frequency_test(file_source(pi_fixture_path(), 10), 1, 15).counts[5] == 3),
     ("CSV cells carry 17 significant digits and the inf sentinel",
@@ -412,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regime",
                        help="JSON regime report with level points")
     p.add_argument("--model", required=True,
-                   help="digit:m:a, bernoulli:p, gaussian:d or markov:path")
+                   help="digit:m:a, bernoulli:p, gaussian:1 or markov:path")
     p.add_argument("--lambda0", type=float, required=True)
     p.add_argument("--c", type=float, default=None,
                    help="schedule exponent; defaults to the critical threshold")

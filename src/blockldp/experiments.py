@@ -81,7 +81,8 @@ class ExperimentConfig:
                 ("a string", lambda v: isinstance(v, str), ("kind", "out_dir", "path")),
                 ("three numbers lo, hi, step", lambda v: list_of(number)(v) and len(v) == 3,
                  ("lambda_grid", "x_grid")),
-                ("a list of integers", list_of(lambda u: number(u) and isinstance(u, int)),
+                ("a nonempty list of integers",
+                 lambda v: list_of(lambda u: number(u) and isinstance(u, int))(v) and len(v) > 0,
                  ("n_list", "seeds")),
                 ("a list of numbers or number lists",
                  list_of(lambda u: number(u) or list_of(number)(u)), ("x_list",))):
@@ -165,7 +166,6 @@ class Fig1Run:
 
 @dataclass
 class Fig1Result:
-    model: ScgfModel
     c: float
     runs: list
     files: list
@@ -259,8 +259,7 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
                            files=list(files), wallclock_s=round(time.time() - started, 3),
                            input_checksums=checksums)
     manifest_path = manifest.write(os.path.join(config.out_dir, "manifest.json"))
-    return Fig1Result(model=model, c=c, runs=runs, files=files,
-                      manifest_path=manifest_path)
+    return Fig1Result(c=c, runs=runs, files=files, manifest_path=manifest_path)
 
 
 @dataclass

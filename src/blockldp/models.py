@@ -26,15 +26,17 @@ class ScgfModel:
 
     Fields
     ------
-    lam : Lambda(lambda), finite on all of R^d for every bundled model.
-    grad : gradient of Lambda (the exposed point map).
-    hess : second derivative; scalar function for d=1, matrix for d>1.
+    lam : Lambda(lambda) of a scalar tilt, finite on all of R for every
+        bundled model.
+    grad : derivative Lambda' (the exposed point map).
+    hess : second derivative Lambda''.
     conj : Legendre conjugate Lambda*(x), +inf outside the closure of the
         attainable means.
+
+    Each takes a float or an array of any shape and acts elementwise.
     """
 
     name: str
-    d: int
     lam: Callable
     grad: Callable
     hess: Callable
@@ -116,7 +118,7 @@ def bernoulli_model(p: float) -> ScgfModel:
         return np.array([_rel_entr(v, p) + _rel_entr(1.0 - v, 1.0 - p)
                          for v in x.tolist()], dtype=np.float64)
 
-    return ScgfModel(name="bernoulli:%r" % p, d=1, lam=lam, grad=grad, hess=hess, conj=conj)
+    return ScgfModel(name="bernoulli:%r" % p, lam=lam, grad=grad, hess=hess, conj=conj)
 
 
 def digit_indicator_model(m: int, a: int) -> ScgfModel:
@@ -132,27 +134,15 @@ def digit_indicator_model(m: int, a: int) -> ScgfModel:
     return replace(bernoulli_model(1.0 / m), name="digit:%d:%d" % (m, a))
 
 
-def gaussian_model(d: int) -> ScgfModel:
-    """Self-dual SCGF of iid standard-normal vectors: Lambda = Lambda* = |.|^2/2."""
-    if d < 1:
-        raise UsageError("dimension must be >= 1")
+def gaussian_model() -> ScgfModel:
+    """Self-dual SCGF of iid standard-normal scalars: Lambda = Lambda* = l^2/2.
 
-    if d == 1:
-        quad = _scalarized(lambda l: 0.5 * l * l)
-        grad = _scalarized(lambda l: l + 0.0)
-        hess = _scalarized(np.ones_like)
-    else:
-        def quad(l):
-            arr = np.asarray(l, dtype=np.float64)
-            return 0.5 * np.sum(arr * arr, axis=-1)
-
-        def grad(l):
-            return np.asarray(l, dtype=np.float64) + 0.0
-
-        def hess(l):
-            return np.eye(d)
-
-    return ScgfModel(name="gaussian:%d" % d, d=d, lam=quad, grad=grad, hess=hess, conj=quad)
+    Its name is "gaussian:1"; vector Gaussian sources are served by ball
+    masses, not by a model.
+    """
+    quad = _scalarized(lambda l: 0.5 * l * l)
+    return ScgfModel(name="gaussian:1", lam=quad, grad=_scalarized(lambda l: l + 0.0),
+                     hess=_scalarized(np.ones_like), conj=quad)
 
 
 def _spectral(P: np.ndarray, phi: np.ndarray, l: np.ndarray, row: int) -> np.ndarray:
@@ -232,5 +222,5 @@ def markov_model(spec: MarkovSpec) -> ScgfModel:
     lo, hi = phi.min(), phi.max()
     conj = _scalarized(lambda x: np.where((x < lo) | (x > hi), np.inf,
                                           legendre(sampled(), x).values))
-    return ScgfModel(name="markov:%d-state" % spec.s, d=1, lam=lam, grad=grad,
-                     hess=hess, conj=conj)
+    return ScgfModel(name="markov:%d-state" % spec.s, lam=lam, grad=grad, hess=hess,
+                     conj=conj)

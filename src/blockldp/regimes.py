@@ -181,22 +181,18 @@ def find_level_points(model, c: float) -> tuple[float, float]:
     not attained within the bracket [-50, 50] is open: its point is -inf
     (left) or +inf (right).
     """
-    if model.d != 1:
-        raise UsageError("find_level_points requires a 1-d model")
     if not c > 0:
         raise UsageError("level must be > 0, got %r" % (c,))
     return tuple(_level_points(model, c, (-1, +1)))
 
 
 def classify(model, lambda0: float, c: float) -> RegimeReport:
-    """Compare the schedule exponent with the rate at x0 = Lambda'(lambda0), 1-d models.
+    """Compare the schedule exponent with the rate at x0 = Lambda'(lambda0).
 
     The threshold Lambda*(x0) is computed through the duality identity
     lambda0 * x0 - Lambda(lambda0), exact at exposed points.  Ties within
     1e-12 on c classify as critical.
     """
-    if model.d != 1:
-        raise UsageError("classify requires a 1-d model")
     Schedule(c)  # validates c
     lambda0 = float(lambda0)
     # One grad and one lam call give x0, Lambda(lambda0) and the threshold

@@ -132,7 +132,7 @@ def _run_conjugation():
     xs = np.linspace(0.001, 0.97, 500)
     digit = legendre(SampledFunction(grid=g, values=mdl.lam(g)), xs)
     digit_err = np.abs(digit.values - mdl.conj(xs))
-    gm = gaussian_model(1)
+    gm = gaussian_model()
     xg = np.linspace(-3.0, 3.0, 500)
     gauss = legendre(SampledFunction(grid=g, values=gm.lam(g)), xg)
     gauss_err = np.abs(gauss.values - gm.conj(xg))

@@ -27,7 +27,7 @@ MODELS = {
     "bernoulli:0.3": lambda: bernoulli_model(0.3),
     "bernoulli:0.5": lambda: bernoulli_model(0.5),
     "digit:10:0": lambda: digit_indicator_model(10, 0),
-    "gaussian:1": lambda: gaussian_model(1),
+    "gaussian:1": lambda: gaussian_model(),
     "markov-bench": lambda: markov_model(BENCH_CHAIN),
     "markov-3": lambda: markov_model(THREE_CHAIN),
 }

@@ -252,16 +252,16 @@ def test_scgf_extreme_exponents_no_overflow():
 
 
 def test_scgf_vector_tilts():
-    means = np.array([[0.1, 0.4], [0.3, -0.2], [0.0, 0.5]])
-    stats = BlockStats(n=4, k=3, d=2, means=means)
-    lam = np.array([[0.5, -1.0], [0.0, 0.0]])
-    t = means @ lam.T * 4
-    want = np.log(np.exp(t).mean(axis=0)) / 4.0
-    got = scgf_values(stats, lam)
-    assert np.allclose(got, want, atol=1e-14)
-    assert got[1] == 0.0
-    with pytest.raises(UsageError):
-        scgf_values(stats, np.array([0.1, 0.2]))  # scalar grid needs d = 1
+    # The empirical SCGF is scalar: (G, d) tilts and d > 1 stats are refused.
+    scalar = BlockStats(n=4, k=3, d=1, means=np.array([[0.1], [0.3], [0.0]]))
+    for lam in (np.array([[0.5], [0.0]]), np.array([[0.5, -1.0], [0.0, 0.0]]),
+                np.float64(0.5)):
+        with pytest.raises(UsageError, match="1-d tilt array"):
+            scgf_values(scalar, lam)
+    vector = BlockStats(n=4, k=3, d=2,
+                        means=np.array([[0.1, 0.4], [0.3, -0.2], [0.0, 0.5]]))
+    with pytest.raises(UsageError, match="d=2"):
+        scgf_values(vector, np.array([0.1, 0.2]))
 
 
 def test_scgf_rejects_nonfinite_means():

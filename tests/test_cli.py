@@ -260,6 +260,29 @@ def test_analyze_with_schedule_exponent(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--kind", "gaussian", "--d", "2"],
+    ["--kind", "markov", "--markov-file", "vec.json"],
+], ids=["gaussian-d2", "markov-vector-phi"])
+def test_analyze_refuses_vector_source_before_reading(tmp_path, monkeypatch, capsys,
+                                                      flags):
+    # The empirical SCGF is scalar: a d = 2 source is refused before any block
+    # is reduced, however large k is.
+    def no_blocks(*args):
+        raise AssertionError("block_means was called")
+
+    monkeypatch.setattr(cli, "block_means", no_blocks)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "vec.json").write_text(json.dumps({"P": [[0.9, 0.1], [0.1, 0.9]],
+                                                   "phi": [[0.0, 1.0], [1.0, 0.0]]}))
+    code = main(["analyze"] + flags + ["--n", "10", "--k", "1000000",
+                                       "--lambda-grid", "0,1", "--out", "s.csv"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "d=2" in err[0]
+    assert os.listdir(tmp_path) == ["vec.json"]
+
+
 def test_legendre_cli_roundtrip(tmp_path, capsys):
     lam = tmp_path / "lam.csv"
     xs = np.linspace(-3.0, 3.0, 601)
@@ -514,9 +537,14 @@ def test_fig1_rejects_c(tmp_path, capsys):
     ("fig1", dict(FIG1_SMALL, gamma=0.3, R=2.0), "eps", 0.1),
     ("brownian", dict(BROWNIAN_SMALL, lambda0=0.7), "m", 3),
     ("brownian", BROWNIAN_SMALL, "kind", "iid-digit"),
+    ("fig1", FIG1_SMALL, "n_list", []),
+    ("fig1", FIG1_SMALL, "seeds", []),
+    ("brownian", BROWNIAN_SMALL, "n_list", []),
+    ("brownian", BROWNIAN_SMALL, "seeds", []),
 ], ids=["seeds-float", "seeds-bool", "n_list-float", "x_list-string", "kind-null",
         "out_dir-null", "path-int", "fig1-unread-keys", "brownian-unread-keys",
-        "brownian-digit-kind"])
+        "brownian-digit-kind", "fig1-n_list-empty", "fig1-seeds-empty",
+        "brownian-n_list-empty", "brownian-seeds-empty"])
 def test_config_values_keep_their_json_types(tmp_path, capsys, command, base, key,
                                              val):
     cfg = dict(base, out_dir=str(tmp_path / "out"))

@@ -69,20 +69,16 @@ def test_classify_threshold_and_regimes():
 
 
 def test_classify_gaussian_threshold_exact():
-    rep = classify(gaussian_model(1), 1.2, 0.3)
+    rep = classify(gaussian_model(), 1.2, 0.3)
     assert rep.threshold == 0.72  # lambda0^2 / 2 with exact float arithmetic
     assert rep.regime == "subcritical"
 
 
-def test_classify_requires_1d_model():
-    # The supercritical region of |lambda|^2/2 at c = 1/2 is |lambda| < 1; a
-    # vector report would need level sets that classify does not compute.
-    with pytest.raises(UsageError, match="1-d model"):
-        classify(gaussian_model(2), [0.5, 0.5], 0.5)
+def test_classify_refuses_non_finite_lambda0():
     # A non-finite lambda0 is refused by name, before any model derivative.
     chain = markov_model(MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]),
                                     phi=np.array([0.0, 1.0])))
-    for mdl, lambda0 in ((bernoulli_model(0.5), math.nan), (gaussian_model(1), math.inf),
+    for mdl, lambda0 in ((bernoulli_model(0.5), math.nan), (gaussian_model(), math.inf),
                          (chain, math.nan), (chain, -math.inf)):
         with pytest.raises(UsageError, match="tilt"):
             classify(mdl, lambda0, 0.1)
@@ -125,7 +121,7 @@ def test_subcritical_prediction_eps_max():
 
 
 def test_level_points_quadratic_and_digit():
-    lam1, lam2 = find_level_points(gaussian_model(1), 0.125)
+    lam1, lam2 = find_level_points(gaussian_model(), 0.125)
     assert lam1 == pytest.approx(-0.5, abs=1e-7)
     assert lam2 == pytest.approx(0.5, abs=1e-7)
     mdl = digit_indicator_model(10, 0)
@@ -138,11 +134,9 @@ def test_level_points_quadratic_and_digit():
 
 def test_level_points_guards():
     with pytest.raises(UsageError):
-        find_level_points(gaussian_model(1), 0.0)
+        find_level_points(gaussian_model(), 0.0)
     # the Bernoulli rate never exceeds log 2: both sides are open
     assert find_level_points(bernoulli_model(0.5), 5.0) == (-np.inf, np.inf)
-    with pytest.raises(UsageError):
-        find_level_points(gaussian_model(2), 0.1)
 
 
 def test_shared_bisection_values_pinned():
@@ -153,7 +147,7 @@ def test_shared_bisection_values_pinned():
 
 
 def test_rate_along_scalars_and_arrays():
-    mdl = gaussian_model(1)
+    mdl = gaussian_model()
     assert rate_along(mdl, 0.5) == 0.125 and type(rate_along(mdl, 0.5)) is float
     got = rate_along(mdl, np.array([[0.5, -2.0], [0.0, 1.0]]))
     assert got.shape == (2, 2) and got.tolist() == [[0.125, 2.0], [0.0, 0.5]]
@@ -167,7 +161,7 @@ def test_rate_along_non_finite_rate_is_numerical_error():
     # 1e200 * Lambda'(1e200) - Lambda(1e200) is inf - inf for the Gaussian;
     # the overflow must surface as NumericalError naming the tilt, not as a
     # RuntimeWarning (an error under this suite's warning filter).
-    mdl = gaussian_model(1)
+    mdl = gaussian_model()
     with pytest.raises(NumericalError, match=r"lambda=1e\+200"):
         rate_along(mdl, 1e200)
     with pytest.raises(NumericalError, match=r"lambda=-1e\+200"):
@@ -249,7 +243,7 @@ def test_classify_evaluates_each_model_value_once():
 
 
 def test_subcritical_side_is_the_sign_of_lambda0():
-    makers = {**SATURATING, "gaussian:1": lambda: gaussian_model(1)}
+    makers = {**SATURATING, "gaussian:1": lambda: gaussian_model()}
     for name, make in sorted(makers.items()):
         model = make()
         for l0 in (0.5, -0.7, 2.0, -3.0):
