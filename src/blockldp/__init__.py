@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 
 from ._errors import DataError, NumericalError, UsageError
 from .sources import (MarkovSpec, Reader, SeriesSource, bernoulli_source, digit_source,
-                      file_source, gaussian_source, markov_source, next_digit,
-                      pi_fixture_path)
+                      file_source, gaussian_source, markov_source, pi_fixture_path)
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
-                         empirical_scgf, local_rate, pairwise_sum, scgf_values)
+                         empirical_scgf, pairwise_sum, scgf_values)
 from .models import (ScgfModel, bernoulli_model, digit_indicator_model,
                      gaussian_model, markov_model)
 from .convex import ConjugateResult, grad_estimate, legendre
@@ -29,10 +28,9 @@ __all__ = [
     "__version__",
     "DataError", "NumericalError", "UsageError",
     "MarkovSpec", "Reader", "SeriesSource", "bernoulli_source", "digit_source",
-    "file_source", "gaussian_source", "markov_source", "next_digit",
-    "pi_fixture_path",
+    "file_source", "gaussian_source", "markov_source", "pi_fixture_path",
     "BlockStats", "SampledFunction", "ball_mass", "block_means",
-    "empirical_scgf", "local_rate", "pairwise_sum", "scgf_values",
+    "empirical_scgf", "pairwise_sum", "scgf_values",
     "ScgfModel", "bernoulli_model", "digit_indicator_model", "gaussian_model",
     "markov_model",
     "ConjugateResult", "find_level_points", "grad_estimate", "legendre",

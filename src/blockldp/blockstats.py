@@ -70,6 +70,9 @@ class BlockStats:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
+        if np.ndim(self.means) != 2 or np.shape(self.means)[1] != self.d:
+            raise UsageError("means must have shape (r, d) with d=%d, got %s"
+                             % (self.d, np.shape(self.means)))
         rows = np.shape(self.means)[0]
         w = (np.broadcast_to(np.int64(1), (rows,)) if self.weights is None
              else np.asarray(self.weights))
@@ -222,8 +225,3 @@ def _ball_rate(count: int, mass: float, n: int) -> float:
     if count == 0:
         return np.inf
     return (-np.log(mass) / n) + 0.0
-
-
-def local_rate(stats: BlockStats, x, eps: float) -> float:
-    """-(1/n) log of the ball mass; +inf sentinel when the ball is empty."""
-    return _ball_rate(*ball_mass(stats, x, eps), stats.n)

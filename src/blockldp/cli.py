@@ -1,10 +1,12 @@
 """Command-line surface over sources, analysis, conjugation and experiments.
 
 Exit codes: 0 success, 2 usage errors, 3 domain/data/numerical errors and
-out of memory, 4 I/O errors.  Every file-writing run places a JSON manifest
-next to its outputs recording all flag values and seeds; outputs are
-byte-identical across runs with equal manifests.  Relative --out paths
-resolve against the BLOCKLDP_OUT environment variable when it is set.
+out of memory, 4 I/O errors.  A stdout closed by its reader (`blockldp
+regime ... | head -1`) is no error: the run exits 0 with nothing on stderr.
+Every file-writing run places a JSON manifest next to its outputs recording
+all flag values and seeds; outputs are byte-identical across runs with equal
+manifests.  Relative --out paths resolve against the BLOCKLDP_OUT
+environment variable when it is set.
 """
 
 from __future__ import annotations
@@ -14,22 +16,21 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import __version__
 from ._errors import DataError, NumericalError, UsageError
-from ._serialize import (file_checksum, fmt_cell, json_safe, make_grid,
-                         read_csv_columns, write_csv, write_rows)
+from ._serialize import (fmt_cell, json_safe, make_grid, read_csv_columns, write_csv,
+                         write_rows)
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
                          scgf_values)
 from .convex import legendre
-from .experiments import (ExperimentConfig, RunManifest, brownian_experiment,
-                          fig1_pipeline, frequency_test)
+from .experiments import (ExperimentConfig, RunRecord, brownian_experiment, fig1_pipeline,
+                          frequency_test)
 from .models import (bernoulli_model, digit_indicator_model, gaussian_model,
                      markov_model)
-from .regimes import Schedule, classify, find_level_points, rate_along
+from .regimes import Schedule, classify, find_level_points
 from .sources import (MarkovSpec, bernoulli_source, digit_source, file_source,
                       gaussian_source, markov_source, pi_fixture_path)
 
@@ -138,22 +139,13 @@ def _build_source(args):
     return markov_source(_load_markov_file(args.markov_file), seed)
 
 
-def _finish_manifest(args, anchor, files, started, source=None) -> str:
-    """Write <anchor>.manifest.json recording all flags and outputs, a generated
-    source's seed and the checksum of an input file (the source's or --in)."""
-    flags = {key: val for key, val in vars(args).items()
-             if key not in ("func", "command")}
-    path = args.infile if source is None else source.path
-    checksums = {os.path.basename(path): file_checksum(path)} if path else {}
-    manifest = RunManifest(command=args.command, config=flags,
-                           seeds=[] if path else [source.seed], files=list(files),
-                           wallclock_s=round(time.time() - started, 3),
-                           input_checksums=checksums)
-    return manifest.write(anchor + ".manifest.json")
+def _flags(args) -> dict:
+    """Every flag value of a run: the config its manifest records."""
+    return {key: val for key, val in vars(args).items() if key not in ("func", "command")}
 
 
 def cmd_gen(args) -> int:
-    started = time.time()
+    record = RunRecord(args.command)
     out = _resolve_out(args.out)
     count = int(args.count)
     if count < 1:
@@ -164,13 +156,13 @@ def cmd_gen(args) -> int:
         for start in range(0, count, _GEN_ROWS):
             # Digit and Bernoulli values are uint8 and print as integers.
             write_rows(fh, reader.read(min(_GEN_ROWS, count - start)).tolist(), " ")
-    _finish_manifest(args, out, [out], started, src)
+    record.write(out + ".manifest.json", _flags(args), [out], [src.seed], [src.path])
     print("wrote %d lines to %s" % (count, out))
     return 0
 
 
 def cmd_analyze(args) -> int:
-    started = time.time()
+    record = RunRecord(args.command)
     out = _resolve_out(args.out)
     if (args.k is None) == (args.c is None):
         raise UsageError("exactly one of --k and --c is required")
@@ -192,13 +184,13 @@ def cmd_analyze(args) -> int:
         root, ext = os.path.splitext(out)
         files.append(write_csv(root + "_ball" + (ext or ".csv"),
                                ["x", "mass"], [(center, mass)]))
-    _finish_manifest(args, out, files, started, src)
+    record.write(out + ".manifest.json", _flags(args), files, [src.seed], [src.path])
     print("wrote %s (n=%d, k=%d, %d tilt points)" % (out, n, k, lam.size))
     return 0
 
 
 def cmd_legendre(args) -> int:
-    started = time.time()
+    record = RunRecord(args.command)
     out = _resolve_out(args.out)
     cols = read_csv_columns(args.infile, ["lambda", "value"])
     grid = cols["lambda"]
@@ -208,7 +200,7 @@ def cmd_legendre(args) -> int:
                    _parse_grid(args.x_grid))
     files = [write_csv(out, ["x", "value", "argmax_lambda", "boundary"],
                        zip(res.xs, res.values, res.argmax, res.boundary))]
-    _finish_manifest(args, out, files, started)
+    record.write(out + ".manifest.json", _flags(args), files, inputs=[args.infile])
     print("wrote %s (%d conjugate points)" % (out, res.xs.size))
     return 0
 
@@ -216,8 +208,7 @@ def cmd_legendre(args) -> int:
 def cmd_regime(args) -> int:
     model = _parse_model(args.model)
     lambda0 = float(args.lambda0)
-    c = rate_along(model, lambda0) if args.c is None else float(args.c)
-    report = classify(model, lambda0, c)
+    report = classify(model, lambda0, args.c)
     # The level points lambda1 < lambda2 solve lambda L'(lambda) - L(lambda)
     # = threshold; they bracket the tilts, their slopes x1 < x2 the means.
     # A side whose level is not attained within the bracket stays open, as
@@ -248,7 +239,7 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_brownian(args) -> int:
-    started = time.time()
+    record = RunRecord(args.command)
     cfg = ExperimentConfig.from_json(args.config)
     cfg.out_dir = _resolve_out(cfg.out_dir)
     cfg.check_reads("brownian", ("gaussian",),
@@ -265,23 +256,20 @@ def cmd_brownian(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     out = os.path.join(cfg.out_dir, "brownian.csv")
     files = [write_csv(out, res.columns, res.rows)]
-    manifest = RunManifest(command="brownian", config=cfg.to_dict(),
-                           seeds=list(cfg.seeds), files=files,
-                           wallclock_s=round(time.time() - started, 3))
-    manifest.write(os.path.join(cfg.out_dir, "manifest.json"))
+    record.write(os.path.join(cfg.out_dir, "manifest.json"), cfg.to_dict(), files, cfg.seeds)
     print("wrote %s (%d rows)" % (out, len(res.rows)))
     return 0
 
 
 def cmd_freq(args) -> int:
-    started = time.time()
+    record = RunRecord(args.command)
     src = file_source(args.infile, args.m)
     res = frequency_test(src, args.n0, args.count)
     if args.out is not None:
         out = _resolve_out(args.out)
         files = [write_csv(out, ["word", "count", "freq"],
                            zip(map(res.word, range(res.counts.size)), res.counts, res.freqs))]
-        _finish_manifest(args, out, files, started, src)
+        record.write(out + ".manifest.json", _flags(args), files, inputs=[src.path])
     doc = {"m": res.m, "n0": res.n0, "N": res.N, "windows": res.windows,
            "uniform": args.m ** (-float(args.n0)), "max_dev": res.max_dev}
     print(json.dumps(json_safe(doc), indent=2, sort_keys=True))
@@ -448,7 +436,14 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # The reader has what it wanted; stdout now points at the null device,
+        # so the interpreter's exit flush of the unwritten rest stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -141,12 +141,29 @@ class RunManifest:
     input_checksums: dict = field(default_factory=dict)
 
     def write(self, path) -> str:
-        doc = asdict(self)
-        doc["files"] = sorted(os.path.basename(f) for f in self.files)
+        doc = dict(asdict(self), files=sorted(os.path.basename(f) for f in self.files))
         with open(path, "w", newline="") as fh:
             json.dump(json_safe(doc), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         return str(path)
+
+
+@dataclass
+class RunRecord:
+    """A command's or pipeline's run, opened when it starts: the one start of
+    a run's clock.  write() builds and writes every manifest.  A run fed by
+    files (inputs; None is no file) records seeds [] and the sha256 of each
+    input keyed by basename; a generated run records its seeds."""
+
+    command: str
+    started: float = field(default_factory=time.monotonic)
+
+    def write(self, path, config: dict, files, seeds=(), inputs=()) -> str:
+        return RunManifest(
+            command=self.command, config=config, seeds=[] if any(inputs) else list(seeds),
+            files=list(files), wallclock_s=round(time.monotonic() - self.started, 3),
+            input_checksums={os.path.basename(p): file_checksum(p) for p in inputs if p},
+        ).write(path)
 
 
 @dataclass
@@ -188,8 +205,9 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     The source yields base-m symbols (counter-based generator or digit file);
     the observable is the 0/1 indicator of symbol a.  The schedule is
     critical at lambda0: c = Lambda*(Lambda'(lambda0)), so a config that
-    sets c (or d, gamma, R, x_list or eps) raises UsageError.  For each n and seed
-    it emits CSVs of the empirical SCGF on the lambda grid, its absolute
+    sets c (or d, gamma, R, x_list or eps), seeds for a digit file (its one
+    run is seed 0) or path for generated digits raises UsageError.  For each
+    n and seed it emits CSVs of the empirical SCGF on the lambda grid, its absolute
     error against the model, the numerical conjugate on the x grid and the
     derivative estimate, plus a summary of the attained-mean intervals
     [min_j mean_j, max_j mean_j] and a manifest.  The model's level set
@@ -199,9 +217,10 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     short of n*x1 and n*x2 (base-10 digits at lambda0 = 0.8, n = 150,
     k = 633: E[max sum] = 27.5 against 150*x2 = 29.7).
     """
-    started = time.time()
+    record = RunRecord("fig1")
     config.check_reads("fig1", ("iid-digit", "digit-file"),
-                       ("d", "c", "gamma", "R", "x_list", "eps"))
+                       ("d", "c", "gamma", "R", "x_list", "eps",
+                        "seeds" if config.kind == "digit-file" else "path"))
     model = digit_indicator_model(config.m, config.a)
     lambda0 = 0.8 if config.lambda0 is None else float(config.lambda0)
     c = rate_along(model, lambda0)
@@ -209,16 +228,12 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     ks = config.block_counts(schedule)
     lam_grid = make_grid(*config.lambda_grid)
     x_grid = make_grid(*config.x_grid)
-    checksums = {}
     if config.kind == "digit-file":
         if not config.path:
             raise UsageError("digit-file source needs a path")
-        base = file_source(config.path, config.m, indicator_a=config.a)
-        seeds_eff = [0]
-        checksums[os.path.basename(config.path)] = file_checksum(config.path)
+        base, seeds = file_source(config.path, config.m, indicator_a=config.a), (0,)
     else:
-        base = digit_source(0, config.m, indicator_a=config.a)
-        seeds_eff = [int(s) for s in config.seeds]
+        base, seeds = digit_source(0, config.m, indicator_a=config.a), config.seeds
     os.makedirs(config.out_dir, exist_ok=True)
     # The grid columns and the model row repeat in every run: compute them once.
     lam_cells, x_cells = (list(map(fmt_cell, grid)) for grid in (lam_grid, x_grid))
@@ -226,7 +241,7 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     runs = []
     files = []
     summary_rows = []
-    for seed, n, k, stats in _block_runs(base, schedule, config.n_list, seeds_eff):
+    for seed, n, k, stats in _block_runs(base, schedule, config.n_list, seeds):
         scgf = empirical_scgf(stats, lam_grid)
         abs_err = np.abs(scgf.values - truth)
         conj = legendre(scgf, x_grid)
@@ -249,16 +264,12 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     files.append(write_csv(os.path.join(config.out_dir, "summary.csv"),
                            ["n", "seed", "k", "mean_min", "mean_max"],
                            summary_rows))
-    echo = config.to_dict()
-    echo["lambda_grid"] = grid_spec(lam_grid[0], config.lambda_grid[2], len(lam_grid))
-    echo["x_grid"] = grid_spec(x_grid[0], config.x_grid[2], len(x_grid))
-    echo["c"] = c
-    echo["k_by_n"] = {str(n): ks[n] for n in config.n_list}
-    echo["grid_note"] = "lambda/x grids and n spacing are reconstructions"
-    manifest = RunManifest(command="fig1", config=echo, seeds=seeds_eff,
-                           files=list(files), wallclock_s=round(time.time() - started, 3),
-                           input_checksums=checksums)
-    manifest_path = manifest.write(os.path.join(config.out_dir, "manifest.json"))
+    echo = dict(config.to_dict(), c=c, k_by_n={str(n): ks[n] for n in config.n_list},
+                lambda_grid=grid_spec(lam_grid[0], config.lambda_grid[2], len(lam_grid)),
+                x_grid=grid_spec(x_grid[0], config.x_grid[2], len(x_grid)),
+                grid_note="lambda/x grids and n spacing are reconstructions")
+    manifest_path = record.write(os.path.join(config.out_dir, "manifest.json"), echo,
+                                 files, seeds, [config.path])
     return Fig1Result(c=c, runs=runs, files=files, manifest_path=manifest_path)
 
 

@@ -186,18 +186,21 @@ def find_level_points(model, c: float) -> tuple[float, float]:
     return tuple(_level_points(model, c, (-1, +1)))
 
 
-def classify(model, lambda0: float, c: float) -> RegimeReport:
+def classify(model, lambda0: float, c: float | None = None) -> RegimeReport:
     """Compare the schedule exponent with the rate at x0 = Lambda'(lambda0).
 
     The threshold Lambda*(x0) is computed through the duality identity
     lambda0 * x0 - Lambda(lambda0), exact at exposed points.  Ties within
-    1e-12 on c classify as critical.
+    1e-12 on c classify as critical.  Omitting c takes the critical schedule,
+    c = max(threshold, 0): rounding can leave the threshold just below 0.
     """
-    Schedule(c)  # validates c
+    if c is not None:
+        Schedule(c)  # validates c
     lambda0 = float(lambda0)
     # One grad and one lam call give x0, Lambda(lambda0) and the threshold
     # lambda0 * x0 - Lambda(lambda0); a non-finite lambda0 is refused first.
     threshold, x0, v1 = map(float, _rate_and_slope(model, lambda0))
+    c = max(threshold, 0.0) if c is None else c
     diff = c - threshold
     if abs(diff) <= _TIE_TOL:
         regime = "critical"

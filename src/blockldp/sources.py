@@ -22,7 +22,7 @@ dimension, far beyond any supported run length).
 
 The vector kernels compute words and uniforms in place, over blocks of 2**14
 counters in reused buffers, and write into an output array of the caller's
-dtype; for any split into blocks they equal raw_word and uniform bit for bit.
+dtype; for any split into blocks they equal the scalar raw_word bit for bit.
 The digit kernel reduces a word as z - m * (z // m), which is z mod m exactly
 in unsigned 64-bit arithmetic: numpy divides by a scalar with a multiply and
 shift, several times faster than its remainder.
@@ -61,11 +61,6 @@ def raw_word(seed: int, i: int) -> int:
     return z
 
 
-def uniform(seed: int, i: int) -> float:
-    """Uniform draw in the open interval (0, 1) at counter i."""
-    return ((raw_word(seed, i) >> 11) + 0.5) * _U53
-
-
 def _mix_into(z: np.ndarray, tmp: np.ndarray, seed: int, first: int,
               step: int) -> np.ndarray:
     """raw_word(seed, first + j * step) into z[j] for j < z.size <= _BLOCK.
@@ -86,7 +81,8 @@ def _mix_into(z: np.ndarray, tmp: np.ndarray, seed: int, first: int,
 
 
 def _uniforms_into(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """uniform() of the words z into the float64 buffer u; z is overwritten."""
+    """Uniforms ((z >> 11) + 0.5) * 2**-53 of the words z into the float64
+    buffer u; z is overwritten."""
     np.right_shift(z, np.uint64(11), out=z)
     u[...] = z
     np.add(u, 0.5, out=u)
@@ -113,22 +109,6 @@ def _sample_digit(seed: int, i: int, m: int, limit: int) -> int:
     return z % m
 
 
-def next_digit(seed: int, i: int, m: int) -> int:
-    """Uniform symbol in {0, ..., m-1} at index i, deterministic in (seed, i, m).
-
-    Parameters
-    ----------
-    seed : int
-        64-bit generator seed.
-    i : int
-        Symbol index (random access).
-    m : int
-        Base, 2 <= m <= 10.
-    """
-    _check_base(m)
-    return _sample_digit(seed, i, m, _digit_limit(m))
-
-
 def _blocks(count: int):
     """(b0, z, tmp) per block of range(count); z, tmp are reused uint64 buffers."""
     z, tmp = np.empty((2, min(count, _BLOCK)), dtype=np.uint64)
@@ -139,8 +119,8 @@ def _blocks(count: int):
 
 def _digits_into(out: np.ndarray, seed: int, start: int, m: int,
                  a: int | None = None) -> np.ndarray:
-    """next_digit over indices start..start+out.size-1 into out, any dtype;
-    the 0/1 indicators of symbol == a instead when a is given."""
+    """The base-m digits at indices start..start+out.size-1 into out, any
+    dtype; the 0/1 indicators of symbol == a instead when a is given."""
     _check_base(m)
     limit = _digit_limit(m)
     base = np.uint64(m)
@@ -162,11 +142,6 @@ def _digits_into(out: np.ndarray, seed: int, start: int, m: int,
             sym = _sample_digit(seed, int(start + b0 + j), m, limit)
             dst[j] = sym if a is None else sym == a
     return out
-
-
-def bernoulli_value(seed: int, i: int, p: float) -> float:
-    """Bernoulli(p) observation (0.0 or 1.0) at index i."""
-    return 1.0 if uniform(seed, i) < p else 0.0
 
 
 def _bernoulli_block(seed: int, start: int, p: float, out: np.ndarray) -> np.ndarray:
@@ -424,6 +399,11 @@ class SeriesSource:
             raise UsageError("unknown source kind %r" % (self.kind,))
         if self.d < 1:
             raise UsageError("dimension must be >= 1")
+        if self.kind != "gaussian":
+            want = self.markov.d if self.kind == "markov-chain" else 1
+            if self.d != want:
+                raise UsageError("a %s source has dimension %d, got d=%r"
+                                 % (self.kind, want, self.d))
         if self.kind in ("iid-digit", "digit-file"):
             _check_base(self.m)
             a = self.indicator_a

@@ -6,8 +6,31 @@ import math
 
 import numpy as np
 
-from blockldp import MarkovSpec, NumericalError, UsageError
+from blockldp import MarkovSpec, NumericalError, UsageError, ball_mass, sources
+from blockldp.blockstats import _ball_rate
 from blockldp.regimes import _LEVEL_BRACKET, _LEVEL_TOL, rate_along
+
+
+def uniform(seed: int, i: int) -> float:
+    """Uniform draw in the open interval (0, 1) at counter i, one word at a time."""
+    return ((sources.raw_word(seed, i) >> 11) + 0.5) * 2.0 ** -53
+
+
+def next_digit(seed: int, i: int, m: int) -> int:
+    """Uniform symbol in {0, ..., m-1} at index i, deterministic in (seed, i, m);
+    reads sources._digit_limit at call time, so a test may patch it."""
+    sources._check_base(m)
+    return sources._sample_digit(seed, i, m, sources._digit_limit(m))
+
+
+def bernoulli_value(seed: int, i: int, p: float) -> float:
+    """Bernoulli(p) observation (0.0 or 1.0) at index i."""
+    return 1.0 if uniform(seed, i) < p else 0.0
+
+
+def local_rate(stats, x, eps: float) -> float:
+    """-(1/n) log of the ball mass; +inf sentinel when the ball is empty."""
+    return _ball_rate(*ball_mass(stats, x, eps), stats.n)
 
 
 def exact_prefix_scgf(spec: MarkovSpec, lam: float, n: int) -> float:

@@ -10,9 +10,9 @@ PUBLIC_NAMES = [
     "bernoulli_model", "bernoulli_source", "block_means", "brownian_experiment",
     "classify", "digit_indicator_model", "digit_source", "empirical_scgf",
     "fig1_pipeline", "file_source", "find_level_points", "frequency_test",
-    "gaussian_model", "gaussian_source", "grad_estimate", "legendre", "local_rate",
-    "markov_model", "markov_source", "next_digit", "pairwise_sum", "pi_fixture_path",
-    "regime_experiment", "scgf_values",
+    "gaussian_model", "gaussian_source", "grad_estimate", "legendre", "markov_model",
+    "markov_source", "pairwise_sum", "pi_fixture_path", "regime_experiment",
+    "scgf_values",
 ]
 
 

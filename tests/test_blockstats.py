@@ -11,8 +11,9 @@ import blockldp.sources as sources
 from blockldp import (BlockStats, DataError, MarkovSpec, SampledFunction,
                       UsageError, ball_mass, bernoulli_source, block_means,
                       digit_source, empirical_scgf, file_source, gaussian_source,
-                      local_rate, markov_source, pairwise_sum, pi_fixture_path,
-                      scgf_values)
+                      markov_source, pairwise_sum, pi_fixture_path, scgf_values)
+
+from _reference import local_rate
 
 LATTICE_SOURCES = {
     "digit-indicator": lambda: digit_source(5, 10, indicator_a=0),
@@ -291,6 +292,13 @@ def test_ball_mass_closed_ball():
         ball_mass(stats, 0.0, 0.0)
     with pytest.raises(UsageError):
         ball_mass(stats, np.array([0.0, 0.0]), 0.1)  # center must match d
+
+
+def test_block_stats_refuse_means_off_their_dimension():
+    for d, means in ((2, np.zeros((3, 1))), (1, np.zeros((3, 2))), (1, np.zeros(3)),
+                     (1, np.zeros((3, 1, 1)))):
+        with pytest.raises(UsageError, match="shape"):
+            BlockStats(n=1, k=3, d=d, means=means)
 
 
 def test_ball_mass_euclidean():

@@ -1,9 +1,11 @@
 """Tests for the command-line interface: exit codes, outputs, manifests."""
 
+import hashlib
 import json
 import math
 import os
 import resource
+import shutil
 import subprocess
 import sys
 
@@ -541,10 +543,14 @@ def test_fig1_rejects_c(tmp_path, capsys):
     ("fig1", FIG1_SMALL, "seeds", []),
     ("brownian", BROWNIAN_SMALL, "n_list", []),
     ("brownian", BROWNIAN_SMALL, "seeds", []),
+    ("fig1", dict(FIG1_SMALL, kind="digit-file", path=sources.pi_fixture_path()),
+     "seeds", [5, 6]),
+    ("fig1", FIG1_SMALL, "path", sources.pi_fixture_path()),
 ], ids=["seeds-float", "seeds-bool", "n_list-float", "x_list-string", "kind-null",
         "out_dir-null", "path-int", "fig1-unread-keys", "brownian-unread-keys",
         "brownian-digit-kind", "fig1-n_list-empty", "fig1-seeds-empty",
-        "brownian-n_list-empty", "brownian-seeds-empty"])
+        "brownian-n_list-empty", "brownian-seeds-empty", "fig1-file-seeds",
+        "fig1-generated-path"])
 def test_config_values_keep_their_json_types(tmp_path, capsys, command, base, key,
                                              val):
     cfg = dict(base, out_dir=str(tmp_path / "out"))
@@ -626,3 +632,72 @@ def test_selftest_failure_exit(monkeypatch, capsys):
     assert "FAIL - deliberately wrong: " in out
     assert "FAIL - deliberately raising: division by zero" in out
     assert out.splitlines()[-1] == "2 selftest failure(s)"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["regime", "--model", "gaussian:1", "--lambda0", "0.5"],
+                                  ["selftest"]], ids=["regime", "selftest"])
+def test_closed_stdout_exits_0_quietly(tmp_path, argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the CLI writes a byte
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "blockldp.cli"] + argv, cwd=tmp_path,
+                              env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+# Every file-writing command; the runs fed by a file name their one input.
+MANIFEST_RUNS = [
+    (["gen", "--kind", "iid-digit", "--seed", "7", "--count", "5", "--out", "g.txt"],
+     "g.txt.manifest.json", None),
+    (["analyze", "--kind", "iid-digit", "--seed", "3", "--a", "0", "--n", "10", "--k", "50",
+      "--lambda-grid=-1:1:0.5", "--ball", "0.1,0.05", "--out", "a.csv"],
+     "a.csv.manifest.json", None),
+    (["analyze", "--in", "pi.txt", "--a", "0", "--n", "10", "--k", "50",
+      "--lambda-grid=-1:1:0.5", "--ball", "0.1,0.05", "--out", "af.csv"],
+     "af.csv.manifest.json", "pi.txt"),
+    (["legendre", "--in", "a.csv", "--x-grid", "0.1:0.3:0.1", "--out", "l.csv"],
+     "l.csv.manifest.json", "a.csv"),
+    (["freq", "--in", "pi.txt", "--n0", "2", "--out", "w.csv"], "w.csv.manifest.json",
+     "pi.txt"),
+    (["brownian", "--config", "bw.json"], "bw/manifest.json", None),
+    (["fig1", "--config", "fg.json"], "fg/manifest.json", None),
+    (["fig1", "--config", "ff.json"], "ff/manifest.json", "pi.txt"),
+]
+
+
+def test_every_manifest_repeats_but_its_wallclock(tmp_path, monkeypatch, capsys):
+    configs = {"bw.json": dict(BROWNIAN_SMALL, out_dir="bw"),
+               "fg.json": dict(FIG1_SMALL, seeds=[1, 2], out_dir="fg"),
+               "ff.json": dict(FIG1_SMALL, kind="digit-file", path="pi.txt", out_dir="ff")}
+    del configs["ff.json"]["seeds"]
+    runs = []
+    for name in ("first", "second"):
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        shutil.copy(sources.pi_fixture_path(), "pi.txt")
+        for cfg_name, cfg in configs.items():
+            (work / cfg_name).write_text(json.dumps(cfg))
+        for argv, _, _ in MANIFEST_RUNS:
+            assert main(argv) == 0, argv
+        runs.append({man: [line for line in (work / man).read_bytes().splitlines(True)
+                           if not line.lstrip().startswith(b'"wallclock_s": ')]
+                     for _, man, _ in MANIFEST_RUNS})
+    capsys.readouterr()
+    assert runs[0] == runs[1]
+    digest = hashlib.sha256((tmp_path / "first" / "pi.txt").read_bytes()).hexdigest()
+    for argv, man, infile in MANIFEST_RUNS:
+        with open(tmp_path / "first" / man) as fh:
+            doc = json.load(fh)
+        assert doc["command"] == argv[0] and doc["wallclock_s"] >= 0.0
+        if infile is None:  # a generated run records its seeds
+            assert doc["seeds"] and doc["input_checksums"] == {}, man
+        else:
+            assert doc["seeds"] == [] and list(doc["input_checksums"]) == [infile], man
+    with open(tmp_path / "first" / "ff" / "manifest.json") as fh:
+        assert json.load(fh)["input_checksums"] == {"pi.txt": digest}

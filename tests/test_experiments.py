@@ -92,7 +92,9 @@ def test_fig1_digit_file_fixture(tmp_path):
     assert np.all(np.isfinite(res.runs[0].conj.values))
     with open(res.manifest_path) as fh:
         man = json.load(fh)
-    assert os.path.basename(pi_fixture_path()) in man["input_checksums"]
+    # a run fed by a file records its input, not seeds
+    assert man["seeds"] == []
+    assert list(man["input_checksums"]) == [os.path.basename(pi_fixture_path())]
 
 
 def test_fig1_guards(tmp_path):

@@ -257,3 +257,19 @@ def test_subcritical_side_is_the_sign_of_lambda0():
                 grad_at_0 = any(np.all(t == 0.0) for t in calls["grad"])
                 assert grad_at_0 == (c == 0.0), (name, l0, c)
                 assert (l0 > 0) == (rep.x0 > model.grad(0.0)), (name, l0, c)
+
+
+def test_default_c_is_the_threshold_of_one_model_call(capsys):
+    for model in (markov_model(BENCH_CHAIN), digit_indicator_model(10, 0)):
+        counting, calls = _counting(model)
+        rep = classify(counting, 0.5)
+        assert rep.regime == "critical" and rep.c == rep.threshold == rate_along(model, 0.5)
+        assert (len(calls["lam"]), len(calls["grad"])) == (1, 1)
+    # Bernoulli rounding leaves this threshold at -3.4e-16: the default c is
+    # 0, not a refused negative exponent.
+    rep = classify(digit_indicator_model(10, 0), 1e-15)
+    assert rep.threshold < 0.0 and rep.c == 0.0 and rep.regime == "critical"
+    assert main(["regime", "--model", "digit:10:0", "--lambda0", "1e-15"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["regime"] == "critical"
+    assert json.loads(out)["c"] == 0.0

@@ -10,10 +10,12 @@ import pytest
 from scipy.stats import chi2
 
 import blockldp.sources as sources
-from blockldp import (DataError, MarkovSpec, NumericalError, UsageError,
+from blockldp import (DataError, MarkovSpec, NumericalError, SeriesSource, UsageError,
                       bernoulli_source, digit_source, file_source,
-                      gaussian_source, markov_source, next_digit, pi_fixture_path)
-from blockldp.sources import bernoulli_value, raw_word, uniform
+                      gaussian_source, markov_source, pi_fixture_path)
+from blockldp.sources import raw_word
+
+from _reference import bernoulli_value, next_digit, uniform
 
 # Fixed outputs of the 64-bit mix, recomputed with a standalone big-integer
 # implementation of the finalizer; the (0, 0) and (1, 0) words equal the
@@ -338,6 +340,19 @@ def test_integer_reads_match_float_reads(tmp_path):
                 markov_source(MarkovSpec(P=chain, phi=[[0.0, 1.0], [1.0, 0.0]]), 1)):
         assert src.int_bound is None
         assert src.reader().read(4).dtype == np.float64
+
+
+def test_source_dimension_matches_its_kind():
+    spec = _sym_chain()
+    for kw in (dict(kind="iid-digit", m=10), dict(kind="iid-bernoulli", p=0.5),
+               dict(kind="digit-file", m=10, path=pi_fixture_path()),
+               dict(kind="markov-chain", markov=spec)):
+        with pytest.raises(UsageError, match="dimension 1, got d=2"):
+            SeriesSource(d=2, seed=0, **kw)
+    vector = MarkovSpec(P=spec.P, phi=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(UsageError, match="dimension 2, got d=1"):
+        SeriesSource(kind="markov-chain", d=1, seed=0, markov=vector)
+    assert markov_source(vector, 0).d == gaussian_source(0, 2).d == 2
 
 
 def test_file_reader_repeats_decode_error(tmp_path):
