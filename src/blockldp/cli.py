@@ -139,6 +139,11 @@ def _build_source(args):
     return markov_source(_load_markov_file(args.markov_file), seed)
 
 
+def _spec_files(src, args) -> list:
+    """The files besides its data that a run of src read: a chain's spec."""
+    return [args.markov_file] if src.kind == "markov-chain" else []
+
+
 def _flags(args) -> dict:
     """Every flag value of a run: the config its manifest records."""
     return {key: val for key, val in vars(args).items() if key not in ("func", "command")}
@@ -156,7 +161,8 @@ def cmd_gen(args) -> int:
         for start in range(0, count, _GEN_ROWS):
             # Digit and Bernoulli values are uint8 and print as integers.
             write_rows(fh, reader.read(min(_GEN_ROWS, count - start)).tolist(), " ")
-    record.write(out + ".manifest.json", _flags(args), [out], [src.seed], [src.path])
+    record.write(out + ".manifest.json", _flags(args), [out], [src.seed], [src.path],
+                 _spec_files(src, args))
     print("wrote %d lines to %s" % (count, out))
     return 0
 
@@ -184,7 +190,8 @@ def cmd_analyze(args) -> int:
         root, ext = os.path.splitext(out)
         files.append(write_csv(root + "_ball" + (ext or ".csv"),
                                ["x", "mass"], [(center, mass)]))
-    record.write(out + ".manifest.json", _flags(args), files, [src.seed], [src.path])
+    record.write(out + ".manifest.json", _flags(args), files, [src.seed], [src.path],
+                 _spec_files(src, args))
     print("wrote %s (n=%d, k=%d, %d tilt points)" % (out, n, k, lam.size))
     return 0
 

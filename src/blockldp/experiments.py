@@ -153,16 +153,18 @@ class RunRecord:
     """A command's or pipeline's run, opened when it starts: the one start of
     a run's clock.  write() builds and writes every manifest.  A run fed by
     files (inputs; None is no file) records seeds [] and the sha256 of each
-    input keyed by basename; a generated run records its seeds."""
+    input keyed by basename; a generated run records its seeds, and the
+    sha256 of each spec file it read (specs, such as a Markov chain's)."""
 
     command: str
     started: float = field(default_factory=time.monotonic)
 
-    def write(self, path, config: dict, files, seeds=(), inputs=()) -> str:
+    def write(self, path, config: dict, files, seeds=(), inputs=(), specs=()) -> str:
         return RunManifest(
             command=self.command, config=config, seeds=[] if any(inputs) else list(seeds),
             files=list(files), wallclock_s=round(time.monotonic() - self.started, 3),
-            input_checksums={os.path.basename(p): file_checksum(p) for p in inputs if p},
+            input_checksums={os.path.basename(p): file_checksum(p)
+                             for p in (*inputs, *specs) if p},
         ).write(path)
 
 

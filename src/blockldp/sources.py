@@ -20,9 +20,13 @@ coordinates use Box-Muller on the counter pair (2i, 2i+1), offset by a
 per-dimension stride of 2**40 (collision-free for indices below 2**39 per
 dimension, far beyond any supported run length).
 
-The vector kernels compute words and uniforms in place, over blocks of 2**14
+The vector kernels compute words and uniforms in place, over blocks of 2**16
 counters in reused buffers, and write into an output array of the caller's
 dtype; for any split into blocks they equal the scalar raw_word bit for bit.
+A read of a counter kind of at least 2 * _MIN_PART = 2**17 values is split
+into contiguous parts, up to one per CPU of the process's affinity mask,
+filled on threads: the bytes do not depend on the split, and a process
+confined to one CPU (taskset -c 0) reads on its own thread only.
 The digit kernel reduces a word as z - m * (z // m), which is z mod m exactly
 in unsigned 64-bit arithmetic: numpy divides by a scalar with a multiply and
 shift, several times faster than its remainder.
@@ -30,6 +34,7 @@ shift, several times faster than its remainder.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -46,7 +51,11 @@ _U53 = 2.0 ** -53
 _DIM_STRIDE = 1 << 40
 _MAX_DIGIT_RETRIES = 128
 _FILE_CHUNK = 1 << 20
-_BLOCK = 1 << 14  # counters per kernel pass: its 128 KB buffers stay in cache
+_BLOCK = 1 << 16  # counters per kernel pass: each ufunc call is long enough to
+                  # repay a thread switch, and a thread's buffers total 2 MB
+_MIN_PART = 1 << 16  # fewest values of a read that _split hands to one thread
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 _RAMP = np.arange(_BLOCK, dtype=np.uint64)
 
 
@@ -117,7 +126,7 @@ def _blocks(count: int):
         yield b0, z[:n], tmp[:n]
 
 
-def _digits_into(out: np.ndarray, seed: int, start: int, m: int,
+def _digits_into(seed: int, start: int, out: np.ndarray, m: int,
                  a: int | None = None) -> np.ndarray:
     """The base-m digits at indices start..start+out.size-1 into out, any
     dtype; the 0/1 indicators of symbol == a instead when a is given."""
@@ -144,7 +153,7 @@ def _digits_into(out: np.ndarray, seed: int, start: int, m: int,
     return out
 
 
-def _bernoulli_block(seed: int, start: int, p: float, out: np.ndarray) -> np.ndarray:
+def _bernoulli_block(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray:
     """Bernoulli(p) draws at indices start..start+out.size-1 into out, any dtype."""
     u = np.empty(min(out.size, _BLOCK), dtype=np.float64)
     for b0, z, tmp in _blocks(out.size):
@@ -153,14 +162,17 @@ def _bernoulli_block(seed: int, start: int, p: float, out: np.ndarray) -> np.nda
     return out
 
 
-def _gaussian_block(seed: int, start: int, count: int, d: int) -> np.ndarray:
-    # Box-Muller sqrt(-2 log u1) cos(2 pi u2), u1 and u2 at counters 2i and
-    # 2i + 1 of coordinate c's stream, which is offset by c * _DIM_STRIDE.
-    out = np.empty((count, d), dtype=np.float64)
-    buf = np.empty((2, min(count, _BLOCK)), dtype=np.float64)
-    for b0, z, tmp in _blocks(count):
+def _gaussian_block(seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Standard-normal vectors at indices start..start+len(out)-1 into the
+    float64 (count, d) array out.
+
+    Box-Muller sqrt(-2 log u1) cos(2 pi u2), u1 and u2 at counters 2i and
+    2i + 1 of coordinate c's stream, which is offset by c * _DIM_STRIDE.
+    """
+    buf = np.empty((2, min(len(out), _BLOCK)), dtype=np.float64)
+    for b0, z, tmp in _blocks(len(out)):
         u1, u2 = buf[0, :z.size], buf[1, :z.size]
-        for c in range(d):
+        for c in range(out.shape[1]):
             first = 2 * (start + b0) + c * _DIM_STRIDE
             _uniforms_into(_mix_into(z, tmp, seed, first, 2), u1)
             _uniforms_into(_mix_into(z, tmp, seed, first + 1, 2), u2)
@@ -170,6 +182,31 @@ def _gaussian_block(seed: int, start: int, count: int, d: int) -> np.ndarray:
             np.multiply(u2, 2.0 * np.pi, out=u2)
             np.cos(u2, out=u2)
             np.multiply(u1, u2, out=out[b0 : b0 + z.size, c])
+    return out
+
+
+def _split(kernel, seed: int, start: int, out: np.ndarray, *params) -> np.ndarray:
+    """kernel(seed, start + j, out[j:j2], *params) over contiguous parts of out.
+
+    There are min(_WORKERS, len(out) // _MIN_PART) parts; the first is filled
+    on the calling thread and the others on a pool of threads, which run in
+    parallel because numpy releases the GIL inside each ufunc.  Each value is
+    a function of its counter alone, so the bytes do not depend on the
+    split.  With fewer than two parts the kernel runs inline.  The pool lives
+    for one read, so no thread outlives the read.
+    """
+    parts = min(_WORKERS, len(out) // _MIN_PART)
+    if parts < 2:
+        return kernel(seed, start, out, *params)
+    from concurrent.futures import ThreadPoolExecutor  # 5 ms, paid only by a split
+
+    edges = [len(out) * i // parts for i in range(parts + 1)]
+    with ThreadPoolExecutor(parts - 1) as pool:
+        rest = [pool.submit(kernel, seed, start + j, out[j:j2], *params)
+                for j, j2 in zip(edges[1:-1], edges[2:])]
+        kernel(seed, start, out[:edges[1]], *params)
+        for part in rest:
+            part.result()
     return out
 
 
@@ -332,6 +369,8 @@ class Reader:
     chain also its last state, a digit file its open chunk decoder (byte
     position, radix-point flag) and its unread symbols; those two read and
     drop the values before start.  Dropping the reader closes its file.
+    A large read of a counter kind is filled on threads (_split); Markov and
+    digit-file reads stay serial.
     """
 
     def __init__(self, source: "SeriesSource", start: int = 0):
@@ -350,7 +389,8 @@ class Reader:
         src = self.source
         a = src.indicator_a
         if src.kind == "iid-digit":
-            out = _digits_into(np.empty(count, np.uint8), src.seed, self.pos, src.m, a)
+            out = _split(_digits_into, src.seed, self.pos, np.empty(count, np.uint8),
+                         src.m, a)
         elif src.kind == "digit-file":
             parts, got = [self._rest], self._rest.size
             while got < count and (chunk := next(self._chunks, None)) is not None:
@@ -363,9 +403,10 @@ class Reader:
             if a is not None:
                 out = (out == a).view(np.uint8)
         elif src.kind == "iid-bernoulli":
-            out = _bernoulli_block(src.seed, self.pos, src.p, np.empty(count, np.uint8))
+            out = _split(_bernoulli_block, src.seed, self.pos, np.empty(count, np.uint8),
+                         src.p)
         elif src.kind == "gaussian":
-            out = _gaussian_block(src.seed, self.pos, count, src.d)
+            out = _split(_gaussian_block, src.seed, self.pos, np.empty((count, src.d)))
         else:
             states = _markov_states(src.markov, src.seed, self.pos, count, self._state)
             self._state = states[-1] if count else self._state

@@ -473,6 +473,32 @@ def test_manifest_flag_keys(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--count", "5"],
+    ["analyze", "--n", "4", "--k", "3", "--lambda-grid", "0,1"],
+], ids=["gen", "analyze"])
+def test_markov_spec_file_is_a_checksummed_input(tmp_path, monkeypatch, capsys, argv):
+    # A chain's spec file fixes the run as much as its seed: the manifest keeps
+    # the seed and records the spec's sha256, so an edited spec changes it.
+    monkeypatch.chdir(tmp_path)
+    chain = tmp_path / "chain.json"
+    argv = argv + ["--kind", "markov", "--markov-file", "chain.json", "--seed", "5",
+                   "--out", "o.txt"]
+    docs = []
+    for P in ([[0.9, 0.1], [0.1, 0.9]], [[0.8, 0.2], [0.1, 0.9]]):
+        with open(chain, "w") as fh:
+            json.dump({"P": P, "phi": [0.0, 1.0]}, fh)
+        assert main(argv) == 0
+        with open("o.txt.manifest.json") as fh:
+            docs.append(json.load(fh))
+        with open(chain, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert docs[-1]["seeds"] == [5]
+        assert docs[-1]["input_checksums"] == {"chain.json": digest}
+    assert docs[0]["input_checksums"] != docs[1]["input_checksums"]
+    capsys.readouterr()
+
+
 def test_out_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BLOCKLDP_OUT", str(tmp_path))
     assert main(["gen", "--kind", "iid-digit", "--seed", "1", "--count", "3",

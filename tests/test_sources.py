@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,9 @@ from scipy.stats import chi2
 
 import blockldp.sources as sources
 from blockldp import (DataError, MarkovSpec, NumericalError, SeriesSource, UsageError,
-                      bernoulli_source, digit_source, file_source,
+                      bernoulli_source, block_means, digit_source, file_source,
                       gaussian_source, markov_source, pi_fixture_path)
+from blockldp.cli import main
 from blockldp.sources import raw_word
 
 from _reference import bernoulli_value, next_digit, uniform
@@ -206,8 +208,13 @@ def test_digit_rejection_chain(monkeypatch):
         digit_source(11, 2).reader().read(4)
 
 
+# The counts the BOUNDARY_SHA256 digests were recorded at: around the edges of
+# the 2**14-counter blocks the kernels then used.
+BOUNDARY_COUNTS = ((1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 7)
+# Around the current block edges, and a read that splits into two parts that
+# each cross a block edge; checked against the scalar forms only.
 B = sources._BLOCK
-BOUNDARY_COUNTS = (B - 1, B, B + 1, 3 * B + 7)
+EDGE_COUNTS = (B - 1, B, B + 1, 2 * sources._MIN_PART + 3)
 BOUNDARY_START = 12345  # odd, so no block starts on an aligned counter
 BOUNDARY_CHAIN = MarkovSpec(P=[[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
                             phi=[0.0, 1.0, 2.0])
@@ -260,35 +267,108 @@ def _boundary_case(name: str, top: int):
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_SHA256))
-def test_kernels_at_block_boundaries(name):
+def test_kernels_at_block_boundaries(name, monkeypatch):
     # Each count ends just before, on, or just after a block edge, or spans
     # several blocks; every output must equal the scalar forms bit for bit.
-    kernel, ref = _boundary_case(name, BOUNDARY_COUNTS[-1])
+    monkeypatch.setattr(sources, "_WORKERS", 2)
+    kernel, ref = _boundary_case(name, max(BOUNDARY_COUNTS + EDGE_COUNTS))
     digest = hashlib.sha256()
-    for count in BOUNDARY_COUNTS:
+    for count in BOUNDARY_COUNTS + EDGE_COUNTS:
         got = kernel(count)
         assert np.array_equal(got, ref[:count]), count
-        digest.update(np.ascontiguousarray(got).tobytes())
+        if count in BOUNDARY_COUNTS:
+            digest.update(np.ascontiguousarray(got).tobytes())
     assert digest.hexdigest() == BOUNDARY_SHA256[name]
 
 
 def test_digit_rejection_straggler_in_later_block(monkeypatch):
-    # Reject exactly the largest word of the run, which lies past block 0.
-    s0, count = BOUNDARY_START, BOUNDARY_COUNTS[-1]
-    words = [raw_word(7, s0 + j) for j in range(count)]
-    j = int(np.argmax(np.array(words, dtype=np.uint64)))
-    assert j >= B and words.count(words[j]) == 1
-    monkeypatch.setattr(sources, "_digit_limit", lambda m: words[j])
+    # Reject exactly the largest word of the run, which lies past block 0 of
+    # 2**14-counter blocks, and in a longer run past block 0 of sources._BLOCK.
+    for block in (1 << 14, B):
+        s0, count = BOUNDARY_START, 3 * block + 7
+        words = [raw_word(7, s0 + j) for j in range(count)]
+        j = int(np.argmax(np.array(words, dtype=np.uint64)))
+        assert j >= block and words.count(words[j]) == 1
+        monkeypatch.setattr(sources, "_digit_limit", lambda m: words[j])
+        got = digit_source(7, 10).reader(s0).read(count)[:, 0]
+        assert got[j] == raw_word(words[j], s0 + j) % 10 != words[j] % 10
+        assert np.array_equal(got, [next_digit(7, s0 + i, 10) for i in range(count)])
+
+
+SPLIT_COUNT = 4567  # with the small blocks and parts below: 1 to 3 parts of 2 to 5 blocks
+
+
+def _small_parts(monkeypatch, workers: int) -> set:
+    """Patch sources to split reads of SPLIT_COUNT values into min(workers, 3)
+    parts of 1000-counter blocks; returns the set the threads that mix words
+    add their ids to."""
+    monkeypatch.setattr(sources, "_WORKERS", workers)
+    monkeypatch.setattr(sources, "_MIN_PART", 1500)
+    monkeypatch.setattr(sources, "_BLOCK", 1000)
+    threads, mix = set(), sources._mix_into
+
+    def mix_into(*args):
+        threads.add(threading.get_ident())
+        return mix(*args)
+
+    monkeypatch.setattr(sources, "_mix_into", mix_into)
+    return threads
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_reads_equal_scalar_forms(workers, monkeypatch):
+    # Parts filled on other threads leave no trace in the values: each read
+    # equals the scalar forms bit for bit, however many parts it takes.
+    threads = _small_parts(monkeypatch, workers)
+    s0, count = BOUNDARY_START, SPLIT_COUNT
+    cases = {name: _boundary_case(name, count)
+             for name in ("digit2", "digit10", "bernoulli", "gaussian1", "gaussian2")}
+    cases["digit10-indicator"] = (
+        lambda n: digit_source(7, 10, 3).reader(s0).read(n)[:, 0],
+        cases["digit10"][1] == 3)
+    for name, (kernel, ref) in cases.items():
+        threads.clear()
+        assert np.array_equal(kernel(count), ref), name
+        assert (len(threads) > 1) == (workers > 1), name
+
+
+def test_split_read_resolves_a_straggler_in_its_second_part(monkeypatch):
+    _small_parts(monkeypatch, 2)
+    s0, count = BOUNDARY_START, SPLIT_COUNT
+    words = np.array([raw_word(7, s0 + j) for j in range(count)], dtype=np.uint64)
+    # The second of the two parts starts at count // 2; reject its largest word.
+    j = count // 2 + int(np.argmax(words[count // 2:]))
+    monkeypatch.setattr(sources, "_digit_limit", lambda m: int(words[j]))
     got = digit_source(7, 10).reader(s0).read(count)[:, 0]
-    assert got[j] == raw_word(words[j], s0 + j) % 10 != words[j] % 10
+    assert got[j] == raw_word(int(words[j]), s0 + j) % 10 != words[j] % 10
     assert np.array_equal(got, [next_digit(7, s0 + i, 10) for i in range(count)])
+
+
+def test_error_in_a_worker_thread_reaches_the_caller(monkeypatch, tmp_path, capsys):
+    # Only the parts filled off the calling thread reject every word, so the
+    # NumericalError comes from a worker; it reaches block_means' caller, and
+    # the CLI exits 3 with one error line.
+    monkeypatch.setattr(sources, "_WORKERS", 2)
+    limit = sources._digit_limit
+    monkeypatch.setattr(sources, "_digit_limit", lambda m: limit(m) if (
+        threading.current_thread() is threading.main_thread()) else 2)
+    n, k = 1000, 2 * sources._MIN_PART // 1000 + 1
+    assert digit_source(11, 2).reader().read(sources._MIN_PART).size  # one part: inline
+    with pytest.raises(NumericalError, match="128 retries"):
+        block_means(digit_source(11, 2), n, k)
+    argv = ["analyze", "--kind", "iid-digit", "--m", "2", "--seed", "11", "--n", str(n),
+            "--k", str(k), "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "128 retries" in err
+    assert not os.path.exists(tmp_path / "s.csv")
 
 
 def _narrow_digit_kernels(m: int, count: int):
     """(uint8 symbols, uint8 indicators of m - 1) at BOUNDARY_START, each from
     the kernel and from a reader's read."""
     s0, a = BOUNDARY_START, m - 1
-    kernel = [sources._digits_into(np.empty(count, dtype=np.uint8), 7, s0, m, b)
+    kernel = [sources._digits_into(7, s0, np.empty(count, dtype=np.uint8), m, b)
               for b in (None, a)]
     read = [digit_source(7, m, b).reader(s0).read(count)[:, 0] for b in (None, a)]
     for got in kernel + read:
