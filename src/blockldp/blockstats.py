@@ -17,6 +17,12 @@ a continuous source keeps its means in block order with unit weights even
 when every block sum happens to be an integer.  Every float reduction in
 this module uses one fixed pairwise (tree) summation over row order, so
 serial, chunked and parallel evaluations agree bit-exactly.
+
+block_means hands Reader.blocks a reducer that runs once per part of the
+k blocks, on the thread that generates the part: on the float path it writes
+the part's block sums into its own rows of the (k, d) sums, and on the
+lattice path it returns the part's exact (distinct sums, counts) tally,
+which block_means merges.
 """
 
 from __future__ import annotations
@@ -40,17 +46,30 @@ def pairwise_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     worker count, which is the determinism contract for every reduction in
     the package.
     """
-    a = np.moveaxis(np.asarray(a, dtype=np.float64), axis, -1)
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-1])
-    while a.shape[-1] > 1:
-        m = a.shape[-1]
-        even = m - (m % 2)
-        s = a[..., 0:even:2] + a[..., 1:even:2]
+    a = np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0)
+    if len(a) < 2:
+        return a.sum(axis=0)
+    return _tree(a, np.empty_like(a)).copy()
+
+
+def _tree(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """pairwise_sum over axis 0 of a float64 array a with at least one row.
+
+    Each level adds whole rows, row 2r to row 2r + 1, into one of the halves
+    scratch[:h] and scratch[h:], h = ceil(len(a) / 2), in turn; scratch has
+    as many rows as a, of the same shape, in any layout.  A layout of long
+    contiguous rows makes each level a few long vector adds.  Returns a view
+    of scratch, or a's own row 0 when a has one row.
+    """
+    m = len(a)
+    halves = (scratch[: (m + 1) // 2], scratch[(m + 1) // 2 :])
+    while m > 1:
+        even, dst = m - m % 2, halves[0]
+        np.add(a[0:even:2], a[1:even:2], out=dst[: even // 2], dtype=np.float64)
         if m % 2:
-            s = np.concatenate([s, a[..., m - 1 : m]], axis=-1)
-        a = s
-    return a[..., 0]
+            dst[even // 2] = a[m - 1]
+        a, m, halves = dst, (m + 1) // 2, halves[::-1]
+    return a[0]
 
 
 @dataclass(frozen=True)
@@ -116,12 +135,14 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
     A lattice source, an integer-valued scalar one (source.int_bound is not
     None) whose block sums stay within n * int_bound <= 2**53, has its values
     summed exactly in int64; the stats hold the distinct sums / n
-    in increasing order with their block counts as weights, merged chunk by
-    chunk, so memory stays flat in k and in the observable's range.  Any other
+    in increasing order with their block counts as weights, merged piece by
+    piece, so memory stays flat in k and in the observable's range.  Any other
     source is summed with the fixed pairwise tree over each block's n
     observations and keeps its means in block order with unit weights.
-    Neither form depends on the internal batching.  Raises DataError when the
-    source is exhausted, stating how many full blocks were available.
+    A counter source is generated and reduced in parts of whole blocks, one
+    per thread (Reader.blocks).  Neither form depends on the internal
+    batching or on the thread count.  Raises DataError when the source is
+    exhausted, stating how many full blocks were available.
     """
     if n < 1 or k < 1:
         raise UsageError("block length and block count must be >= 1")
@@ -129,35 +150,36 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
         raise UsageError("n*k = %d*%d observations exceed 2**63 - 1" % (n, k))
     d = source.d
     bound = source.int_bound
-    lattice = bound is not None and n * bound <= 2 ** 53
-    reader = source.reader()
-    step = max(1, _CHUNK_VALUES // max(1, n * d))
-    if lattice:
-        # tallies[0] holds the merged (distinct sums, counts); the chunks after
-        # it are merged in once they hold as many sums, so each merge costs at
-        # most twice the sums it takes in and the total stays O(k log k).
-        tallies = [(np.zeros(0, dtype=np.int64),) * 2]
-    else:
-        sums = np.empty((k, d), dtype=np.float64)
-    for j0 in range(0, k, step):
-        cnt = min(step, k - j0)
-        batch = reader.read(cnt * n)
-        if len(batch) < cnt * n:
-            raise DataError("source exhausted: only %d full blocks of length %d "
-                            "available, needed %d" % (reader.pos // n, n, k))
-        if lattice:
-            tallies.append(np.unique(batch.reshape(cnt, n).sum(axis=1, dtype=np.int64),
-                                     return_counts=True))
-            if sum(t[0].size for t in tallies[1:]) >= tallies[0][0].size:
-                tallies = [_merge_tallies(tallies)]
-        else:
-            # part stays bound until the next chunk replaces it: freeing it at
-            # once raised a Gaussian run's peak RSS by 2 MB under glibc malloc.
-            part = pairwise_sum(batch.reshape(cnt, n, d), axis=1)
-            sums[j0 : j0 + cnt] = part
-    if lattice:
-        values, counts = _merge_tallies(tallies)
+    if bound is not None and n * bound <= 2 ** 53:
+        # A part tallies its block sums once they cover about _CHUNK_VALUES
+        # values and outnumber its merged tally, so each merge costs at most
+        # twice the sums it takes in and the total stays O(k log k).
+        def tally(pieces):
+            merged, sums = (np.zeros(0, dtype=np.int64),) * 2, []
+            for _, values in pieces:
+                sums.append(values.reshape(-1, n).sum(axis=1, dtype=np.int64))
+                if sum(map(len, sums)) >= max(merged[0].size, _CHUNK_VALUES // n):
+                    merged = _merge_tallies([merged, np.unique(np.concatenate(sums),
+                                                               return_counts=True)])
+                    sums = []
+            sums.append(np.zeros(0, dtype=np.int64))
+            return _merge_tallies([merged, np.unique(np.concatenate(sums), return_counts=True)])
+
+        values, counts = _merge_tallies(source.reader().blocks(n, k, tally, _CHUNK_VALUES))
         return BlockStats(n=n, k=k, d=d, means=(values / n)[:, None], weights=counts)
+    sums = np.empty((k, d), dtype=np.float64)
+
+    def tree(pieces):
+        # A piece's blocks are summed as n rows of (blocks, d) values; the
+        # first level reads them straight from the (blocks, n, d) values.
+        scratch = None
+        for j, values in pieces:
+            rows = values.reshape(-1, n, d).transpose(1, 0, 2)
+            if scratch is None:
+                scratch = np.empty(rows.shape)
+            sums[j : j + rows.shape[1]] = _tree(rows, scratch[:, : rows.shape[1]])
+
+    source.reader().blocks(n, k, tree, _CHUNK_VALUES)
     sums /= n
     return BlockStats(n=n, k=k, d=d, means=sums)
 

@@ -27,6 +27,9 @@ A read of a counter kind of at least 2 * _MIN_PART = 2**17 values is split
 into contiguous parts, up to one per CPU of the process's affinity mask,
 filled on threads: the bytes do not depend on the split, and a process
 confined to one CPU (taskset -c 0) reads on its own thread only.
+Reader.blocks splits a run of whole blocks the same way and hands each part,
+generated in pieces of at most _BLOCK values, to a reducer on the part's own
+thread, so block_means sums each piece while it is in cache.
 The digit kernel reduces a word as z - m * (z // m), which is z mod m exactly
 in unsigned 64-bit arithmetic: numpy divides by a scalar with a multiply and
 shift, several times faster than its remainder.
@@ -118,22 +121,32 @@ def _sample_digit(seed: int, i: int, m: int, limit: int) -> int:
     return z % m
 
 
-def _blocks(count: int):
-    """(b0, z, tmp) per block of range(count); z, tmp are reused uint64 buffers."""
-    z, tmp = np.empty((2, min(count, _BLOCK)), dtype=np.uint64)
+def _work(kind: str, count: int) -> np.ndarray:
+    """Scratch for a kind's kernel passes over up to count counters: words in
+    rows 0 and 1, then a row of float64 uniforms (as a view) per uniform the
+    kind draws, none for digits and two for a Gaussian.  A caller that fills
+    many pieces reuses one: with a fresh 2 MB per piece, glibc malloc mapped
+    new pages for most pieces of a process's first block_means (44,000 page
+    faults on a 597,196-block Gaussian run)."""
+    rows = {"iid-digit": 2, "gaussian": 4}.get(kind, 3)
+    return np.empty((rows, min(count, _BLOCK)), dtype=np.uint64)
+
+
+def _blocks(count: int, work: np.ndarray):
+    """(b0, z, tmp) per block of range(count); z, tmp are rows 0 and 1 of work."""
     for b0 in range(0, count, _BLOCK):
         n = min(_BLOCK, count - b0)
-        yield b0, z[:n], tmp[:n]
+        yield b0, work[0, :n], work[1, :n]
 
 
-def _digits_into(seed: int, start: int, out: np.ndarray, m: int,
+def _digits_into(seed: int, start: int, out: np.ndarray, work: np.ndarray, m: int,
                  a: int | None = None) -> np.ndarray:
     """The base-m digits at indices start..start+out.size-1 into out, any
     dtype; the 0/1 indicators of symbol == a instead when a is given."""
     _check_base(m)
     limit = _digit_limit(m)
     base = np.uint64(m)
-    for b0, z, tmp in _blocks(out.size):
+    for b0, z, tmp in _blocks(out.size, work):
         _mix_into(z, tmp, seed, start + b0, 1)
         # Rejection fires with probability (2**64 mod m)/2**64 < 1e-18 per
         # draw; the stragglers are resolved through the scalar chain.
@@ -153,24 +166,25 @@ def _digits_into(seed: int, start: int, out: np.ndarray, m: int,
     return out
 
 
-def _bernoulli_block(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray:
+def _bernoulli_block(seed: int, start: int, out: np.ndarray, work: np.ndarray,
+                     p: float) -> np.ndarray:
     """Bernoulli(p) draws at indices start..start+out.size-1 into out, any dtype."""
-    u = np.empty(min(out.size, _BLOCK), dtype=np.float64)
-    for b0, z, tmp in _blocks(out.size):
+    u = work[2].view(np.float64)
+    for b0, z, tmp in _blocks(out.size, work):
         ub = _uniforms_into(_mix_into(z, tmp, seed, start + b0, 1), u[:z.size])
         np.less(ub, p, out=out[b0 : b0 + z.size])
     return out
 
 
-def _gaussian_block(seed: int, start: int, out: np.ndarray) -> np.ndarray:
+def _gaussian_block(seed: int, start: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Standard-normal vectors at indices start..start+len(out)-1 into the
     float64 (count, d) array out.
 
     Box-Muller sqrt(-2 log u1) cos(2 pi u2), u1 and u2 at counters 2i and
     2i + 1 of coordinate c's stream, which is offset by c * _DIM_STRIDE.
     """
-    buf = np.empty((2, min(len(out), _BLOCK)), dtype=np.float64)
-    for b0, z, tmp in _blocks(len(out)):
+    buf = work[2:].view(np.float64)
+    for b0, z, tmp in _blocks(len(out), work):
         u1, u2 = buf[0, :z.size], buf[1, :z.size]
         for c in range(out.shape[1]):
             first = 2 * (start + b0) + c * _DIM_STRIDE
@@ -185,28 +199,37 @@ def _gaussian_block(seed: int, start: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split(kernel, seed: int, start: int, out: np.ndarray, *params) -> np.ndarray:
-    """kernel(seed, start + j, out[j:j2], *params) over contiguous parts of out.
+def _split(task, count: int, size: int = 1) -> list:
+    """[task(j, j2) for each contiguous part range(j, j2) of range(count)].
 
-    There are min(_WORKERS, len(out) // _MIN_PART) parts; the first is filled
-    on the calling thread and the others on a pool of threads, which run in
-    parallel because numpy releases the GIL inside each ufunc.  Each value is
-    a function of its counter alone, so the bytes do not depend on the
-    split.  With fewer than two parts the kernel runs inline.  The pool lives
-    for one read, so no thread outlives the read.
+    An index stands for size values, and there are min(_WORKERS, count,
+    count * size // _MIN_PART) parts.  The first part runs on the calling
+    thread and the others on a pool of threads, which run in parallel because
+    numpy releases the GIL inside each ufunc.  Each value is a function of its
+    counter alone, so a task's bytes do not depend on the split.  With fewer
+    than two parts the task runs inline.  The pool lives for one call, so no
+    thread outlives it.
     """
-    parts = min(_WORKERS, len(out) // _MIN_PART)
+    parts = min(_WORKERS, count, count * size // _MIN_PART)
     if parts < 2:
-        return kernel(seed, start, out, *params)
+        return [task(0, count)]
     from concurrent.futures import ThreadPoolExecutor  # 5 ms, paid only by a split
 
-    edges = [len(out) * i // parts for i in range(parts + 1)]
+    edges = [count * i // parts for i in range(parts + 1)]
     with ThreadPoolExecutor(parts - 1) as pool:
-        rest = [pool.submit(kernel, seed, start + j, out[j:j2], *params)
-                for j, j2 in zip(edges[1:-1], edges[2:])]
-        kernel(seed, start, out[:edges[1]], *params)
-        for part in rest:
-            part.result()
+        rest = [pool.submit(task, j, j2) for j, j2 in zip(edges[1:-1], edges[2:])]
+        return [task(0, edges[1])] + [part.result() for part in rest]
+
+
+def _fill(src: "SeriesSource", start: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Values start..start+len(out)-1 of a counter-kind source into the
+    (count, d) array out, uint8 for digits and Bernoulli, float64 for Gaussian."""
+    if src.kind == "gaussian":
+        return _gaussian_block(src.seed, start, out, work)
+    if src.kind == "iid-digit":
+        _digits_into(src.seed, start, out[:, 0], work, src.m, src.indicator_a)
+    else:
+        _bernoulli_block(src.seed, start, out[:, 0], work, src.p)
     return out
 
 
@@ -314,8 +337,9 @@ def _markov_states(spec: MarkovSpec, seed: int, first: int, count: int,
     rows = rows.tolist()
     state = spec.s if state is None else state
     states = np.empty(count, dtype=np.int64)
-    u = np.empty(min(count, _BLOCK), dtype=np.float64)
-    for b0, z, tmp in _blocks(count):
+    work = _work("markov-chain", count)
+    u = work[2].view(np.float64)
+    for b0, z, tmp in _blocks(count, work):
         ub = _uniforms_into(_mix_into(z, tmp, seed, first + b0, 1), u[:z.size])
         states[b0 : b0 + z.size] = [state := bisect_right(rows[state], x)
                                     for x in ub.tolist()]
@@ -356,6 +380,8 @@ def pi_fixture_path() -> str:
 
 
 _KINDS = ("iid-digit", "iid-bernoulli", "gaussian", "markov-chain", "digit-file")
+# The kinds whose values are functions of (seed, index), with their native dtypes.
+_COUNTER_KINDS = {"iid-digit": np.uint8, "iid-bernoulli": np.uint8, "gaussian": np.float64}
 
 
 class Reader:
@@ -369,8 +395,10 @@ class Reader:
     chain also its last state, a digit file its open chunk decoder (byte
     position, radix-point flag) and its unread symbols; those two read and
     drop the values before start.  Dropping the reader closes its file.
-    A large read of a counter kind is filled on threads (_split); Markov and
-    digit-file reads stay serial.
+    A large read of a counter kind is filled on threads (_split), and blocks
+    generates and reduces each part of a run of blocks on its own thread;
+    Markov and digit-file reads stay serial.  Worker threads call only
+    private functions and the caller's reducer.
     """
 
     def __init__(self, source: "SeriesSource", start: int = 0):
@@ -387,10 +415,10 @@ class Reader:
         if count < 0:
             raise UsageError("count must be >= 0")
         src = self.source
-        a = src.indicator_a
-        if src.kind == "iid-digit":
-            out = _split(_digits_into, src.seed, self.pos, np.empty(count, np.uint8),
-                         src.m, a)
+        if src.kind in _COUNTER_KINDS:
+            out = np.empty((count, src.d), _COUNTER_KINDS[src.kind])
+            _split(lambda j, j2: _fill(src, self.pos + j, out[j:j2], _work(src.kind, j2 - j)),
+                   count)
         elif src.kind == "digit-file":
             parts, got = [self._rest], self._rest.size
             while got < count and (chunk := next(self._chunks, None)) is not None:
@@ -400,19 +428,60 @@ class Reader:
                 got += chunk.size
             rest = np.concatenate(parts) if len(parts) > 1 else self._rest
             out, self._rest = rest[:count], rest[count:]
-            if a is not None:
-                out = (out == a).view(np.uint8)
-        elif src.kind == "iid-bernoulli":
-            out = _split(_bernoulli_block, src.seed, self.pos, np.empty(count, np.uint8),
-                         src.p)
-        elif src.kind == "gaussian":
-            out = _split(_gaussian_block, src.seed, self.pos, np.empty((count, src.d)))
+            if src.indicator_a is not None:
+                out = (out == src.indicator_a).view(np.uint8)
         else:
             states = _markov_states(src.markov, src.seed, self.pos, count, self._state)
             self._state = states[-1] if count else self._state
             out = src.markov.phi[states]
         self.pos += len(out)
         return out.reshape(-1, src.d)
+
+    def blocks(self, n: int, k: int, reduce, batch: int) -> list:
+        """[reduce(pieces) for each part] over the next k blocks of n values.
+
+        A part is a run of whole blocks.  Its pieces iterator yields (j,
+        values) for successive runs of its blocks: j is the index of the
+        run's first block, counted from this call's first, and values the
+        run's observations as read would return them, in a buffer that the
+        next piece overwrites.  A counter kind splits the k blocks into parts
+        as _split does, and generates each part in pieces of at most _BLOCK
+        values (one block when n * d > _BLOCK) on the thread that runs
+        reduce, so each piece is reduced while it is in cache and reduce runs
+        on several threads at once: it must only write state of its own
+        part.  A Markov chain or a digit file has one part, run inline, in
+        reads of about batch values.  Raises DataError, stating how many full
+        blocks were available, when the source ends first.
+        """
+        src, d, start = self.source, self.source.d, self.pos
+        if src.kind not in _COUNTER_KINDS:
+            step = max(1, batch // (n * d))
+
+            def read_pieces():
+                for j in range(0, k, step):
+                    want = min(step, k - j) * n
+                    if len(values := self.read(want)) < want:
+                        raise DataError("source exhausted: only %d full blocks of length "
+                                        "%d available, needed %d"
+                                        % ((self.pos - start) // n, n, k))
+                    yield j, values
+
+            return [reduce(read_pieces())]
+        step = max(1, _BLOCK // (n * d))
+
+        def part(j0: int, j1: int):
+            buf = np.empty((min(step, j1 - j0) * n, d), _COUNTER_KINDS[src.kind])
+            work = _work(src.kind, len(buf))
+
+            def pieces():
+                for j in range(j0, j1, step):
+                    yield j, _fill(src, start + j * n, buf[:min(step, j1 - j) * n], work)
+
+            return reduce(pieces())
+
+        out = _split(part, k, n)
+        self.pos += k * n
+        return out
 
 
 @dataclass(frozen=True)

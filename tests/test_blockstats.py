@@ -1,6 +1,7 @@
 """Tests for block means, the empirical SCGF and ball statistics."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from blockldp import (BlockStats, DataError, MarkovSpec, SampledFunction,
                       digit_source, empirical_scgf, file_source, gaussian_source,
                       markov_source, pairwise_sum, pi_fixture_path, scgf_values)
 
-from _reference import local_rate
+from _reference import local_rate, next_digit
 
 LATTICE_SOURCES = {
     "digit-indicator": lambda: digit_source(5, 10, indicator_a=0),
@@ -162,6 +163,97 @@ def test_lattice_block_means_memory_flat_in_k(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < peaks[0] + (1 << 20)
+
+
+# (source, n, k) with 1000-counter kernel blocks and parts of at least 1500
+# values: n = 7 does not divide the block, n = 1234 (and n = 700 at d = 2)
+# exceeds it, and no k is a multiple of 2 or 3 parts.
+THREADED_CASES = {
+    "digit-indicator": (lambda: digit_source(5, 10, indicator_a=0), 7, 1001),
+    "raw-digit": (lambda: digit_source(6, 10), 7, 1001),
+    "bernoulli": (lambda: bernoulli_source(7, 0.3), 7, 1001),
+    "gaussian1": (lambda: gaussian_source(8, 1), 7, 1001),
+    "gaussian2": (lambda: gaussian_source(9, 2), 7, 1001),
+    "raw-digit-long-blocks": (lambda: digit_source(6, 10), 1234, 7),
+    "gaussian1-long-blocks": (lambda: gaussian_source(8, 1), 1234, 7),
+    "gaussian2-long-blocks": (lambda: gaussian_source(9, 2), 700, 11),
+}
+
+
+def _threaded_parts(monkeypatch, workers: int) -> set:
+    """Patch sources to split block_means into min(workers, ...) parts of
+    1000-counter pieces; returns the set that the threads which reduce a
+    piece add their ids to."""
+    monkeypatch.setattr(sources, "_WORKERS", workers)
+    monkeypatch.setattr(sources, "_MIN_PART", 1500)
+    monkeypatch.setattr(sources, "_BLOCK", 1000)
+    threads = set()
+    for name in ("_tree", "_merge_tallies"):
+        def traced(*args, _fn=getattr(blockstats, name)):
+            threads.add(threading.get_ident())
+            return _fn(*args)
+
+        monkeypatch.setattr(blockstats, name, traced)
+    return threads
+
+
+def _expected_stats(src, n, k):
+    """Block-order means for a continuous source, else their exact histogram."""
+    dense = _block_order_means(src, n, k)
+    if src.int_bound is None:
+        return dense, np.ones(k, dtype=np.int64)
+    values, counts = np.unique(dense[:, 0], return_counts=True)
+    return values[:, None], counts
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_threaded_block_parts_leave_no_trace(workers, monkeypatch):
+    # Each part is generated and reduced on its own thread; the stats equal
+    # the serial block-order means bit for bit, however many parts there are.
+    want = {name: _expected_stats(make(), n, k)
+            for name, (make, n, k) in THREADED_CASES.items()}
+    threads = _threaded_parts(monkeypatch, workers)
+    for name, (make, n, k) in THREADED_CASES.items():
+        threads.clear()
+        stats = block_means(make(), n, k)
+        assert stats.means.tobytes() == want[name][0].tobytes(), name
+        assert stats.weights.tobytes() == want[name][1].tobytes(), name
+        assert (len(threads) > 1) == (workers > 1), name
+
+
+def test_threaded_block_parts_resolve_a_straggler_in_the_second_part(monkeypatch):
+    _threaded_parts(monkeypatch, 2)
+    n, k = 7, 1001
+    src = digit_source(4, 10)
+    before = block_means(src, n, k)
+    # Reject exactly the largest word of the run, which lies in the second of
+    # the two parts (blocks k // 2 on).
+    words = np.array([sources.raw_word(4, i) for i in range(n * k)], dtype=np.uint64)
+    j = int(np.argmax(words))
+    assert j >= k // 2 * n and np.count_nonzero(words == words[j]) == 1
+    monkeypatch.setattr(sources, "_digit_limit", lambda m: int(words[j]))
+    digits = np.array([next_digit(4, i, 10) for i in range(n * k)])
+    values, counts = np.unique(digits.reshape(k, n).sum(axis=1), return_counts=True)
+    stats = block_means(src, n, k)
+    assert stats.means.tobytes() == (values / n)[:, None].tobytes()
+    assert stats.weights.tobytes() == counts.tobytes()
+    assert stats.weights.tobytes() != before.weights.tobytes()
+
+
+def test_dense_block_means_memory_flat(monkeypatch):
+    # A Gaussian reduction holds its k x d sums and, per thread, a piece of
+    # at most sources._BLOCK values with its kernel and tree buffers (3 MB),
+    # whatever the chunk size; a 2**21-value batch alone would be 16 MB.
+    monkeypatch.setattr(sources, "_WORKERS", 2)
+    n, k = 19, 120_000
+    for chunk in (1 << 16, 1 << 21, 1 << 23):
+        monkeypatch.setattr(blockstats, "_CHUNK_VALUES", chunk)
+        for d in (1, 2):
+            tracemalloc.start()
+            block_means(gaussian_source(1, d), n, k)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < k * d * 8 + 2 * (4 << 20), (chunk, d, peak)
 
 
 def test_gaussian_stats_stay_dense():

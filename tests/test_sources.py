@@ -368,7 +368,8 @@ def _narrow_digit_kernels(m: int, count: int):
     """(uint8 symbols, uint8 indicators of m - 1) at BOUNDARY_START, each from
     the kernel and from a reader's read."""
     s0, a = BOUNDARY_START, m - 1
-    kernel = [sources._digits_into(7, s0, np.empty(count, dtype=np.uint8), m, b)
+    kernel = [sources._digits_into(7, s0, np.empty(count, dtype=np.uint8),
+                                   sources._work("iid-digit", count), m, b)
               for b in (None, a)]
     read = [digit_source(7, m, b).reader(s0).read(count)[:, 0] for b in (None, a)]
     for got in kernel + read:
@@ -485,7 +486,15 @@ MARKOV_CHAINS = {
     "three-state": [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
     "zero-entries": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]],
 }
-LONG_PATH = 2 * B + 77  # spans three kernel blocks
+# The Markov walk tests patch the kernel block down to MARKOV_BLOCK counters,
+# so that their paths span three blocks while the scalar references stay short.
+MARKOV_BLOCK = 1000
+LONG_PATH = 2 * MARKOV_BLOCK + 77
+
+
+@pytest.fixture
+def markov_blocks(monkeypatch):
+    monkeypatch.setattr(sources, "_BLOCK", MARKOV_BLOCK)
 
 
 def _chain(name: str) -> MarkovSpec:
@@ -502,7 +511,7 @@ def _chain(name: str) -> MarkovSpec:
 
 @pytest.mark.parametrize("name", sorted(MARKOV_CHAINS))
 @pytest.mark.parametrize("piece", [None, 12])
-def test_markov_scan_matches_loop(name, piece):
+def test_markov_scan_matches_loop(name, piece, markov_blocks):
     # Paths of every length up to three kernel blocks, each read whole
     # (piece None) or in reads of 12 values that carry the state between
     # them, equal the reference walk on the scalar uniforms.
@@ -518,17 +527,17 @@ def test_markov_scan_matches_loop(name, piece):
 
 
 @pytest.mark.parametrize("name", sorted(MARKOV_CHAINS) + ["fifty-state"])
-def test_markov_walk_matches_reference(name):
+def test_markov_walk_matches_reference(name, markov_blocks):
     # One reader in uneven pieces, some longer than a kernel block, and
     # readers from offsets around the block edges equal the reference walk.
-    spec = _chain(name)
+    spec, b = _chain(name), MARKOV_BLOCK
     ref = _walk(spec, _scalar_uniforms(3, 0, LONG_PATH))
     src = markov_source(spec, 3)
     reader = src.reader()
-    pieces = [reader.read(c) for c in (1, 0, 2, B - 5, 13, B + 40)]
+    pieces = [reader.read(c) for c in (1, 0, 2, b - 5, 13, b + 40)]
     pieces.append(reader.read(LONG_PATH - reader.pos))
     assert np.array_equal(np.concatenate(pieces)[:, 0], ref)
-    for start in (1, B - 1, B, B + 1, LONG_PATH - 1):
+    for start in (1, b - 1, b, b + 1, LONG_PATH - 1):
         assert np.array_equal(src.reader(start).read(LONG_PATH - start)[:, 0], ref[start:])
 
 
