@@ -18,7 +18,7 @@ when every block sum happens to be an integer.  Every float reduction in
 this module uses one fixed pairwise (tree) summation over row order, so
 serial, chunked and parallel evaluations agree bit-exactly.
 
-block_means hands Reader.blocks a reducer that runs once per part of the
+block_means hands Reader._reduce_blocks a reducer that runs once per part of the
 k blocks, on the thread that generates the part: on the float path it writes
 the part's block sums into its own rows of the (k, d) sums, and on the
 lattice path it returns the part's exact (distinct sums, counts) tally,
@@ -32,9 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DataError, UsageError
-from .sources import SeriesSource
-
-_CHUNK_VALUES = 1 << 21
+from .sources import _CHUNK_VALUES, SeriesSource
 
 
 def pairwise_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -140,7 +138,7 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
     source is summed with the fixed pairwise tree over each block's n
     observations and keeps its means in block order with unit weights.
     A counter source is generated and reduced in parts of whole blocks, one
-    per thread (Reader.blocks).  Neither form depends on the internal
+    per thread (Reader._reduce_blocks).  Neither form depends on the internal
     batching or on the thread count.  Raises DataError when the source is
     exhausted, stating how many full blocks were available.
     """
@@ -165,7 +163,7 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
             sums.append(np.zeros(0, dtype=np.int64))
             return _merge_tallies([merged, np.unique(np.concatenate(sums), return_counts=True)])
 
-        values, counts = _merge_tallies(source.reader().blocks(n, k, tally, _CHUNK_VALUES))
+        values, counts = _merge_tallies(source.reader()._reduce_blocks(n, k, tally))
         return BlockStats(n=n, k=k, d=d, means=(values / n)[:, None], weights=counts)
     sums = np.empty((k, d), dtype=np.float64)
 
@@ -179,7 +177,7 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
                 scratch = np.empty(rows.shape)
             sums[j : j + rows.shape[1]] = _tree(rows, scratch[:, : rows.shape[1]])
 
-    source.reader().blocks(n, k, tree, _CHUNK_VALUES)
+    source.reader()._reduce_blocks(n, k, tree)
     sums /= n
     return BlockStats(n=n, k=k, d=d, means=sums)
 

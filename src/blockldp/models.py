@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from ._errors import NumericalError, UsageError
-from .blockstats import _CHUNK_VALUES, SampledFunction
+from .blockstats import SampledFunction
 from .convex import legendre
-from .sources import MarkovSpec
+from .sources import _CHUNK_VALUES, MarkovSpec
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ A read of a counter kind of at least 2 * _MIN_PART = 2**17 values is split
 into contiguous parts, up to one per CPU of the process's affinity mask,
 filled on threads: the bytes do not depend on the split, and a process
 confined to one CPU (taskset -c 0) reads on its own thread only.
-Reader.blocks splits a run of whole blocks the same way and hands each part,
-generated in pieces of at most _BLOCK values, to a reducer on the part's own
-thread, so block_means sums each piece while it is in cache.
+Reader._reduce_blocks splits a run of whole blocks the same way and hands each
+part, generated in pieces of at most _BLOCK values, to a reducer on the part's
+own thread, so block_means sums each piece while it is in cache.
 The digit kernel reduces a word as z - m * (z // m), which is z mod m exactly
 in unsigned 64-bit arithmetic: numpy divides by a scalar with a multiply and
 shift, several times faster than its remainder.
@@ -57,6 +57,8 @@ _FILE_CHUNK = 1 << 20
 _BLOCK = 1 << 16  # counters per kernel pass: each ufunc call is long enough to
                   # repay a thread switch, and a thread's buffers total 2 MB
 _MIN_PART = 1 << 16  # fewest values of a read that _split hands to one thread
+_CHUNK_VALUES = 1 << 21  # values per batch: a Markov or digit-file read in
+                         # _reduce_blocks, and the tilt batches of blockstats and models
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _RAMP = np.arange(_BLOCK, dtype=np.uint64)
@@ -395,8 +397,8 @@ class Reader:
     chain also its last state, a digit file its open chunk decoder (byte
     position, radix-point flag) and its unread symbols; those two read and
     drop the values before start.  Dropping the reader closes its file.
-    A large read of a counter kind is filled on threads (_split), and blocks
-    generates and reduces each part of a run of blocks on its own thread;
+    A large read of a counter kind is filled on threads (_split), and
+    _reduce_blocks generates and reduces each part of a run of blocks on its own thread;
     Markov and digit-file reads stay serial.  Worker threads call only
     private functions and the caller's reducer.
     """
@@ -437,7 +439,7 @@ class Reader:
         self.pos += len(out)
         return out.reshape(-1, src.d)
 
-    def blocks(self, n: int, k: int, reduce, batch: int) -> list:
+    def _reduce_blocks(self, n: int, k: int, reduce) -> list:
         """[reduce(pieces) for each part] over the next k blocks of n values.
 
         A part is a run of whole blocks.  Its pieces iterator yields (j,
@@ -450,12 +452,12 @@ class Reader:
         reduce, so each piece is reduced while it is in cache and reduce runs
         on several threads at once: it must only write state of its own
         part.  A Markov chain or a digit file has one part, run inline, in
-        reads of about batch values.  Raises DataError, stating how many full
-        blocks were available, when the source ends first.
+        reads of about _CHUNK_VALUES values.  Raises DataError, stating how
+        many full blocks were available, when the source ends first.
         """
         src, d, start = self.source, self.source.d, self.pos
         if src.kind not in _COUNTER_KINDS:
-            step = max(1, batch // (n * d))
+            step = max(1, _CHUNK_VALUES // (n * d))
 
             def read_pieces():
                 for j in range(0, k, step):

@@ -54,11 +54,30 @@ def test_block_means_digits(tmp_path):
 
 
 def test_block_means_chunk_independent(monkeypatch):
-    src = gaussian_source(7, 2)
-    want = block_means(src, 16, 33)
-    monkeypatch.setattr(blockstats, "_CHUNK_VALUES", 64)
-    got = block_means(src, 16, 33)
-    assert np.array_equal(got.means, want.means)
+    # A counter kind is reduced in pieces of at most sources._BLOCK values and
+    # a Markov chain in reads of sources._CHUNK_VALUES: one piece by default,
+    # 17 (Gaussian, d = 2) or 9 (Markov) once that size is cut to 64 values,
+    # with the same means.
+    pieces = []
+    tree = blockstats._tree
+
+    def counted(a, scratch):
+        pieces.append(a.shape[1])
+        return tree(a, scratch)
+
+    monkeypatch.setattr(blockstats, "_tree", counted)
+    spec = MarkovSpec(P=[[0.9, 0.1], [0.2, 0.8]], phi=[0.5, -1.25])
+    for src, size, count in [(gaussian_source(7, 2), "_BLOCK", 17),
+                             (markov_source(spec, 3), "_CHUNK_VALUES", 9)]:
+        pieces.clear()
+        want = block_means(src, 16, 33)
+        assert pieces == [33]
+        pieces.clear()
+        with monkeypatch.context() as m:
+            m.setattr(sources, size, 64)
+            got = block_means(src, 16, 33)
+        assert len(pieces) == count and sum(pieces) == 33
+        assert np.array_equal(got.means, want.means)
 
 
 def test_markov_block_means_generate_each_value_once(monkeypatch):
@@ -74,7 +93,7 @@ def test_markov_block_means_generate_each_value_once(monkeypatch):
         return mix(z, tmp, seed, first, step)
 
     monkeypatch.setattr(sources, "_mix_into", counted)
-    monkeypatch.setattr(blockstats, "_CHUNK_VALUES", 20)
+    monkeypatch.setattr(sources, "_CHUNK_VALUES", 20)
     got = block_means(markov_source(spec, 3), 10, 50)
     assert sum(mixed) == 10 * 50
     assert np.array_equal(got.means, want.means)
@@ -103,6 +122,8 @@ def test_lattice_stats_chunk_independent(monkeypatch):
     lam = np.linspace(-2.0, 2.0, 41)
     want = block_means(src, 12, 500)
     want_scgf = scgf_values(want, lam)
+    # pieces of 4 blocks, each tallied and merged on its own
+    monkeypatch.setattr(sources, "_BLOCK", 50)
     monkeypatch.setattr(blockstats, "_CHUNK_VALUES", 50)
     got = block_means(src, 12, 500)
     assert np.array_equal(got.means, want.means)
@@ -130,10 +151,14 @@ INTEGER_SOURCES = {
 def test_lattice_block_means_equal_sorted_block_order(kind, monkeypatch):
     # The exact integer reduction, merged over 5 chunks, equals the distinct
     # values and counts of the pairwise-tree means in block order, bit for bit.
+    # A chunk is a counter kind's piece (sources._BLOCK), a Markov chain's or
+    # digit file's read (sources._CHUNK_VALUES) and a tally (blockstats).
     src = INTEGER_SOURCES[kind]()
     n, k = 30, 3000
     values, counts = np.unique(_block_order_means(src, n, k)[:, 0], return_counts=True)
-    monkeypatch.setattr(blockstats, "_CHUNK_VALUES", 700 * n)
+    for module, name in ((sources, "_BLOCK"), (sources, "_CHUNK_VALUES"),
+                         (blockstats, "_CHUNK_VALUES")):
+        monkeypatch.setattr(module, name, 700 * n)
     stats = block_means(src, n, k)
     assert stats.means.tobytes() == values.tobytes()
     assert stats.weights.tobytes() == counts.tobytes()
@@ -247,6 +272,7 @@ def test_dense_block_means_memory_flat(monkeypatch):
     monkeypatch.setattr(sources, "_WORKERS", 2)
     n, k = 19, 120_000
     for chunk in (1 << 16, 1 << 21, 1 << 23):
+        monkeypatch.setattr(sources, "_CHUNK_VALUES", chunk)
         monkeypatch.setattr(blockstats, "_CHUNK_VALUES", chunk)
         for d in (1, 2):
             tracemalloc.start()
