@@ -32,7 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DataError, UsageError
-from .sources import _CHUNK_VALUES, SeriesSource
+from .sources import SeriesSource
+
+_CHUNK_VALUES = 1 << 21  # values per batch: a lattice tally merge, and the tilt
+                         # batches here and in models
 
 
 def pairwise_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:

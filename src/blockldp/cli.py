@@ -126,10 +126,7 @@ def _build_source(args):
     infile = getattr(args, "infile", None)
     if infile:
         return file_source(infile, args.m, indicator_a=getattr(args, "a", None))
-    kind = getattr(args, "kind", None)
-    if kind is None:
-        raise UsageError("provide --in FILE or --kind")
-    seed = int(args.seed)
+    kind, seed = args.kind, int(args.seed)
     if kind == "iid-digit":
         return digit_source(seed, args.m, indicator_a=getattr(args, "a", None))
     if kind == "iid-bernoulli":
@@ -346,12 +343,14 @@ def cmd_selftest(args) -> int:
 
 
 def _add_source_flags(p, file_flags: bool) -> None:
+    # With file_flags the command takes exactly one of --in and --kind.
+    given = p.add_mutually_exclusive_group(required=True) if file_flags else p
     if file_flags:
-        p.add_argument("--in", dest="infile", metavar="FILE",
-                       help="digit file input (alternative to --kind)")
-    p.add_argument("--kind", choices=("iid-digit", "iid-bernoulli",
-                                      "gaussian", "markov"),
-                   required=not file_flags, help="generated source kind")
+        given.add_argument("--in", dest="infile", metavar="FILE",
+                           help="digit file input (alternative to --kind)")
+    given.add_argument("--kind", choices=("iid-digit", "iid-bernoulli",
+                                          "gaussian", "markov"),
+                       required=not file_flags, help="generated source kind")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--m", type=int, default=10, help="digit base (2..10)")
     if file_flags:

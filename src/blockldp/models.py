@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from ._errors import NumericalError, UsageError
-from .blockstats import SampledFunction
+from .blockstats import _CHUNK_VALUES, SampledFunction
 from .convex import legendre
-from .sources import _CHUNK_VALUES, MarkovSpec
+from .sources import MarkovSpec
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ reads in order, generating or decoding each value once.  A counter kind starts
 a reader at any index directly; a Markov chain or a digit file reads and drops
 the values before it.
 
+A digit file holds base-m symbols as the ASCII digits 0..m-1; space, tab, CR
+and LF are skipped, and at most one '.' (a radix point) may appear.  A read
+that needs a symbol past any other byte raises DataError naming that byte by
+value (b'\\xc3') and its offset in the file.
+
 The counter-based core maps (seed, i) to a 64-bit word with the finalizer
 
     z = seed + (i + 1) * 0x9E3779B97F4A7C15   (mod 2**64)
@@ -57,8 +62,6 @@ _FILE_CHUNK = 1 << 20
 _BLOCK = 1 << 16  # counters per kernel pass: each ufunc call is long enough to
                   # repay a thread switch, and a thread's buffers total 2 MB
 _MIN_PART = 1 << 16  # fewest values of a read that _split hands to one thread
-_CHUNK_VALUES = 1 << 21  # values per batch: a Markov or digit-file read in
-                         # _reduce_blocks, and the tilt batches of blockstats and models
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _RAMP = np.arange(_BLOCK, dtype=np.uint64)
@@ -349,29 +352,41 @@ def _markov_states(spec: MarkovSpec, seed: int, first: int, count: int,
 
 
 def _file_symbols(path, m: int):
-    """Base-m symbols of a digit file, one uint8 array per byte chunk.
+    """Base-m symbols of a digit file, one fresh uint8 array per byte chunk.
 
     A chunk yields its symbols before its first invalid byte (anything but a
     symbol, space, tab, CR or LF, or a '.' after the file's first); that
     byte's DataError is yielded in place of every later chunk, so no read
-    past it can look like the end of the file.
+    past it can look like the end of the file.  Each chunk is read into one
+    reused buffer and takes two full-width passes into two more, sym = byte -
+    ord("0") in wrapping uint8 and keep = sym < m.  Only the other bytes (one
+    in 81 of a file with a line break every 80 digits) are classified as
+    whitespace, the radix point or bad, and the symbols are sym[keep].
     """
-    seen_dot = False
+    buf, sym = np.empty((2, _FILE_CHUNK), dtype=np.uint8)
+    keep = np.empty(_FILE_CHUNK, dtype=bool)
+    seen_dot, offset = False, 0
     with open(path, "rb") as fh:
-        while chunk := fh.read(_FILE_CHUNK):
-            arr = np.frombuffer(chunk, dtype=np.uint8)
-            is_digit = (arr >= ord("0")) & (arr < ord("0") + m)
-            is_dot = arr == ord(".")
-            bad = ~(is_digit | is_dot | (arr == 32) | (arr == 9) | (arr == 13) | (arr == 10))
+        while size := fh.readinto(buf):
+            s = np.subtract(buf[:size], np.uint8(ord("0")), out=sym[:size])
+            k = np.less(s, np.uint8(m), out=keep[:size])
+            other = np.flatnonzero(~k)
+            byte = buf[other]
+            is_dot = byte == ord(".")
+            bad = ~(is_dot | (byte == 32) | (byte == 9) | (byte == 13) | (byte == 10))
             dots = np.flatnonzero(is_dot)
             bad[dots[0 if seen_dot else 1:]] = True
             seen_dot = seen_dot or dots.size > 0
-            end = int(np.argmax(bad)) if bad.any() else arr.size
-            yield arr[:end][is_digit[:end]] - ord("0")
-            if end < arr.size:
-                yield from repeat(DataError("unexpected byte %r at offset %d in digit "
-                                            "file" % (chr(arr[end]),
-                                                      fh.tell() - arr.size + end)))
+            if not bad.any():
+                yield s[k]
+                offset += size
+                continue
+            # The i-th other byte at offset e has e - i symbols before it.
+            i = int(np.argmax(bad))
+            e = int(other[i])
+            yield s[k][:e - i]
+            yield from repeat(DataError("unexpected byte %r at offset %d in digit file"
+                                        % (bytes([byte[i]]), offset + e)))
 
 
 def pi_fixture_path() -> str:
@@ -422,14 +437,16 @@ class Reader:
             _split(lambda j, j2: _fill(src, self.pos + j, out[j:j2], _work(src.kind, j2 - j)),
                    count)
         elif src.kind == "digit-file":
-            parts, got = [self._rest], self._rest.size
-            while got < count and (chunk := next(self._chunks, None)) is not None:
+            parts, rest, need = [], self._rest, count
+            while need > rest.size and (chunk := next(self._chunks, None)) is not None:
                 if isinstance(chunk, DataError):
                     raise chunk
-                parts.append(chunk)
-                got += chunk.size
-            rest = np.concatenate(parts) if len(parts) > 1 else self._rest
-            out, self._rest = rest[:count], rest[count:]
+                parts.append(rest)
+                need -= rest.size
+                rest = chunk
+            parts.append(rest[:need])
+            out = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            self._rest = rest[need:]
             if src.indicator_a is not None:
                 out = (out == src.indicator_a).view(np.uint8)
         else:
@@ -446,19 +463,18 @@ class Reader:
         values) for successive runs of its blocks: j is the index of the
         run's first block, counted from this call's first, and values the
         run's observations as read would return them, in a buffer that the
-        next piece overwrites.  A counter kind splits the k blocks into parts
-        as _split does, and generates each part in pieces of at most _BLOCK
-        values (one block when n * d > _BLOCK) on the thread that runs
-        reduce, so each piece is reduced while it is in cache and reduce runs
-        on several threads at once: it must only write state of its own
-        part.  A Markov chain or a digit file has one part, run inline, in
-        reads of about _CHUNK_VALUES values.  Raises DataError, stating how
-        many full blocks were available, when the source ends first.
+        next piece overwrites.  Every kind comes in pieces of at most _BLOCK
+        values (one block when n * d > _BLOCK), so each piece is reduced
+        while it is in cache.  A counter kind splits the k blocks into parts
+        as _split does and generates each part on the thread that runs
+        reduce, so reduce runs on several threads at once: it must only
+        write state of its own part.  A Markov chain or a digit file has one
+        part, read inline.  Raises DataError, stating how many full blocks
+        were available, when the source ends first.
         """
         src, d, start = self.source, self.source.d, self.pos
+        step = max(1, _BLOCK // (n * d))
         if src.kind not in _COUNTER_KINDS:
-            step = max(1, _CHUNK_VALUES // (n * d))
-
             def read_pieces():
                 for j in range(0, k, step):
                     want = min(step, k - j) * n
@@ -469,7 +485,6 @@ class Reader:
                     yield j, values
 
             return [reduce(read_pieces())]
-        step = max(1, _BLOCK // (n * d))
 
         def part(j0: int, j1: int):
             buf = np.empty((min(step, j1 - j0) * n, d), _COUNTER_KINDS[src.kind])

@@ -28,6 +28,25 @@ def bernoulli_value(seed: int, i: int, p: float) -> float:
     return 1.0 if uniform(seed, i) < p else 0.0
 
 
+def digit_file_symbols(data: bytes, m: int):
+    """(symbols, error) of a digit file's bytes, decoded one byte at a time.
+
+    symbols lists the base-m symbols before the first invalid byte: anything
+    but '0'..chr(ord('0') + m - 1), space, tab, CR or LF, or a '.' after the
+    first.  error is that byte and its offset, (bytes([b]), offset), or None
+    when every byte is valid.
+    """
+    symbols, seen_dot = [], False
+    for offset, b in enumerate(data):
+        if ord("0") <= b < ord("0") + m:
+            symbols.append(b - ord("0"))
+        elif b == ord(".") and not seen_dot:
+            seen_dot = True
+        elif b not in b" \t\r\n":
+            return symbols, (bytes([b]), offset)
+    return symbols, None
+
+
 def local_rate(stats, x, eps: float) -> float:
     """-(1/n) log of the ball mass; +inf sentinel when the ball is empty."""
     return _ball_rate(*ball_mass(stats, x, eps), stats.n)

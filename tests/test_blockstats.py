@@ -54,10 +54,9 @@ def test_block_means_digits(tmp_path):
 
 
 def test_block_means_chunk_independent(monkeypatch):
-    # A counter kind is reduced in pieces of at most sources._BLOCK values and
-    # a Markov chain in reads of sources._CHUNK_VALUES: one piece by default,
-    # 17 (Gaussian, d = 2) or 9 (Markov) once that size is cut to 64 values,
-    # with the same means.
+    # Every kind is reduced in pieces of at most sources._BLOCK values: one
+    # piece by default, 17 (Gaussian, d = 2) or 9 (Markov) once that size is
+    # cut to 64 values, with the same means.
     pieces = []
     tree = blockstats._tree
 
@@ -67,14 +66,13 @@ def test_block_means_chunk_independent(monkeypatch):
 
     monkeypatch.setattr(blockstats, "_tree", counted)
     spec = MarkovSpec(P=[[0.9, 0.1], [0.2, 0.8]], phi=[0.5, -1.25])
-    for src, size, count in [(gaussian_source(7, 2), "_BLOCK", 17),
-                             (markov_source(spec, 3), "_CHUNK_VALUES", 9)]:
+    for src, count in [(gaussian_source(7, 2), 17), (markov_source(spec, 3), 9)]:
         pieces.clear()
         want = block_means(src, 16, 33)
         assert pieces == [33]
         pieces.clear()
         with monkeypatch.context() as m:
-            m.setattr(sources, size, 64)
+            m.setattr(sources, "_BLOCK", 64)
             got = block_means(src, 16, 33)
         assert len(pieces) == count and sum(pieces) == 33
         assert np.array_equal(got.means, want.means)
@@ -93,7 +91,7 @@ def test_markov_block_means_generate_each_value_once(monkeypatch):
         return mix(z, tmp, seed, first, step)
 
     monkeypatch.setattr(sources, "_mix_into", counted)
-    monkeypatch.setattr(sources, "_CHUNK_VALUES", 20)
+    monkeypatch.setattr(sources, "_BLOCK", 20)
     got = block_means(markov_source(spec, 3), 10, 50)
     assert sum(mixed) == 10 * 50
     assert np.array_equal(got.means, want.means)
@@ -151,13 +149,11 @@ INTEGER_SOURCES = {
 def test_lattice_block_means_equal_sorted_block_order(kind, monkeypatch):
     # The exact integer reduction, merged over 5 chunks, equals the distinct
     # values and counts of the pairwise-tree means in block order, bit for bit.
-    # A chunk is a counter kind's piece (sources._BLOCK), a Markov chain's or
-    # digit file's read (sources._CHUNK_VALUES) and a tally (blockstats).
+    # A chunk is a piece of any kind (sources._BLOCK) and a tally (blockstats).
     src = INTEGER_SOURCES[kind]()
     n, k = 30, 3000
     values, counts = np.unique(_block_order_means(src, n, k)[:, 0], return_counts=True)
-    for module, name in ((sources, "_BLOCK"), (sources, "_CHUNK_VALUES"),
-                         (blockstats, "_CHUNK_VALUES")):
+    for module, name in ((sources, "_BLOCK"), (blockstats, "_CHUNK_VALUES")):
         monkeypatch.setattr(module, name, 700 * n)
     stats = block_means(src, n, k)
     assert stats.means.tobytes() == values.tobytes()
@@ -267,19 +263,41 @@ def test_threaded_block_parts_resolve_a_straggler_in_the_second_part(monkeypatch
 
 def test_dense_block_means_memory_flat(monkeypatch):
     # A Gaussian reduction holds its k x d sums and, per thread, a piece of
-    # at most sources._BLOCK values with its kernel and tree buffers (3 MB),
-    # whatever the chunk size; a 2**21-value batch alone would be 16 MB.
+    # at most sources._BLOCK values with its kernel and tree buffers (3 MB at
+    # the default 2**16), whatever the piece size; a 2**21-value batch alone
+    # would be 16 MB.
     monkeypatch.setattr(sources, "_WORKERS", 2)
     n, k = 19, 120_000
-    for chunk in (1 << 16, 1 << 21, 1 << 23):
-        monkeypatch.setattr(sources, "_CHUNK_VALUES", chunk)
-        monkeypatch.setattr(blockstats, "_CHUNK_VALUES", chunk)
+    for block in (1 << 14, 1 << 16):
+        monkeypatch.setattr(sources, "_BLOCK", block)
         for d in (1, 2):
             tracemalloc.start()
             block_means(gaussian_source(1, d), n, k)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            assert peak < k * d * 8 + 2 * (4 << 20), (chunk, d, peak)
+            assert peak < k * d * 8 + 2 * (4 << 20), (block, d, peak)
+
+
+def test_digit_file_block_means_memory_flat(tmp_path):
+    # A digit file is decoded in chunks of sources._FILE_CHUNK bytes into
+    # reused buffers and reduced in pieces of at most sources._BLOCK values,
+    # so an 8-times longer file adds at most the one more decoded chunk that
+    # is alive across a chunk boundary (one 1 MB file has a single full
+    # chunk); reads of 2**21 symbols would add 6 to 10 MB.
+    rng = np.random.default_rng(3)
+    for a in (0, None):
+        peaks = []
+        for size in (1 << 20, 1 << 23):
+            p = tmp_path / "d.txt"
+            lines = (rng.integers(0, 10, size, dtype=np.uint8) + ord("0")).reshape(-1, 64)
+            p.write_bytes(np.hstack([lines, np.full((len(lines), 1), ord("\n"),
+                                                    np.uint8)]).tobytes())
+            tracemalloc.start()
+            stats = block_means(file_source(p, 10, indicator_a=a), 100, size // 100)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert stats.weights.sum() == size // 100
+        assert peaks[1] < peaks[0] + (3 << 19), (a, peaks)
 
 
 def test_gaussian_stats_stay_dense():

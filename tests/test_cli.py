@@ -90,6 +90,40 @@ def test_data_exit_codes(tmp_path, capsys):
         assert "line 3" in capsys.readouterr().err
 
 
+def test_non_ascii_digit_file_names_the_byte(tmp_path, capsys):
+    # The 0xC3 of a UTF-8 "\u00e9" and the 0xEF of a byte-order mark are named
+    # by value, not as the Latin-1 characters they would decode to.
+    data = tmp_path / "d.txt"
+    out = str(tmp_path / "a.csv")
+    for body, byte, offset in ((b"31\xc3\xa9415", r"b'\xc3'", 2),
+                               (b"\xef\xbb\xbf31415", r"b'\xef'", 0)):
+        data.write_bytes(body)
+        for argv in (["freq", "--in", str(data)],
+                     ["analyze", "--in", str(data), "--n", "1", "--k", "5", "--out", out]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                "error: unexpected byte %s at offset %d in digit file\n" % (byte, offset))
+    assert not os.path.exists(out)
+
+
+def test_analyze_takes_one_of_in_and_kind(tmp_path, capsys):
+    # A file run that also names a generated kind is refused before anything
+    # is read or written, rather than analyzing the file under a manifest
+    # that records the kind's flags.
+    data = tmp_path / "d.txt"
+    data.write_text("31415926")
+    out = tmp_path / "a.csv"
+    base = ["analyze", "--n", "2", "--k", "2", "--lambda-grid", "0,1", "--out", str(out)]
+    assert main(base + ["--in", str(data), "--kind", "gaussian", "--d", "2",
+                        "--seed", "9"]) == 2
+    assert "not allowed with argument --in" in capsys.readouterr().err
+    assert main(base) == 2  # neither
+    assert "--in --kind" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "a.csv.manifest.json").exists()
+    assert main(base + ["--in", str(data)]) == 0
+    assert main(base + ["--kind", "iid-digit"]) == 0
+
+
 def test_gen_digit_stream_frozen(tmp_path, capsys):
     out = tmp_path / "d.txt"
     code = main(["gen", "--kind", "iid-digit", "--m", "10", "--seed", "7",

@@ -17,7 +17,7 @@ from blockldp import (DataError, MarkovSpec, NumericalError, SeriesSource, Usage
 from blockldp.cli import main
 from blockldp.sources import raw_word
 
-from _reference import bernoulli_value, next_digit, uniform
+from _reference import bernoulli_value, digit_file_symbols, next_digit, uniform
 
 # Fixed outputs of the 64-bit mix, recomputed with a standalone big-integer
 # implementation of the finalizer; the (0, 0) and (1, 0) words equal the
@@ -617,6 +617,54 @@ def test_read_digit_file_chunk_independent(tmp_path, monkeypatch):
     assert len(reader.read(4)) == 0 and reader.pos == 15  # at EOF: fewer, no error
     for start in (1, 2, 7, 14, 15):
         assert np.array_equal(src.reader(start).read(20), full[start:])
+
+
+def _digit_file_bytes(rng, m: int) -> bytes:
+    """Seeded bytes of a base-m digit file: mostly symbols and whitespace,
+    with radix points and, in some files, bytes that are never valid (the
+    digits m..9, '/', ':', 0x00 and 0x80-0xFF) at rates that vary by file."""
+    pools = [np.arange(ord("0"), ord("0") + m), np.frombuffer(b" \t\r\n", np.uint8),
+             [ord(".")], np.r_[ord("0") + m : ord("9") + 1, ord("/"), ord(":"), 0],
+             np.arange(128, 256)]
+    dot, bad = rng.choice([0.0, 0.004, 0.02]), rng.choice([0.0, 0.001, 0.005, 0.025])
+    pool = rng.choice(5, int(rng.integers(0, 600)), p=[0.8 - dot - 2 * bad, 0.2, dot, bad, bad])
+    data = np.zeros(pool.size, dtype=np.uint8)
+    for j, values in enumerate(pools):
+        data[pool == j] = rng.choice(values, np.count_nonzero(pool == j))
+    return data.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+def test_digit_file_decoder_matches_byte_by_byte_reference(chunk, tmp_path, monkeypatch):
+    # Whatever the chunk size, reads in uneven pieces give the reference's
+    # symbols, then the end of the file or the reference's bad byte and
+    # offset, raised again by a later read.
+    if chunk is not None:
+        monkeypatch.setattr(sources, "_FILE_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    p = tmp_path / "d.txt"
+    errors = 0
+    for case in range(60):
+        m = 2 + case % 9
+        data = _digit_file_bytes(rng, m)
+        p.write_bytes(data)
+        want, error = digit_file_symbols(data, m)
+        cuts = np.diff(np.sort(rng.integers(0, len(want) + 1, 4)), prepend=0,
+                       append=len(want))
+        reader = file_source(p, m).reader()
+        got = np.concatenate([reader.read(int(c)) for c in cuts])
+        assert got.dtype == np.uint8 and got[:, 0].tolist() == want, case
+        if error is None:
+            assert len(reader.read(1)) == 0 and reader.pos == len(want), case
+            continue
+        errors += 1
+        with pytest.raises(DataError) as first:
+            reader.read(1)
+        assert str(first.value) == "unexpected byte %r at offset %d in digit file" % error
+        with pytest.raises(DataError) as again:
+            reader.read(1)
+        assert again.value is first.value
+    assert 10 < errors < 50
 
 
 def test_pi_fixture_contents():
