@@ -18,11 +18,11 @@ when every block sum happens to be an integer.  Every float reduction in
 this module uses one fixed pairwise (tree) summation over row order, so
 serial, chunked and parallel evaluations agree bit-exactly.
 
-block_means hands Reader._reduce_blocks a reducer that runs once per part of the
-k blocks, on the thread that generates the part: on the float path it writes
-the part's block sums into its own rows of the (k, d) sums, and on the
-lattice path it returns the part's exact (distinct sums, counts) tally,
-which block_means merges.
+block_means alone uses threads: on a digit, Bernoulli or Gaussian source,
+Reader._reduce_blocks cuts the k blocks into parts of at least 2**16 values
+counting every coordinate, and runs the reducer on each part's own thread.
+It writes the part's block sums into its rows of the (k, d) sums (float path)
+or returns the part's exact tally (lattice path), which block_means merges.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
     piece, so memory stays flat in k and in the observable's range.  Any other
     source is summed with the fixed pairwise tree over each block's n
     observations and keeps its means in block order with unit weights.
-    A counter source is generated and reduced in parts of whole blocks, one
-    per thread (Reader._reduce_blocks).  Neither form depends on the internal
+    A digit, Bernoulli or Gaussian source is generated and reduced in parts
+    of whole blocks, one per thread.  Neither form depends on the internal
     batching or on the thread count.  Raises DataError when the source is
     exhausted, stating how many full blocks were available.
     """

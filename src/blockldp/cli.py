@@ -31,10 +31,8 @@ from .experiments import (ExperimentConfig, RunRecord, brownian_experiment, fig1
 from .models import (bernoulli_model, digit_indicator_model, gaussian_model,
                      markov_model)
 from .regimes import Schedule, classify, find_level_points
-from .sources import (MarkovSpec, bernoulli_source, digit_source, file_source,
+from .sources import (_BLOCK, MarkovSpec, bernoulli_source, digit_source, file_source,
                       gaussian_source, markov_source, pi_fixture_path)
-
-_GEN_ROWS = 1 << 16  # rows generated and written per gen batch
 
 
 def _resolve_out(path):
@@ -155,9 +153,9 @@ def cmd_gen(args) -> int:
     src = _build_source(args)
     reader = src.reader()
     with open(out, "w", newline="") as fh:
-        for start in range(0, count, _GEN_ROWS):
+        for start in range(0, count, _BLOCK):
             # Digit and Bernoulli values are uint8 and print as integers.
-            write_rows(fh, reader.read(min(_GEN_ROWS, count - start)).tolist(), " ")
+            write_rows(fh, reader.read(min(_BLOCK, count - start)).tolist(), " ")
     record.write(out + ".manifest.json", _flags(args), [out], [src.seed], [src.path],
                  _spec_files(src, args))
     print("wrote %d lines to %s" % (count, out))

@@ -28,13 +28,13 @@ dimension, far beyond any supported run length).
 The vector kernels compute words and uniforms in place, over blocks of 2**16
 counters in reused buffers, and write into an output array of the caller's
 dtype; for any split into blocks they equal the scalar raw_word bit for bit.
-A read of a counter kind of at least 2 * _MIN_PART = 2**17 values is split
-into contiguous parts, up to one per CPU of the process's affinity mask,
-filled on threads: the bytes do not depend on the split, and a process
-confined to one CPU (taskset -c 0) reads on its own thread only.
-Reader._reduce_blocks splits a run of whole blocks the same way and hands each
-part, generated in pieces of at most _BLOCK values, to a reducer on the part's
-own thread, so block_means sums each piece while it is in cache.
+Reader.read fills on the calling thread, in pieces of _BLOCK values, so
+worker threads call only private functions, which a tracer of the public ones
+on one span stack (bench/tracing.py) never sees.  Only block_means on a
+counter kind (Reader._reduce_blocks) splits its blocks into contiguous parts
+of at least _BLOCK values counting every coordinate, up to one per CPU of the
+affinity mask, and generates and reduces each part in pieces on its own
+thread: the bytes do not depend on the split, and taskset -c 0 uses one.
 The digit kernel reduces a word as z - m * (z // m), which is z mod m exactly
 in unsigned 64-bit arithmetic: numpy divides by a scalar with a multiply and
 shift, several times faster than its remainder.
@@ -59,9 +59,8 @@ _U53 = 2.0 ** -53
 _DIM_STRIDE = 1 << 40
 _MAX_DIGIT_RETRIES = 128
 _FILE_CHUNK = 1 << 20
-_BLOCK = 1 << 16  # counters per kernel pass: each ufunc call is long enough to
-                  # repay a thread switch, and a thread's buffers total 2 MB
-_MIN_PART = 1 << 16  # fewest values of a read that _split hands to one thread
+_BLOCK = 1 << 16  # counters per kernel pass and fewest values per thread: each
+                  # ufunc call repays a thread switch, and a thread's buffers total 2 MB
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _RAMP = np.arange(_BLOCK, dtype=np.uint64)
@@ -202,28 +201,6 @@ def _gaussian_block(seed: int, start: int, out: np.ndarray, work: np.ndarray) ->
             np.cos(u2, out=u2)
             np.multiply(u1, u2, out=out[b0 : b0 + z.size, c])
     return out
-
-
-def _split(task, count: int, size: int = 1) -> list:
-    """[task(j, j2) for each contiguous part range(j, j2) of range(count)].
-
-    An index stands for size values, and there are min(_WORKERS, count,
-    count * size // _MIN_PART) parts.  The first part runs on the calling
-    thread and the others on a pool of threads, which run in parallel because
-    numpy releases the GIL inside each ufunc.  Each value is a function of its
-    counter alone, so a task's bytes do not depend on the split.  With fewer
-    than two parts the task runs inline.  The pool lives for one call, so no
-    thread outlives it.
-    """
-    parts = min(_WORKERS, count, count * size // _MIN_PART)
-    if parts < 2:
-        return [task(0, count)]
-    from concurrent.futures import ThreadPoolExecutor  # 5 ms, paid only by a split
-
-    edges = [count * i // parts for i in range(parts + 1)]
-    with ThreadPoolExecutor(parts - 1) as pool:
-        rest = [pool.submit(task, j, j2) for j, j2 in zip(edges[1:-1], edges[2:])]
-        return [task(0, edges[1])] + [part.result() for part in rest]
 
 
 def _fill(src: "SeriesSource", start: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -412,10 +389,8 @@ class Reader:
     chain also its last state, a digit file its open chunk decoder (byte
     position, radix-point flag) and its unread symbols; those two read and
     drop the values before start.  Dropping the reader closes its file.
-    A large read of a counter kind is filled on threads (_split), and
-    _reduce_blocks generates and reduces each part of a run of blocks on its own thread;
-    Markov and digit-file reads stay serial.  Worker threads call only
-    private functions and the caller's reducer.
+    read runs on the calling thread; only _reduce_blocks on a counter kind
+    generates and reduces parts of a run of blocks on threads of their own.
     """
 
     def __init__(self, source: "SeriesSource", start: int = 0):
@@ -433,9 +408,8 @@ class Reader:
             raise UsageError("count must be >= 0")
         src = self.source
         if src.kind in _COUNTER_KINDS:
-            out = np.empty((count, src.d), _COUNTER_KINDS[src.kind])
-            _split(lambda j, j2: _fill(src, self.pos + j, out[j:j2], _work(src.kind, j2 - j)),
-                   count)
+            out = _fill(src, self.pos, np.empty((count, src.d), _COUNTER_KINDS[src.kind]),
+                        _work(src.kind, count))
         elif src.kind == "digit-file":
             parts, rest, need = [], self._rest, count
             while need > rest.size and (chunk := next(self._chunks, None)) is not None:
@@ -465,12 +439,14 @@ class Reader:
         run's observations as read would return them, in a buffer that the
         next piece overwrites.  Every kind comes in pieces of at most _BLOCK
         values (one block when n * d > _BLOCK), so each piece is reduced
-        while it is in cache.  A counter kind splits the k blocks into parts
-        as _split does and generates each part on the thread that runs
-        reduce, so reduce runs on several threads at once: it must only
-        write state of its own part.  A Markov chain or a digit file has one
-        part, read inline.  Raises DataError, stating how many full blocks
-        were available, when the source ends first.
+        while it is in cache.  A counter kind splits the k blocks into
+        min(_WORKERS, k, k * n * d // _BLOCK) contiguous parts: the first runs
+        on the calling thread, the others in parallel on a pool that lives for
+        this call (numpy releases the GIL inside each ufunc).  reduce runs on
+        its part's thread and must only write state of its own part.  A
+        Markov chain or a digit file has one part, read inline.  Raises
+        DataError, stating how many full blocks were available, when the
+        source ends first.
         """
         src, d, start = self.source, self.source.d, self.pos
         step = max(1, _BLOCK // (n * d))
@@ -496,7 +472,16 @@ class Reader:
 
             return reduce(pieces())
 
-        out = _split(part, k, n)
+        parts = min(_WORKERS, k, k * n * d // _BLOCK)
+        if parts < 2:
+            out = [part(0, k)]
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # 5 ms, paid only by a split
+
+            edges = [k * i // parts for i in range(parts + 1)]
+            with ThreadPoolExecutor(parts - 1) as pool:
+                rest = [pool.submit(part, j, j2) for j, j2 in zip(edges[1:-1], edges[2:])]
+                out = [part(0, edges[1])] + [f.result() for f in rest]
         self.pos += k * n
         return out
 

@@ -206,7 +206,6 @@ def _threaded_parts(monkeypatch, workers: int) -> set:
     1000-counter pieces; returns the set that the threads which reduce a
     piece add their ids to."""
     monkeypatch.setattr(sources, "_WORKERS", workers)
-    monkeypatch.setattr(sources, "_MIN_PART", 1500)
     monkeypatch.setattr(sources, "_BLOCK", 1000)
     threads = set()
     for name in ("_tree", "_merge_tallies"):

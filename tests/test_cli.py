@@ -180,7 +180,7 @@ GEN_KINDS = {
 @pytest.mark.parametrize("kind", sorted(GEN_KINDS))
 def test_gen_writes_in_batches(kind, tmp_path, monkeypatch, capsys):
     # 23 rows in batches of 7: the file equals one-shot formatting of every row.
-    monkeypatch.setattr(cli, "_GEN_ROWS", 7)
+    monkeypatch.setattr(cli, "_BLOCK", 7)
     sizes = []
     read = sources.Reader.read
 

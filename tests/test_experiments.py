@@ -270,7 +270,7 @@ def test_frequency_streams_in_pieces(chunk, tmp_path, monkeypatch):
     p = tmp_path / "d.txt"
     p.write_text("3.14159 26535\n89793 23846 26433 83279\n")
     sym = file_source(p, 10).reader().read(100)[:, 0].astype(np.int64)
-    monkeypatch.setattr(experiments, "_WORD_PIECE", chunk)
+    monkeypatch.setattr(experiments, "_BLOCK", chunk)
     for n0 in (1, 2, 3, 4):
         for N in (None, 30, sym.size):
             res = frequency_test(file_source(p, 10), n0, N)
@@ -297,7 +297,7 @@ def test_frequency_counts_across_pieces_match_brute_force(m, monkeypatch):
     N, n0 = 12_000, 4
     sym = src.reader().read(N)[:, 0].astype(np.int64)
     words = sum(sym[t : N - n0 + 1 + t] * m ** (n0 - 1 - t) for t in range(n0))
-    monkeypatch.setattr(experiments, "_WORD_PIECE", 4099)
+    monkeypatch.setattr(experiments, "_BLOCK", 4099)
     res = frequency_test(src, n0, N)
     assert res.counts.dtype == np.int64
     assert np.array_equal(res.counts, np.bincount(words, minlength=m ** n0))
