@@ -31,7 +31,7 @@ from .experiments import (ExperimentConfig, RunRecord, brownian_experiment, fig1
 from .models import (bernoulli_model, digit_indicator_model, gaussian_model,
                      markov_model)
 from .regimes import Schedule, classify, find_level_points
-from .sources import (_BLOCK, MarkovSpec, bernoulli_source, digit_source, file_source,
+from .sources import (MarkovSpec, bernoulli_source, digit_source, file_source,
                       gaussian_source, markov_source, pi_fixture_path)
 
 
@@ -153,9 +153,9 @@ def cmd_gen(args) -> int:
     src = _build_source(args)
     reader = src.reader()
     with open(out, "w", newline="") as fh:
-        for start in range(0, count, _BLOCK):
+        for values in reader.pieces(count):
             # Digit and Bernoulli values are uint8 and print as integers.
-            write_rows(fh, reader.read(min(_BLOCK, count - start)).tolist(), " ")
+            write_rows(fh, values.tolist(), " ")
     record.write(out + ".manifest.json", _flags(args), [out], [src.seed], [src.path],
                  _spec_files(src, args))
     print("wrote %d lines to %s" % (count, out))

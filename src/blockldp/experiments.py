@@ -24,7 +24,7 @@ from .blockstats import (SampledFunction, _ball_rate, ball_mass, block_means, em
 from .convex import ConjugateResult, grad_estimate, legendre
 from .models import ScgfModel, digit_indicator_model
 from .regimes import RegimeReport, Schedule, classify, rate_along
-from .sources import _BLOCK, SeriesSource, digit_source, file_source, gaussian_source
+from .sources import SeriesSource, digit_source, file_source, gaussian_source
 
 
 @dataclass
@@ -413,7 +413,7 @@ def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> Frequ
     first N symbols and reports the per-word frequency table and the maximum
     deviation from the uniform m^-n0, the normality diagnostic.  N=None uses
     every symbol of a digit-file source; other sources need N.  The symbols
-    stream through one reader in pieces of _BLOCK, so memory stays flat in N.
+    stream through one reader's pieces, so memory stays flat in N.
     """
     if not 1 <= n0 <= 4:
         raise UsageError("word length n0 must lie in [1, 4]")
@@ -430,10 +430,8 @@ def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> Frequ
     counts = np.zeros(m ** n0, dtype=np.int64)
     # syms keeps the n0 - 1 symbols before the fresh ones: no window is lost at a split.
     syms = np.zeros(0, dtype=np.uint8)
-    while N is None or reader.pos < N:
-        want = _BLOCK if N is None else min(_BLOCK, N - reader.pos)
-        fresh = reader.read(want)[:, 0]
-        syms = np.concatenate([syms[max(0, syms.size - n0 + 1):], fresh])
+    for fresh in reader.pieces(N):
+        syms = np.concatenate([syms[max(0, syms.size - n0 + 1):], fresh[:, 0]])
         windows = max(syms.size - n0 + 1, 0)
         # Horner form in uint16, which holds every code below m^n0 <= 1e4.
         codes = syms[:windows].astype(np.uint16)
@@ -441,8 +439,6 @@ def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> Frequ
             codes *= np.uint16(m)
             codes += syms[t : windows + t]
         counts += np.bincount(codes, minlength=m ** n0)
-        if fresh.size < want:
-            break
     if reader.pos < (N or n0):
         raise DataError("need at least %d symbols (n0=%d, N=%s), got %d"
                         % (N or n0, n0, N, reader.pos))

@@ -22,19 +22,22 @@ Uniforms are u = ((z >> 11) + 0.5) * 2**-53, always inside (0, 1).  Digit
 sampling rejects words at or above the largest multiple of m below 2**64
 before reducing mod m, which removes modulo bias exactly.  Gaussian
 coordinates use Box-Muller on the counter pair (2i, 2i+1), offset by a
-per-dimension stride of 2**40 (collision-free for indices below 2**39 per
-dimension, far beyond any supported run length).
+per-dimension stride of 2**40, so the streams of a d > 1 source are disjoint
+for indices below 2**39: a read or block_means that would reach index 2**39
+raises UsageError before it generates a value.
 
 The vector kernels compute words and uniforms in place, over blocks of 2**16
 counters in reused buffers, and write into an output array of the caller's
 dtype; for any split into blocks they equal the scalar raw_word bit for bit.
-Reader.read fills on the calling thread, in pieces of _BLOCK values, so
-worker threads call only private functions, which a tracer of the public ones
-on one span stack (bench/tracing.py) never sees.  Only block_means on a
-counter kind (Reader._reduce_blocks) splits its blocks into contiguous parts
-of at least _BLOCK values counting every coordinate, up to one per CPU of the
-affinity mask, and generates and reduces each part in pieces on its own
-thread: the bytes do not depend on the split, and taskset -c 0 uses one.
+_BLOCK = 2**16 is the one size this package cuts work by: counters per kernel
+pass, bytes per digit-file chunk, values per Reader.pieces read and per piece
+of a block reduction.  Reader.read fills on the calling thread, so worker
+threads call only private functions, which a tracer of the public ones on one
+span stack (bench/tracing.py) never sees.  Only block_means on a counter kind
+(Reader._reduce_blocks) splits its blocks into contiguous parts of at least
+_BLOCK values counting every coordinate, up to one per CPU of the affinity
+mask, and generates and reduces each part in pieces on its own thread: the
+bytes do not depend on the split, and taskset -c 0 uses one.
 The digit kernel reduces a word as z - m * (z // m), which is z mod m exactly
 in unsigned 64-bit arithmetic: numpy divides by a scalar with a multiply and
 shift, several times faster than its remainder.
@@ -58,7 +61,6 @@ _MIX2 = 0x94D049BB133111EB
 _U53 = 2.0 ** -53
 _DIM_STRIDE = 1 << 40
 _MAX_DIGIT_RETRIES = 128
-_FILE_CHUNK = 1 << 20
 _BLOCK = 1 << 16  # counters per kernel pass and fewest values per thread: each
                   # ufunc call repays a thread switch, and a thread's buffers total 2 MB
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -215,6 +217,14 @@ def _fill(src: "SeriesSource", start: int, out: np.ndarray, work: np.ndarray) ->
     return out
 
 
+def _check_reach(src: "SeriesSource", stop: int) -> None:
+    """UsageError unless the values below index stop of a d > 1 Gaussian
+    stay below index 2**39, where coordinate c's counters meet c + 1's."""
+    if src.kind == "gaussian" and src.d > 1 and stop > _DIM_STRIDE // 2:
+        raise UsageError("a Gaussian source with d > 1 has indices below 2**39 only; "
+                         "this read reaches index %d" % (stop - 1))
+
+
 def _check_base(m: int) -> None:
     if not (isinstance(m, (int, np.integer)) and 2 <= m <= 10):
         raise UsageError("base m must be an integer in [2, 10], got %r" % (m,))
@@ -329,7 +339,7 @@ def _markov_states(spec: MarkovSpec, seed: int, first: int, count: int,
 
 
 def _file_symbols(path, m: int):
-    """Base-m symbols of a digit file, one fresh uint8 array per byte chunk.
+    """Base-m symbols of a digit file, one fresh uint8 array per _BLOCK bytes.
 
     A chunk yields its symbols before its first invalid byte (anything but a
     symbol, space, tab, CR or LF, or a '.' after the file's first); that
@@ -340,8 +350,8 @@ def _file_symbols(path, m: int):
     in 81 of a file with a line break every 80 digits) are classified as
     whitespace, the radix point or bad, and the symbols are sym[keep].
     """
-    buf, sym = np.empty((2, _FILE_CHUNK), dtype=np.uint8)
-    keep = np.empty(_FILE_CHUNK, dtype=bool)
+    buf, sym = np.empty((2, _BLOCK), dtype=np.uint8)
+    keep = np.empty(_BLOCK, dtype=bool)
     seen_dot, offset = False, 0
     with open(path, "rb") as fh:
         while size := fh.readinto(buf):
@@ -388,9 +398,11 @@ class Reader:
     a bad byte on every read after it.  A counter kind keeps pos, a Markov
     chain also its last state, a digit file its open chunk decoder (byte
     position, radix-point flag) and its unread symbols; those two read and
-    drop the values before start.  Dropping the reader closes its file.
-    read runs on the calling thread; only _reduce_blocks on a counter kind
-    generates and reduces parts of a run of blocks on threads of their own.
+    drop the values before start through pieces, so a reader started past
+    the end of a digit file has pos at the file's symbol count.  Dropping the
+    reader closes its file.  read runs on the calling thread; only
+    _reduce_blocks on a counter kind generates and reduces parts of a run of
+    blocks on threads of their own.
     """
 
     def __init__(self, source: "SeriesSource", start: int = 0):
@@ -399,8 +411,19 @@ class Reader:
         self._state = None  # Markov: the state at index pos - 1
         self._chunks = _file_symbols(source.path, source.m) if source.path else None
         self._rest = np.zeros(0, dtype=np.uint8)  # digit file: unread symbols
-        while self.pos < start and len(self.read(min(start - self.pos, _FILE_CHUNK))):
+        for _ in self.pieces(start):
             pass
+
+    def pieces(self, stop: int | None = None):
+        """Successive reads of at most _BLOCK values up to index stop, or up
+        to the end of a digit file when stop is None.  A short read, empty
+        or not, comes only at the end of a digit file and is the last."""
+        while stop is None or self.pos < stop:
+            want = _BLOCK if stop is None else min(_BLOCK, stop - self.pos)
+            values = self.read(want)
+            yield values
+            if len(values) < want:
+                return
 
     def read(self, count: int) -> np.ndarray:
         """The next count observations in the kind's native dtype, shape (count, d)."""
@@ -408,6 +431,7 @@ class Reader:
             raise UsageError("count must be >= 0")
         src = self.source
         if src.kind in _COUNTER_KINDS:
+            _check_reach(src, self.pos + count)
             out = _fill(src, self.pos, np.empty((count, src.d), _COUNTER_KINDS[src.kind]),
                         _work(src.kind, count))
         elif src.kind == "digit-file":
@@ -449,6 +473,7 @@ class Reader:
         source ends first.
         """
         src, d, start = self.source, self.source.d, self.pos
+        _check_reach(src, start + k * n)
         step = max(1, _BLOCK // (n * d))
         if src.kind not in _COUNTER_KINDS:
             def read_pieces():

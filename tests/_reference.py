@@ -6,9 +6,35 @@ import math
 
 import numpy as np
 
-from blockldp import MarkovSpec, NumericalError, UsageError, ball_mass, sources
+from blockldp import (MarkovSpec, NumericalError, UsageError, ball_mass, blockstats, models,
+                      pairwise_sum, sources)
 from blockldp.blockstats import _ball_rate
 from blockldp.regimes import _LEVEL_BRACKET, _LEVEL_TOL, rate_along
+
+# The default sizes: values per piece, worker threads, and values per batch
+# of a lattice tally merge or a tilt batch.
+BLOCK, WORKERS, CHUNK = sources._BLOCK, sources._WORKERS, blockstats._CHUNK_VALUES
+
+
+def sizes(monkeypatch, block=None, workers=None, chunk=None) -> None:
+    """Set the sizes the package cuts its work by, for one test.
+
+    block is the piece size (counters per kernel pass, digit-file bytes per
+    chunk, values per read of Reader.pieces and per piece of a block
+    reduction), workers the most threads of one block_means, and chunk the
+    batch of blockstats and models.  This is the one place in the tests that
+    names the module attributes holding them.  block may not exceed BLOCK:
+    sources._RAMP holds BLOCK counters, sized at import.
+    """
+    if block is not None:
+        if not 1 <= block <= BLOCK:
+            raise ValueError("block must lie in [1, %d], got %r" % (BLOCK, block))
+        monkeypatch.setattr(sources, "_BLOCK", block)
+    if workers is not None:
+        monkeypatch.setattr(sources, "_WORKERS", workers)
+    if chunk is not None:
+        monkeypatch.setattr(blockstats, "_CHUNK_VALUES", chunk)
+        monkeypatch.setattr(models, "_CHUNK_VALUES", chunk)
 
 
 def uniform(seed: int, i: int) -> float:
@@ -26,6 +52,21 @@ def next_digit(seed: int, i: int, m: int) -> int:
 def bernoulli_value(seed: int, i: int, p: float) -> float:
     """Bernoulli(p) observation (0.0 or 1.0) at index i."""
     return 1.0 if uniform(seed, i) < p else 0.0
+
+
+def block_order_means(src, n: int, k: int) -> np.ndarray:
+    """Means of the first k length-n blocks in block order (the dense form)."""
+    return pairwise_sum(src.reader().read(n * k).reshape(k, n, src.d), axis=1) / n
+
+
+def expected_stats(src, n: int, k: int):
+    """(means, weights) block_means must give: the block-order means with unit
+    weights for a continuous source, their exact histogram for a lattice one."""
+    dense = block_order_means(src, n, k)
+    if src.int_bound is None:
+        return dense, np.ones(k, dtype=np.int64)
+    values, counts = np.unique(dense[:, 0], return_counts=True)
+    return values[:, None], counts
 
 
 def digit_file_symbols(data: bytes, m: int):

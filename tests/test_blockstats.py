@@ -1,20 +1,18 @@
 """Tests for block means, the empirical SCGF and ball statistics."""
 
 import math
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import blockldp.blockstats as blockstats
 import blockldp.sources as sources
 from blockldp import (BlockStats, DataError, MarkovSpec, SampledFunction,
                       UsageError, ball_mass, bernoulli_source, block_means,
                       digit_source, empirical_scgf, file_source, gaussian_source,
                       markov_source, pairwise_sum, pi_fixture_path, scgf_values)
 
-from _reference import local_rate, next_digit
+from _reference import block_order_means, local_rate, next_digit, sizes
 
 LATTICE_SOURCES = {
     "digit-indicator": lambda: digit_source(5, 10, indicator_a=0),
@@ -23,11 +21,6 @@ LATTICE_SOURCES = {
     "markov-01": lambda: markov_source(
         MarkovSpec(P=[[0.9, 0.1], [0.2, 0.8]], phi=[0.0, 1.0]), 8),
 }
-
-
-def _block_order_means(src, n, k):
-    """Means of the first k length-n blocks in block order (the dense form)."""
-    return pairwise_sum(src.reader().read(n * k).reshape(k, n, src.d), axis=1) / n
 
 
 def test_pairwise_sum_fixed_tree():
@@ -53,31 +46,6 @@ def test_block_means_digits(tmp_path):
     assert np.array_equal(stats.means[:, 0], [1.5, 3.5])
 
 
-def test_block_means_chunk_independent(monkeypatch):
-    # Every kind is reduced in pieces of at most sources._BLOCK values: one
-    # piece by default, 17 (Gaussian, d = 2) or 9 (Markov) once that size is
-    # cut to 64 values, with the same means.
-    pieces = []
-    tree = blockstats._tree
-
-    def counted(a, scratch):
-        pieces.append(a.shape[1])
-        return tree(a, scratch)
-
-    monkeypatch.setattr(blockstats, "_tree", counted)
-    spec = MarkovSpec(P=[[0.9, 0.1], [0.2, 0.8]], phi=[0.5, -1.25])
-    for src, count in [(gaussian_source(7, 2), 17), (markov_source(spec, 3), 9)]:
-        pieces.clear()
-        want = block_means(src, 16, 33)
-        assert pieces == [33]
-        pieces.clear()
-        with monkeypatch.context() as m:
-            m.setattr(sources, "_BLOCK", 64)
-            got = block_means(src, 16, 33)
-        assert len(pieces) == count and sum(pieces) == 33
-        assert np.array_equal(got.means, want.means)
-
-
 def test_markov_block_means_generate_each_value_once(monkeypatch):
     # Every counter is mixed once: a replay from index 0 per chunk would mix
     # about (n*k)**2 / (2 * chunk) of them (6,500 here).
@@ -91,7 +59,7 @@ def test_markov_block_means_generate_each_value_once(monkeypatch):
         return mix(z, tmp, seed, first, step)
 
     monkeypatch.setattr(sources, "_mix_into", counted)
-    monkeypatch.setattr(sources, "_BLOCK", 20)
+    sizes(monkeypatch, block=20)
     got = block_means(markov_source(spec, 3), 10, 50)
     assert sum(mixed) == 10 * 50
     assert np.array_equal(got.means, want.means)
@@ -103,7 +71,7 @@ def test_lattice_scgf_matches_dense(kind):
     src = LATTICE_SOURCES[kind]()
     n, k = 40, 3000
     stats = block_means(src, n, k)
-    dense_means = _block_order_means(src, n, k)
+    dense_means = block_order_means(src, n, k)
     values, counts = np.unique(dense_means[:, 0], return_counts=True)
     assert np.array_equal(stats.means[:, 0], values)
     assert np.array_equal(stats.weights, counts)
@@ -113,20 +81,6 @@ def test_lattice_scgf_matches_dense(kind):
     got = scgf_values(stats, lam)
     assert np.max(np.abs(got - scgf_values(dense, lam))) <= 1e-13
     assert got[60] == 0.0 and lam[60] == 0.0
-
-
-def test_lattice_stats_chunk_independent(monkeypatch):
-    src = LATTICE_SOURCES["digit-indicator"]()
-    lam = np.linspace(-2.0, 2.0, 41)
-    want = block_means(src, 12, 500)
-    want_scgf = scgf_values(want, lam)
-    # pieces of 4 blocks, each tallied and merged on its own
-    monkeypatch.setattr(sources, "_BLOCK", 50)
-    monkeypatch.setattr(blockstats, "_CHUNK_VALUES", 50)
-    got = block_means(src, 12, 500)
-    assert np.array_equal(got.means, want.means)
-    assert np.array_equal(got.weights, want.weights)
-    assert scgf_values(got, lam).tobytes() == want_scgf.tobytes()
 
 
 def _chain(phi):
@@ -149,12 +103,11 @@ INTEGER_SOURCES = {
 def test_lattice_block_means_equal_sorted_block_order(kind, monkeypatch):
     # The exact integer reduction, merged over 5 chunks, equals the distinct
     # values and counts of the pairwise-tree means in block order, bit for bit.
-    # A chunk is a piece of any kind (sources._BLOCK) and a tally (blockstats).
+    # A chunk is a piece of any kind and a tally batch.
     src = INTEGER_SOURCES[kind]()
     n, k = 30, 3000
-    values, counts = np.unique(_block_order_means(src, n, k)[:, 0], return_counts=True)
-    for module, name in ((sources, "_BLOCK"), (blockstats, "_CHUNK_VALUES")):
-        monkeypatch.setattr(module, name, 700 * n)
+    values, counts = np.unique(block_order_means(src, n, k)[:, 0], return_counts=True)
+    sizes(monkeypatch, block=700 * n, chunk=700 * n)
     stats = block_means(src, n, k)
     assert stats.means.tobytes() == values.tobytes()
     assert stats.weights.tobytes() == counts.tobytes()
@@ -167,7 +120,7 @@ def test_non_lattice_observable_stays_in_block_order(phi, n):
     # sums, yet the means stay in block order.
     src = markov_source(MarkovSpec(P=[[0.9, 0.1], [0.2, 0.8]], phi=phi), 4)
     k = 400
-    dense = _block_order_means(src, n, k)
+    dense = block_order_means(src, n, k)
     assert np.array_equal(dense * n, np.rint(dense * n))
     stats = block_means(src, n, k)
     assert np.array_equal(stats.means, dense)
@@ -176,7 +129,7 @@ def test_non_lattice_observable_stays_in_block_order(phi, n):
 
 def test_lattice_block_means_memory_flat_in_k(monkeypatch):
     # A k x 1 float array of sums would add 7.2 MB between these two runs.
-    monkeypatch.setattr(blockstats, "_CHUNK_VALUES", 1 << 16)
+    sizes(monkeypatch, chunk=1 << 16)
     peaks = []
     for k in (100_000, 1_000_000):
         tracemalloc.start()
@@ -186,63 +139,8 @@ def test_lattice_block_means_memory_flat_in_k(monkeypatch):
     assert peaks[1] < peaks[0] + (1 << 20)
 
 
-# (source, n, k) with 1000-counter kernel blocks and parts of at least 1500
-# values: n = 7 does not divide the block, n = 1234 (and n = 700 at d = 2)
-# exceeds it, and no k is a multiple of 2 or 3 parts.
-THREADED_CASES = {
-    "digit-indicator": (lambda: digit_source(5, 10, indicator_a=0), 7, 1001),
-    "raw-digit": (lambda: digit_source(6, 10), 7, 1001),
-    "bernoulli": (lambda: bernoulli_source(7, 0.3), 7, 1001),
-    "gaussian1": (lambda: gaussian_source(8, 1), 7, 1001),
-    "gaussian2": (lambda: gaussian_source(9, 2), 7, 1001),
-    "raw-digit-long-blocks": (lambda: digit_source(6, 10), 1234, 7),
-    "gaussian1-long-blocks": (lambda: gaussian_source(8, 1), 1234, 7),
-    "gaussian2-long-blocks": (lambda: gaussian_source(9, 2), 700, 11),
-}
-
-
-def _threaded_parts(monkeypatch, workers: int) -> set:
-    """Patch sources to split block_means into min(workers, ...) parts of
-    1000-counter pieces; returns the set that the threads which reduce a
-    piece add their ids to."""
-    monkeypatch.setattr(sources, "_WORKERS", workers)
-    monkeypatch.setattr(sources, "_BLOCK", 1000)
-    threads = set()
-    for name in ("_tree", "_merge_tallies"):
-        def traced(*args, _fn=getattr(blockstats, name)):
-            threads.add(threading.get_ident())
-            return _fn(*args)
-
-        monkeypatch.setattr(blockstats, name, traced)
-    return threads
-
-
-def _expected_stats(src, n, k):
-    """Block-order means for a continuous source, else their exact histogram."""
-    dense = _block_order_means(src, n, k)
-    if src.int_bound is None:
-        return dense, np.ones(k, dtype=np.int64)
-    values, counts = np.unique(dense[:, 0], return_counts=True)
-    return values[:, None], counts
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_threaded_block_parts_leave_no_trace(workers, monkeypatch):
-    # Each part is generated and reduced on its own thread; the stats equal
-    # the serial block-order means bit for bit, however many parts there are.
-    want = {name: _expected_stats(make(), n, k)
-            for name, (make, n, k) in THREADED_CASES.items()}
-    threads = _threaded_parts(monkeypatch, workers)
-    for name, (make, n, k) in THREADED_CASES.items():
-        threads.clear()
-        stats = block_means(make(), n, k)
-        assert stats.means.tobytes() == want[name][0].tobytes(), name
-        assert stats.weights.tobytes() == want[name][1].tobytes(), name
-        assert (len(threads) > 1) == (workers > 1), name
-
-
 def test_threaded_block_parts_resolve_a_straggler_in_the_second_part(monkeypatch):
-    _threaded_parts(monkeypatch, 2)
+    sizes(monkeypatch, block=1000, workers=2)
     n, k = 7, 1001
     src = digit_source(4, 10)
     before = block_means(src, n, k)
@@ -262,13 +160,12 @@ def test_threaded_block_parts_resolve_a_straggler_in_the_second_part(monkeypatch
 
 def test_dense_block_means_memory_flat(monkeypatch):
     # A Gaussian reduction holds its k x d sums and, per thread, a piece of
-    # at most sources._BLOCK values with its kernel and tree buffers (3 MB at
+    # at most one piece of values with its kernel and tree buffers (3 MB at
     # the default 2**16), whatever the piece size; a 2**21-value batch alone
     # would be 16 MB.
-    monkeypatch.setattr(sources, "_WORKERS", 2)
     n, k = 19, 120_000
     for block in (1 << 14, 1 << 16):
-        monkeypatch.setattr(sources, "_BLOCK", block)
+        sizes(monkeypatch, block=block, workers=2)
         for d in (1, 2):
             tracemalloc.start()
             block_means(gaussian_source(1, d), n, k)
@@ -278,11 +175,9 @@ def test_dense_block_means_memory_flat(monkeypatch):
 
 
 def test_digit_file_block_means_memory_flat(tmp_path):
-    # A digit file is decoded in chunks of sources._FILE_CHUNK bytes into
-    # reused buffers and reduced in pieces of at most sources._BLOCK values,
-    # so an 8-times longer file adds at most the one more decoded chunk that
-    # is alive across a chunk boundary (one 1 MB file has a single full
-    # chunk); reads of 2**21 symbols would add 6 to 10 MB.
+    # A digit file is decoded in 2**16-byte chunks into reused buffers and
+    # reduced in pieces of at most 2**16 values, so an 8-times longer file
+    # adds under 0.4 MB to the peak; reads of 2**21 symbols would add 6 to 10 MB.
     rng = np.random.default_rng(3)
     for a in (0, None):
         peaks = []
@@ -305,7 +200,7 @@ def test_gaussian_stats_stay_dense():
     stats = block_means(src, n, k)
     assert stats.means.shape == (k, 1)
     assert np.array_equal(stats.weights, np.ones(k, dtype=np.int64))
-    assert np.array_equal(stats.means, _block_order_means(src, n, k))
+    assert np.array_equal(stats.means, block_order_means(src, n, k))
     lam = np.linspace(-2.0, 2.0, 41)
     # the unweighted formula: pairwise mean of the shifted exponentials
     t = np.outer(lam, stats.means[:, 0]) * n
@@ -321,7 +216,7 @@ def test_ball_mass_lattice_matches_dense():
     n, k = 8, 2000
     stats = block_means(src, n, k)
     assert stats.means.shape[0] < k
-    dense = BlockStats(n=n, k=k, d=1, means=_block_order_means(src, n, k))
+    dense = BlockStats(n=n, k=k, d=1, means=block_order_means(src, n, k))
     for x, eps in [(0.0, 0.125), (0.125, 0.125), (0.25, 0.25), (0.1, 0.025),
                    (0.375, 0.5), (1.0, 0.125), (2.0, 0.5)]:
         assert ball_mass(stats, x, eps) == ball_mass(dense, x, eps)

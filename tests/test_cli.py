@@ -18,6 +18,8 @@ from blockldp import cli, experiments, sources
 from blockldp._serialize import fmt_cell, read_csv_columns
 from blockldp.cli import main
 
+from _reference import sizes
+
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
@@ -179,28 +181,31 @@ GEN_KINDS = {
 
 @pytest.mark.parametrize("kind", sorted(GEN_KINDS))
 def test_gen_writes_in_batches(kind, tmp_path, monkeypatch, capsys):
-    # 23 rows in batches of 7: the file equals one-shot formatting of every row.
-    monkeypatch.setattr(cli, "_BLOCK", 7)
-    sizes = []
+    # 21 or 23 rows in batches of 7, the last one full or not: the file
+    # equals one-shot formatting of every row.
+    sizes(monkeypatch, block=7)
+    counts = []
     read = sources.Reader.read
 
     def counted(self, count):
-        sizes.append(count)
+        counts.append(count)
         return read(self, count)
 
     monkeypatch.setattr(sources.Reader, "read", counted)
-    flags = GEN_KINDS[kind] + ["--seed", "4", "--count", "23"]
-    if kind == "markov":
-        flags += ["--markov-file", _sym_chain_file(tmp_path)]
-    out = tmp_path / "g.txt"
-    assert main(["gen"] + flags + ["--out", str(out)]) == 0
-    # every kind, a Markov chain too, generates one batch at a time
-    assert sizes == [7, 7, 7, 2]
-    src = cli._build_source(cli.build_parser().parse_args(
-        ["gen"] + flags + ["--out", str(out)]))
-    # uint8 digit and Bernoulli values format as integers
-    lines = [" ".join(map(fmt_cell, row)) for row in read(src.reader(), 23)]
-    assert out.read_text() == "\n".join(lines) + "\n"
+    for rows, batches in ((21, [7, 7, 7]), (23, [7, 7, 7, 2])):
+        flags = GEN_KINDS[kind] + ["--seed", "4", "--count", str(rows)]
+        if kind == "markov":
+            flags += ["--markov-file", _sym_chain_file(tmp_path)]
+        out = tmp_path / "g.txt"
+        counts.clear()
+        assert main(["gen"] + flags + ["--out", str(out)]) == 0
+        # every kind, a Markov chain too, generates one batch at a time
+        assert counts == batches
+        src = cli._build_source(cli.build_parser().parse_args(
+            ["gen"] + flags + ["--out", str(out)]))
+        # uint8 digit and Bernoulli values format as integers
+        lines = [" ".join(map(fmt_cell, row)) for row in read(src.reader(), rows)]
+        assert out.read_text() == "\n".join(lines) + "\n"
     capsys.readouterr()
 
 

@@ -13,7 +13,8 @@ from blockldp import (DataError, ExperimentConfig, RunManifest, Schedule, UsageE
                       digit_indicator_model, digit_source, fig1_pipeline,
                       file_source, frequency_test, gaussian_source,
                       pi_fixture_path, regime_experiment)
-from blockldp import experiments
+
+from _reference import sizes
 
 DIGIT_THRESHOLD = 0.04299898970786353
 DIGIT_LAM_08 = 0.11560652909389964
@@ -263,14 +264,16 @@ def test_frequency_guards(tmp_path):
         frequency_test(gaussian_source(0, 1), 1, 100)
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("chunk", [1, 7, 31])
 def test_frequency_streams_in_pieces(chunk, tmp_path, monkeypatch):
-    # Pieces of 1 or 7 symbols, shorter than some words, give the counts of
-    # one pass over every window of the first N symbols.
+    # Pieces of 1, 7 or 31 symbols, some shorter than a word, give the counts
+    # of one pass over every window of the first N symbols.  The file's 31
+    # symbols fill the last piece of 1 or 31, whose next read is empty.
     p = tmp_path / "d.txt"
     p.write_text("3.14159 26535\n89793 23846 26433 83279\n")
     sym = file_source(p, 10).reader().read(100)[:, 0].astype(np.int64)
-    monkeypatch.setattr(experiments, "_BLOCK", chunk)
+    assert sym.size == 31
+    sizes(monkeypatch, block=chunk)
     for n0 in (1, 2, 3, 4):
         for N in (None, 30, sym.size):
             res = frequency_test(file_source(p, 10), n0, N)
@@ -297,7 +300,7 @@ def test_frequency_counts_across_pieces_match_brute_force(m, monkeypatch):
     N, n0 = 12_000, 4
     sym = src.reader().read(N)[:, 0].astype(np.int64)
     words = sum(sym[t : N - n0 + 1 + t] * m ** (n0 - 1 - t) for t in range(n0))
-    monkeypatch.setattr(experiments, "_BLOCK", 4099)
+    sizes(monkeypatch, block=4099)
     res = frequency_test(src, n0, N)
     assert res.counts.dtype == np.int64
     assert np.array_equal(res.counts, np.bincount(words, minlength=m ** n0))

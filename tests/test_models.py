@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from blockldp import (MarkovSpec, NumericalError, UsageError, bernoulli_model,
-                      digit_indicator_model, gaussian_model, markov_model, models)
+                      digit_indicator_model, gaussian_model, markov_model)
 
-from _reference import exact_prefix_scgf
+from _reference import exact_prefix_scgf, sizes
 
 # Spectral and finite-n values for the two-state chain with stay probability
 # 0.9 and the state-1 indicator observable, frozen from a 40-digit evaluation
@@ -297,7 +297,7 @@ def test_markov_spectral_chunk_independent(monkeypatch):
     whole = markov_model(_three_chain()).lam(grid)
     pieces = np.concatenate([markov_model(_three_chain()).lam(grid[a:a + 17])
                              for a in range(0, grid.size, 17)])
-    monkeypatch.setattr(models, "_CHUNK_VALUES", 9 * 5)
+    sizes(monkeypatch, chunk=9 * 5)
     small = markov_model(_three_chain()).lam(grid)
     assert whole.tobytes() == pieces.tobytes() == small.tobytes()
 

@@ -17,7 +17,8 @@ from blockldp import (DataError, MarkovSpec, NumericalError, SeriesSource, Usage
 from blockldp.cli import main
 from blockldp.sources import raw_word
 
-from _reference import bernoulli_value, digit_file_symbols, next_digit, uniform
+from _reference import (BLOCK, bernoulli_value, digit_file_symbols, next_digit, sizes,
+                        uniform)
 
 # Fixed outputs of the 64-bit mix, recomputed with a standalone big-integer
 # implementation of the finalizer; the (0, 0) and (1, 0) words equal the
@@ -213,7 +214,7 @@ def test_digit_rejection_chain(monkeypatch):
 BOUNDARY_COUNTS = ((1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 7)
 # Around the current block edges, and a read that crosses two of them;
 # checked against the scalar forms only.
-B = sources._BLOCK
+B = BLOCK
 EDGE_COUNTS = (B - 1, B, B + 1, 2 * B + 3)
 BOUNDARY_START = 12345  # odd, so no block starts on an aligned counter
 BOUNDARY_CHAIN = MarkovSpec(P=[[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
@@ -280,9 +281,27 @@ def test_kernels_at_block_boundaries(name, monkeypatch):
     assert digest.hexdigest() == BOUNDARY_SHA256[name]
 
 
+def test_gaussian_coordinates_stop_before_their_streams_meet(monkeypatch):
+    # Coordinate c reads counters from c * 2**40 on, two per index, so at
+    # index 2**39 coordinate 0 would repeat coordinate 1's values from index
+    # 0.  A d > 1 read or block_means that would reach it raises before it
+    # generates a value; a scalar source has no second stream.
+    src = gaussian_source(5, 2)
+    reader = src.reader(2 ** 39 - 1)
+    assert reader.read(1).tobytes() == _box_muller_reference(5, 2 ** 39 - 1, 1, 2).tobytes()
+    monkeypatch.setattr(sources, "_fill", None)
+    with pytest.raises(UsageError, match=r"2\*\*39"):
+        reader.read(1)
+    with pytest.raises(UsageError, match=r"2\*\*39"):
+        block_means(src, 2 ** 20, 2 ** 19 + 1)
+    monkeypatch.undo()
+    assert np.array_equal(gaussian_source(5, 1).reader(2 ** 39).read(4),
+                          _box_muller_reference(5, 2 ** 39, 4, 1))
+
+
 def test_digit_rejection_straggler_in_later_block(monkeypatch):
     # Reject exactly the largest word of the run, which lies past block 0 of
-    # 2**14-counter blocks, and in a longer run past block 0 of sources._BLOCK.
+    # 2**14-counter blocks, and in a longer run past block 0 of BLOCK counters.
     for block in (1 << 14, B):
         s0, count = BOUNDARY_START, 3 * block + 7
         words = [raw_word(7, s0 + j) for j in range(count)]
@@ -299,11 +318,11 @@ def test_error_in_a_worker_thread_reaches_the_caller(monkeypatch, tmp_path, caps
     # NumericalError comes from a worker; it reaches block_means' caller, and
     # the CLI exits 3 with one error line.  A read of the same n * k values
     # runs on the calling thread alone, so it succeeds.
-    monkeypatch.setattr(sources, "_WORKERS", 2)
+    sizes(monkeypatch, workers=2)
     limit = sources._digit_limit
     monkeypatch.setattr(sources, "_digit_limit", lambda m: limit(m) if (
         threading.current_thread() is threading.main_thread()) else 2)
-    n, k = 1000, 2 * sources._BLOCK // 1000 + 1
+    n, k = 1000, 2 * BLOCK // 1000 + 1
     assert digit_source(11, 2).reader().read(n * k).size == n * k
     with pytest.raises(NumericalError, match="128 retries"):
         block_means(digit_source(11, 2), n, k)
@@ -445,7 +464,7 @@ LONG_PATH = 2 * MARKOV_BLOCK + 77
 
 @pytest.fixture
 def markov_blocks(monkeypatch):
-    monkeypatch.setattr(sources, "_BLOCK", MARKOV_BLOCK)
+    sizes(monkeypatch, block=MARKOV_BLOCK)
 
 
 def _chain(name: str) -> MarkovSpec:
@@ -544,30 +563,16 @@ def test_read_digit_file_eof_reports_available(tmp_path):
     assert reader.read(9).shape == (7, 1) and reader.pos == 7
 
 
-def test_read_digit_file_chunk_independent(tmp_path, monkeypatch):
+@pytest.mark.parametrize("block", [4, 5])
+def test_reader_started_past_the_end_of_a_digit_file(block, tmp_path, monkeypatch):
+    # The reader skips to its start in pieces of block symbols and stops at
+    # the end of the file's 15, which fill the last piece (5) or not (4).
+    sizes(monkeypatch, block=block)
     p = tmp_path / "d.txt"
-    p.write_text("3.1415 9265\n358979")
-    want = _file_digits(p, 10, 2, 12)
-    monkeypatch.setattr(sources, "_FILE_CHUNK", 3)
-    assert np.array_equal(_file_digits(p, 10, 2, 12), want)
-    with pytest.raises(DataError, match="offset"):
-        _file_digits(p, 2, 0, 3)  # '3' outside base 2
-    p.write_text("3.14.15")  # the second radix point is in the second chunk
-    with pytest.raises(DataError, match="offset 4"):
-        _file_digits(p, 10, 0, 5)
-    assert np.array_equal(_file_digits(p, 10, 0, 3), [3, 1, 4])
-    # the radix point in a later chunk; a reader's uneven pieces and readers
-    # from offsets equal one read
-    p.write_text("  31.4159 2653\n58979")
-    src = file_source(p, 10)
-    full = src.reader().read(15)
-    assert np.array_equal(full[:, 0], [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9])
-    reader = src.reader()
-    pieces = [reader.read(c) for c in (1, 0, 2, 5, 4, 3)]
-    assert np.array_equal(np.concatenate(pieces), full) and reader.pos == 15
-    assert len(reader.read(4)) == 0 and reader.pos == 15  # at EOF: fewer, no error
-    for start in (1, 2, 7, 14, 15):
-        assert np.array_equal(src.reader(start).read(20), full[start:])
+    p.write_text("3.1415 9265\n358979\n")
+    reader = file_source(p, 10).reader(99)
+    assert reader.pos == 15
+    assert len(reader.read(5)) == 0 and reader.pos == 15
 
 
 def _digit_file_bytes(rng, m: int) -> bytes:
@@ -591,7 +596,7 @@ def test_digit_file_decoder_matches_byte_by_byte_reference(chunk, tmp_path, monk
     # symbols, then the end of the file or the reference's bad byte and
     # offset, raised again by a later read.
     if chunk is not None:
-        monkeypatch.setattr(sources, "_FILE_CHUNK", chunk)
+        sizes(monkeypatch, block=chunk)
     rng = np.random.default_rng(11)
     p = tmp_path / "d.txt"
     errors = 0
