@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 usage errors, 3 domain/data/numerical errors and
 out of memory, 4 I/O errors.  A stdout closed by its reader (`blockldp
 regime ... | head -1`) is no error: the run exits 0 with nothing on stderr.
 Every file-writing run places a JSON manifest next to its outputs recording
-all flag values and seeds; outputs are byte-identical across runs with equal
-manifests.  Relative --out paths resolve against the BLOCKLDP_OUT
+the flag values it read and its seeds; outputs are byte-identical across runs
+with equal manifests.  Relative --out paths resolve against the BLOCKLDP_OUT
 environment variable when it is set.
 """
 
@@ -130,7 +130,7 @@ def _build_source(args):
     if kind == "iid-bernoulli":
         return bernoulli_source(seed, args.p)
     if kind == "gaussian":
-        return gaussian_source(seed, args.d)
+        return gaussian_source(seed, getattr(args, "d", 1))
     return markov_source(_load_markov_file(args.markov_file), seed)
 
 
@@ -139,9 +139,19 @@ def _spec_files(src, args) -> list:
     return [args.markov_file] if src.kind == "markov-chain" else []
 
 
+# The source flags that a run from each --kind leaves unread (None: --in, or
+# a command without source flags).
+_UNREAD = {None: ("kind", "seed", "p", "d", "markov_file"),
+           "iid-digit": ("infile", "p", "d", "markov_file"),
+           "iid-bernoulli": ("infile", "m", "a", "d", "markov_file"),
+           "gaussian": ("infile", "m", "a", "p", "markov_file"),
+           "markov": ("infile", "m", "a", "p", "d")}
+
+
 def _flags(args) -> dict:
-    """Every flag value of a run: the config its manifest records."""
-    return {key: val for key, val in vars(args).items() if key not in ("func", "command")}
+    """The flag values a run read: the config its manifest records."""
+    unread = ("func", "command") + _UNREAD[getattr(args, "kind", None)]
+    return {key: val for key, val in vars(args).items() if key not in unread}
 
 
 def cmd_gen(args) -> int:
@@ -244,8 +254,8 @@ def cmd_brownian(args) -> int:
     record = RunRecord(args.command)
     cfg = ExperimentConfig.from_json(args.config)
     cfg.out_dir = _resolve_out(cfg.out_dir)
-    cfg.check_reads("brownian", ("gaussian",),
-                    ("m", "a", "path", "lambda0", "lambda_grid", "x_grid"))
+    echo = cfg.check_reads("brownian", ("gaussian",),
+                           ("m", "a", "path", "lambda0", "lambda_grid", "x_grid"))
     for name in ("c", "eps", "R"):
         if getattr(cfg, name) is None:
             raise UsageError("brownian config needs %r" % name)
@@ -258,7 +268,7 @@ def cmd_brownian(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     out = os.path.join(cfg.out_dir, "brownian.csv")
     files = [write_csv(out, res.columns, res.rows)]
-    record.write(os.path.join(cfg.out_dir, "manifest.json"), cfg.to_dict(), files, cfg.seeds)
+    record.write(os.path.join(cfg.out_dir, "manifest.json"), echo, files, cfg.seeds)
     print("wrote %s (%d rows)" % (out, len(res.rows)))
     return 0
 
@@ -341,7 +351,8 @@ def cmd_selftest(args) -> int:
 
 
 def _add_source_flags(p, file_flags: bool) -> None:
-    # With file_flags the command takes exactly one of --in and --kind.
+    # With file_flags (analyze) the command takes exactly one of --in and
+    # --kind, and --a; without them (gen), --d.
     given = p.add_mutually_exclusive_group(required=True) if file_flags else p
     if file_flags:
         given.add_argument("--in", dest="infile", metavar="FILE",
@@ -356,7 +367,8 @@ def _add_source_flags(p, file_flags: bool) -> None:
                        help="track the 0/1 indicator of this symbol "
                             "instead of raw symbol values")
     p.add_argument("--p", type=float, default=0.5, help="Bernoulli parameter")
-    p.add_argument("--d", type=int, default=1, help="gaussian dimension")
+    if not file_flags:
+        p.add_argument("--d", type=int, default=1, help="gaussian dimension")
     p.add_argument("--markov-file", dest="markov_file", metavar="FILE",
                    help="JSON Markov spec {\"P\": ..., \"phi\": ..., \"pi\"?}")
 

@@ -97,9 +97,12 @@ class ExperimentConfig:
                            else float(v) for v in cfg.x_list)
         return cfg
 
-    def check_reads(self, pipeline: str, kinds, unread) -> None:
-        """Raise UsageError unless kind is one of kinds and every key in unread
-        keeps its default: a key the pipeline ignores must not reach its manifest."""
+    def check_reads(self, pipeline: str, kinds, unread) -> dict:
+        """The config echo of a run of pipeline: every key but those in unread.
+
+        Raises UsageError unless kind is one of kinds and every key in unread
+        keeps its default, so a key the pipeline ignores is neither set nor
+        recorded."""
         if self.kind not in kinds:
             raise UsageError("config kind %r: %s needs %s"
                              % (self.kind, pipeline, " or ".join(kinds)))
@@ -107,6 +110,7 @@ class ExperimentConfig:
         if keys:
             raise UsageError("config sets %s, which %s does not read; leave %s unset"
                              % (keys, pipeline, keys))
+        return {k: v for k, v in asdict(self).items() if k not in unread}
 
     def block_counts(self, schedule: Schedule) -> dict:
         """{n: k(n)} for every n in n_list, after checking n * k(n) <= budget."""
@@ -118,12 +122,6 @@ class ExperimentConfig:
                     "budget violation: n=%d needs n*k=%d > %g observations"
                     % (n, n * ks[n], self.budget))
         return ks
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        for key in ("n_list", "seeds", "lambda_grid", "x_grid", "x_list"):
-            doc[key] = list(doc[key])
-        return doc
 
 
 @dataclass
@@ -206,7 +204,8 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     the observable is the 0/1 indicator of symbol a.  The schedule is
     critical at lambda0: c = Lambda*(Lambda'(lambda0)), so a config that
     sets c (or d, gamma, R, x_list or eps), seeds for a digit file (its one
-    run is seed 0) or path for generated digits raises UsageError.  For each
+    run is seed 0) or path for generated digits raises UsageError, and the
+    manifest's config echo leaves those keys out.  For each
     n and seed it emits CSVs of the empirical SCGF on the lambda grid, its absolute
     error against the model, the numerical conjugate on the x grid and the
     derivative estimate, plus a summary of the attained-mean intervals
@@ -218,9 +217,9 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     k = 633: E[max sum] = 27.5 against 150*x2 = 29.7).
     """
     record = RunRecord("fig1")
-    config.check_reads("fig1", ("iid-digit", "digit-file"),
-                       ("d", "c", "gamma", "R", "x_list", "eps",
-                        "seeds" if config.kind == "digit-file" else "path"))
+    echo = config.check_reads("fig1", ("iid-digit", "digit-file"),
+                              ("d", "c", "gamma", "R", "x_list", "eps",
+                               "seeds" if config.kind == "digit-file" else "path"))
     model = digit_indicator_model(config.m, config.a)
     lambda0 = 0.8 if config.lambda0 is None else float(config.lambda0)
     c = rate_along(model, lambda0)
@@ -264,7 +263,7 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     files.append(write_csv(os.path.join(config.out_dir, "summary.csv"),
                            ["n", "seed", "k", "mean_min", "mean_max"],
                            summary_rows))
-    echo = dict(config.to_dict(), c=c, k_by_n={str(n): ks[n] for n in config.n_list},
+    echo.update(c=c, k_by_n={str(n): ks[n] for n in config.n_list},
                 lambda_grid=grid_spec(lam_grid[0], config.lambda_grid[2], len(lam_grid)),
                 x_grid=grid_spec(x_grid[0], config.x_grid[2], len(x_grid)),
                 grid_note="lambda/x grids and n spacing are reconstructions")

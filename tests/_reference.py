@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from blockldp import (MarkovSpec, NumericalError, UsageError, ball_mass, blockstats, models,
-                      pairwise_sum, sources)
+from blockldp import (DataError, MarkovSpec, NumericalError, UsageError, ball_mass,
+                      blockstats, models, pairwise_sum, sources)
 from blockldp.blockstats import _ball_rate
 from blockldp.regimes import _LEVEL_BRACKET, _LEVEL_TOL, rate_along
 
@@ -54,19 +55,78 @@ def bernoulli_value(seed: int, i: int, p: float) -> float:
     return 1.0 if uniform(seed, i) < p else 0.0
 
 
+def _scalar_uniforms(seed: int, first: int, count: int, step: int = 1) -> np.ndarray:
+    """uniform(seed, first + step * j) for j < count."""
+    return np.array([uniform(seed, first + step * j) for j in range(count)])
+
+
+def _box_muller_reference(seed: int, start: int, count: int, d: int) -> np.ndarray:
+    """Standard-normal vectors at indices start..start+count-1: coordinate c
+    is sqrt(-2 log u1) cos(2 pi u2) of the uniforms at counters 2i and 2i + 1
+    offset by c * 2**40."""
+    cols = []
+    for c in range(d):
+        first = 2 * start + c * (1 << 40)
+        u1 = _scalar_uniforms(seed, first, count, 2)
+        u2 = _scalar_uniforms(seed, first + 1, count, 2)
+        cols.append(np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
+    return np.stack(cols, axis=1)
+
+
+def _walk(spec: MarkovSpec, u) -> np.ndarray:
+    """States driven by uniforms u: X_0 from the initial law, then one
+    searchsorted per step on the current row of P."""
+    cum, cum_rows, top = np.cumsum(spec.stationary()), np.cumsum(spec.P, axis=1), spec.s - 1
+    states = []
+    for x in u:
+        states.append(min(int(np.searchsorted(cum, x, side="right")), top))
+        cum = cum_rows[states[-1]]
+    return np.array(states, dtype=np.int64)
+
+
+def values(src, start: int, count: int) -> np.ndarray:
+    """Values start..start+count-1 of src from per-index scalar forms alone,
+    shape (count, d): uint8 for the digit kinds and Bernoulli, float64 for a
+    Gaussian or Markov source.  A digit file gives fewer at its end, and the
+    DataError of a bad byte that the values reach."""
+    start, count = int(start), int(count)
+    at = range(start, start + count)
+    if src.kind == "iid-digit":
+        vals = [next_digit(src.seed, i, src.m) for i in at]
+    elif src.kind == "iid-bernoulli":
+        vals = [bernoulli_value(src.seed, i, src.p) for i in at]
+    elif src.kind == "gaussian":
+        vals = _box_muller_reference(src.seed, start, count, src.d)
+    elif src.kind == "markov-chain":
+        states = _walk(src.markov, _scalar_uniforms(src.seed, 0, start + count))
+        vals = src.markov.phi[states[start:]]
+    else:
+        with open(src.path, "rb") as fh:
+            symbols, error = _file_values(fh.read(), src.m)
+        if error is not None and start + count > len(symbols):
+            raise DataError("unexpected byte %r at offset %d in digit file" % error)
+        vals = symbols[start : start + count]
+    if src.indicator_a is not None:
+        vals = [v == src.indicator_a for v in vals]
+    dtype = np.float64 if src.kind in ("gaussian", "markov-chain") else np.uint8
+    return np.array(vals, dtype=dtype).reshape(-1, src.d)
+
+
 def block_order_means(src, n: int, k: int) -> np.ndarray:
     """Means of the first k length-n blocks in block order (the dense form)."""
     return pairwise_sum(src.reader().read(n * k).reshape(k, n, src.d), axis=1) / n
 
 
-def expected_stats(src, n: int, k: int):
-    """(means, weights) block_means must give: the block-order means with unit
-    weights for a continuous source, their exact histogram for a lattice one."""
-    dense = block_order_means(src, n, k)
+def expected_stats(src, vals: np.ndarray, n: int, k: int):
+    """(means, weights) block_means(src, n, k) must give, from src's first
+    values vals (values(src, 0, count) with count >= n * k): the block-order
+    means with unit weights for a continuous source, their exact histogram
+    for a lattice one."""
+    dense = pairwise_sum(vals[:n * k].reshape(k, n, src.d), axis=1) / n
     if src.int_bound is None:
         return dense, np.ones(k, dtype=np.int64)
-    values, counts = np.unique(dense[:, 0], return_counts=True)
-    return values[:, None], counts
+    means, counts = np.unique(dense[:, 0], return_counts=True)
+    return means[:, None], counts
 
 
 def digit_file_symbols(data: bytes, m: int):
@@ -86,6 +146,13 @@ def digit_file_symbols(data: bytes, m: int):
         elif b not in b" \t\r\n":
             return symbols, (bytes([b]), offset)
     return symbols, None
+
+
+@functools.lru_cache(maxsize=4)
+def _file_values(data: bytes, m: int) -> tuple:
+    """digit_file_symbols of data, kept for the next read of the same bytes."""
+    symbols, error = digit_file_symbols(data, m)
+    return tuple(symbols), error
 
 
 def local_rate(stats, x, eps: float) -> float:

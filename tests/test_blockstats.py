@@ -10,7 +10,7 @@ import blockldp.sources as sources
 from blockldp import (BlockStats, DataError, MarkovSpec, SampledFunction,
                       UsageError, ball_mass, bernoulli_source, block_means,
                       digit_source, empirical_scgf, file_source, gaussian_source,
-                      markov_source, pairwise_sum, pi_fixture_path, scgf_values)
+                      markov_source, pairwise_sum, scgf_values)
 
 from _reference import block_order_means, local_rate, next_digit, sizes
 
@@ -81,36 +81,6 @@ def test_lattice_scgf_matches_dense(kind):
     got = scgf_values(stats, lam)
     assert np.max(np.abs(got - scgf_values(dense, lam))) <= 1e-13
     assert got[60] == 0.0 and lam[60] == 0.0
-
-
-def _chain(phi):
-    return MarkovSpec(P=[[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]], phi=phi)
-
-
-# Every integer-valued kind, including observables with negative values and
-# with a range far wider than any block count.
-INTEGER_SOURCES = {
-    **LATTICE_SOURCES,
-    "raw-digit-base7": lambda: digit_source(3, 7),
-    "digit-file": lambda: file_source(pi_fixture_path(), 10),
-    "digit-file-indicator": lambda: file_source(pi_fixture_path(), 10, indicator_a=1),
-    "markov-negative": lambda: markov_source(_chain([-5.0, 2.0, -1.0]), 4),
-    "markov-wide": lambda: markov_source(_chain([0.0, 1e9, 3.0]), 4),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(INTEGER_SOURCES))
-def test_lattice_block_means_equal_sorted_block_order(kind, monkeypatch):
-    # The exact integer reduction, merged over 5 chunks, equals the distinct
-    # values and counts of the pairwise-tree means in block order, bit for bit.
-    # A chunk is a piece of any kind and a tally batch.
-    src = INTEGER_SOURCES[kind]()
-    n, k = 30, 3000
-    values, counts = np.unique(block_order_means(src, n, k)[:, 0], return_counts=True)
-    sizes(monkeypatch, block=700 * n, chunk=700 * n)
-    stats = block_means(src, n, k)
-    assert stats.means.tobytes() == values.tobytes()
-    assert stats.weights.tobytes() == counts.tobytes()
 
 
 @pytest.mark.parametrize("phi, n", [((0.5, 1.5), 10), ((0.0, 2.0 ** 50), 16)])

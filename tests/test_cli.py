@@ -116,8 +116,7 @@ def test_analyze_takes_one_of_in_and_kind(tmp_path, capsys):
     data.write_text("31415926")
     out = tmp_path / "a.csv"
     base = ["analyze", "--n", "2", "--k", "2", "--lambda-grid", "0,1", "--out", str(out)]
-    assert main(base + ["--in", str(data), "--kind", "gaussian", "--d", "2",
-                        "--seed", "9"]) == 2
+    assert main(base + ["--in", str(data), "--kind", "gaussian", "--seed", "9"]) == 2
     assert "not allowed with argument --in" in capsys.readouterr().err
     assert main(base) == 2  # neither
     assert "--in --kind" in capsys.readouterr().err
@@ -302,13 +301,12 @@ def test_analyze_with_schedule_exponent(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--kind", "gaussian", "--d", "2"],
     ["--kind", "markov", "--markov-file", "vec.json"],
-], ids=["gaussian-d2", "markov-vector-phi"])
+], ids=["markov-vector-phi"])
 def test_analyze_refuses_vector_source_before_reading(tmp_path, monkeypatch, capsys,
                                                       flags):
-    # The empirical SCGF is scalar: a d = 2 source is refused before any block
-    # is reduced, however large k is.
+    # The empirical SCGF is scalar: a chain with vector phi is refused before
+    # any block is reduced, however large k is.  analyze has no --d.
     def no_blocks(*args):
         raise AssertionError("block_means was called")
 
@@ -487,28 +485,33 @@ def test_manifests_strict_json_for_infinite_values(tmp_path, capsys):
     out = str(tmp_path / "a.csv")
     assert main(["analyze", "--kind", "iid-digit", "--n", "4", "--k", "3",
                  "--lambda-grid", "0,1", "--p", "1e999", "--out", out]) == 0
-    with open(out + ".manifest.json") as fh:
-        assert json.load(fh, parse_constant=reject)["config"]["p"] == "inf"
+    with open(out + ".manifest.json") as fh:  # a digit source does not read --p
+        assert "p" not in json.load(fh, parse_constant=reject)["config"]
     capsys.readouterr()
 
 
-def test_manifest_flag_keys(tmp_path, capsys):
-    out = tmp_path / "g.txt"
-    assert main(["gen", "--kind", "gaussian", "--d", "2", "--count", "2",
-                 "--out", str(out)]) == 0
-    with open(str(out) + ".manifest.json") as fh:
-        keys = set(json.load(fh)["config"])
-    assert keys == {"kind", "seed", "m", "p", "d", "markov_file", "count", "out"}
-    out = tmp_path / "a.csv"
-    assert main(["analyze", "--kind", "iid-digit", "--n", "4", "--k", "3",
-                 "--lambda-grid", "0,1", "--out", str(out)]) == 0
-    with open(str(out) + ".manifest.json") as fh:
-        keys = set(json.load(fh)["config"])
-    assert keys == {"infile", "kind", "seed", "m", "a", "p", "d", "markov_file",
-                    "n", "k", "c", "lambda_grid", "ball", "out"}
-    assert main(["gen", "--count", "2", "--out", str(out)]) == 2  # --kind required
+def test_manifest_flag_keys(tmp_path, monkeypatch, capsys):
+    # A manifest records the source flags its kind reads and no other.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.json").write_text(json.dumps({"P": [[1.0]], "phi": [0.0]}))
+    (tmp_path / "d.txt").write_text("31415926")
+    gen, wrote = ["--count", "2", "--out", "o"], {"count", "out"}
+    analyze = ["analyze", "--n", "4", "--k", "2", "--lambda-grid", "0,1", "--out", "o"]
+    analyzed = {"n", "k", "c", "lambda_grid", "ball", "out"}
+    for argv, keys in (
+            (["gen", "--kind", "gaussian", "--d", "2"] + gen, wrote | {"kind", "seed", "d"}),
+            (["gen", "--kind", "markov", "--markov-file", "chain.json"] + gen,
+             wrote | {"kind", "seed", "markov_file"}),
+            (analyze + ["--kind", "iid-digit"], analyzed | {"kind", "seed", "m", "a"}),
+            (analyze + ["--kind", "iid-bernoulli"], analyzed | {"kind", "seed", "p"}),
+            (analyze + ["--in", "d.txt"], analyzed | {"infile", "m", "a"})):
+        assert main(argv) == 0, argv
+        with open("o.manifest.json") as fh:
+            assert set(json.load(fh)["config"]) == keys, argv
+    assert main(["gen", "--count", "2", "--out", "o"]) == 2  # --kind required
     assert main(["gen", "--kind", "iid-digit", "--a", "1", "--count", "2",
-                 "--out", str(out)]) == 2  # no file flags on gen
+                 "--out", "o"]) == 2  # no file flags on gen
+    assert main(analyze + ["--kind", "gaussian", "--d", "2"]) == 2  # no --d on analyze
     capsys.readouterr()
 
 
@@ -665,7 +668,8 @@ def test_brownian_cli(tmp_path, capsys):
     cols = read_csv_columns(tmp_path / "bw" / "brownian.csv", None)
     assert cols["n"][0] == 6.0 and cols["k"][0] == 21.0
     assert 0.0 < cols["mass"][0] <= 1.0
-    assert (tmp_path / "bw" / "manifest.json").exists()
+    with open(tmp_path / "bw" / "manifest.json") as fh:  # no key brownian leaves unread
+        assert set(json.load(fh)["config"]) == set(cfg) | {"gamma"}
     bad = dict(cfg)
     del bad["R"]
     p.write_text(json.dumps(bad))

@@ -1,11 +1,13 @@
-"""The determinism contract as one seeded sweep through one size seam.
+"""The source contract as one seeded sweep through one size seam.
 
-block_means and Reader reads do not depend on the piece size, the worker
+Every source kind yields the same values whatever the piece size, the worker
 count, the tally batch or the start index, because every value is a function
-of its index alone.  Each case below sets its sizes through _reference.sizes
-and compares against references computed at the default sizes.  The cases
-are drawn from a fixed numpy seed, in the spirit of QuickCheck (Claessen and
-Hughes, ICFP 2000), with no property-testing dependency.
+of its index alone (or of the file).  Each case below sets its sizes through
+_reference.sizes and compares block_means, a reader from its start and a
+stream of pieces with _reference.values, which computes each value from its
+per-index scalar form.  The cases are drawn from a fixed numpy seed, in the
+spirit of QuickCheck (Claessen and Hughes, ICFP 2000), with no
+property-testing dependency.
 """
 
 import threading
@@ -17,7 +19,7 @@ import pytest
 from blockldp import (MarkovSpec, bernoulli_source, block_means, digit_source,
                       file_source, gaussian_source, markov_source, sources)
 
-from _reference import BLOCK, CHUNK, expected_stats, sizes
+from _reference import BLOCK, CHUNK, expected_stats, sizes, values
 
 KINDS = ("digit", "digit-indicator", "bernoulli", "gaussian1", "gaussian2",
          "markov-integer", "markov-real", "file", "file-indicator")
@@ -55,8 +57,9 @@ def _draw_cases(rng, count: int) -> list:
         k = _log_uniform(rng, 1, MAX_VALUES // n)
         block = _log_uniform(rng, -(-n * k * d // MAX_PIECES), min(BLOCK, n * k * d))
         reach = min(MAX_VALUES // 2, MAX_PIECES // 2 * block)
+        start = rng.integers(reach + 1)  # an np.int64, kept as one in every other case
         cases.append(Case(kind, int(rng.integers(1 << 32)), d, n, k,
-                          int(rng.integers(reach + 1)), int(rng.integers(reach + 1)),
+                          start if i % 2 else int(start), int(rng.integers(reach + 1)),
                           block, int(rng.choice([1, 2, 3, 8])),
                           int(rng.choice([1, 50, 1000, CHUNK]))))
     return cases
@@ -158,21 +161,24 @@ def test_sizes_leave_no_trace(kind, digit_file, monkeypatch):
 
 
 def _check(case: Case, digit_file, monkeypatch) -> None:
-    """block_means, a reader from case.start and a streamed read at the
-    case's sizes against references at the default sizes."""
+    """block_means, a reader from case.start and a stream of pieces at the
+    case's sizes against the scalar reference, values and dtype."""
     src = _source(case, digit_file)
     stop = case.start + case.count
-    want_means, want_weights = expected_stats(src, case.n, case.k)
-    ref = src.reader().read(stop)
+    ref = values(src, 0, max(stop, case.n * case.k))
+    want_means, want_weights = expected_stats(src, ref, case.n, case.k)
+    ref = ref[:stop]
     sizes(monkeypatch, block=case.block, workers=case.workers, chunk=case.chunk)
     parts = _recorded_parts(monkeypatch)
     stats = block_means(src, case.n, case.k)
     assert stats.means.tobytes() == want_means.tobytes()
     assert stats.weights.tobytes() == want_weights.tobytes()
-    got = src.reader(case.start).read(case.count)
+    reader, half = src.reader(case.start), case.count // 2  # two reads, an empty one between
+    got = np.concatenate([reader.read(half), reader.read(0), reader.read(case.count - half)])
     assert got.dtype == ref.dtype and got.tobytes() == ref[case.start:].tobytes()
     streamed = list(src.reader().pieces(stop))
     assert len(streamed) == -(-stop // case.block)
+    assert all(piece.dtype == ref.dtype for piece in streamed)
     assert np.concatenate([ref[:0]] + streamed).tobytes() == ref.tobytes()
 
     # The sizes split the work: as many parts as asked, the first on the
@@ -194,8 +200,17 @@ def test_cases_cover_the_contract():
     def some(pred):
         return sum(map(pred, CASES)) >= 5
 
+    def one_way_row(c):  # a chain of several states with a row of one nonzero entry
+        P = _source(c, None).markov.P
+        return len(P) > 1 and np.any(np.count_nonzero(P, axis=1) == 1)
+
     assert {c.kind for c in CASES} == set(KINDS)
+    assert {_source(c, None).m for c in CASES if c.kind.startswith("digit")} == set(range(2, 11))
     assert some(lambda c: c.kind == "markov-real" and c.d == 2)
+    assert some(lambda c: c.kind.startswith("markov") and one_way_row(c))
+    assert some(lambda c: c.kind.startswith("markov") and c.block > 2 and c.start > 1
+                and (c.start + 1) % c.block <= 2)  # a start within one value of a piece edge
+    assert some(lambda c: _counter(c) and isinstance(c.start, np.int64) and c.start > 0)
     assert some(lambda c: c.n * c.d > c.block)  # a block longer than a piece
     assert some(lambda c: c.n * c.d < c.block and c.block % (c.n * c.d))  # n does not divide one
     assert some(lambda c: c.block < 50) and some(lambda c: c.chunk < 50)

@@ -32,7 +32,8 @@ def test_config_from_json_roundtrip(tmp_path):
     cfg = ExperimentConfig.from_json(p)
     assert cfg.n_list == (30,) and cfg.seeds == (1,)
     assert cfg.x_list == (0.5, (0.1, 0.2))
-    assert cfg.to_dict()["n_list"] == [30]
+    echo = cfg.check_reads("fig1", ("iid-digit",), ("d", "eps"))
+    assert echo["n_list"] == (30,) and not {"d", "eps"} & set(echo)
     p.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(UsageError, match="bogus"):
         ExperimentConfig.from_json(p)
@@ -73,6 +74,7 @@ def test_fig1_pipeline_small(tmp_path):
         man = json.load(fh)
     assert man["command"] == "fig1"
     assert man["config"]["k_by_n"] == {"30": 4}
+    assert not {"d", "gamma", "R", "x_list", "eps", "path"} & set(man["config"])
     assert "summary.csv" in man["files"]
     # lambda = 0 lies on this grid, where the empirical curve is exactly 0
     assert run.scgf.grid[8] == 0.0
@@ -94,7 +96,7 @@ def test_fig1_digit_file_fixture(tmp_path):
     with open(res.manifest_path) as fh:
         man = json.load(fh)
     # a run fed by a file records its input, not seeds
-    assert man["seeds"] == []
+    assert man["seeds"] == [] and "seeds" not in man["config"]
     assert list(man["input_checksums"]) == [os.path.basename(pi_fixture_path())]
 
 

@@ -17,8 +17,7 @@ from blockldp import (DataError, MarkovSpec, NumericalError, SeriesSource, Usage
 from blockldp.cli import main
 from blockldp.sources import raw_word
 
-from _reference import (BLOCK, bernoulli_value, digit_file_symbols, next_digit, sizes,
-                        uniform)
+from _reference import BLOCK, digit_file_symbols, next_digit, sizes, uniform, values
 
 # Fixed outputs of the 64-bit mix, recomputed with a standalone big-integer
 # implementation of the finalizer; the (0, 0) and (1, 0) words equal the
@@ -53,14 +52,6 @@ def test_digit_sequence_frozen():
     assert [next_digit(7, i, 10) for i in range(8)] == [7, 4, 6, 3, 4, 5, 8, 2]
 
 
-def test_digit_block_matches_scalar():
-    for m in (2, 10):
-        blk = digit_source(11, m).reader().read(512)[:, 0]
-        ref = [next_digit(11, i, m) for i in range(512)]
-        assert blk.dtype == np.uint8 and np.array_equal(blk, ref)
-        assert blk.min() >= 0 and blk.max() < m
-
-
 def test_digit_rejection_limit_arithmetic():
     # the acceptance bound is the largest multiple of m that fits in 64 bits
     for m in range(2, 11):
@@ -82,13 +73,6 @@ def test_base_validation():
             next_digit(0, 0, m)
 
 
-def test_bernoulli_uniform_threshold():
-    obs = bernoulli_source(6, 0.3).reader().read(128)[:, 0]
-    ref = [1.0 if uniform(6, i) < 0.3 else 0.0 for i in range(128)]
-    assert np.array_equal(obs, ref)
-    assert bernoulli_value(6, 0, 0.3) == obs[0]
-
-
 def test_gaussian_transform_from_uniforms():
     # each coordinate c uses counters 2i and 2i+1 offset by c * 2^40
     seed, d = 9, 3
@@ -102,25 +86,10 @@ def test_gaussian_transform_from_uniforms():
             assert vec[c] == pytest.approx(want, rel=1e-12)
 
 
-def test_gaussian_block_matches_scalar():
-    blk = gaussian_source(5, 2).reader(3).read(40)
-    ref = np.array([gaussian_source(5, 2).reader(i).read(1)[0] for i in range(3, 43)])
-    assert np.array_equal(blk, ref)
-
-
 def test_gaussian_moments():
     b = gaussian_source(5, 2).reader().read(200000)
     assert np.all(np.abs(b.mean(axis=0)) < 0.01)
     assert np.all(np.abs(b.var(axis=0) - 1.0) < 0.02)
-
-
-def test_random_access_consistency():
-    for src in (digit_source(2, 10), bernoulli_source(2, 0.3),
-                gaussian_source(2, 2)):
-        full = src.reader().read(64)
-        assert np.array_equal(src.reader(17).read(31), full[17:48])
-        assert np.array_equal(src.reader(np.int64(17)).read(31), full[17:48])
-        assert np.array_equal(src.reader(40).read(1)[0], full[40])
 
 
 def test_with_seed_changes_stream():
@@ -128,13 +97,6 @@ def test_with_seed_changes_stream():
     first = [replace(src, seed=seed).reader().read(64) for seed in (1, 2)]
     assert not np.array_equal(*first)
     assert np.array_equal(first[0], src.reader().read(64))
-
-
-def test_indicator_observable():
-    sym = digit_source(4, 10).reader().read(256)
-    obs = digit_source(4, 10, indicator_a=0).reader().read(256)
-    assert obs.shape == (256, 1) and obs.dtype == np.uint8
-    assert np.array_equal(obs, sym == 0)
 
 
 def test_source_parameter_guards():
@@ -233,51 +195,29 @@ BOUNDARY_SHA256 = {
 }
 
 
-def _scalar_uniforms(seed: int, first: int, count: int, step: int = 1) -> np.ndarray:
-    return np.array([uniform(seed, first + step * j) for j in range(count)])
-
-
-def _box_muller_reference(seed: int, start: int, count: int, d: int) -> np.ndarray:
-    cols = []
-    for c in range(d):
-        first = 2 * start + c * (1 << 40)
-        u1 = _scalar_uniforms(seed, first, count, 2)
-        u2 = _scalar_uniforms(seed, first + 1, count, 2)
-        cols.append(np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
-    return np.stack(cols, axis=1)
-
-
-def _boundary_case(name: str, top: int):
-    """(read(count) from a reader at BOUNDARY_START, scalar reference for
-    counts up to top) for one source."""
-    s0 = BOUNDARY_START
-    if name.startswith("digit"):
-        m = int(name[5:])
-        return (lambda n: digit_source(7, m).reader(s0).read(n)[:, 0].astype(np.int64),
-                np.array([next_digit(7, s0 + j, m) for j in range(top)]))
-    if name == "bernoulli":
-        return (lambda n: bernoulli_source(6, 0.3).reader(s0).read(n)[:, 0].astype(np.float64),
-                (_scalar_uniforms(6, s0, top) < 0.3).astype(np.float64))
-    if name.startswith("gaussian"):
-        d = int(name[8:])
-        return (lambda n: gaussian_source(5, d).reader(s0).read(n),
-                _box_muller_reference(5, s0, top, d))
-    walk = _walk(BOUNDARY_CHAIN, _scalar_uniforms(3, 0, s0 + top))
-    return (lambda n: markov_source(BOUNDARY_CHAIN, 3).reader(s0).read(n)[:, 0],
-            walk[s0:])
+BOUNDARY_SOURCES = {
+    "digit2": digit_source(7, 2),
+    "digit10": digit_source(7, 10),
+    "bernoulli": bernoulli_source(6, 0.3),
+    "gaussian1": gaussian_source(5, 1),
+    "gaussian2": gaussian_source(5, 2),
+    "markov": markov_source(BOUNDARY_CHAIN, 3),
+}
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_SHA256))
-def test_kernels_at_block_boundaries(name, monkeypatch):
-    # Each count ends just before, on, or just after a block edge, or spans
-    # several blocks; every output must equal the scalar forms bit for bit.
-    kernel, ref = _boundary_case(name, max(BOUNDARY_COUNTS + EDGE_COUNTS))
+def test_kernels_at_block_boundaries(name):
+    # Reads from BOUNDARY_START whose counts end just before, on, or just
+    # after a block edge, or span several blocks, equal the scalar forms bit
+    # for bit.
+    src = BOUNDARY_SOURCES[name]
+    ref = values(src, BOUNDARY_START, max(BOUNDARY_COUNTS + EDGE_COUNTS))
     digest = hashlib.sha256()
     for count in BOUNDARY_COUNTS + EDGE_COUNTS:
-        got = kernel(count)
-        assert np.array_equal(got, ref[:count]), count
+        got = src.reader(BOUNDARY_START).read(count)
+        assert got.dtype == ref.dtype and got.tobytes() == ref[:count].tobytes(), count
         if count in BOUNDARY_COUNTS:
-            digest.update(np.ascontiguousarray(got).tobytes())
+            digest.update(got.astype(np.int64 if src.kind == "iid-digit" else np.float64))
     assert digest.hexdigest() == BOUNDARY_SHA256[name]
 
 
@@ -288,15 +228,15 @@ def test_gaussian_coordinates_stop_before_their_streams_meet(monkeypatch):
     # generates a value; a scalar source has no second stream.
     src = gaussian_source(5, 2)
     reader = src.reader(2 ** 39 - 1)
-    assert reader.read(1).tobytes() == _box_muller_reference(5, 2 ** 39 - 1, 1, 2).tobytes()
+    assert reader.read(1).tobytes() == values(src, 2 ** 39 - 1, 1).tobytes()
     monkeypatch.setattr(sources, "_fill", None)
     with pytest.raises(UsageError, match=r"2\*\*39"):
         reader.read(1)
     with pytest.raises(UsageError, match=r"2\*\*39"):
         block_means(src, 2 ** 20, 2 ** 19 + 1)
     monkeypatch.undo()
-    assert np.array_equal(gaussian_source(5, 1).reader(2 ** 39).read(4),
-                          _box_muller_reference(5, 2 ** 39, 4, 1))
+    scalar = gaussian_source(5, 1)
+    assert scalar.reader(2 ** 39).read(4).tobytes() == values(scalar, 2 ** 39, 4).tobytes()
 
 
 def test_digit_rejection_straggler_in_later_block(monkeypatch):
@@ -345,17 +285,6 @@ def _narrow_digit_kernels(m: int, count: int):
     for got in kernel + read:
         assert got.dtype == np.uint8
     return kernel, read
-
-
-@pytest.mark.parametrize("m", range(2, 11))
-def test_narrow_digit_kernels_at_block_boundaries(m):
-    ref = np.array([next_digit(7, BOUNDARY_START + j, m)
-                    for j in range(BOUNDARY_COUNTS[-1])])
-    for count in BOUNDARY_COUNTS:
-        (sym, ind), (sym_read, ind_read) = _narrow_digit_kernels(m, count)
-        assert np.array_equal(sym, ref[:count]) and np.array_equal(sym_read, sym)
-        assert np.array_equal(ind, ref[:count] == m - 1)
-        assert np.array_equal(ind_read, ind)
 
 
 def test_narrow_digit_kernels_resolve_stragglers(monkeypatch):
@@ -428,87 +357,9 @@ def test_symbols_rejects_negative_span():
         digit_source(1, 10).reader().read(-5)
 
 
-def test_markov_path_mean_and_random_access():
-    src = markov_source(_sym_chain(), 11)
-    obs = src.reader().read(100000)
+def test_markov_path_mean():
+    obs = markov_source(_sym_chain(), 11).reader().read(100000)
     assert abs(float(np.mean(obs)) - 0.5) < 0.01
-    full = src.reader().read(200)
-    assert np.array_equal(src.reader(50).read(100), full[50:150])
-    assert np.array_equal(full, obs[:200])
-
-
-def _walk(spec: MarkovSpec, u) -> np.ndarray:
-    """States driven by uniforms u: one searchsorted per step on the current row."""
-    cum_rows = np.cumsum(spec.P, axis=1)
-    top = spec.s - 1
-    state = min(int(np.searchsorted(np.cumsum(spec.stationary()), u[0],
-                                    side="right")), top)
-    states = [state]
-    for t in range(1, len(u)):
-        state = min(int(np.searchsorted(cum_rows[state], u[t], side="right")), top)
-        states.append(state)
-    return np.array(states, dtype=np.float64)
-
-
-MARKOV_CHAINS = {
-    "one-state": [[1.0]],
-    "two-state": [[0.9, 0.1], [0.1, 0.9]],
-    "three-state": [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
-    "zero-entries": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]],
-}
-# The Markov walk tests patch the kernel block down to MARKOV_BLOCK counters,
-# so that their paths span three blocks while the scalar references stay short.
-MARKOV_BLOCK = 1000
-LONG_PATH = 2 * MARKOV_BLOCK + 77
-
-
-@pytest.fixture
-def markov_blocks(monkeypatch):
-    sizes(monkeypatch, block=MARKOV_BLOCK)
-
-
-def _chain(name: str) -> MarkovSpec:
-    """A MARKOV_CHAINS entry, or a sparse 50-state chain, with phi(x) = x."""
-    if name == "fifty-state":
-        rng = np.random.default_rng(50)
-        P = np.where(rng.random((50, 50)) < 0.3, rng.random((50, 50)), 0.0)
-        np.fill_diagonal(P, 0.1)
-        P /= P.sum(axis=1, keepdims=True)
-    else:
-        P = np.array(MARKOV_CHAINS[name])
-    return MarkovSpec(P=P, phi=np.arange(P.shape[0], dtype=np.float64))
-
-
-@pytest.mark.parametrize("name", sorted(MARKOV_CHAINS))
-@pytest.mark.parametrize("piece", [None, 12])
-def test_markov_scan_matches_loop(name, piece, markov_blocks):
-    # Paths of every length up to three kernel blocks, each read whole
-    # (piece None) or in reads of 12 values that carry the state between
-    # them, equal the reference walk on the scalar uniforms.
-    spec = _chain(name)
-    for seed in (0, 5):
-        ref = _walk(spec, _scalar_uniforms(seed, 0, LONG_PATH))
-        for length in (1, 2, 3, 7, 13, 1000, LONG_PATH):
-            reader = markov_source(spec, seed).reader()
-            step = piece or length
-            got = np.concatenate([reader.read(min(step, length - t))
-                                  for t in range(0, length, step)])
-            assert np.array_equal(got[:, 0], ref[:length]), (seed, length)
-
-
-@pytest.mark.parametrize("name", sorted(MARKOV_CHAINS) + ["fifty-state"])
-def test_markov_walk_matches_reference(name, markov_blocks):
-    # One reader in uneven pieces, some longer than a kernel block, and
-    # readers from offsets around the block edges equal the reference walk.
-    spec, b = _chain(name), MARKOV_BLOCK
-    ref = _walk(spec, _scalar_uniforms(3, 0, LONG_PATH))
-    src = markov_source(spec, 3)
-    reader = src.reader()
-    pieces = [reader.read(c) for c in (1, 0, 2, b - 5, 13, b + 40)]
-    pieces.append(reader.read(LONG_PATH - reader.pos))
-    assert np.array_equal(np.concatenate(pieces)[:, 0], ref)
-    for start in (1, b - 1, b, b + 1, LONG_PATH - 1):
-        assert np.array_equal(src.reader(start).read(LONG_PATH - start)[:, 0], ref[start:])
 
 
 def test_markov_constant_chain():
@@ -629,15 +480,6 @@ def test_pi_fixture_contents():
     assert np.array_equal(_file_digits(path, 10, 0, 12), [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8])
     reader = file_source(path, 10).reader()
     assert len(reader.read(100001)) == reader.pos == 100000
-
-
-def test_file_source_offsets(tmp_path):
-    p = tmp_path / "d.txt"
-    p.write_text("3.14159")
-    assert np.array_equal(_file_digits(p, 10, 2, 3), [4, 1, 5])
-    obs = file_source(p, 10, indicator_a=1).reader().read(6)
-    assert obs.dtype == np.uint8
-    assert np.array_equal(obs[:, 0], [0, 1, 0, 1, 0, 0])
 
 
 @pytest.mark.parametrize("kind", ["iid-digit", "iid-bernoulli", "gaussian",
