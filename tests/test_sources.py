@@ -52,6 +52,14 @@ def test_digit_sequence_frozen():
     assert [next_digit(7, i, 10) for i in range(8)] == [7, 4, 6, 3, 4, 5, 8, 2]
 
 
+def test_digit_block_matches_scalar():
+    for m in (2, 10):
+        blk = digit_source(11, m).reader().read(512)[:, 0]
+        ref = [next_digit(11, i, m) for i in range(512)]
+        assert blk.dtype == np.uint8 and np.array_equal(blk, ref)
+        assert blk.min() >= 0 and blk.max() < m
+
+
 def test_digit_rejection_limit_arithmetic():
     # the acceptance bound is the largest multiple of m that fits in 64 bits
     for m in range(2, 11):
@@ -357,9 +365,13 @@ def test_symbols_rejects_negative_span():
         digit_source(1, 10).reader().read(-5)
 
 
-def test_markov_path_mean():
-    obs = markov_source(_sym_chain(), 11).reader().read(100000)
+def test_markov_path_mean_and_random_access():
+    src = markov_source(_sym_chain(), 11)
+    obs = src.reader().read(100000)
     assert abs(float(np.mean(obs)) - 0.5) < 0.01
+    full = src.reader().read(200)
+    assert np.array_equal(src.reader(50).read(100), full[50:150])
+    assert np.array_equal(full, obs[:200])
 
 
 def test_markov_constant_chain():
@@ -480,6 +492,15 @@ def test_pi_fixture_contents():
     assert np.array_equal(_file_digits(path, 10, 0, 12), [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8])
     reader = file_source(path, 10).reader()
     assert len(reader.read(100001)) == reader.pos == 100000
+
+
+def test_file_source_offsets(tmp_path):
+    p = tmp_path / "d.txt"
+    p.write_text("3.14159")
+    assert np.array_equal(_file_digits(p, 10, 2, 3), [4, 1, 5])
+    obs = file_source(p, 10, indicator_a=1).reader().read(6)
+    assert obs.dtype == np.uint8
+    assert np.array_equal(obs[:, 0], [0, 1, 0, 1, 0, 0])
 
 
 @pytest.mark.parametrize("kind", ["iid-digit", "iid-bernoulli", "gaussian",
