@@ -14,7 +14,7 @@ from ._errors import DataError, NumericalError, UsageError
 from .sources import (MarkovSpec, Reader, SeriesSource, bernoulli_source, digit_source,
                       file_source, gaussian_source, markov_source, pi_fixture_path)
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
-                         empirical_scgf, pairwise_sum, scgf_values)
+                         pairwise_sum, scgf_values)
 from .models import (ScgfModel, bernoulli_model, digit_indicator_model,
                      gaussian_model, markov_model)
 from .convex import ConjugateResult, grad_estimate, legendre
@@ -30,7 +30,7 @@ __all__ = [
     "MarkovSpec", "Reader", "SeriesSource", "bernoulli_source", "digit_source",
     "file_source", "gaussian_source", "markov_source", "pi_fixture_path",
     "BlockStats", "SampledFunction", "ball_mass", "block_means",
-    "empirical_scgf", "pairwise_sum", "scgf_values",
+    "pairwise_sum", "scgf_values",
     "ScgfModel", "bernoulli_model", "digit_indicator_model", "gaussian_model",
     "markov_model",
     "ConjugateResult", "find_level_points", "grad_estimate", "legendre",

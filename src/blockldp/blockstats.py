@@ -200,7 +200,9 @@ def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
     (1/n) * (M + log(sum_i w_i exp(n lambda mean_i - M) / k)) with M the
     maximum exponent and w the weights, the sum taken with the fixed pairwise
     tree over the rows of stats.means (distinct sums in increasing order for
-    a lattice source, block order otherwise).  Other tilt shapes or d > 1
+    a lattice source, block order otherwise).  Exact at lambda = 0: there
+    every shifted term is its integer weight, the pairwise sum of the weights
+    is exactly k, and the mean is exactly 1.  Other tilt shapes or d > 1
     stats raise UsageError.
     """
     lam = np.asarray(lambdas, dtype=np.float64)
@@ -218,16 +220,6 @@ def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
         mean = pairwise_sum(terms, axis=1) / stats.k
         out[g0 : g0 + gstep] = (M + np.log(mean)) / stats.n
     return out
-
-
-def empirical_scgf(stats: BlockStats, lambdas) -> SampledFunction:
-    """Empirical SCGF on a strictly increasing tilt grid.
-
-    Exact at lambda=0: there every shifted term is its integer weight, the
-    pairwise sum of the weights is exactly k, and the mean is exactly 1.
-    """
-    lam = np.asarray(lambdas, dtype=np.float64)
-    return SampledFunction(grid=lam, values=scgf_values(stats, lam))
 
 
 def ball_mass(stats: BlockStats, x, eps: float) -> tuple[int, float]:

@@ -17,10 +17,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from ._errors import DataError, UsageError
+from ._errors import DataError, NumericalError, UsageError
 from ._serialize import file_checksum, fmt_cell, grid_spec, json_safe, make_grid, write_csv
-from .blockstats import (SampledFunction, _ball_rate, ball_mass, block_means, empirical_scgf,
-                         scgf_values)
+from .blockstats import SampledFunction, _ball_rate, ball_mass, block_means, scgf_values
 from .convex import ConjugateResult, grad_estimate, legendre
 from .models import ScgfModel, digit_indicator_model
 from .regimes import RegimeReport, Schedule, classify, rate_along
@@ -228,8 +227,6 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     lam_grid = make_grid(*config.lambda_grid)
     x_grid = make_grid(*config.x_grid)
     if config.kind == "digit-file":
-        if not config.path:
-            raise UsageError("digit-file source needs a path")
         base, seeds = file_source(config.path, config.m, indicator_a=config.a), (0,)
     else:
         base, seeds = digit_source(0, config.m, indicator_a=config.a), config.seeds
@@ -241,7 +238,7 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     files = []
     summary_rows = []
     for seed, n, k, stats in _block_runs(base, schedule, config.n_list, seeds):
-        scgf = empirical_scgf(stats, lam_grid)
+        scgf = SampledFunction(grid=lam_grid, values=scgf_values(stats, lam_grid))
         abs_err = np.abs(scgf.values - truth)
         conj = legendre(scgf, x_grid)
         grad = grad_estimate(scgf)
@@ -343,12 +340,15 @@ def brownian_experiment(d: int, R: float, schedule: Schedule, n_list, x_list,
     """Empirical ball masses of Gaussian block means against the exact law.
 
     Block means of iid standard normals are N(0, 1/n) per coordinate, so in
-    d=1 the mass of B(x, eps) has the exact oracle
-    Phi((x+eps) sqrt(n)) - Phi((x-eps) sqrt(n)); rows carry the empirical
-    mass, the local rate, the oracle and the relative error (oracle columns
-    are NaN for d > 1).  margin_ok reports the schedule margin condition
-    c > (1 + sqrt(eps_n)) R^2 / 2, with eps_n = 0 when the schedule carries
-    no gamma.  Every center must satisfy |x| + eps <= R.
+    d=1 the mass of B(x, eps), even in x, has the exact oracle
+    Q((|x|-eps) sqrt(n)) - Q((|x|+eps) sqrt(n)) with the upper tail
+    Q(z) = erfc(z/sqrt(2))/2: a difference of tails keeps its relative
+    accuracy far out, and a mass that underflows to 0 raises NumericalError.
+    Rows carry the empirical mass, the local rate, the oracle and the
+    relative error (oracle columns are NaN for d > 1).  margin_ok reports
+    the schedule margin condition c > (1 + sqrt(eps_n)) R^2 / 2, with
+    eps_n = 0 when the schedule carries no gamma.  Every center must satisfy
+    |x| + eps <= R.
     """
     source = gaussian_source(0, d)
     if not eps > 0:
@@ -370,9 +370,11 @@ def brownian_experiment(d: int, R: float, schedule: Schedule, n_list, x_list,
             rate = _ball_rate(count, mass, stats.n)
             if d == 1:
                 x0 = float(x[0])
-                # Phi(z) = erfc(-z/sqrt(2))/2 at z = (x0 -+ eps) sqrt(n).
-                s = math.sqrt(n / 2.0)
-                oracle = 0.5 * (math.erfc(-(x0 + eps) * s) - math.erfc(-(x0 - eps) * s))
+                s, a = math.sqrt(n / 2.0), abs(x0)
+                oracle = 0.5 * (math.erfc((a - eps) * s) - math.erfc((a + eps) * s))
+                if oracle == 0.0:
+                    raise NumericalError("the oracle mass of B(%r, %r) underflows at "
+                                         "n=%d" % (x0, eps, n))
                 oracle_rate = -math.log(oracle) / n
                 rel = abs(mass - oracle) / oracle
                 xcell = x0

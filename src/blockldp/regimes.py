@@ -35,7 +35,7 @@ _LEVEL_DEPTH = 4
 class Schedule:
     """Block-count schedule k(n) = ceil(e^{c n}) with an optional speed term.
 
-    gamma parameterizes eps_n = gamma * log(n) / n.
+    gamma (None, or finite and >= 0) parameterizes eps_n = gamma * log(n) / n.
     """
 
     c: float
@@ -44,6 +44,8 @@ class Schedule:
     def __post_init__(self):
         if not (np.isfinite(self.c) and self.c >= 0.0):
             raise UsageError("schedule exponent c must be finite and >= 0")
+        if self.gamma is not None and not (np.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise UsageError("schedule speed gamma must be finite and >= 0")
 
     def k(self, n: int) -> int:
         if n < 1:

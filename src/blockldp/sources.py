@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -149,7 +149,6 @@ def _digits_into(seed: int, start: int, out: np.ndarray, work: np.ndarray, m: in
                  a: int | None = None) -> np.ndarray:
     """The base-m digits at indices start..start+out.size-1 into out, any
     dtype; the 0/1 indicators of symbol == a instead when a is given."""
-    _check_base(m)
     limit = _digit_limit(m)
     base = np.uint64(m)
     for b0, z, tmp in _blocks(out.size, work):
@@ -225,27 +224,28 @@ def _check_reach(src: "SeriesSource", stop: int) -> None:
                          "this read reaches index %d" % (stop - 1))
 
 
-def _check_base(m: int) -> None:
-    if not (isinstance(m, (int, np.integer)) and 2 <= m <= 10):
-        raise UsageError("base m must be an integer in [2, 10], got %r" % (m,))
+def _integer(name: str, value) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise UsageError("%s must be an integer, got %r" % (name, value))
+    return int(value)
 
 
 @dataclass(frozen=True)
 class MarkovSpec:
-    """Finite-state Markov chain with a per-state observable, checked when built.
+    """Finite-state Markov chain with a per-state observable, checked once,
+    when it is built: UsageError names the first invariant that fails.
 
     Fields
     ------
-    P : (s, s) row-stochastic transition matrix (rows sum to 1 within 1e-12).
+    P : (s, s) primitive row-stochastic matrix (rows sum to 1 within 1e-12).
     phi : finite observable, shape (s,) for scalar or (s, d) for vector values.
-    pi : optional initial distribution; defaults to the stationary
-        distribution, the exact solution of pi (I - P + 1 1^T) = 1^T.
+    pi : initial distribution: once built, the supplied one, else the
+        stationary one, the exact solution of pi (I - P + 1 1^T) = 1^T.
     """
 
     P: np.ndarray
     phi: np.ndarray
     pi: np.ndarray | None = None
-    _initial: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("P", "phi", "pi"):
@@ -256,22 +256,6 @@ class MarkovSpec:
                 except (TypeError, ValueError):
                     raise UsageError("Markov spec %s must be rectangular and numeric" % name)
                 object.__setattr__(self, name, val)
-        self.validate()
-        init = self.pi
-        if init is None:
-            init = np.linalg.solve((np.eye(self.s) - self.P + 1.0).T, np.ones(self.s))
-        object.__setattr__(self, "_initial", init)
-
-    @property
-    def s(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def d(self) -> int:
-        return 1 if self.phi.ndim == 1 else self.phi.shape[1]
-
-    def validate(self) -> "MarkovSpec":
-        """Check every invariant; raise UsageError naming the violated one."""
         P = self.P
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
             raise UsageError("transition matrix must be square, got shape %r" % (P.shape,))
@@ -306,11 +290,17 @@ class MarkovSpec:
                 "transition matrix is not primitive "
                 "(no power up to s**2 is entrywise positive)"
             )
-        return self
+        if self.pi is None:
+            object.__setattr__(self, "pi", np.linalg.solve((np.eye(s) - P + 1.0).T,
+                                                           np.ones(s)))
 
-    def stationary(self) -> np.ndarray:
-        """Initial distribution: the supplied pi, else the stationary one."""
-        return self._initial
+    @property
+    def s(self) -> int:
+        return self.P.shape[0]
+
+    @property
+    def d(self) -> int:
+        return 1 if self.phi.ndim == 1 else self.phi.shape[1]
 
 
 def _markov_states(spec: MarkovSpec, seed: int, first: int, count: int,
@@ -324,7 +314,7 @@ def _markov_states(spec: MarkovSpec, seed: int, first: int, count: int,
     lands in state s - 1.  The walk goes one kernel block at a time, and a
     path split into calls equals the path in one call.
     """
-    rows = np.vstack([np.cumsum(spec.P, axis=1), np.cumsum(spec.stationary())])
+    rows = np.vstack([np.cumsum(spec.P, axis=1), np.cumsum(spec.pi)])
     rows[:, -1] = np.inf
     rows = rows.tolist()
     state = spec.s if state is None else state
@@ -389,7 +379,8 @@ _COUNTER_KINDS = {"iid-digit": np.uint8, "iid-bernoulli": np.uint8, "gaussian": 
 
 
 class Reader:
-    """Sequential reader of a source from index `start` on; pos is the next index.
+    """Sequential reader of a source from index `start` (an integer >= 0) on;
+    pos is the next index.
 
     read returns each kind's native values: uint8 for the digit kinds (base-m
     symbols, or the 0/1 indicators of indicator_a) and Bernoulli draws,
@@ -406,6 +397,9 @@ class Reader:
     """
 
     def __init__(self, source: "SeriesSource", start: int = 0):
+        start = _integer("start", start)
+        if start < 0:
+            raise UsageError("start must be >= 0")
         self.source = source
         self.pos = 0 if source.kind in ("markov-chain", "digit-file") else start
         self._state = None  # Markov: the state at index pos - 1
@@ -517,9 +511,8 @@ class SeriesSource:
 
     Two sources with equal (kind, seed, parameters) are observationally
     identical; reader(start) reads them in order from any index, and readers
-    from different starts agree bit-exactly.  Use the module constructors
-    (digit_source, bernoulli_source, gaussian_source, markov_source,
-    file_source) rather than instantiating directly.
+    from different starts agree bit-exactly.  Construction, here or in the
+    module constructors, checks the seed, d and the kind's parameters once.
     """
 
     kind: str
@@ -534,15 +527,27 @@ class SeriesSource:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise UsageError("unknown source kind %r" % (self.kind,))
+        for name in ("d", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.d < 1:
             raise UsageError("dimension must be >= 1")
+        if self.kind == "markov-chain" and not isinstance(self.markov, MarkovSpec):
+            raise UsageError("a markov-chain source needs a MarkovSpec")
+        if self.kind == "iid-bernoulli" and not (isinstance(self.p, (int, float))
+                                                 and 0 < self.p < 1):
+            raise UsageError("p must lie strictly inside (0, 1), got %r" % (self.p,))
+        if self.kind == "digit-file":
+            if not (isinstance(self.path, (str, os.PathLike)) and os.fspath(self.path)):
+                raise UsageError("a digit-file source needs a path")
+            object.__setattr__(self, "path", os.fspath(self.path))
         if self.kind != "gaussian":
             want = self.markov.d if self.kind == "markov-chain" else 1
             if self.d != want:
                 raise UsageError("a %s source has dimension %d, got d=%r"
                                  % (self.kind, want, self.d))
         if self.kind in ("iid-digit", "digit-file"):
-            _check_base(self.m)
+            if not (isinstance(self.m, (int, np.integer)) and 2 <= self.m <= 10):
+                raise UsageError("base m must be an integer in [2, 10], got %r" % (self.m,))
             a = self.indicator_a
             if a is not None and not (isinstance(a, (int, np.integer)) and 0 <= a < self.m):
                 raise UsageError("indicator symbol must be an integer in {0, ..., m-1}")
@@ -565,8 +570,6 @@ class SeriesSource:
 
     def reader(self, start: int = 0) -> Reader:
         """Sequential Reader of the values from index start on."""
-        if start < 0:
-            raise UsageError("start must be >= 0")
         return Reader(self, start)
 
 
@@ -577,9 +580,7 @@ def digit_source(seed: int, m: int, indicator_a: int | None = None) -> SeriesSou
 
 
 def bernoulli_source(seed: int, p: float) -> SeriesSource:
-    """Iid Bernoulli(p) observations in {0.0, 1.0}."""
-    if not 0.0 < p < 1.0:
-        raise UsageError("p must lie strictly inside (0, 1), got %r" % (p,))
+    """Iid Bernoulli(p) observations 0 and 1."""
     return SeriesSource(kind="iid-bernoulli", d=1, seed=seed, p=p)
 
 
@@ -596,5 +597,5 @@ def markov_source(spec: MarkovSpec, seed: int) -> SeriesSource:
 def file_source(path, m: int, indicator_a: int | None = None) -> SeriesSource:
     """Digit-file ingestion; observations as in digit_source.  The seed field
     is carried for manifests only, the stream is fixed by the file."""
-    return SeriesSource(kind="digit-file", d=1, seed=0, m=m, path=str(path),
+    return SeriesSource(kind="digit-file", d=1, seed=0, m=m, path=path,
                         indicator_a=indicator_a)

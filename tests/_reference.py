@@ -46,7 +46,6 @@ def uniform(seed: int, i: int) -> float:
 def next_digit(seed: int, i: int, m: int) -> int:
     """Uniform symbol in {0, ..., m-1} at index i, deterministic in (seed, i, m);
     reads sources._digit_limit at call time, so a test may patch it."""
-    sources._check_base(m)
     return sources._sample_digit(seed, i, m, sources._digit_limit(m))
 
 
@@ -76,7 +75,7 @@ def _box_muller_reference(seed: int, start: int, count: int, d: int) -> np.ndarr
 def _walk(spec: MarkovSpec, u) -> np.ndarray:
     """States driven by uniforms u: X_0 from the initial law, then one
     searchsorted per step on the current row of P."""
-    cum, cum_rows, top = np.cumsum(spec.stationary()), np.cumsum(spec.P, axis=1), spec.s - 1
+    cum, cum_rows, top = np.cumsum(spec.pi), np.cumsum(spec.P, axis=1), spec.s - 1
     states = []
     for x in u:
         states.append(min(int(np.searchsorted(cum, x, side="right")), top))
@@ -173,7 +172,7 @@ def exact_prefix_scgf(spec: MarkovSpec, lam: float, n: int) -> float:
     if not 1 <= n <= 24:
         raise UsageError("n must lie in [1, 24], got %r" % (n,))
     tilted = spec.P * np.exp(lam * spec.phi)[None, :]
-    v = spec.stationary().astype(np.float64).copy()
+    v = spec.pi.astype(np.float64).copy()
     total = 0.0
     for _ in range(n):
         v = v @ tilted

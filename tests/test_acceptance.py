@@ -27,7 +27,7 @@ from scipy.stats import binom
 from blockldp import (BlockStats, ExperimentConfig, MarkovSpec, Schedule,
                       SampledFunction, bernoulli_model, bernoulli_source,
                       block_means, brownian_experiment, digit_indicator_model,
-                      digit_source, empirical_scgf, fig1_pipeline,
+                      digit_source, fig1_pipeline,
                       frequency_test, gaussian_model, legendre, markov_model,
                       pi_fixture_path, regime_experiment, scgf_values)
 from blockldp._serialize import make_grid, write_csv
@@ -118,7 +118,7 @@ def _run_convexity():
     rows = []
     for case in range(50):
         stats = _random_stats(rng, k=int(rng.integers(2, 120)))
-        f = empirical_scgf(stats, grid)
+        f = SampledFunction(grid=grid, values=scgf_values(stats, grid))
         d2f = float(np.min(np.diff(f.values, 2)))
         xs = np.linspace(float(stats.means.min()), float(stats.means.max()), 41)
         d2c = float(np.min(np.diff(legendre(f, xs).values, 2)))

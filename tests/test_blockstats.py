@@ -9,7 +9,7 @@ import pytest
 import blockldp.sources as sources
 from blockldp import (BlockStats, DataError, MarkovSpec, SampledFunction,
                       UsageError, ball_mass, bernoulli_source, block_means,
-                      digit_source, empirical_scgf, file_source, gaussian_source,
+                      digit_source, file_source, gaussian_source,
                       markov_source, pairwise_sum, scgf_values)
 
 from _reference import block_order_means, local_rate, next_digit, sizes
@@ -273,10 +273,9 @@ def test_scgf_rejects_nonfinite_means():
 
 def test_empirical_scgf_validation():
     stats = BlockStats(n=3, k=2, d=1, means=np.array([[0.1], [0.2]]))
-    f = empirical_scgf(stats, np.array([-1.0, 0.0, 1.0]))
-    assert f.values[1] == 0.0
+    assert scgf_values(stats, np.array([-1.0, 0.0, 1.0]))[1] == 0.0
     with pytest.raises(UsageError):
-        empirical_scgf(stats, np.array([[0.0], [1.0]]))  # needs a 1-d grid
+        scgf_values(stats, np.array([[0.0], [1.0]]))  # needs a 1-d grid
     with pytest.raises(UsageError):
         SampledFunction(grid=np.array([0.0, 0.0]), values=np.array([1.0, 2.0]))
     with pytest.raises(UsageError):

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from blockldp import (MarkovSpec, digit_source, file_source, gaussian_source,
                       markov_source)
@@ -683,6 +684,29 @@ def test_brownian_cli(tmp_path, capsys):
         p.write_text(json.dumps(dict(cfg, **{key: val})))
         assert main(["brownian", "--config", str(p)]) == 2, (key, val)
     capsys.readouterr()
+
+
+def test_brownian_far_tail_oracle(tmp_path, capsys):
+    # The exact mass of B(x0, eps) under N(0, 1/n) is a difference of upper
+    # tails; at x0 = 2 it is 9.7e-18, which a difference of two numbers near
+    # 1 would round to 0.
+    cfg = dict(BROWNIAN_SMALL, c=0.2, R=3.0, eps=0.1, n_list=[20], x_list=[2.0, -2.0],
+               out_dir=str(tmp_path / "bw"))
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["brownian", "--config", str(p)]) == 0
+    want = norm.sf(1.9 * math.sqrt(20)) - norm.sf(2.1 * math.sqrt(20))
+    got = read_csv_columns(tmp_path / "bw" / "brownian.csv", None)["oracle_mass"]
+    assert np.all(np.abs(got / want - 1.0) <= 1e-13)
+    capsys.readouterr()
+    for bad, code in ((dict(cfg, x_list=[10.0], R=11.0), 3),  # the mass underflows
+                      (dict(cfg, gamma=-1.0), 2)):
+        bad["out_dir"] = str(tmp_path / "out")
+        p.write_text(json.dumps(bad))
+        assert main(["brownian", "--config", str(p)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not (tmp_path / "out").exists()
 
 
 def test_selftest_passes(capsys):

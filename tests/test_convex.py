@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from blockldp import (BlockStats, DataError, SampledFunction, UsageError,
-                      digit_indicator_model, empirical_scgf, grad_estimate, legendre)
+                      digit_indicator_model, grad_estimate, legendre,
+                      scgf_values)
 from blockldp._serialize import make_grid
 
 
@@ -79,7 +80,7 @@ def test_grid_young_fenchel_inequality():
     rng = np.random.default_rng(21)
     stats = BlockStats(n=6, k=40, d=1, means=rng.normal(0.2, 0.5, size=(40, 1)))
     g = make_grid(-1.5, 1.5, 0.05)
-    f = empirical_scgf(stats, g)
+    f = SampledFunction(grid=g, values=scgf_values(stats, g))
     xs = np.linspace(-1.0, 1.5, 37)
     res = legendre(f, xs)
     scores = xs[None, :] * g[:, None] - f.values[:, None]

@@ -75,10 +75,12 @@ def test_digit_uniformity_chi_square():
     assert stat < chi2.ppf(0.999, 9)
 
 
-def test_base_validation():
+def test_base_validation(tmp_path):
     for m in (1, 11, 2.5, "10"):
-        with pytest.raises(UsageError):
-            next_digit(0, 0, m)
+        with pytest.raises(UsageError, match="base m"):
+            digit_source(0, m)
+        with pytest.raises(UsageError, match="base m"):
+            file_source(tmp_path / "none.txt", m)
 
 
 def test_gaussian_transform_from_uniforms():
@@ -125,20 +127,20 @@ def test_source_parameter_guards():
 def test_markov_validation_errors():
     with pytest.raises(UsageError):  # rows must sum to one
         MarkovSpec(P=np.array([[0.5, 0.4], [0.1, 0.9]]),
-                   phi=np.array([0.0, 1.0])).validate()
+                   phi=np.array([0.0, 1.0]))
     with pytest.raises(UsageError):  # square matrix required
-        MarkovSpec(P=np.array([[0.5, 0.5]]), phi=np.array([0.0])).validate()
+        MarkovSpec(P=np.array([[0.5, 0.5]]), phi=np.array([0.0]))
     with pytest.raises(UsageError):  # negative entries
         MarkovSpec(P=np.array([[1.5, -0.5], [0.5, 0.5]]),
-                   phi=np.array([0.0, 1.0])).validate()
+                   phi=np.array([0.0, 1.0]))
     with pytest.raises(UsageError):  # observable shape
-        MarkovSpec(P=np.eye(1), phi=np.array([0.0, 1.0])).validate()
+        MarkovSpec(P=np.eye(1), phi=np.array([0.0, 1.0]))
     with pytest.raises(UsageError):  # initial distribution must sum to one
         MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]),
                    phi=np.array([0.0, 1.0]),
-                   pi=np.array([0.7, 0.7])).validate()
+                   pi=np.array([0.7, 0.7]))
     with pytest.raises(UsageError):  # reducible chain
-        MarkovSpec(P=np.eye(2), phi=np.array([0.0, 1.0])).validate()
+        MarkovSpec(P=np.eye(2), phi=np.array([0.0, 1.0]))
     with pytest.raises(UsageError):  # periodic chain: no power is positive
         MarkovSpec(P=[[0.0, 1.0], [1.0, 0.0]], phi=[0.0, 1.0])
     with pytest.raises(UsageError, match="numeric"):  # checked at construction
@@ -150,19 +152,19 @@ def test_markov_validation_errors():
 def test_markov_slow_chain_stationary_law():
     # Mixing time ~1e5 steps; the law (2/3, 1/3) is an exact linear solve.
     spec = MarkovSpec(P=[[0.99999, 1e-5], [2e-5, 0.99998]], phi=[0, 1])
-    assert np.max(np.abs(spec.stationary() - [2.0 / 3.0, 1.0 / 3.0])) <= 1e-12
+    assert np.max(np.abs(spec.pi - [2.0 / 3.0, 1.0 / 3.0])) <= 1e-12
     assert markov_source(spec, 1).reader().read(5).shape == (5, 1)
     three = MarkovSpec(P=[[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
                        phi=[0.0, 1.0, 2.0])
-    assert np.max(np.abs(three.stationary() - np.array([5, 9, 7]) / 21)) <= 1e-15
+    assert np.max(np.abs(three.pi - np.array([5, 9, 7]) / 21)) <= 1e-15
 
 
 def test_markov_stationary_and_supplied_pi():
-    spec = _sym_chain().validate()
-    assert np.allclose(spec.stationary(), [0.5, 0.5], atol=1e-12)
+    spec = _sym_chain()
+    assert np.allclose(spec.pi, [0.5, 0.5], atol=1e-12)
     spec = MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]),
                       phi=np.array([0.0, 1.0]), pi=np.array([1.0, 0.0]))
-    assert np.array_equal(spec.stationary(), [1.0, 0.0])
+    assert np.array_equal(spec.pi, [1.0, 0.0])
 
 
 def test_digit_rejection_chain(monkeypatch):
