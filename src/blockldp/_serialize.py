@@ -102,7 +102,8 @@ def json_safe(obj):
     return obj
 
 
-def file_checksum(path) -> str:
+def _sha256(path) -> str:
+    """Hex sha256 of a file's bytes, read in 1 MiB chunks."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -135,11 +135,13 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
 
     A lattice source, an integer-valued scalar one (source.int_bound is not
     None) whose block sums stay within n * int_bound <= 2**53, has its values
-    summed exactly in int64; the stats hold the distinct sums / n
-    in increasing order with their block counts as weights, merged piece by
-    piece, so memory stays flat in k and in the observable's range.  Any other
-    source is summed with the fixed pairwise tree over each block's n
-    observations and keeps its means in block order with unit weights.
+    summed exactly: in uint16 when they are uint8 (the digit kinds and
+    Bernoulli) and n * int_bound < 2**16, else in int64.  The stats hold the
+    distinct sums / n in increasing order with their block counts as weights,
+    merged piece by piece, so memory stays flat in k and in the observable's
+    range.  Any other source is summed with the fixed pairwise tree over each
+    block's n observations and keeps its means in block order with unit
+    weights.
     A digit, Bernoulli or Gaussian source is generated and reduced in parts
     of whole blocks, one per thread.  Neither form depends on the internal
     batching or on the thread count.  Raises DataError when the source is
@@ -158,7 +160,9 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
         def tally(pieces):
             merged, sums = (np.zeros(0, dtype=np.int64),) * 2, []
             for _, values in pieces:
-                sums.append(values.reshape(-1, n).sum(axis=1, dtype=np.int64))
+                acc = (np.uint16 if values.dtype == np.uint8 and n * bound < 2 ** 16
+                       else np.int64)
+                sums.append(values.reshape(-1, n).sum(axis=1, dtype=acc))
                 if sum(map(len, sums)) >= max(merged[0].size, _CHUNK_VALUES // n):
                     merged = _merge_tallies([merged, np.unique(np.concatenate(sums),
                                                                return_counts=True)])

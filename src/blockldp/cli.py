@@ -6,12 +6,14 @@ regime ... | head -1`) is no error: the run exits 0 with nothing on stderr.
 Every file-writing run places a JSON manifest next to its outputs recording
 the flag values it read and its seeds; outputs are byte-identical across runs
 with equal manifests.  Relative --out paths resolve against the BLOCKLDP_OUT
-environment variable when it is set.
+environment variable when it is set; an output that names one of the run's
+input files is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -134,9 +136,18 @@ def _build_source(args):
     return markov_source(_load_markov_file(args.markov_file), seed)
 
 
-def _spec_files(src, args) -> list:
-    """The files besides its data that a run of src read: a chain's spec."""
-    return [args.markov_file] if src.kind == "markov-chain" else []
+def _open_run(args, out, *more) -> RunRecord:
+    """Open the run of a file-writing command that writes out, its manifest
+    and the paths in more (None is no file).  The record hashes the files the
+    run reads, its --in file and a chain's --markov-file, from now on, so an
+    output that names one of them raises UsageError first."""
+    inputs = (getattr(args, "infile", None),)
+    specs = (args.markov_file,) if getattr(args, "kind", None) == "markov" else ()
+    reads = {os.path.realpath(p) for p in (*inputs, *specs) if p}
+    for path in (out, out + ".manifest.json", *more):
+        if path and os.path.realpath(path) in reads:
+            raise UsageError("output %s is an input of this run" % path)
+    return RunRecord(args.command, inputs, specs)
 
 
 # The source flags that a run from each --kind leaves unread (None: --in, or
@@ -155,8 +166,8 @@ def _flags(args) -> dict:
 
 
 def cmd_gen(args) -> int:
-    record = RunRecord(args.command)
     out = _resolve_out(args.out)
+    record = _open_run(args, out)
     count = int(args.count)
     if count < 1:
         raise UsageError("count must be >= 1")
@@ -166,15 +177,16 @@ def cmd_gen(args) -> int:
         for values in reader.pieces(count):
             # Digit and Bernoulli values are uint8 and print as integers.
             write_rows(fh, values.tolist(), " ")
-    record.write(out + ".manifest.json", _flags(args), [out], [src.seed], [src.path],
-                 _spec_files(src, args))
+    record.write(out + ".manifest.json", _flags(args), [out], [src.seed])
     print("wrote %d lines to %s" % (count, out))
     return 0
 
 
 def cmd_analyze(args) -> int:
-    record = RunRecord(args.command)
     out = _resolve_out(args.out)
+    root, ext = os.path.splitext(out)
+    ball_out = None if args.ball is None else root + "_ball" + (ext or ".csv")
+    record = _open_run(args, out, ball_out)
     if (args.k is None) == (args.c is None):
         raise UsageError("exactly one of --k and --c is required")
     n = int(args.n)
@@ -192,18 +204,15 @@ def cmd_analyze(args) -> int:
     if ball is not None:
         center, eps = ball
         _, mass = ball_mass(stats, center, eps)
-        root, ext = os.path.splitext(out)
-        files.append(write_csv(root + "_ball" + (ext or ".csv"),
-                               ["x", "mass"], [(center, mass)]))
-    record.write(out + ".manifest.json", _flags(args), files, [src.seed], [src.path],
-                 _spec_files(src, args))
+        files.append(write_csv(ball_out, ["x", "mass"], [(center, mass)]))
+    record.write(out + ".manifest.json", _flags(args), files, [src.seed])
     print("wrote %s (n=%d, k=%d, %d tilt points)" % (out, n, k, lam.size))
     return 0
 
 
 def cmd_legendre(args) -> int:
-    record = RunRecord(args.command)
     out = _resolve_out(args.out)
+    record = _open_run(args, out)
     cols = read_csv_columns(args.infile, ["lambda", "value"])
     grid = cols["lambda"]
     if grid.size >= 2 and not np.all(np.diff(grid) > 0):
@@ -212,7 +221,7 @@ def cmd_legendre(args) -> int:
                    _parse_grid(args.x_grid))
     files = [write_csv(out, ["x", "value", "argmax_lambda", "boundary"],
                        zip(res.xs, res.values, res.argmax, res.boundary))]
-    record.write(out + ".manifest.json", _flags(args), files, inputs=[args.infile])
+    record.write(out + ".manifest.json", _flags(args), files)
     print("wrote %s (%d conjugate points)" % (out, res.xs.size))
     return 0
 
@@ -274,14 +283,13 @@ def cmd_brownian(args) -> int:
 
 
 def cmd_freq(args) -> int:
-    record = RunRecord(args.command)
-    src = file_source(args.infile, args.m)
-    res = frequency_test(src, args.n0, args.count)
-    if args.out is not None:
-        out = _resolve_out(args.out)
+    out = None if args.out is None else _resolve_out(args.out)
+    record = None if out is None else _open_run(args, out)
+    res = frequency_test(file_source(args.infile, args.m), args.n0, args.count)
+    if record is not None:
         files = [write_csv(out, ["word", "count", "freq"],
                            zip(map(res.word, range(res.counts.size)), res.counts, res.freqs))]
-        record.write(out + ".manifest.json", _flags(args), files, inputs=[src.path])
+        record.write(out + ".manifest.json", _flags(args), files)
     doc = {"m": res.m, "n0": res.n0, "N": res.N, "windows": res.windows,
            "uniform": args.m ** (-float(args.n0)), "max_dev": res.max_dev}
     print(json.dumps(json_safe(doc), indent=2, sort_keys=True))
@@ -373,7 +381,9 @@ def _add_source_flags(p, file_flags: bool) -> None:
                    help="JSON Markov spec {\"P\": ..., \"phi\": ..., \"pi\"?}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every caller."""
     parser = argparse.ArgumentParser(
         prog="blockldp",
         description="Block empirical measures, empirical SCGFs and "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from ._errors import DataError, NumericalError, UsageError
-from ._serialize import file_checksum, fmt_cell, grid_spec, json_safe, make_grid, write_csv
+from ._serialize import _sha256, fmt_cell, grid_spec, json_safe, make_grid, write_csv
 from .blockstats import SampledFunction, _ball_rate, ball_mass, block_means, scgf_values
 from .convex import ConjugateResult, grad_estimate, legendre
 from .models import ScgfModel, digit_indicator_model
@@ -149,17 +150,45 @@ class RunRecord:
     a run's clock.  write() builds and writes every manifest.  A run fed by
     files (inputs; None is no file) records seeds [] and the sha256 of each
     input keyed by basename; a generated run records its seeds, and the
-    sha256 of each spec file it read (specs, such as a Markov chain's)."""
+    sha256 of each spec file it read (specs, such as a Markov chain's).
+
+    The files are hashed on one daemon thread started here, when any path is
+    given, so the digests are taken while the run reads and computes; write()
+    joins it and re-raises the first error it hit (an OSError exits 4).  So
+    a run must write over none of its input and spec files."""
 
     command: str
+    inputs: tuple = ()
+    specs: tuple = ()
     started: float = field(default_factory=time.monotonic)
 
-    def write(self, path, config: dict, files, seeds=(), inputs=(), specs=()) -> str:
+    def __post_init__(self):
+        self._digests = dict.fromkeys(p for p in (*self.inputs, *self.specs) if p)
+        self._helper = None
+        if self._digests:
+            self._helper = threading.Thread(target=self._hash, daemon=True)
+            self._helper.start()
+
+    def _hash(self):
+        # Only private functions run on this thread, so a tracer that wraps
+        # the public ones sees the run's own thread alone.
+        for path in self._digests:
+            try:
+                self._digests[path] = _sha256(path)
+            except Exception as exc:
+                self._digests[path] = exc
+
+    def write(self, path, config: dict, files, seeds=()) -> str:
+        if self._helper is not None:
+            self._helper.join()
+        for digest in self._digests.values():
+            if isinstance(digest, Exception):
+                raise digest
         return RunManifest(
-            command=self.command, config=config, seeds=[] if any(inputs) else list(seeds),
+            command=self.command, config=config,
+            seeds=[] if any(self.inputs) else list(seeds),
             files=list(files), wallclock_s=round(time.monotonic() - self.started, 3),
-            input_checksums={os.path.basename(p): file_checksum(p)
-                             for p in (*inputs, *specs) if p},
+            input_checksums={os.path.basename(p): d for p, d in self._digests.items()},
         ).write(path)
 
 
@@ -187,13 +216,13 @@ class Fig1Result:
 
 
 def _block_runs(source: SeriesSource, schedule: Schedule, n_list, seeds):
-    """(seed, n, k, block_means) for each seed, then each n in n_list as given;
-    every k(n) is computed, and so checked, before the first run."""
+    """(seed, n, k, block_means) for each seed, then each n in n_list as given,
+    computed as the returned iterator is read.  Every k(n) and every seeded
+    source is built, and so checked, by this call, before the first run."""
     ks = [schedule.k(n) for n in n_list]
-    for seed in seeds:
-        src = replace(source, seed=seed)
-        for n, k in zip(n_list, ks):
-            yield seed, n, k, block_means(src, n, k)
+    srcs = [replace(source, seed=seed) for seed in seeds]
+    return ((src.seed, n, k, block_means(src, n, k)) for src in srcs
+            for n, k in zip(n_list, ks))
 
 
 def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
@@ -215,10 +244,10 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     short of n*x1 and n*x2 (base-10 digits at lambda0 = 0.8, n = 150,
     k = 633: E[max sum] = 27.5 against 150*x2 = 29.7).
     """
-    record = RunRecord("fig1")
     echo = config.check_reads("fig1", ("iid-digit", "digit-file"),
                               ("d", "c", "gamma", "R", "x_list", "eps",
                                "seeds" if config.kind == "digit-file" else "path"))
+    record = RunRecord("fig1", (config.path,))
     model = digit_indicator_model(config.m, config.a)
     lambda0 = 0.8 if config.lambda0 is None else float(config.lambda0)
     c = rate_along(model, lambda0)
@@ -230,6 +259,7 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
         base, seeds = file_source(config.path, config.m, indicator_a=config.a), (0,)
     else:
         base, seeds = digit_source(0, config.m, indicator_a=config.a), config.seeds
+    block_runs = _block_runs(base, schedule, config.n_list, seeds)
     os.makedirs(config.out_dir, exist_ok=True)
     # The grid columns and the model row repeat in every run: compute them once.
     lam_cells, x_cells = (list(map(fmt_cell, grid)) for grid in (lam_grid, x_grid))
@@ -237,7 +267,7 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     runs = []
     files = []
     summary_rows = []
-    for seed, n, k, stats in _block_runs(base, schedule, config.n_list, seeds):
+    for seed, n, k, stats in block_runs:
         scgf = SampledFunction(grid=lam_grid, values=scgf_values(stats, lam_grid))
         abs_err = np.abs(scgf.values - truth)
         conj = legendre(scgf, x_grid)
@@ -265,7 +295,7 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
                 x_grid=grid_spec(x_grid[0], config.x_grid[2], len(x_grid)),
                 grid_note="lambda/x grids and n spacing are reconstructions")
     manifest_path = record.write(os.path.join(config.out_dir, "manifest.json"), echo,
-                                 files, seeds, [config.path])
+                                 files, seeds)
     return Fig1Result(c=c, runs=runs, files=files, manifest_path=manifest_path)
 
 
@@ -430,12 +460,14 @@ def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> Frequ
     reader = replace(source, indicator_a=None).reader()
     counts = np.zeros(m ** n0, dtype=np.int64)
     # syms keeps the n0 - 1 symbols before the fresh ones: no window is lost at a split.
-    syms = np.zeros(0, dtype=np.uint8)
+    # Symbols and codes are uint16, which holds every code below m^n0 <= 1e4,
+    # so each Horner step adds like types.
+    syms = np.zeros(0, dtype=np.uint16)
     for fresh in reader.pieces(N):
-        syms = np.concatenate([syms[max(0, syms.size - n0 + 1):], fresh[:, 0]])
+        syms = np.concatenate([syms[max(0, syms.size - n0 + 1):], fresh[:, 0]],
+                              dtype=np.uint16)
         windows = max(syms.size - n0 + 1, 0)
-        # Horner form in uint16, which holds every code below m^n0 <= 1e4.
-        codes = syms[:windows].astype(np.uint16)
+        codes = syms[:windows].copy()
         for t in range(1, n0):
             codes *= np.uint16(m)
             codes += syms[t : windows + t]

@@ -12,7 +12,8 @@ from blockldp import (BlockStats, DataError, MarkovSpec, SampledFunction,
                       digit_source, file_source, gaussian_source,
                       markov_source, pairwise_sum, scgf_values)
 
-from _reference import block_order_means, local_rate, next_digit, sizes
+from _reference import (block_order_means, expected_stats, local_rate, next_digit, sizes,
+                        values)
 
 LATTICE_SOURCES = {
     "digit-indicator": lambda: digit_source(5, 10, indicator_a=0),
@@ -81,6 +82,24 @@ def test_lattice_scgf_matches_dense(kind):
     got = scgf_values(stats, lam)
     assert np.max(np.abs(got - scgf_values(dense, lam))) <= 1e-13
     assert got[60] == 0.0 and lam[60] == 0.0
+
+
+@pytest.mark.parametrize("a, n", [(None, 7281), (None, 7282), (9, 65535), (9, 65536)],
+                         ids=["digit-uint16", "digit-int64", "indicator-uint16",
+                              "indicator-int64"])
+def test_lattice_sums_at_the_uint16_boundary(a, n, tmp_path):
+    # uint8 values are summed in uint16 while n * int_bound < 2**16 and in
+    # int64 past it.  A first block of nines reaches the largest sum
+    # n * int_bound, which one step past the boundary would wrap in uint16.
+    digits = np.concatenate([np.full(n, 9), np.random.default_rng(n).integers(0, 10, n)])
+    path = tmp_path / "d.txt"
+    path.write_bytes((digits + ord("0")).astype(np.uint8).tobytes())
+    src = file_source(str(path), 10, indicator_a=a)
+    want_means, want_weights = expected_stats(src, values(src, 0, 2 * n), n, 2)
+    stats = block_means(src, n, 2)
+    assert stats.means.tobytes() == want_means.tobytes()
+    assert stats.weights.tobytes() == want_weights.tobytes()
+    assert stats.means[-1, 0] == src.int_bound
 
 
 @pytest.mark.parametrize("phi, n", [((0.5, 1.5), 10), ((0.0, 2.0 ** 50), 16)])

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, outputs, manifests."""
 
+import glob
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -794,3 +796,85 @@ def test_every_manifest_repeats_but_its_wallclock(tmp_path, monkeypatch, capsys)
             assert doc["seeds"] == [] and list(doc["input_checksums"]) == [infile], man
     with open(tmp_path / "first" / "ff" / "manifest.json") as fh:
         assert json.load(fh)["input_checksums"] == {"pi.txt": digest}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--in", "../d.txt", "--n", "2", "--k", "2", "--out", "d.txt"],
+    ["analyze", "--in", "../d_ball.txt", "--n", "2", "--k", "2", "--ball", "0.5,0.1",
+     "--out", "d.txt"],
+    ["analyze", "--kind", "markov", "--markov-file", "../chain.json", "--n", "2", "--k", "2",
+     "--out", "chain.json"],
+    ["legendre", "--in", "../s.csv", "--x-grid", "0,1", "--out", "s.csv"],
+    ["freq", "--in", "../d.txt", "--out", "d.txt"],
+    ["gen", "--kind", "markov", "--markov-file", "../chain.json", "--count", "3",
+     "--out", "chain.json"],
+], ids=["analyze", "analyze-ball", "analyze-markov", "legendre", "freq", "gen-markov"])
+def test_output_naming_an_input_is_refused(tmp_path, monkeypatch, capsys, argv):
+    # An output over a file the run reads would replace the input and race its
+    # hash.  --out resolves against BLOCKLDP_OUT first; the run exits 2 before
+    # it reads or writes anything.
+    (tmp_path / "d.txt").write_text("31415926")
+    (tmp_path / "d_ball.txt").write_text("31415926")
+    (tmp_path / "s.csv").write_text("lambda,value\n0.0,0.0\n1.0,0.5\n")
+    _sym_chain_file(tmp_path)
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    monkeypatch.setenv("BLOCKLDP_OUT", str(tmp_path))
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output ") and err.count("\n") == 1
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_unhashable_input_exits_4(tmp_path, monkeypatch, capsys):
+    # The helper thread keeps the error it hits and write() raises it on the
+    # run's own thread: one error line, exit 4, no manifest.
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(sources.pi_fixture_path(), "pi.txt")
+    _sym_chain_file(tmp_path)
+    os.mkdir("dir.json")
+    gen = ["gen", "--kind", "markov", "--count", "3", "--out", "g.txt"]
+    assert main(gen + ["--markov-file", "dir.json"]) == 4  # read and hashed as a directory
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] ") and err.count("\n") == 1
+
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", os.fspath(path))
+
+    monkeypatch.setattr(experiments, "_sha256", unreadable)
+    for argv, name in ((["analyze", "--in", "pi.txt", "--n", "10", "--k", "5",
+                         "--lambda-grid", "0,1", "--out", "a.csv"], "pi.txt"),
+                       (gen + ["--markov-file", "chain.json"], "chain.json")):
+        assert main(argv) == 4, argv
+        assert capsys.readouterr().err == "error: [Errno 13] Permission denied: %r\n" % name
+    assert not glob.glob("*.manifest.json")
+
+
+def test_runs_hash_their_inputs_on_a_thread_that_ends_with_them(tmp_path, monkeypatch,
+                                                                capsys):
+    # A run hashes the files it reads, and only those, on a helper thread
+    # that is gone when main returns; a run that reads no file, or writes no
+    # manifest, hashes nothing.
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(sources.pi_fixture_path(), "pi.txt")
+    _sym_chain_file(tmp_path)
+    (tmp_path / "fg.json").write_text(json.dumps(dict(FIG1_SMALL, out_dir="fg")))
+    hashed, sha256 = [], experiments._sha256
+    monkeypatch.setattr(experiments, "_sha256", lambda path: hashed.append(path) or sha256(path))
+    before = set(threading.enumerate())
+    for argv, want in (
+            (["analyze", "--in", "pi.txt", "--n", "10", "--k", "50", "--lambda-grid", "0,1",
+              "--out", "a.csv"], ["pi.txt"]),
+            (["legendre", "--in", "a.csv", "--x-grid", "0,1", "--out", "l.csv"], ["a.csv"]),
+            (["freq", "--in", "pi.txt", "--n0", "2", "--out", "w.csv"], ["pi.txt"]),
+            (["freq", "--in", "pi.txt", "--n0", "2"], []),
+            (["gen", "--kind", "markov", "--markov-file", "chain.json", "--count", "3",
+              "--out", "g.txt"], ["chain.json"]),
+            (["gen", "--kind", "iid-digit", "--count", "3", "--out", "g.txt"], []),
+            (["fig1", "--config", "fg.json"], [])):
+        hashed.clear()
+        assert main(argv) == 0, argv
+        assert hashed == want, argv
+        assert set(threading.enumerate()) <= before, argv
+    capsys.readouterr()

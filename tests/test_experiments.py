@@ -111,6 +111,13 @@ def test_fig1_guards(tmp_path):
                                        n_list=(10,), out_dir=str(tmp_path)))
 
 
+def test_fig1_refuses_a_bad_seed_before_making_its_directory(tmp_path):
+    out = tmp_path / "D"
+    with pytest.raises(UsageError, match="seed"):
+        fig1_pipeline(ExperimentConfig(seeds=(1.5,), n_list=(20,), out_dir=str(out)))
+    assert not out.exists()
+
+
 def test_fig1_rerun_byte_identical(tmp_path):
     outs = []
     for name in ("a", "b"):

@@ -5,7 +5,7 @@ import pytest
 
 from blockldp import DataError, Schedule, UsageError, brownian_experiment
 from blockldp import _serialize
-from blockldp._serialize import (file_checksum, fmt_cell, grid_spec, make_grid,
+from blockldp._serialize import (_sha256, fmt_cell, grid_spec, make_grid,
                                  read_csv_columns, write_csv)
 
 
@@ -107,4 +107,4 @@ def test_file_checksum_known_vector(tmp_path):
     p = tmp_path / "f.bin"
     p.write_bytes(b"abc")
     want = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    assert file_checksum(p) == want
+    assert _sha256(p) == want
