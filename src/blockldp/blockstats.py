@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import DataError, UsageError
+from ._errors import DataError, UsageError, fmt_int
 from .sources import SeriesSource
 
 _CHUNK_VALUES = 1 << 21  # values per batch: a lattice tally merge, and the tilt
@@ -150,7 +150,8 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
     if n < 1 or k < 1:
         raise UsageError("block length and block count must be >= 1")
     if n * k > np.iinfo(np.int64).max:
-        raise UsageError("n*k = %d*%d observations exceed 2**63 - 1" % (n, k))
+        raise UsageError("n*k = %s*%s observations exceed 2**63 - 1"
+                         % (fmt_int(n), fmt_int(k)))
     d = source.d
     bound = source.int_bound
     if bound is not None and n * bound <= 2 ** 53:

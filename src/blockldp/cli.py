@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -287,8 +288,9 @@ def cmd_freq(args) -> int:
     record = None if out is None else _open_run(args, out)
     res = frequency_test(file_source(args.infile, args.m), args.n0, args.count)
     if record is not None:
-        files = [write_csv(out, ["word", "count", "freq"],
-                           zip(map(res.word, range(res.counts.size)), res.counts, res.freqs))]
+        # The words in code order: res.word(c) for c < m**n0, a product of digits.
+        words = map("".join, itertools.product("0123456789"[:res.m], repeat=res.n0))
+        files = [write_csv(out, ["word", "count", "freq"], zip(words, res.counts, res.freqs))]
         record.write(out + ".manifest.json", _flags(args), files)
     doc = {"m": res.m, "n0": res.n0, "N": res.N, "windows": res.windows,
            "uniform": args.m ** (-float(args.n0)), "max_dev": res.max_dev}

@@ -40,10 +40,14 @@ def legendre(f: SampledFunction, xs) -> ConjugateResult:
     the grid, the discrete max undershoots the true conjugate by at most
     h^2/8 times the local second derivative of f (h the grid step).
 
-    Cost O(G + X) for G samples of a convex f and X slopes (Lucet's linear-
-    time transform): a search over the hull's edge slopes finds each x's
-    exposing vertex of the samples' lower convex hull; comparing float scores
-    near it then gives the dense max over all samples bit for bit.
+    For G samples and X slopes, a search over the hull's edge slopes finds
+    each x's exposing vertex of the samples' lower convex hull (Lucet's
+    linear-time transform); comparing float scores near it then gives the
+    dense max over all samples bit for bit.  That comparison scores every
+    sample between the window's hull vertices, and the hull drops collinear
+    samples, so the cost is O(G + X) on a strictly convex f but grows to
+    O(G * X) on an affine one (1.6 s at G = 64,000 and X = 999 on a 2-core
+    Xeon, against 0.045 s on a quadratic).
 
     Raises UsageError for a non-finite x, DataError if no value is finite.
     """

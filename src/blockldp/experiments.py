@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from ._errors import DataError, NumericalError, UsageError
+from ._errors import DataError, NumericalError, UsageError, fmt_int
 from ._serialize import _sha256, fmt_cell, grid_spec, json_safe, make_grid, write_csv
 from .blockstats import SampledFunction, _ball_rate, ball_mass, block_means, scgf_values
 from .convex import ConjugateResult, grad_estimate, legendre
@@ -119,8 +119,8 @@ class ExperimentConfig:
             ks[n] = schedule.k(n)
             if n * ks[n] > self.budget:
                 raise UsageError(
-                    "budget violation: n=%d needs n*k=%d > %g observations"
-                    % (n, n * ks[n], self.budget))
+                    "budget violation: n=%s needs n*k=%s > %g observations"
+                    % (fmt_int(n), fmt_int(n * ks[n]), self.budget))
         return ks
 
 
@@ -388,7 +388,7 @@ def brownian_experiment(d: int, R: float, schedule: Schedule, n_list, x_list,
         if x.shape != (d,):
             raise UsageError("ball centers must have dimension %d" % d)
         if float(np.linalg.norm(x)) + eps > R:
-            raise UsageError("center %r violates |x| + eps <= R" % (x,))
+            raise UsageError("center %s violates |x| + eps <= R" % fmt_cell(x))
     columns = ["n", "seed", "x", "k", "count", "mass", "local_rate",
                "oracle_mass", "oracle_rate", "rel_err", "margin_ok"]
     rows = []

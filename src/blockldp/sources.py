@@ -26,18 +26,18 @@ per-dimension stride of 2**40, so the streams of a d > 1 source are disjoint
 for indices below 2**39: a read or block_means that would reach index 2**39
 raises UsageError before it generates a value.
 
-The vector kernels compute words and uniforms in place, over blocks of 2**16
-counters in reused buffers, and write into an output array of the caller's
-dtype; for any split into blocks they equal the scalar raw_word bit for bit.
-_BLOCK = 2**16 is the one size this package cuts work by: counters per kernel
-pass, bytes per digit-file chunk, values per Reader.pieces read and per piece
-of a block reduction.  Reader.read fills on the calling thread, so worker
-threads call only private functions, which a tracer of the public ones on one
-span stack (bench/tracing.py) never sees.  Only block_means on a counter kind
-(Reader._reduce_blocks) splits its blocks into contiguous parts of at least
-_BLOCK values counting every coordinate, up to one per CPU of the affinity
-mask, and generates and reduces each part in pieces on its own thread: the
-bytes do not depend on the split, and taskset -c 0 uses one.
+Each vector kernel fills one pass of at most 2**16 values in place in reused
+buffers, into an output array of the caller's dtype; _fill, the one loop over
+passes, equals the scalar raw_word bit for bit for any split.  _BLOCK = 2**16
+is the one size this package cuts work by: counters per kernel pass, bytes
+per digit-file chunk, values per Reader.pieces read and per piece of a block
+reduction.  Reader.read runs on the calling thread, so worker threads call
+only _fill and the kernels, which a tracer of the public functions on one
+span stack (bench/tracing.py) never sees.  Reader._reduce_blocks takes every
+kind through one piece generator, and only a counter kind splits its blocks
+into contiguous parts of at least _BLOCK values counting every coordinate, up
+to one per CPU of the affinity mask, each generated and reduced in pieces on
+its own thread: the bytes do not depend on the split; taskset -c 0 uses one.
 The digit kernel reduces a word as z - m * (z // m), which is z mod m exactly
 in unsigned 64-bit arithmetic: numpy divides by a scalar with a multiply and
 shift, several times faster than its remainder.
@@ -138,81 +138,77 @@ def _work(kind: str, count: int) -> np.ndarray:
     return np.empty((rows, min(count, _BLOCK)), dtype=np.uint64)
 
 
-def _blocks(count: int, work: np.ndarray):
-    """(b0, z, tmp) per block of range(count); z, tmp are rows 0 and 1 of work."""
-    for b0 in range(0, count, _BLOCK):
-        n = min(_BLOCK, count - b0)
-        yield b0, work[0, :n], work[1, :n]
-
-
 def _digits_into(seed: int, start: int, out: np.ndarray, work: np.ndarray, m: int,
                  a: int | None = None) -> np.ndarray:
-    """The base-m digits at indices start..start+out.size-1 into out, any
-    dtype; the 0/1 indicators of symbol == a instead when a is given."""
+    """The base-m digits at indices start..start+out.size-1 (at most _BLOCK)
+    into out, any dtype; the 0/1 indicators of symbol == a instead when a is
+    given."""
     limit = _digit_limit(m)
     base = np.uint64(m)
-    for b0, z, tmp in _blocks(out.size, work):
-        _mix_into(z, tmp, seed, start + b0, 1)
-        # Rejection fires with probability (2**64 mod m)/2**64 < 1e-18 per
-        # draw; the stragglers are resolved through the scalar chain.
-        late = (np.flatnonzero(z >= np.uint64(limit))
-                if limit <= _MASK64 and z.max() >= np.uint64(limit) else ())
-        np.floor_divide(z, base, out=tmp)
-        np.multiply(tmp, base, out=tmp)
-        np.subtract(z, tmp, out=z)
-        dst = out[b0 : b0 + z.size]
-        if a is None:
-            dst[...] = z
-        else:
-            np.equal(z, np.uint64(a), out=dst)
-        for j in late:
-            sym = _sample_digit(seed, int(start + b0 + j), m, limit)
-            dst[j] = sym if a is None else sym == a
+    z, tmp = work[:2, :out.size]
+    _mix_into(z, tmp, seed, start, 1)
+    # Rejection fires with probability (2**64 mod m)/2**64 < 1e-18 per draw;
+    # the stragglers are resolved through the scalar chain.
+    late = (np.flatnonzero(z >= np.uint64(limit))
+            if limit <= _MASK64 and z.max() >= np.uint64(limit) else ())
+    np.floor_divide(z, base, out=tmp)
+    np.multiply(tmp, base, out=tmp)
+    np.subtract(z, tmp, out=z)
+    if a is None:
+        out[...] = z
+    else:
+        np.equal(z, np.uint64(a), out=out)
+    for j in late:
+        sym = _sample_digit(seed, int(start + j), m, limit)
+        out[j] = sym if a is None else sym == a
     return out
 
 
 def _bernoulli_block(seed: int, start: int, out: np.ndarray, work: np.ndarray,
                      p: float) -> np.ndarray:
-    """Bernoulli(p) draws at indices start..start+out.size-1 into out, any dtype."""
-    u = work[2].view(np.float64)
-    for b0, z, tmp in _blocks(out.size, work):
-        ub = _uniforms_into(_mix_into(z, tmp, seed, start + b0, 1), u[:z.size])
-        np.less(ub, p, out=out[b0 : b0 + z.size])
-    return out
+    """Bernoulli(p) draws at indices start..start+out.size-1 (at most _BLOCK)
+    into out, any dtype."""
+    z, tmp = work[:2, :out.size]
+    u = work[2, :out.size].view(np.float64)
+    return np.less(_uniforms_into(_mix_into(z, tmp, seed, start, 1), u), p, out=out)
 
 
 def _gaussian_block(seed: int, start: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Standard-normal vectors at indices start..start+len(out)-1 into the
-    float64 (count, d) array out.
+    """Standard-normal vectors at indices start..start+len(out)-1 (at most
+    _BLOCK) into the float64 (count, d) array out.
 
     Box-Muller sqrt(-2 log u1) cos(2 pi u2), u1 and u2 at counters 2i and
     2i + 1 of coordinate c's stream, which is offset by c * _DIM_STRIDE.
     """
-    buf = work[2:].view(np.float64)
-    for b0, z, tmp in _blocks(len(out), work):
-        u1, u2 = buf[0, :z.size], buf[1, :z.size]
-        for c in range(out.shape[1]):
-            first = 2 * (start + b0) + c * _DIM_STRIDE
-            _uniforms_into(_mix_into(z, tmp, seed, first, 2), u1)
-            _uniforms_into(_mix_into(z, tmp, seed, first + 1, 2), u2)
-            np.log(u1, out=u1)
-            np.multiply(u1, -2.0, out=u1)
-            np.sqrt(u1, out=u1)
-            np.multiply(u2, 2.0 * np.pi, out=u2)
-            np.cos(u2, out=u2)
-            np.multiply(u1, u2, out=out[b0 : b0 + z.size, c])
+    z, tmp = work[:2, :len(out)]
+    u1, u2 = work[2:].view(np.float64)[:, :len(out)]
+    for c in range(out.shape[1]):
+        first = 2 * start + c * _DIM_STRIDE
+        _uniforms_into(_mix_into(z, tmp, seed, first, 2), u1)
+        _uniforms_into(_mix_into(z, tmp, seed, first + 1, 2), u2)
+        np.log(u1, out=u1)
+        np.multiply(u1, -2.0, out=u1)
+        np.sqrt(u1, out=u1)
+        np.multiply(u2, 2.0 * np.pi, out=u2)
+        np.cos(u2, out=u2)
+        np.multiply(u1, u2, out=out[:, c])
     return out
 
 
 def _fill(src: "SeriesSource", start: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Values start..start+len(out)-1 of a counter-kind source into the
-    (count, d) array out, uint8 for digits and Bernoulli, float64 for Gaussian."""
-    if src.kind == "gaussian":
-        return _gaussian_block(src.seed, start, out, work)
-    if src.kind == "iid-digit":
-        _digits_into(src.seed, start, out[:, 0], work, src.m, src.indicator_a)
-    else:
-        _bernoulli_block(src.seed, start, out[:, 0], work, src.p)
+    (count, d) array out, uint8 for digits and Bernoulli, float64 for Gaussian.
+
+    The one loop over kernel passes: each _BLOCK rows of out take one call
+    of the kind's kernel, with work as its scratch."""
+    for b0 in range(0, len(out), _BLOCK):
+        rows = out[b0 : b0 + _BLOCK]
+        if src.kind == "gaussian":
+            _gaussian_block(src.seed, start + b0, rows, work)
+        elif src.kind == "iid-digit":
+            _digits_into(src.seed, start + b0, rows[:, 0], work, src.m, src.indicator_a)
+        else:
+            _bernoulli_block(src.seed, start + b0, rows[:, 0], work, src.p)
     return out
 
 
@@ -320,11 +316,11 @@ def _markov_states(spec: MarkovSpec, seed: int, first: int, count: int,
     state = spec.s if state is None else state
     states = np.empty(count, dtype=np.int64)
     work = _work("markov-chain", count)
-    u = work[2].view(np.float64)
-    for b0, z, tmp in _blocks(count, work):
-        ub = _uniforms_into(_mix_into(z, tmp, seed, first + b0, 1), u[:z.size])
+    for b0 in range(0, count, _BLOCK):
+        z, tmp, u = work[:, :min(_BLOCK, count - b0)]
+        u = _uniforms_into(_mix_into(z, tmp, seed, first + b0, 1), u.view(np.float64))
         states[b0 : b0 + z.size] = [state := bisect_right(rows[state], x)
-                                    for x in ub.tolist()]
+                                    for x in u.tolist()]
     return states
 
 
@@ -451,57 +447,49 @@ class Reader:
     def _reduce_blocks(self, n: int, k: int, reduce) -> list:
         """[reduce(pieces) for each part] over the next k blocks of n values.
 
-        A part is a run of whole blocks.  Its pieces iterator yields (j,
-        values) for successive runs of its blocks: j is the index of the
-        run's first block, counted from this call's first, and values the
-        run's observations as read would return them, in a buffer that the
-        next piece overwrites.  Every kind comes in pieces of at most _BLOCK
-        values (one block when n * d > _BLOCK), so each piece is reduced
-        while it is in cache.  A counter kind splits the k blocks into
-        min(_WORKERS, k, k * n * d // _BLOCK) contiguous parts: the first runs
-        on the calling thread, the others in parallel on a pool that lives for
-        this call (numpy releases the GIL inside each ufunc).  reduce runs on
-        its part's thread and must only write state of its own part.  A
-        Markov chain or a digit file has one part, read inline.  Raises
-        DataError, stating how many full blocks were available, when the
-        source ends first.
+        A part is a run of whole blocks j0..j1-1, counted from this call's
+        first.  Its piece generator part(j0, j1) yields (j, values) for
+        successive runs of them: j is the run's first block, and values the
+        run's observations as read would return them, in pieces of at most
+        _BLOCK values (one block when n * d > _BLOCK), so each piece is
+        reduced while it is in cache.  A counter kind fills each piece through
+        _fill into its part's buffer, which the next piece overwrites, and
+        splits the blocks into min(_WORKERS, k, k * n * d // _BLOCK) contiguous
+        parts: the first runs on the calling thread, the others in parallel on
+        a pool that lives for this call (numpy releases the GIL inside each
+        ufunc).  reduce runs on its part's thread and must only write state of
+        its own part.  A Markov chain or a digit file is one part, read on the
+        calling thread.  Raises DataError, stating how many full blocks were
+        available, when the source ends first.
         """
         src, d, start = self.source, self.source.d, self.pos
         _check_reach(src, start + k * n)
         step = max(1, _BLOCK // (n * d))
-        if src.kind not in _COUNTER_KINDS:
-            def read_pieces():
-                for j in range(0, k, step):
-                    want = min(step, k - j) * n
-                    if len(values := self.read(want)) < want:
-                        raise DataError("source exhausted: only %d full blocks of length "
-                                        "%d available, needed %d"
-                                        % ((self.pos - start) // n, n, k))
-                    yield j, values
-
-            return [reduce(read_pieces())]
+        dtype = _COUNTER_KINDS.get(src.kind)
 
         def part(j0: int, j1: int):
-            buf = np.empty((min(step, j1 - j0) * n, d), _COUNTER_KINDS[src.kind])
-            work = _work(src.kind, len(buf))
+            if dtype:
+                buf = np.empty((min(step, j1 - j0) * n, d), dtype)
+                work = _work(src.kind, len(buf))
+            for j in range(j0, j1, step):
+                want = min(step, j1 - j) * n
+                values = _fill(src, start + j * n, buf[:want], work) if dtype else self.read(want)
+                if len(values) < want:
+                    raise DataError("source exhausted: only %d full blocks of length "
+                                    "%d available, needed %d" % ((self.pos - start) // n, n, k))
+                yield j, values
 
-            def pieces():
-                for j in range(j0, j1, step):
-                    yield j, _fill(src, start + j * n, buf[:min(step, j1 - j) * n], work)
-
-            return reduce(pieces())
-
-        parts = min(_WORKERS, k, k * n * d // _BLOCK)
+        parts = min(_WORKERS, k, k * n * d // _BLOCK) if dtype else 1
         if parts < 2:
-            out = [part(0, k)]
+            out = [reduce(part(0, k))]
         else:
             from concurrent.futures import ThreadPoolExecutor  # 5 ms, paid only by a split
 
             edges = [k * i // parts for i in range(parts + 1)]
             with ThreadPoolExecutor(parts - 1) as pool:
-                rest = [pool.submit(part, j, j2) for j, j2 in zip(edges[1:-1], edges[2:])]
-                out = [part(0, edges[1])] + [f.result() for f in rest]
-        self.pos += k * n
+                rest = [pool.submit(reduce, part(j, j2)) for j, j2 in zip(edges[1:-1], edges[2:])]
+                out = [reduce(part(0, edges[1]))] + [f.result() for f in rest]
+        self.pos = start + k * n
         return out
 
 

@@ -1,4 +1,8 @@
-"""Tests for the package's public names."""
+"""Tests for the package's public names and what importing it loads."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +27,17 @@ def test_public_names_are_pinned():
     assert sorted(blockldp.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(blockldp, name), name
+
+
+def test_import_stays_lean():
+    # scipy and mpmath are test-only, and the thread pool is imported only by
+    # a block_means that splits; a fresh import of the CLI loads none of them.
+    lean = ("scipy", "mpmath", "concurrent.futures")
+    code = "import sys, blockldp.cli; print([m for m in %r if m in sys.modules])" % (lean,)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(blockldp.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 # Each construction is refused where it is built, before any value is read.

@@ -241,6 +241,19 @@ def test_block_means_guards(tmp_path):
         block_means(digit_source(0, 10), 2, 0)
 
 
+def test_exhaustion_is_counted_across_pieces(tmp_path, monkeypatch):
+    # With 8-value pieces a piece holds two blocks of 3, so a 39-symbol file
+    # runs out in the seventh piece: the blocks of every earlier piece count,
+    # and so does a file that ends inside a block.
+    sizes(monkeypatch, block=8)
+    for count in (39, 41):
+        p = tmp_path / ("d%d.txt" % count)
+        p.write_text("".join(str(i % 10) for i in range(count)))
+        with pytest.raises(DataError, match="only 13 full blocks of length 3 available, "
+                                            "needed 20"):
+            block_means(file_source(p, 10), 3, 20)
+
+
 def test_scgf_zero_tilt_is_exact():
     rng = np.random.default_rng(42)
     for _ in range(20):

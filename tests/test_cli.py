@@ -448,6 +448,19 @@ def test_freq_cli_decodes_file_once(tmp_path, monkeypatch, capsys):
     assert doc["N"] == 15 and doc["windows"] == 14
 
 
+@pytest.mark.parametrize("m, n0", [(10, 3), (2, 4), (7, 2)])
+def test_freq_cli_words_in_code_order(tmp_path, capsys, m, n0):
+    data = tmp_path / "d.txt"
+    data.write_text("".join(map(str, np.random.default_rng(m).integers(0, m, 500))))
+    out = tmp_path / "w.csv"
+    assert main(["freq", "--in", str(data), "--m", str(m), "--n0", str(n0),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    res = experiments.frequency_test(file_source(data, m), n0)
+    words = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert words == [res.word(c) for c in range(m ** n0)]
+
+
 def test_out_of_memory_exit_code(tmp_path):
     # An address-space limit on the child alone makes the 7.28 TiB array of
     # Gaussian block means fail to allocate (a lattice source such as iid-digit
@@ -709,6 +722,33 @@ def test_brownian_far_tail_oracle(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, config, want", [
+    (["analyze", "--kind", "iid-digit", "--n", "2000", "--c", "0.3"], None,
+     "n*k = 2000*3.773e+260 observations exceed"),
+    (["analyze", "--kind", "iid-digit", "--n", "5", "--k", str(3 * 10 ** 400)], None,
+     "n*k = 5*3.000e+400 observations exceed"),
+    (["brownian"], dict(BROWNIAN_SMALL, n_list=[1000], c=0.7),
+     "n=1000 needs n*k=1.014e+307 > 100000 observations"),
+    (["brownian"], dict(BROWNIAN_SMALL, x_list=[2.0]),
+     "center 2.0000000000000000e+00 violates"),
+], ids=["schedule-k", "given-k", "budget", "center"])
+def test_usage_errors_print_short_numbers(tmp_path, capsys, argv, config, want):
+    # A huge integer prints in e-notation formed from its digits (3e400 is
+    # past float range) and a center as a CSV cell: one short line, no
+    # traceback, and nothing written.
+    out = tmp_path / "out"
+    if config is None:
+        argv = argv + ["--out", str(out)]
+    else:
+        (tmp_path / "b.json").write_text(json.dumps(dict(config, out_dir=str(out))))
+        argv = argv + ["--config", str(tmp_path / "b.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 120 and "Traceback" not in err, err
+    assert err.startswith("error: ") and want in err, err
+    assert not out.exists()
 
 
 def test_selftest_passes(capsys):
