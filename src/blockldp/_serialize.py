@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -59,30 +60,49 @@ def read_csv_columns(path, expected_header: list[str] | None = None):
     """Read a CSV written by write_csv into a dict of float arrays.
 
     Cells parse with float(), the inverse of fmt_cell ('inf' is +infinity).
-    A row whose cell count differs from the header's, or a non-numeric
-    cell, raises DataError naming the line.
+    A file that is not UTF-8 text, a row whose cell count differs from the
+    header's, or a non-numeric cell, raises DataError naming the file.
     """
-    with open(path, "r", newline="") as fh:
-        header = fh.readline().strip().split(",")
-        if expected_header is not None and header != expected_header:
-            raise DataError("CSV header %r does not match expected %r"
-                            % (header, expected_header))
-        cols = [[] for _ in header]
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise DataError("%s line %d has %d cells, the header has %d"
-                                % (path, lineno, len(parts), len(header)))
-            try:
-                for col, part in zip(cols, parts):
-                    col.append(float(part))
-            except ValueError:
-                raise DataError("%s line %d has a non-numeric cell: %r"
-                                % (path, lineno, line))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = fh.readline().strip().split(",")
+            if expected_header is not None and header != expected_header:
+                raise DataError("CSV header %r does not match expected %r"
+                                % (header, expected_header))
+            cols = [[] for _ in header]
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != len(header):
+                    raise DataError("%s line %d has %d cells, the header has %d"
+                                    % (path, lineno, len(parts), len(header)))
+                try:
+                    for col, part in zip(cols, parts):
+                        col.append(float(part))
+                except ValueError:
+                    raise DataError("%s line %d has a non-numeric cell: %r"
+                                    % (path, lineno, line))
+    except UnicodeDecodeError as exc:
+        raise DataError("CSV %s is not UTF-8 text: %s" % (path, exc))
     return {name: np.array(vals) for name, vals in zip(header, cols)}
+
+
+def read_json_object(path, keys, what: str) -> dict:
+    """The JSON object in the file at path, named what in errors.  A file that
+    is not UTF-8 JSON, a value that is not an object and a key not in keys
+    raise UsageError; an unreadable file raises OSError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad bytes, bad JSON, too deep
+            raise UsageError("%s %s is not UTF-8 JSON: %s" % (what, path, exc))
+    if not isinstance(doc, dict):
+        raise UsageError("%s %s must be a JSON object" % (what, path))
+    if unknown := sorted(set(doc) - set(keys)):
+        raise UsageError("unknown %s keys: %s" % (what, ", ".join(unknown)))
+    return doc
 
 
 def json_safe(obj):

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from ._errors import DataError, NumericalError, UsageError
-from ._serialize import (fmt_cell, json_safe, make_grid, read_csv_columns, write_csv,
-                         write_rows)
+from ._serialize import (fmt_cell, json_safe, make_grid, read_csv_columns,
+                         read_json_object, write_csv, write_rows)
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
                          scgf_values)
 from .convex import legendre
@@ -51,16 +51,7 @@ def _load_markov_file(path) -> MarkovSpec:
     """Parse a Markov spec file {"P": ..., "phi": ..., "pi"?} into a checked spec."""
     if path is None:
         raise UsageError("a Markov model needs --markov-file")
-    with open(path, "r") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError("Markov spec %s is not valid JSON: %s" % (path, exc))
-    if not isinstance(doc, dict):
-        raise UsageError("Markov spec %s must be a JSON object" % path)
-    unknown = sorted(set(doc) - {"P", "phi", "pi"})
-    if unknown:
-        raise UsageError("unknown Markov spec keys: %s" % ", ".join(unknown))
+    doc = read_json_object(path, ("P", "phi", "pi"), "Markov spec")
     if "P" not in doc or "phi" not in doc:
         raise UsageError("Markov spec %s needs both P and phi" % path)
     return MarkovSpec(P=doc["P"], phi=doc["phi"], pi=doc.get("pi"))
@@ -138,17 +129,12 @@ def _build_source(args):
 
 
 def _open_run(args, out, *more) -> RunRecord:
-    """Open the run of a file-writing command that writes out, its manifest
-    and the paths in more (None is no file).  The record hashes the files the
-    run reads, its --in file and a chain's --markov-file, from now on, so an
-    output that names one of them raises UsageError first."""
-    inputs = (getattr(args, "infile", None),)
+    """Open the run of a file-writing command, which writes out, its manifest
+    and the paths in more (None is no file) and reads its --in file and a
+    chain's --markov-file; RunRecord refuses an output that is a file read."""
     specs = (args.markov_file,) if getattr(args, "kind", None) == "markov" else ()
-    reads = {os.path.realpath(p) for p in (*inputs, *specs) if p}
-    for path in (out, out + ".manifest.json", *more):
-        if path and os.path.realpath(path) in reads:
-            raise UsageError("output %s is an input of this run" % path)
-    return RunRecord(args.command, inputs, specs)
+    return RunRecord(args.command, out + ".manifest.json", tuple(filter(None, (out, *more))),
+                     (getattr(args, "infile", None),), specs)
 
 
 # The source flags that a run from each --kind leaves unread (None: --in, or
@@ -178,7 +164,7 @@ def cmd_gen(args) -> int:
         for values in reader.pieces(count):
             # Digit and Bernoulli values are uint8 and print as integers.
             write_rows(fh, values.tolist(), " ")
-    record.write(out + ".manifest.json", _flags(args), [out], [src.seed])
+    record.write(_flags(args), [src.seed])
     print("wrote %d lines to %s" % (count, out))
     return 0
 
@@ -201,12 +187,12 @@ def cmd_analyze(args) -> int:
     ball = None if args.ball is None else _parse_ball(args.ball)
     stats = block_means(src, n, k)
     values = scgf_values(stats, lam)
-    files = [write_csv(out, ["lambda", "value"], zip(lam, values))]
+    write_csv(out, ["lambda", "value"], zip(lam, values))
     if ball is not None:
         center, eps = ball
         _, mass = ball_mass(stats, center, eps)
-        files.append(write_csv(ball_out, ["x", "mass"], [(center, mass)]))
-    record.write(out + ".manifest.json", _flags(args), files, [src.seed])
+        write_csv(ball_out, ["x", "mass"], [(center, mass)])
+    record.write(_flags(args), [src.seed])
     print("wrote %s (n=%d, k=%d, %d tilt points)" % (out, n, k, lam.size))
     return 0
 
@@ -220,9 +206,9 @@ def cmd_legendre(args) -> int:
         raise DataError("input lambda column must be strictly increasing")
     res = legendre(SampledFunction(grid=grid, values=cols["value"]),
                    _parse_grid(args.x_grid))
-    files = [write_csv(out, ["x", "value", "argmax_lambda", "boundary"],
-                       zip(res.xs, res.values, res.argmax, res.boundary))]
-    record.write(out + ".manifest.json", _flags(args), files)
+    write_csv(out, ["x", "value", "argmax_lambda", "boundary"],
+              zip(res.xs, res.values, res.argmax, res.boundary))
+    record.write(_flags(args))
     print("wrote %s (%d conjugate points)" % (out, res.xs.size))
     return 0
 
@@ -261,9 +247,10 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_brownian(args) -> int:
-    record = RunRecord(args.command)
     cfg = ExperimentConfig.from_json(args.config)
     cfg.out_dir = _resolve_out(cfg.out_dir)
+    out = os.path.join(cfg.out_dir, "brownian.csv")
+    record = RunRecord(args.command, os.path.join(cfg.out_dir, "manifest.json"), (out,))
     echo = cfg.check_reads("brownian", ("gaussian",),
                            ("m", "a", "path", "lambda0", "lambda_grid", "x_grid"))
     for name in ("c", "eps", "R"):
@@ -276,9 +263,8 @@ def cmd_brownian(args) -> int:
     res = brownian_experiment(cfg.d, cfg.R, schedule, cfg.n_list, cfg.x_list,
                               cfg.eps, cfg.seeds)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    out = os.path.join(cfg.out_dir, "brownian.csv")
-    files = [write_csv(out, res.columns, res.rows)]
-    record.write(os.path.join(cfg.out_dir, "manifest.json"), echo, files, cfg.seeds)
+    write_csv(out, res.columns, res.rows)
+    record.write(echo, cfg.seeds)
     print("wrote %s (%d rows)" % (out, len(res.rows)))
     return 0
 
@@ -290,8 +276,8 @@ def cmd_freq(args) -> int:
     if record is not None:
         # The words in code order: res.word(c) for c < m**n0, a product of digits.
         words = map("".join, itertools.product("0123456789"[:res.m], repeat=res.n0))
-        files = [write_csv(out, ["word", "count", "freq"], zip(words, res.counts, res.freqs))]
-        record.write(out + ".manifest.json", _flags(args), files)
+        write_csv(out, ["word", "count", "freq"], zip(words, res.counts, res.freqs))
+        record.write(_flags(args))
     doc = {"m": res.m, "n0": res.n0, "N": res.N, "windows": res.windows,
            "uniform": args.m ** (-float(args.n0)), "max_dev": res.max_dev}
     print(json.dumps(json_safe(doc), indent=2, sort_keys=True))
@@ -474,9 +460,6 @@ def main(argv=None) -> int:
         return 0
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print("error: invalid JSON input: %s" % exc, file=sys.stderr)
         return 2
     except (DataError, NumericalError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from ._errors import DataError, NumericalError, UsageError, fmt_int
-from ._serialize import _sha256, fmt_cell, grid_spec, json_safe, make_grid, write_csv
+from ._serialize import (_sha256, fmt_cell, grid_spec, json_safe, make_grid,
+                         read_json_object, write_csv)
 from .blockstats import SampledFunction, _ball_rate, ball_mass, block_means, scgf_values
 from .convex import ConjugateResult, grad_estimate, legendre
 from .models import ScgfModel, digit_indicator_model
@@ -57,15 +58,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise UsageError("config %s must be a JSON object" % path)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise UsageError("unknown config keys: %s" % ", ".join(unknown))
-        cfg = cls(**doc)
+        """The config in the JSON file at path; a file that is not a UTF-8 JSON
+        object, an unknown key or a value of the wrong type raises UsageError."""
+        cfg = cls(**read_json_object(path, {f.name for f in fields(cls)}, "config"))
 
         def number(v):
             return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -146,18 +141,20 @@ class RunManifest:
 
 @dataclass
 class RunRecord:
-    """A command's or pipeline's run, opened when it starts: the one start of
-    a run's clock.  write() builds and writes every manifest.  A run fed by
-    files (inputs; None is no file) records seeds [] and the sha256 of each
-    input keyed by basename; a generated run records its seeds, and the
-    sha256 of each spec file it read (specs, such as a Markov chain's).
+    """A run, opened before it reads or writes anything: the one start of its
+    clock.  It is given the manifest and outputs the run writes and the files
+    it reads (inputs and specs, such as a chain's; None is no file), and
+    raises UsageError when the manifest or an output is, after symlinks, a
+    file the run reads.  write() writes the manifest, listing the outputs: a
+    run fed by files records seeds [] and the sha256 of each input keyed by
+    basename, a generated run its seeds and the sha256 of each spec it read.
 
-    The files are hashed on one daemon thread started here, when any path is
-    given, so the digests are taken while the run reads and computes; write()
-    joins it and re-raises the first error it hit (an OSError exits 4).  So
-    a run must write over none of its input and spec files."""
+    The files read are hashed on one daemon thread started here, while the
+    run computes; write() joins it and re-raises its first error (an OSError exits 4)."""
 
     command: str
+    manifest: str
+    outputs: tuple = ()
     inputs: tuple = ()
     specs: tuple = ()
     started: float = field(default_factory=time.monotonic)
@@ -166,6 +163,10 @@ class RunRecord:
         self._digests = dict.fromkeys(p for p in (*self.inputs, *self.specs) if p)
         self._helper = None
         if self._digests:
+            reads = set(map(os.path.realpath, self._digests))
+            for path in (*self.outputs, self.manifest):
+                if os.path.realpath(path) in reads:
+                    raise UsageError("output %s is an input of this run" % path)
             self._helper = threading.Thread(target=self._hash, daemon=True)
             self._helper.start()
 
@@ -178,7 +179,7 @@ class RunRecord:
             except Exception as exc:
                 self._digests[path] = exc
 
-    def write(self, path, config: dict, files, seeds=()) -> str:
+    def write(self, config: dict, seeds=()) -> str:
         if self._helper is not None:
             self._helper.join()
         for digest in self._digests.values():
@@ -187,9 +188,9 @@ class RunRecord:
         return RunManifest(
             command=self.command, config=config,
             seeds=[] if any(self.inputs) else list(seeds),
-            files=list(files), wallclock_s=round(time.monotonic() - self.started, 3),
+            files=list(self.outputs), wallclock_s=round(time.monotonic() - self.started, 3),
             input_checksums={os.path.basename(p): d for p, d in self._digests.items()},
-        ).write(path)
+        ).write(self.manifest)
 
 
 @dataclass
@@ -247,7 +248,6 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     echo = config.check_reads("fig1", ("iid-digit", "digit-file"),
                               ("d", "c", "gamma", "R", "x_list", "eps",
                                "seeds" if config.kind == "digit-file" else "path"))
-    record = RunRecord("fig1", (config.path,))
     model = digit_indicator_model(config.m, config.a)
     lambda0 = 0.8 if config.lambda0 is None else float(config.lambda0)
     c = rate_along(model, lambda0)
@@ -260,12 +260,19 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     else:
         base, seeds = digit_source(0, config.m, indicator_a=config.a), config.seeds
     block_runs = _block_runs(base, schedule, config.n_list, seeds)
+
+    def csv_path(stem, n, seed):
+        return os.path.join(config.out_dir, "%s_n%d_s%d.csv" % (stem, n, seed))
+
+    record = RunRecord("fig1", os.path.join(config.out_dir, "manifest.json"),
+                       (*(csv_path(stem, n, seed) for seed in seeds for n in config.n_list
+                          for stem in ("scgf", "abserr", "conj", "grad")),
+                        os.path.join(config.out_dir, "summary.csv")), (config.path,))
     os.makedirs(config.out_dir, exist_ok=True)
     # The grid columns and the model row repeat in every run: compute them once.
     lam_cells, x_cells = (list(map(fmt_cell, grid)) for grid in (lam_grid, x_grid))
     truth = model.lam(lam_grid)
     runs = []
-    files = []
     summary_rows = []
     for seed, n, k, stats in block_runs:
         scgf = SampledFunction(grid=lam_grid, values=scgf_values(stats, lam_grid))
@@ -274,29 +281,24 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
         grad = grad_estimate(scgf)
         mean_min = float(stats.means.min())
         mean_max = float(stats.means.max())
-        tag = "n%d_s%d" % (n, seed)
         for stem, header, cols in (
                 ("scgf", ["lambda", "value"], (lam_cells, scgf.values)),
                 ("abserr", ["lambda", "abs_error"], (lam_cells, abs_err)),
                 ("conj", ["x", "value", "argmax_lambda", "boundary"],
                  (x_cells, conj.values, conj.argmax, conj.boundary)),
                 ("grad", ["lambda", "derivative"], (lam_cells, grad.values))):
-            path = os.path.join(config.out_dir, "%s_%s.csv" % (stem, tag))
-            files.append(write_csv(path, header, zip(*cols)))
+            write_csv(csv_path(stem, n, seed), header, zip(*cols))
         summary_rows.append((n, seed, k, mean_min, mean_max))
         runs.append(Fig1Run(n=n, k=k, seed=seed, scgf=scgf, abs_err=abs_err,
                             conj=conj, grad=grad, mean_min=mean_min,
                             mean_max=mean_max))
-    files.append(write_csv(os.path.join(config.out_dir, "summary.csv"),
-                           ["n", "seed", "k", "mean_min", "mean_max"],
-                           summary_rows))
+    write_csv(record.outputs[-1], ["n", "seed", "k", "mean_min", "mean_max"], summary_rows)
     echo.update(c=c, k_by_n={str(n): ks[n] for n in config.n_list},
                 lambda_grid=grid_spec(lam_grid[0], config.lambda_grid[2], len(lam_grid)),
                 x_grid=grid_spec(x_grid[0], config.x_grid[2], len(x_grid)),
                 grid_note="lambda/x grids and n spacing are reconstructions")
-    manifest_path = record.write(os.path.join(config.out_dir, "manifest.json"), echo,
-                                 files, seeds)
-    return Fig1Result(c=c, runs=runs, files=files, manifest_path=manifest_path)
+    return Fig1Result(c=c, runs=runs, files=list(record.outputs),
+                      manifest_path=record.write(echo, seeds))
 
 
 @dataclass

@@ -918,3 +918,91 @@ def test_runs_hash_their_inputs_on_a_thread_that_ends_with_them(tmp_path, monkey
         assert hashed == want, argv
         assert set(threading.enumerate()) <= before, argv
     capsys.readouterr()
+
+
+def _tree(root):
+    """Every path under root, directories included, with each file's bytes."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("name", ["summary.csv", "scgf_n20_s0.csv", "manifest.json"])
+def test_fig1_refuses_to_write_over_its_digit_file(tmp_path, monkeypatch, capsys, name):
+    # The digit file sits where the run would put one of its outputs: the run
+    # exits 2 before it reads, writes or makes anything.
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("out")
+    shutil.copy(sources.pi_fixture_path(), os.path.join("out", name))
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"kind": "digit-file", "path": "out/" + name, "n_list": [20], "out_dir": "out",
+         "lambda0": 0.8}))
+    before = _tree(tmp_path)
+    assert main(["fig1", "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: output out/%s is an input of this run\n" % name
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    (["fig1", "--config", "bad.json"], 2, "config bad.json is not UTF-8 JSON"),
+    (["brownian", "--config", "bad.json"], 2, "config bad.json is not UTF-8 JSON"),
+    (["gen", "--kind", "markov", "--markov-file", "bad.json", "--count", "3",
+      "--out", "g.txt"], 2, "Markov spec bad.json is not UTF-8 JSON"),
+    (["regime", "--model", "markov:bad.json", "--lambda0", "0.5"], 2,
+     "Markov spec bad.json is not UTF-8 JSON"),
+    (["legendre", "--in", "bad.csv", "--x-grid", "0,1", "--out", "l.csv"], 3,
+     "CSV bad.csv is not UTF-8 text"),
+    (["gen", "--kind", "markov", "--markov-file", "deep.json", "--count", "3",
+      "--out", "g.txt"], 2, "Markov spec deep.json is not UTF-8 JSON: maximum recursion"),
+], ids=["fig1", "brownian", "gen-markov", "regime-markov", "legendre-csv", "too-deep"])
+def test_unreadable_json_or_csv_is_one_error_line(tmp_path, monkeypatch, capsys, argv,
+                                                  code, want):
+    # A config or a chain spec that is not UTF-8 JSON, or nests deeper than
+    # the parser recurses, is a usage error; a CSV input that is not UTF-8
+    # text is a data error.  Each names its file, and nothing is written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(b'{"P": [[1.0]], "phi": [0.0], "x": "\xff"}')
+    (tmp_path / "bad.csv").write_bytes(b"lambda,value\n0.0,0.\xff\n")
+    (tmp_path / "deep.json").write_text('{"P": %s}' % ("[" * 10 ** 5 + "]" * 10 ** 5))
+    before = _tree(tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + want) and err.count("\n") == 1, err
+    assert _tree(tmp_path) == before
+
+
+def test_every_manifest_lists_the_files_its_run_made(tmp_path, monkeypatch, capsys):
+    # A manifest's files are the outputs its run declared when it opened; they
+    # must be exactly the files the run created, the manifest aside.
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(sources.pi_fixture_path(), "pi.txt")
+    file_fed = dict(FIG1_SMALL, kind="digit-file", path="pi.txt", out_dir="ff")
+    del file_fed["seeds"]
+    for name, cfg in (("bw.json", dict(BROWNIAN_SMALL, out_dir="bw")),
+                      ("fg.json", dict(FIG1_SMALL, seeds=[1, 2], out_dir="fg")),
+                      ("ff.json", file_fed)):
+        (tmp_path / name).write_text(json.dumps(cfg))
+    for argv, man, _ in MANIFEST_RUNS:
+        before = {p for p in tmp_path.rglob("*") if p.is_file()}
+        assert main(argv) == 0, argv
+        made = {p for p in tmp_path.rglob("*") if p.is_file()} - before
+        with open(man) as fh:
+            files = json.load(fh)["files"]
+        assert files == sorted(p.name for p in made - {tmp_path / man}), argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--in", "d.txt", "--n", "2", "--k", "2", "--out", "link.csv"],
+    ["legendre", "--in", "s.csv", "--x-grid", "0,1", "--out", "link.csv"],
+    ["freq", "--in", "d.txt", "--out", "link.csv"],
+], ids=["analyze", "legendre", "freq"])
+def test_output_linked_to_an_input_is_refused(tmp_path, monkeypatch, capsys, argv):
+    # An --out that is a symlink to the --in file names the same file.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.txt").write_text("31415926")
+    (tmp_path / "s.csv").write_text("lambda,value\n0.0,0.0\n1.0,0.5\n")
+    os.symlink(argv[2], "link.csv")
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: output link.csv is an input of this run\n"
+    assert _tree(tmp_path) == before
