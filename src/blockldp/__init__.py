@@ -21,8 +21,8 @@ from .convex import ConjugateResult, grad_estimate, legendre
 from .regimes import RegimeReport, Schedule, classify, find_level_points
 from .experiments import (BrownianResult, ExperimentConfig, Fig1Result,
                           FrequencyResult, RegimeEvidence, RunManifest,
-                          brownian_experiment, fig1_pipeline, frequency_test,
-                          regime_experiment)
+                          brownian_experiment, brownian_pipeline, fig1_pipeline,
+                          frequency_test, regime_experiment)
 
 __all__ = [
     "__version__",
@@ -36,6 +36,6 @@ __all__ = [
     "ConjugateResult", "find_level_points", "grad_estimate", "legendre",
     "RegimeReport", "Schedule", "classify",
     "BrownianResult", "ExperimentConfig", "Fig1Result", "FrequencyResult",
-    "RegimeEvidence", "RunManifest", "brownian_experiment", "fig1_pipeline",
-    "frequency_test", "regime_experiment",
+    "RegimeEvidence", "RunManifest", "brownian_experiment", "brownian_pipeline",
+    "fig1_pipeline", "frequency_test", "regime_experiment",
 ]

@@ -29,7 +29,7 @@ from ._serialize import (fmt_cell, json_safe, make_grid, read_csv_columns,
 from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
                          scgf_values)
 from .convex import legendre
-from .experiments import (ExperimentConfig, RunRecord, brownian_experiment, fig1_pipeline,
+from .experiments import (ExperimentConfig, RunRecord, brownian_pipeline, fig1_pipeline,
                           frequency_test)
 from .models import (bernoulli_model, digit_indicator_model, gaussian_model,
                      markov_model)
@@ -240,7 +240,7 @@ def cmd_regime(args) -> int:
 def cmd_fig1(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     cfg.out_dir = _resolve_out(cfg.out_dir)
-    res = fig1_pipeline(cfg)
+    res = fig1_pipeline(cfg, config_file=args.config)
     print("fig1: c=%.9f, %d runs, %d files, manifest %s"
           % (res.c, len(res.runs), len(res.files), res.manifest_path))
     return 0
@@ -249,23 +249,8 @@ def cmd_fig1(args) -> int:
 def cmd_brownian(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     cfg.out_dir = _resolve_out(cfg.out_dir)
-    out = os.path.join(cfg.out_dir, "brownian.csv")
-    record = RunRecord(args.command, os.path.join(cfg.out_dir, "manifest.json"), (out,))
-    echo = cfg.check_reads("brownian", ("gaussian",),
-                           ("m", "a", "path", "lambda0", "lambda_grid", "x_grid"))
-    for name in ("c", "eps", "R"):
-        if getattr(cfg, name) is None:
-            raise UsageError("brownian config needs %r" % name)
-    if not cfg.x_list:
-        raise UsageError("brownian config needs a nonempty x_list")
-    schedule = Schedule(cfg.c, cfg.gamma)
-    cfg.block_counts(schedule)
-    res = brownian_experiment(cfg.d, cfg.R, schedule, cfg.n_list, cfg.x_list,
-                              cfg.eps, cfg.seeds)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_csv(out, res.columns, res.rows)
-    record.write(echo, cfg.seeds)
-    print("wrote %s (%d rows)" % (out, len(res.rows)))
+    res = brownian_pipeline(cfg, config_file=args.config)
+    print("wrote %s (%d rows)" % (res.files[0], len(res.rows)))
     return 0
 
 

@@ -143,30 +143,33 @@ class RunManifest:
 class RunRecord:
     """A run, opened before it reads or writes anything: the one start of its
     clock.  It is given the manifest and outputs the run writes and the files
-    it reads (inputs and specs, such as a chain's; None is no file), and
-    raises UsageError when the manifest or an output is, after symlinks, a
-    file the run reads.  write() writes the manifest, listing the outputs: a
-    run fed by files records seeds [] and the sha256 of each input keyed by
-    basename, a generated run its seeds and the sha256 of each spec it read.
+    it reads (inputs, specs such as a chain's, and a pipeline's config file;
+    None is no file), and raises UsageError when the manifest or an output
+    is, after symlinks, a file the run reads.  write() writes the manifest,
+    listing the outputs: a run fed by files records seeds [] and the sha256
+    of each input keyed by basename, a generated run its seeds and the sha256
+    of each spec it read; the config file is not hashed.
 
-    The files read are hashed on one daemon thread started here, while the
-    run computes; write() joins it and re-raises its first error (an OSError exits 4)."""
+    The inputs and specs are hashed on one daemon thread started here, while
+    the run computes; write() joins it and re-raises its first error (an
+    OSError exits 4)."""
 
     command: str
     manifest: str
     outputs: tuple = ()
     inputs: tuple = ()
     specs: tuple = ()
+    config_file: str | None = None
     started: float = field(default_factory=time.monotonic)
 
     def __post_init__(self):
         self._digests = dict.fromkeys(p for p in (*self.inputs, *self.specs) if p)
         self._helper = None
-        if self._digests:
-            reads = set(map(os.path.realpath, self._digests))
+        if reads := set(map(os.path.realpath, filter(None, (*self._digests, self.config_file)))):
             for path in (*self.outputs, self.manifest):
                 if os.path.realpath(path) in reads:
                     raise UsageError("output %s is an input of this run" % path)
+        if self._digests:
             self._helper = threading.Thread(target=self._hash, daemon=True)
             self._helper.start()
 
@@ -226,7 +229,7 @@ def _block_runs(source: SeriesSource, schedule: Schedule, n_list, seeds):
             for n, k in zip(n_list, ks))
 
 
-def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
+def fig1_pipeline(config: ExperimentConfig, *, config_file=None) -> Fig1Result:
     """Digit-experiment pipeline: empirical SCGF, error, conjugate, slope range.
 
     The source yields base-m symbols (counter-based generator or digit file);
@@ -243,7 +246,8 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     sizes the attained interval sits O(log n / n) inside it, because the
     polynomial prefactor of the binomial tail keeps the extreme block sums
     short of n*x1 and n*x2 (base-10 digits at lambda0 = 0.8, n = 150,
-    k = 633: E[max sum] = 27.5 against 150*x2 = 29.7).
+    k = 633: E[max sum] = 27.5 against 150*x2 = 29.7).  config_file is the
+    file config was read from (None for one built in code); no output may be it.
     """
     echo = config.check_reads("fig1", ("iid-digit", "digit-file"),
                               ("d", "c", "gamma", "R", "x_list", "eps",
@@ -267,7 +271,8 @@ def fig1_pipeline(config: ExperimentConfig) -> Fig1Result:
     record = RunRecord("fig1", os.path.join(config.out_dir, "manifest.json"),
                        (*(csv_path(stem, n, seed) for seed in seeds for n in config.n_list
                           for stem in ("scgf", "abserr", "conj", "grad")),
-                        os.path.join(config.out_dir, "summary.csv")), (config.path,))
+                        os.path.join(config.out_dir, "summary.csv")), (config.path,),
+                       config_file=config_file)
     os.makedirs(config.out_dir, exist_ok=True)
     # The grid columns and the model row repeat in every run: compute them once.
     lam_cells, x_cells = (list(map(fmt_cell, grid)) for grid in (lam_grid, x_grid))
@@ -361,10 +366,13 @@ def regime_experiment(model: ScgfModel, source: SeriesSource, lambda0: float,
 
 @dataclass
 class BrownianResult:
-    """Ball-mass and local-rate table for Gaussian block increments."""
+    """Ball-mass and local-rate table for Gaussian block increments; from
+    brownian_pipeline, also the files it wrote and its manifest's path."""
 
     columns: list
     rows: list
+    files: list = field(default_factory=list)
+    manifest_path: str | None = None
 
 
 def brownian_experiment(d: int, R: float, schedule: Schedule, n_list, x_list,
@@ -416,6 +424,29 @@ def brownian_experiment(d: int, R: float, schedule: Schedule, n_list, x_list,
             rows.append((n, seed, xcell, k, count, mass, rate, oracle,
                          oracle_rate, rel, margin_ok))
     return BrownianResult(columns=columns, rows=rows)
+
+
+def brownian_pipeline(config: ExperimentConfig, *, config_file=None) -> BrownianResult:
+    """brownian_experiment on a gaussian config, written to out_dir as brownian.csv
+    with a manifest.  The config needs c, eps, R and a nonempty x_list and keeps
+    its n * k(n) within budget; config_file is as in fig1_pipeline."""
+    echo = config.check_reads("brownian", ("gaussian",),
+                              ("m", "a", "path", "lambda0", "lambda_grid", "x_grid"))
+    for name in ("c", "eps", "R"):
+        if getattr(config, name) is None:
+            raise UsageError("brownian config needs %r" % name)
+    if not config.x_list:
+        raise UsageError("brownian config needs a nonempty x_list")
+    schedule = Schedule(config.c, config.gamma)
+    config.block_counts(schedule)
+    out = os.path.join(config.out_dir, "brownian.csv")
+    record = RunRecord("brownian", os.path.join(config.out_dir, "manifest.json"), (out,),
+                       config_file=config_file)
+    res = brownian_experiment(config.d, config.R, schedule, config.n_list, config.x_list,
+                              config.eps, config.seeds)
+    os.makedirs(config.out_dir, exist_ok=True)
+    write_csv(out, res.columns, res.rows)
+    return replace(res, files=[out], manifest_path=record.write(echo, config.seeds))
 
 
 @dataclass

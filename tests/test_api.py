@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "RegimeEvidence", "RegimeReport", "RunManifest", "SampledFunction", "ScgfModel",
     "Schedule", "SeriesSource", "UsageError", "__version__", "ball_mass",
     "bernoulli_model", "bernoulli_source", "block_means", "brownian_experiment",
-    "classify", "digit_indicator_model", "digit_source",
+    "brownian_pipeline", "classify", "digit_indicator_model", "digit_source",
     "fig1_pipeline", "file_source", "find_level_points", "frequency_test",
     "gaussian_model", "gaussian_source", "grad_estimate", "legendre", "markov_model",
     "markov_source", "pairwise_sum", "pi_fixture_path", "regime_experiment",

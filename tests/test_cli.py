@@ -341,6 +341,17 @@ def test_legendre_cli_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_legendre_cli_refuses_minus_inf(tmp_path, monkeypatch, capsys):
+    # A -inf value is a data error (exit 3), not a sample to drop as +inf is.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.csv").write_text("lambda,value\n0,-inf\n1,2\n")
+    before = _tree(tmp_path)
+    assert main(["legendre", "--in", "c.csv", "--x-grid", "0,0.5", "--out", "o.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "-inf" in err and err.count("\n") == 1, err
+    assert _tree(tmp_path) == before
+
+
 def test_regime_cli_gaussian_json(capsys):
     code = main(["regime", "--model", "gaussian:1", "--lambda0", "1.0"])
     assert code == 0
@@ -939,6 +950,28 @@ def test_fig1_refuses_to_write_over_its_digit_file(tmp_path, monkeypatch, capsys
     assert main(["fig1", "--config", "cfg.json"]) == 2
     err = capsys.readouterr().err
     assert err == "error: output out/%s is an input of this run\n" % name
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, config, name", [
+    ("fig1", {"kind": "iid-digit", "seeds": [1], "n_list": [20], "out_dir": "out",
+              "lambda0": 0.8}, "out/summary.csv"),
+    ("brownian", {"kind": "gaussian", "c": 0.3, "R": 1.0, "eps": 0.1, "x_list": [0.0],
+                  "n_list": [10], "seeds": [1], "out_dir": "bw"}, "bw/brownian.csv"),
+    ("fig1", {"kind": "iid-digit", "seeds": [1], "n_list": [20], "out_dir": "out2",
+              "lambda0": 0.8}, "out2/manifest.json"),
+], ids=["fig1-summary", "brownian-table", "fig1-manifest"])
+def test_pipeline_refuses_to_write_over_its_config(tmp_path, monkeypatch, capsys, command,
+                                                   config, name):
+    # The config sits where the run would put one of its outputs: the run
+    # exits 2 before it writes or makes anything, and the config is intact.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BLOCKLDP_OUT", raising=False)
+    os.mkdir(os.path.dirname(name))
+    (tmp_path / name).write_text(json.dumps(config))
+    before = _tree(tmp_path)
+    assert main([command, "--config", name]) == 2
+    assert capsys.readouterr().err == "error: output %s is an input of this run\n" % name
     assert _tree(tmp_path) == before
 
 

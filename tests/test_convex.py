@@ -158,6 +158,14 @@ def test_legendre_rejects_non_finite_x():
             legendre(_quad(), np.array([0.5, x]))
 
 
+def test_legendre_rejects_minus_inf_values():
+    # A -inf sample makes the conjugate +inf at every x; it is no sample of a
+    # function with values in R or +inf, so it is refused as NaN is.
+    f = SampledFunction(grid=np.array([0.0, 1.0]), values=np.array([-np.inf, 2.0]))
+    with pytest.raises(DataError, match="-inf"):
+        legendre(f, np.array([0.0, 0.5]))
+
+
 def test_grad_estimate_low_degree_exact():
     g = make_grid(-2.0, 2.0, 0.01)
     est = grad_estimate(SampledFunction(grid=g, values=2.0 * g - 1.0))

@@ -10,7 +10,7 @@ import pytest
 
 from blockldp import (DataError, ExperimentConfig, RunManifest, Schedule, UsageError,
                       bernoulli_model, bernoulli_source, brownian_experiment,
-                      digit_indicator_model, digit_source, fig1_pipeline,
+                      brownian_pipeline, digit_indicator_model, digit_source, fig1_pipeline,
                       file_source, frequency_test, gaussian_source,
                       pi_fixture_path, regime_experiment)
 
@@ -179,6 +179,34 @@ def test_regime_experiment_critical_rows():
     assert pred[2.0] == pytest.approx(TILTED_T2, abs=1e-13)
     for r in ev.rows:
         assert r[6] == pytest.approx(abs(r[4] - r[5]), rel=1e-12)
+
+
+def test_brownian_pipeline_writes_what_the_cli_writes(tmp_path, monkeypatch, capsys):
+    # The same config file, run by the CLI in one directory and by the library
+    # in another: equal CSV bytes, and equal manifests but for wallclock_s.
+    from blockldp.cli import main
+
+    monkeypatch.delenv("BLOCKLDP_OUT", raising=False)
+    cfg = {"kind": "gaussian", "c": 0.5, "gamma": 1.0, "R": 1.0, "eps": 0.2,
+           "x_list": [0.0, -0.5], "n_list": [4, 6], "seeds": [1, 2], "out_dir": "bw"}
+    cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+    for work in (cli_dir, lib_dir):
+        work.mkdir()
+        (work / "b.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(cli_dir)
+    assert main(["brownian", "--config", "b.json"]) == 0
+    assert capsys.readouterr().out == "wrote bw/brownian.csv (8 rows)\n"
+    monkeypatch.chdir(lib_dir)
+    res = brownian_pipeline(ExperimentConfig.from_json("b.json"), config_file="b.json")
+    assert (res.files, res.manifest_path) == (["bw/brownian.csv"], "bw/manifest.json")
+    assert len(res.rows) == 8 and sorted(os.listdir("bw")) == ["brownian.csv", "manifest.json"]
+
+    def written(work):
+        return [[line for line in (work / "bw" / name).read_bytes().splitlines(True)
+                 if not line.lstrip().startswith(b'"wallclock_s": ')]
+                for name in ("brownian.csv", "manifest.json")]
+
+    assert written(cli_dir) == written(lib_dir)
 
 
 def test_brownian_experiment_oracle_columns():
