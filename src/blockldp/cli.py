@@ -297,9 +297,9 @@ SELFTESTS = [
      lambda: legendre(SampledFunction(grid=np.array([-1.0, 0.0, 1.0]),
                                       values=np.array([1.0, 0.0, 1.0])), [0.5, 2.0])
      .values.tolist() == [0.0, 1.0]),
-    ("level points of the gaussian rate at 1/8 are -1/2 and 1/2",
+    ("level points of the gaussian rate at 1/8 are -1/2 and 1/2 to 2^-52 relative",
      lambda: np.allclose(find_level_points(gaussian_model(), 0.125), (-0.5, 0.5),
-                         rtol=0.0, atol=1e-7)),
+                         rtol=2.0 ** -52, atol=0.0)),
     ("gaussian tilt 1 at c = 1/2 is critical with tilted value 3/2 at t = 2",
      lambda: classify(gaussian_model(), 1.0, 0.5).tilted(2.0) == 1.5),
     ("the first 15 digits of pi hold three 5s",

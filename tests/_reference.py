@@ -5,12 +5,12 @@ from __future__ import annotations
 import functools
 import math
 
+import mpmath
 import numpy as np
 
-from blockldp import (DataError, MarkovSpec, NumericalError, UsageError, ball_mass,
-                      blockstats, models, pairwise_sum, sources)
+from blockldp import (DataError, MarkovSpec, UsageError, ball_mass, blockstats, models,
+                      pairwise_sum, sources)
 from blockldp.blockstats import _ball_rate
-from blockldp.regimes import _LEVEL_BRACKET, _LEVEL_TOL, rate_along
 
 # The default sizes: values per piece, worker threads, and values per batch
 # of a lattice tally merge or a tilt batch.
@@ -182,28 +182,35 @@ def exact_prefix_scgf(spec: MarkovSpec, lam: float, n: int) -> float:
     return total / n
 
 
-def level_point_side(model, c: float, side: int) -> float:
-    """The one-tilt level bisection that regimes._level_points batches per side.
+def rate_along_mp(lam_mp, lam):
+    """g(lam) = lam Lambda'(lam) - Lambda(lam) at 50 digits, for a float tilt
+    lam and Lambda given as lam_mp, a function of an mpmath number (Lambda'
+    by mpmath.diff)."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(lam)
+        return t * mpmath.diff(lam_mp, t) - lam_mp(t)
 
-    Solves g(lambda) = c on one side of 0 with one rate_along call per
-    midpoint: the outer probe at side * 50, then up to 500 halvings until
-    |g(mid) - c| <= 1e-9.  Returns side * inf when the level is not attained
-    inside the bracket.
-    """
-    outer = side * _LEVEL_BRACKET
-    if rate_along(model, outer) < c - _LEVEL_TOL:
-        return side * np.inf
-    lo, hi = 0.0, outer
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        g = rate_along(model, mid)
-        if abs(g - c) <= _LEVEL_TOL:
-            return mid
-        if g < c:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalError("level bisection did not reach tolerance %g" % _LEVEL_TOL)
+
+def bernoulli_lam_mp(p: float):
+    """Lambda(lam) = log(1 - p + p e^lam) of bernoulli_model(p), in mpmath."""
+    return lambda t: mpmath.log1p(mpmath.mpf(p) * mpmath.expm1(t))
+
+
+def markov_lam_mp(spec: MarkovSpec):
+    """Lambda(lam) = log rho(P_lam) of markov_model(spec), in mpmath: rho is the
+    larger root of rho^2 - tr rho + det for two states, and the largest real
+    eigenvalue from mpmath.eig otherwise."""
+
+    def lam_mp(t):
+        T = mpmath.matrix([[mpmath.mpf(p) * mpmath.exp(t * mpmath.mpf(f))
+                            for p, f in zip(row, spec.phi.tolist())]
+                           for row in spec.P.tolist()])
+        if spec.s == 2:
+            tr, det = T[0, 0] + T[1, 1], T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
+            return mpmath.log((tr + mpmath.sqrt(tr * tr - 4 * det)) / 2)
+        return mpmath.log(max(mpmath.re(e) for e in mpmath.eig(T, left=False, right=False)))
+
+    return lam_mp
 
 
 def log_perron_eig(spec: MarkovSpec, lams: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
-"""Batched model evaluation against one tilt at a time, bit for bit.
+"""Batched model evaluation against one tilt at a time, bit for bit, and the
+level solver against a 50-digit reference.
 
-The level solver evaluates every side's heap of midpoints in one model call
-and the spectral model's Lambda row takes eigenvalues only; both must give
-the bytes of the one-tilt computations they replace.  Nothing here is pinned to a
-recorded value, so these tests hold under any numpy SIMD dispatch.
+The spectral model's Lambda row takes eigenvalues only and must give the
+bytes of the eig computation it replaces; every model's batched values are
+its scalar values bit for bit, so the level solver's batched sides match
+sides solved alone.  Its level points are checked against mpmath, not
+pinned, so these tests hold under any numpy SIMD dispatch.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -14,9 +15,9 @@ import pytest
 
 from blockldp import (MarkovSpec, bernoulli_model, classify, digit_indicator_model,
                       find_level_points, gaussian_model, markov_model, regimes)
-from blockldp.regimes import _LEVEL_DEPTH, _level_points, rate_along
+from blockldp.regimes import rate_along
 
-from _reference import level_point_side, log_perron_eig
+from _reference import bernoulli_lam_mp, log_perron_eig, markov_lam_mp, rate_along_mp
 
 BENCH_CHAIN = MarkovSpec(P=np.array([[0.9, 0.1], [0.1, 0.9]]), phi=np.array([0.0, 1.0]))
 THREE_CHAIN = MarkovSpec(P=np.array([[0.5, 0.3, 0.2], [0.2, 0.6, 0.2],
@@ -32,60 +33,71 @@ MODELS = {
     "markov-3": lambda: markov_model(THREE_CHAIN),
 }
 
+# Each model's Lambda in mpmath, and the absolute error its float g may add
+# to a level point's residual: the spectral Lambda is accurate to about 1e-15
+# absolute, not relative (ROADMAP item 7), which shows at c = 1e-4.
+MODELS_MP = {
+    "bernoulli:0.3": (bernoulli_lam_mp(0.3), 0.0),
+    "bernoulli:0.5": (bernoulli_lam_mp(0.5), 0.0),
+    "digit:10:0": (bernoulli_lam_mp(0.1), 0.0),
+    "gaussian:1": (lambda t: t * t / 2, 0.0),
+    "markov-bench": (markov_lam_mp(BENCH_CHAIN), 2e-15),
+    "markov-3": (markov_lam_mp(THREE_CHAIN), 2e-15),
+}
+
 # Levels from tiny to beyond every bounded rate (open sides: bernoulli:0.5
 # never exceeds log 2, so c = 5 leaves both sides at +-inf), plus each
 # model's threshold at two tilts.
 LEVELS = (1e-4, 0.01, 0.05, 0.1, 0.3, 1.0, 5.0, 2000.0)
 
 
-def _counting(model):
-    """The model with grad calls counted (rate_along makes one per batch)."""
-    calls = []
-
-    def grad(lam):
-        calls.append(np.size(lam))
-        return model.grad(lam)
-
-    return dataclasses.replace(model, grad=grad), calls
-
-
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_level_solver_matches_one_tilt_bisection(name):
-    model = MODELS[name]()
-    levels = LEVELS + tuple(rate_along(model, l0) for l0 in (0.5, -0.7))
-    for c in levels:
-        wants, midpoints = [], 0
-        for side in (-1, +1):
-            ref_model, ref_calls = _counting(model)
-            wants.append(level_point_side(ref_model, c, side))
-            midpoints = max(midpoints, len(ref_calls) - 1)
-            assert repr(_level_points(model, c, (side,))) == repr(wants[-1:]), (c, side)
-        # One walk solves both sides: a call per D halvings of the longer one.
-        new_model, new_calls = _counting(model)
-        assert repr(_level_points(new_model, c, (-1, +1))) == repr(wants), c
-        assert len(new_calls) <= math.ceil(midpoints / _LEVEL_DEPTH) + 1, c
-        assert repr(find_level_points(model, c)) == repr(tuple(wants))
+def _level_check(lam_mp, slack, c, point, side):
+    """point is side's level point at c: open (side * inf) exactly where the
+    50-digit g(side * 50) < c, and otherwise |g(point) - c| <= 1e-13 c + slack
+    in 50 digits."""
+    if rate_along_mp(lam_mp, side * 50.0) < c:
+        assert point == side * np.inf, (c, side, point)
+    else:
+        assert math.isfinite(point) and point * side > 0, (c, side, point)
+        assert abs(rate_along_mp(lam_mp, point) - c) <= 1e-13 * c + slack, (c, side, point)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_classify_matches_one_tilt_bisection(name, monkeypatch):
-    model = MODELS[name]()
-    cases = []
+def test_level_points_match_mpmath(name):
+    model, (lam_mp, slack) = MODELS[name](), MODELS_MP[name]
+    for c in LEVELS + tuple(rate_along(model, l0) for l0 in (0.5, -0.7)):
+        points = find_level_points(model, c)
+        for side, point in zip((-1, +1), points):
+            _level_check(lam_mp, slack, c, point, side)
+            # a side solved alone takes the same tilts, so gives the same bits
+            assert repr(regimes._level_points(model, c, (side,))) == repr([point]), (c, side)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_classify_level_points_match_mpmath(name):
+    model, (lam_mp, slack) = MODELS[name](), MODELS_MP[name]
+    regimes_seen = set()
     for l0 in (0.5, -0.7):
         thr = rate_along(model, l0)
-        cases += [(l0, c) for c in (0.0, 0.5 * thr, thr, 2.0 * thr, thr + 1e-3, 5.0)]
-    got = [classify(model, l0, c) for l0, c in cases]
-    monkeypatch.setattr(regimes, "_level_points",
-                        lambda m, c, sides: [level_point_side(m, c, s) for s in sides])
-    monkeypatch.setattr(regimes, "find_level_points",
-                        lambda m, c: (level_point_side(m, c, -1), level_point_side(m, c, +1)))
-    want = [classify(model, l0, c) for l0, c in cases]
-    for (l0, c), g, w in zip(cases, got, want):
-        assert repr(g) == repr(w), (l0, c)
-        # classify's one-call threshold and x0 equal the separate calls' values
-        assert repr(g.threshold) == repr(rate_along(model, l0))
-        assert repr(g.x0) == repr(float(model.grad(l0)))
-    assert {r.regime for r in got} == {"subcritical", "critical", "supercritical"}
+        for c in (0.0, 0.5 * thr, thr, 2.0 * thr, thr + 1e-3, 5.0):
+            rep = classify(model, l0, c)
+            regimes_seen.add(rep.regime)
+            # classify's one-call threshold and x0 equal the separate calls' values
+            assert repr(rep.threshold) == repr(thr)
+            assert repr(rep.x0) == repr(float(model.grad(l0)))
+            if rep.regime == "supercritical":
+                lo, hi = rep.prediction["lambda_interval"]
+                assert (lo, hi) == find_level_points(model, c)
+                for side, point in ((-1, lo), (+1, hi)):
+                    _level_check(lam_mp, slack, c, point, side)
+                assert rep.prediction["radius"] == min(l0 - lo, hi - l0)
+            elif rep.regime == "subcritical" and c > 0:
+                side = 1 if l0 > 0 else -1
+                edge = regimes._level_points(model, c, (side,))[0]
+                _level_check(lam_mp, slack, c, edge, side)
+                eps_max = abs(rep.x0 - model.grad(edge)) if math.isfinite(edge) else None
+                assert rep.prediction["eps_max"] == eps_max
+    assert regimes_seen == {"subcritical", "critical", "supercritical"}
 
 
 @pytest.mark.parametrize("name", ["bernoulli:0.3", "digit:10:0", "gaussian:1",

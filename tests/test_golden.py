@@ -25,10 +25,10 @@ from blockldp.regimes import rate_along
 from blockldp.sources import pi_fixture_path
 
 GOLDEN_SHA256 = {
-    "fig1/abserr_n20_s1.csv": "bb54d71c3a7478ae3ebc2cc21e98398c0e7450dd1f97a88658b98728ee9810e9",
-    "fig1/abserr_n20_s2.csv": "5cc781a85ce22318a822ddc0a95ffffa8c4a38b1e3aac9f0b9779326241cd09e",
-    "fig1/abserr_n30_s1.csv": "03e4806ab962754a809ccd7342ce1e5b018ae77dc2863b8b02fe5bb2a83e1817",
-    "fig1/abserr_n30_s2.csv": "7c6a0ff1f7b2d5468e12b78fcf6f46cafe3821b36db6f3383760992efb15884d",
+    "fig1/abserr_n20_s1.csv": "a6082cbda808292edef6a18ee0c8ccac7a8a5333e7314075348ab84938c7c456",
+    "fig1/abserr_n20_s2.csv": "4c68c3e64fc0fed20e15002bdbc54fc3afb4085f6a96d4813bf487f0a6992476",
+    "fig1/abserr_n30_s1.csv": "8dae43c67417f4b2421794ec689e0dcedb9ec97bb4f590b92962b6e61b6bb1bd",
+    "fig1/abserr_n30_s2.csv": "f5af16e4d44f1a96713ff62170e07542bda7b35a2b2889c3f7dc506b7eb26e30",
     "fig1/conj_n20_s1.csv": "811a9301aff97cea57f50ef99d5955605ee1009e7804565759f74870837c2180",
     "fig1/conj_n20_s2.csv": "fd24b2bb3ed185b409a5c258d66b751adc9fe1d26a1c36a4ab8beccef8fbd19e",
     "fig1/conj_n30_s1.csv": "27f998145f1c8a79af385557ccaaa48289f59abb539e79464e51e14bb504a96a",
@@ -52,14 +52,14 @@ GOLDEN_SHA256 = {
 }
 
 REGIME_SHA256 = {
-    "regime/bernoulli-0.3-c0.01": "b9e1f755898e7b88e7fc48116f4805dbc14b1bfc05befb9387052e761f1fcd5a",
-    "regime/bernoulli-0.5-c0.1": "1fcaa362c4a7fd9903fc90914be64428ad6cad9fbd414a2cb648daf934f18cca",
-    "regime/digit-0.8": "ce6d4b1f2dcc4482c0847044db481bfef65215438f7a20e247811c7daf9b6c09",
-    "regime/digit-2.0": "e0cf07d0b7ccd4bb17aea5cf06ff844ddeb78698c167f38ea236300107022195",
+    "regime/bernoulli-0.3-c0.01": "d093b0850feced85ce4c9ab2bad64a089ebe4a344e0454f982b08d780052d1c4",
+    "regime/bernoulli-0.5-c0.1": "dc477f01d675aae117f703dd0ac1abaa73f4b8041ea5d7fce983564ea30d7741",
+    "regime/digit-0.8": "004b62cd12559a4cf0b05a2b8507e83cacfbd790715006608f2d9b134346bab0",
+    "regime/digit-2.0": "21a2c48da145117badd29e2f5d46f174379bee9e84ca567835567270016ba8f1",
     "regime/gaussian-0": "983a1b883b9478de9938bca07ad4fb42e16e40d400906f7648bae20f9a1ddac5",
-    "regime/markov-0.8": "157126431973badb160f804a87c7d31e679d0eac05225caa0dff80ebf7c7f2a8",
-    "regime/markov-0.8-c0.3": "1936c1babbf3701780992f74bc2e3715c46f3b0133054673e0136b3fe8c46dff",
-    "rows/critical-0.8.csv": "fbe47bdb4fe65b23c3c73e4f5f6cdcafe7fb57949f49c06d72c8e965f3e1ae3c",
+    "regime/markov-0.8": "627b93559d5f7feb9aa19fcfd783d9a546471f7aefc69b45834dffeffe861edd",
+    "regime/markov-0.8-c0.3": "2d6a90c2fd1ff75e041b2937e3a880969609e9650a77daa81d6cc92c0971dbf6",
+    "rows/critical-0.8.csv": "938cf1605795625685d6518775316594037bbfc535d01a83806c9f42f1c0d816",
     "rows/critical-neg-0.9.csv": "da7b601510c7a675c63936d54f5be27e694821f1219eee9ba30b2611047afbe3",
     "rows/subcritical.csv": "9eaf5b43d125f693689fc17fd826105fef9f5b0bb648a7260519517fa36e33dd",
     "rows/supercritical.csv": "cdca65d0cd698367e8f752cb9683b09c62deb18cad9f81b0f975badb000b3242",

@@ -8,6 +8,7 @@ import pytest
 
 from blockldp import (MarkovSpec, NumericalError, UsageError, bernoulli_model,
                       digit_indicator_model, gaussian_model, markov_model)
+from blockldp.regimes import rate_along
 
 from _reference import exact_prefix_scgf, sizes
 
@@ -77,6 +78,23 @@ def test_bernoulli_tails_stable():
     assert float(mdl.lam(-700.0)) == pytest.approx(math.log(0.5), rel=1e-15)
     assert float(mdl.lam(700.0)) == pytest.approx(700.0 + math.log(0.5),
                                                   rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+def test_bernoulli_lam_relatively_accurate_from_1e_300(p):
+    # log1p(p expm1(l)) holds Lambda to its last bits on (-inf, 30], near 0
+    # too, and the other form beyond; 400 tilts against 50 digits.
+    import mpmath
+    lams = np.geomspace(1e-300, 1e3, 200)
+    lams = np.concatenate([lams, -lams])
+    got = bernoulli_model(p).lam(lams)
+    with mpmath.workdps(50):
+        want = [mpmath.log1p(mpmath.mpf(p) * mpmath.expm1(mpmath.mpf(v))) for v in lams]
+        worst = max(abs((g - w) / w) for g, w in zip(got.tolist(), want))
+    assert worst <= 2.0 ** -52, worst
+    # so g = lambda Lambda' - Lambda no longer rounds below 0 at a tiny tilt
+    # (digit:10:0, p = 0.1, read -3.4e-16 at 1e-15 on the old lambda > 0 form)
+    assert rate_along(bernoulli_model(p), 1e-15) >= 0.0
 
 
 def test_digit_indicator_matches_bernoulli():

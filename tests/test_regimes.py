@@ -13,6 +13,8 @@ from blockldp import (MarkovSpec, NumericalError, Schedule, UsageError, bernoull
 from blockldp.cli import main
 from blockldp.regimes import rate_along
 
+from _reference import bernoulli_lam_mp, rate_along_mp
+
 # frozen closed-form constants for the digit:10:0 model at lambda0 = 0.8
 DIGIT_THRESHOLD = 0.04299898970786353
 DIGIT_X0 = 0.19825689850220396
@@ -139,11 +141,23 @@ def test_level_points_guards():
     assert find_level_points(bernoulli_model(0.5), 5.0) == (-np.inf, np.inf)
 
 
-def test_shared_bisection_values_pinned():
-    # Bit-exact results of the level bisection on digit:10:0.
-    model = digit_indicator_model(10, 0)
-    assert find_level_points(model, 0.05) == (-1.6567451879382133, 0.8524678181856871)
-    assert find_level_points(model, 0.1) == (-4.786078631877899, 1.1349048523698002)
+def test_regime_level_points_where_the_rate_is_small_or_flat(capsys):
+    # At the critical threshold the level point on lambda0's side is lambda0
+    # itself.  At lambda0 = 1e-4, c = 4.5e-10 is the difference of two
+    # numbers near 1e-5, and lambda2 is 1e-4 to 1e-11 relative.  At -30, g
+    # lies within 3e-12 of its limit -log 0.9; both points solve g = c to
+    # 1e-13 c in 50 digits, where a bisection on an absolute tolerance
+    # stopped at its first midpoint -25.
+    assert main(["regime", "--model", "digit:10:0", "--lambda0", "1e-4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["regime"] == "critical"
+    assert doc["lambda2"] == pytest.approx(1e-4, rel=1e-11)
+    assert main(["regime", "--model", "digit:10:0", "--lambda0", "-30"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    c = doc["threshold"]
+    assert doc["regime"] == "critical" and doc["lambda1"] != -25.0
+    for lam in (doc["lambda1"], doc["lambda2"]):
+        assert abs(rate_along_mp(bernoulli_lam_mp(0.1), lam) - c) <= 1e-13 * c, lam
 
 
 def test_rate_along_scalars_and_arrays():
@@ -259,17 +273,19 @@ def test_subcritical_side_is_the_sign_of_lambda0():
                 assert (l0 > 0) == (rep.x0 > model.grad(0.0)), (name, l0, c)
 
 
-def test_default_c_is_the_threshold_of_one_model_call(capsys):
+def test_default_c_is_the_threshold_of_one_model_call(tmp_path, capsys):
     for model in (markov_model(BENCH_CHAIN), digit_indicator_model(10, 0)):
         counting, calls = _counting(model)
         rep = classify(counting, 0.5)
         assert rep.regime == "critical" and rep.c == rep.threshold == rate_along(model, 0.5)
         assert (len(calls["lam"]), len(calls["grad"])) == (1, 1)
-    # Bernoulli rounding leaves this threshold at -3.4e-16: the default c is
-    # 0, not a refused negative exponent.
-    rep = classify(digit_indicator_model(10, 0), 1e-15)
+    # Rounding of the spectral Lambda leaves this threshold at -6.7e-17: the
+    # default c is 0, not a refused negative exponent.
+    rep = classify(markov_model(BENCH_CHAIN), 1e-9)
     assert rep.threshold < 0.0 and rep.c == 0.0 and rep.regime == "critical"
-    assert main(["regime", "--model", "digit:10:0", "--lambda0", "1e-15"]) == 0
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"P": BENCH_CHAIN.P.tolist(), "phi": BENCH_CHAIN.phi.tolist()}))
+    assert main(["regime", "--model", "markov:%s" % chain, "--lambda0", "1e-9"]) == 0
     out, err = capsys.readouterr()
     assert err == "" and json.loads(out)["regime"] == "critical"
     assert json.loads(out)["c"] == 0.0
