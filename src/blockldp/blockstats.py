@@ -31,11 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sources
 from ._errors import DataError, UsageError, fmt_int
-from .sources import SeriesSource
-
-_CHUNK_VALUES = 1 << 21  # values per batch: a lattice tally merge, and the tilt
-                         # batches here and in models
 
 
 def pairwise_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -123,7 +120,7 @@ class SampledFunction:
             raise UsageError("grid must be strictly increasing")
 
 
-def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
+def block_means(source: sources.SeriesSource, n: int, k: int) -> BlockStats:
     """Means of the first k consecutive length-n blocks of a source.
 
     Parameters
@@ -155,16 +152,16 @@ def block_means(source: SeriesSource, n: int, k: int) -> BlockStats:
     d = source.d
     bound = source.int_bound
     if bound is not None and n * bound <= 2 ** 53:
-        # A part tallies its block sums once they cover about _CHUNK_VALUES
-        # values and outnumber its merged tally, so each merge costs at most
-        # twice the sums it takes in and the total stays O(k log k).
+        # A part tallies its block sums once they number at least
+        # sources._BLOCK and its merged tally's size, so each merge costs at
+        # most twice the sums it takes in and the total stays O(k log k).
         def tally(pieces):
             merged, sums = (np.zeros(0, dtype=np.int64),) * 2, []
             for _, values in pieces:
                 acc = (np.uint16 if values.dtype == np.uint8 and n * bound < 2 ** 16
                        else np.int64)
                 sums.append(values.reshape(-1, n).sum(axis=1, dtype=acc))
-                if sum(map(len, sums)) >= max(merged[0].size, _CHUNK_VALUES // n):
+                if sum(map(len, sums)) >= max(merged[0].size, sources._BLOCK):
                     merged = _merge_tallies([merged, np.unique(np.concatenate(sums),
                                                                return_counts=True)])
                     sums = []
@@ -201,7 +198,7 @@ def _merge_tallies(tallies):
 def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
     """Empirical SCGF values of d = 1 block stats at a 1-d array of tilts.
 
-    The tilts may come in any order; each value is
+    Tilts come in any order, 2**16 // r per batch for r rows; each value is
     (1/n) * (M + log(sum_i w_i exp(n lambda mean_i - M) / k)) with M the
     maximum exponent and w the weights, the sum taken with the fixed pairwise
     tree over the rows of stats.means (distinct sums in increasing order for
@@ -217,9 +214,9 @@ def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(stats.means)):
         raise DataError("block means contain non-finite entries")
     out = np.empty(lam.size, dtype=np.float64)
-    gstep = max(1, _CHUNK_VALUES // max(1, stats.means.shape[0]))
+    gstep = max(1, sources._BLOCK // max(1, stats.means.shape[0]))
     for g0 in range(0, lam.size, gstep):
-        t = (lam[g0 : g0 + gstep, None] @ stats.means.T) * stats.n
+        t = lam[g0 : g0 + gstep, None] * stats.means[:, 0] * stats.n
         M = t.max(axis=1)
         terms = np.exp(t - M[:, None]) * stats.weights
         mean = pairwise_sum(terms, axis=1) / stats.k

@@ -112,7 +112,7 @@ class ExperimentConfig:
         ks = {}
         for n in self.n_list:
             ks[n] = schedule.k(n)
-            if n * ks[n] > self.budget:
+            if not n * ks[n] <= self.budget:  # a NaN budget fails too
                 raise UsageError(
                     "budget violation: n=%s needs n*k=%s > %g observations"
                     % (fmt_int(n), fmt_int(n * ks[n]), self.budget))
@@ -397,8 +397,8 @@ def brownian_experiment(d: int, R: float, schedule: Schedule, n_list, x_list,
     for x in xs:
         if x.shape != (d,):
             raise UsageError("ball centers must have dimension %d" % d)
-        if float(np.linalg.norm(x)) + eps > R:
-            raise UsageError("center %s violates |x| + eps <= R" % fmt_cell(x))
+        if not float(np.linalg.norm(x)) + eps <= R:  # NaN in x or R fails too
+            raise UsageError("center %s violates |x| + eps <= R = %r" % (fmt_cell(x), R))
     columns = ["n", "seed", "x", "k", "count", "mass", "local_rate",
                "oracle_mass", "oracle_rate", "rel_err", "margin_ok"]
     rows = []

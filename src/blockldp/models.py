@@ -14,10 +14,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import sources
 from ._errors import NumericalError, UsageError
-from .blockstats import _CHUNK_VALUES, SampledFunction
+from .blockstats import SampledFunction
 from .convex import legendre
-from .sources import MarkovSpec
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,10 @@ def gaussian_model() -> ScgfModel:
 
 def _spectral(P: np.ndarray, phi: np.ndarray, l: np.ndarray, row: int) -> np.ndarray:
     """Row `row` (0: Lambda, 1: Lambda', 2: Lambda'') of markov_model at the
-    tilts l, running each chunk's stages only as far as that row needs."""
+    tilts l, in batches of sources._BLOCK // s**2 run only as far as that row
+    needs.  Row sums are per-row np.sum, not gemv, whose rows vary by batch."""
     out = np.empty(l.size)
-    gstep = max(1, _CHUNK_VALUES // P.size)
+    gstep = max(1, sources._BLOCK // P.size)
     for g0 in range(0, l.size, gstep):
         lc = l[g0 : g0 + gstep]
         g = np.arange(lc.size)
@@ -171,10 +172,11 @@ def _spectral(P: np.ndarray, phi: np.ndarray, l: np.ndarray, row: int) -> np.nda
         wt, U = np.linalg.eig(np.swapaxes(T, 1, 2))
         r, u = np.abs(R[g, :, top]), np.abs(U[g, :, np.argmax(wt.real, axis=1)])
         mu = u * r / np.sum(u * r, axis=1, keepdims=True)
+        mean = np.sum(mu * phi, axis=1)
         if row == 1:
-            out[g0 : g0 + gstep] = mu @ phi
+            out[g0 : g0 + gstep] = mean
             continue
-        cen = phi - (mu @ phi)[:, None]
+        cen = phi - mean[:, None]
         # z solves the Poisson equation of cen under the Doob transform Q.
         Q = T * r[:, None, :] / (rho[:, None, None] * r[:, :, None])
         z = np.linalg.solve(np.eye(len(P)) - Q + mu[:, None, :], cen[..., None])[..., 0]
@@ -182,13 +184,13 @@ def _spectral(P: np.ndarray, phi: np.ndarray, l: np.ndarray, row: int) -> np.nda
     return out
 
 
-def markov_model(spec: MarkovSpec) -> ScgfModel:
+def markov_model(spec: sources.MarkovSpec) -> ScgfModel:
     """Spectral SCGF of a Markov chain with a scalar observable.
 
     Lambda(lambda) = log rho(P_lambda), rho the Perron root of (P_lambda)_{xy}
     = P_{xy} e^{lambda phi(y) - shift}, shift = max_y lambda phi(y) (so no
     overflow, a linear one-state chain, and Lambda(0) = 0 exactly).  Each call
-    pays only for the derivative it returns, per chunk of tilts:
+    pays only for the derivative it returns, per batch of 2**16 // s**2 tilts:
     Lambda costs one batched eigenvalue computation of P_lambda, with no
     eigenvectors; Lambda' takes its eigen-decomposition and one of its
     transpose for the Perron vectors r, u and returns sum u phi r /
@@ -207,10 +209,8 @@ def markov_model(spec: MarkovSpec) -> ScgfModel:
         raise UsageError("markov_model requires a scalar observable")
     P, phi = spec.P, spec.phi
 
-    def view(row):
-        return _scalarized(lambda l: _spectral(P, phi, l, row))
-
-    lam, grad, hess = view(0), view(1), view(2)
+    lam, grad, hess = (_scalarized(functools.partial(_spectral, P, phi, row=row))
+                       for row in range(3))
 
     @functools.cache
     def sampled():

@@ -31,7 +31,9 @@ buffers, into an output array of the caller's dtype; _fill, the one loop over
 passes, equals the scalar raw_word bit for bit for any split.  _BLOCK = 2**16
 is the one size this package cuts work by: counters per kernel pass, bytes
 per digit-file chunk, values per Reader.pieces read and per piece of a block
-reduction.  Reader.read runs on the calling thread, so worker threads call
+reduction, the fewest block sums a lattice tally merges, and the cells per
+tilt batch of scgf_values and the spectral model, which read it at call time.
+Reader.read runs on the calling thread, so worker threads call
 only _fill and the kernels, which a tracer of the public functions on one
 span stack (bench/tracing.py) never sees.  Reader._reduce_blocks takes every
 kind through one piece generator, and only a counter kind splits its blocks

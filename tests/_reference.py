@@ -8,24 +8,25 @@ import math
 import mpmath
 import numpy as np
 
-from blockldp import (DataError, MarkovSpec, UsageError, ball_mass, blockstats, models,
-                      pairwise_sum, sources)
+from blockldp import (DataError, MarkovSpec, UsageError, ball_mass, pairwise_sum,
+                      sources)
 from blockldp.blockstats import _ball_rate
 
-# The default sizes: values per piece, worker threads, and values per batch
-# of a lattice tally merge or a tilt batch.
-BLOCK, WORKERS, CHUNK = sources._BLOCK, sources._WORKERS, blockstats._CHUNK_VALUES
+# The default sizes: values per piece (and the one batch size of the
+# package) and worker threads.
+BLOCK, WORKERS = sources._BLOCK, sources._WORKERS
 
 
-def sizes(monkeypatch, block=None, workers=None, chunk=None) -> None:
+def sizes(monkeypatch, block=None, workers=None) -> None:
     """Set the sizes the package cuts its work by, for one test.
 
-    block is the piece size (counters per kernel pass, digit-file bytes per
-    chunk, values per read of Reader.pieces and per piece of a block
-    reduction), workers the most threads of one block_means, and chunk the
-    batch of blockstats and models.  This is the one place in the tests that
-    names the module attributes holding them.  block may not exceed BLOCK:
-    sources._RAMP holds BLOCK counters, sized at import.
+    block is the one size of sources._BLOCK: counters per kernel pass,
+    digit-file bytes per chunk, values per read of Reader.pieces and per
+    piece of a block reduction, the fewest block sums a lattice tally merges,
+    and the cells of a tilt batch in scgf_values and the spectral model.
+    workers is the most threads of one block_means.  This is the one place in
+    the tests that names the module attributes holding them.  block may not
+    exceed BLOCK: sources._RAMP holds BLOCK counters, sized at import.
     """
     if block is not None:
         if not 1 <= block <= BLOCK:
@@ -33,9 +34,6 @@ def sizes(monkeypatch, block=None, workers=None, chunk=None) -> None:
         monkeypatch.setattr(sources, "_BLOCK", block)
     if workers is not None:
         monkeypatch.setattr(sources, "_WORKERS", workers)
-    if chunk is not None:
-        monkeypatch.setattr(blockstats, "_CHUNK_VALUES", chunk)
-        monkeypatch.setattr(models, "_CHUNK_VALUES", chunk)
 
 
 def uniform(seed: int, i: int) -> float:

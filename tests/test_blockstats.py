@@ -116,9 +116,8 @@ def test_non_lattice_observable_stays_in_block_order(phi, n):
     assert np.array_equal(stats.weights, np.ones(k, dtype=np.int64))
 
 
-def test_lattice_block_means_memory_flat_in_k(monkeypatch):
+def test_lattice_block_means_memory_flat_in_k():
     # A k x 1 float array of sums would add 7.2 MB between these two runs.
-    sizes(monkeypatch, chunk=1 << 16)
     peaks = []
     for k in (100_000, 1_000_000):
         tracemalloc.start()

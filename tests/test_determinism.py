@@ -1,8 +1,8 @@
 """The source contract as one seeded sweep through one size seam.
 
 Every source kind yields the same values whatever the piece size, the worker
-count, the tally batch or the start index, because every value is a function
-of its index alone (or of the file).  Each case below sets its sizes through
+count or the start index, because every value is a function of its index
+alone (or of the file).  Each case below sets its sizes through
 _reference.sizes and compares block_means, a reader from its start and a
 stream of pieces with _reference.values, which computes each value from its
 per-index scalar form.  The cases are drawn from a fixed numpy seed, in the
@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from blockldp import (MarkovSpec, bernoulli_source, block_means, digit_source,
-                      file_source, gaussian_source, markov_source, sources)
+from blockldp import (MarkovSpec, bernoulli_source, block_means, blockstats,
+                      digit_source, file_source, gaussian_source, markov_source,
+                      sources)
 
-from _reference import BLOCK, CHUNK, expected_stats, sizes, values
+from _reference import BLOCK, expected_stats, sizes, values
 
 KINDS = ("digit", "digit-indicator", "bernoulli", "gaussian1", "gaussian2",
          "markov-integer", "markov-real", "file", "file-indicator")
@@ -40,7 +41,6 @@ class Case:
     count: int
     block: int
     workers: int
-    chunk: int
 
 
 def _log_uniform(rng, lo: int, hi: int) -> int:
@@ -60,8 +60,7 @@ def _draw_cases(rng, count: int) -> list:
         start = rng.integers(reach + 1)  # an np.int64, kept as one in every other case
         cases.append(Case(kind, int(rng.integers(1 << 32)), d, n, k,
                           start if i % 2 else int(start), int(rng.integers(reach + 1)),
-                          block, int(rng.choice([1, 2, 3, 8])),
-                          int(rng.choice([1, 50, 1000, CHUNK]))))
+                          block, int(rng.choice([1, 2, 3, 8]))))
     return cases
 
 
@@ -168,7 +167,7 @@ def _check(case: Case, digit_file, monkeypatch) -> None:
     ref = values(src, 0, max(stop, case.n * case.k))
     want_means, want_weights = expected_stats(src, ref, case.n, case.k)
     ref = ref[:stop]
-    sizes(monkeypatch, block=case.block, workers=case.workers, chunk=case.chunk)
+    sizes(monkeypatch, block=case.block, workers=case.workers)
     parts = _recorded_parts(monkeypatch)
     stats = block_means(src, case.n, case.k)
     assert stats.means.tobytes() == want_means.tobytes()
@@ -195,7 +194,19 @@ def _check(case: Case, digit_file, monkeypatch) -> None:
     assert j == case.k
 
 
-def test_cases_cover_the_contract():
+def _tally_merges(case: Case, digit_file, monkeypatch) -> int:
+    """How often block_means at the case's sizes merges a part's pending
+    block sums into its tally before the part ends: every _merge_tallies
+    call but each part's last and the one that joins the parts."""
+    calls = []
+    merge = blockstats._merge_tallies
+    monkeypatch.setattr(blockstats, "_merge_tallies", lambda t: calls.append(1) or merge(t))
+    sizes(monkeypatch, block=case.block, workers=case.workers)
+    block_means(_source(case, digit_file), case.n, case.k)
+    return len(calls) - _split(case)[0] - 1
+
+
+def test_cases_cover_the_contract(digit_file, monkeypatch):
     # The drawn cases reach every kind and each way the sizes cut the work.
     def some(pred):
         return sum(map(pred, CASES)) >= 5
@@ -203,6 +214,12 @@ def test_cases_cover_the_contract():
     def one_way_row(c):  # a chain of several states with a row of one nonzero entry
         P = _source(c, None).markov.P
         return len(P) > 1 and np.any(np.count_nonzero(P, axis=1) == 1)
+
+    def merges_twice(c):  # a lattice case whose tally merges at least twice
+        if _source(c, digit_file).int_bound is None:
+            return False
+        with monkeypatch.context() as patch:
+            return _tally_merges(c, digit_file, patch) >= 2
 
     assert {c.kind for c in CASES} == set(KINDS)
     assert {_source(c, None).m for c in CASES if c.kind.startswith("digit")} == set(range(2, 11))
@@ -213,7 +230,7 @@ def test_cases_cover_the_contract():
     assert some(lambda c: _counter(c) and isinstance(c.start, np.int64) and c.start > 0)
     assert some(lambda c: c.n * c.d > c.block)  # a block longer than a piece
     assert some(lambda c: c.n * c.d < c.block and c.block % (c.n * c.d))  # n does not divide one
-    assert some(lambda c: c.block < 50) and some(lambda c: c.chunk < 50)
+    assert some(lambda c: c.block < 50) and some(merges_twice)
     assert some(lambda c: not _counter(c) and c.start > c.block)  # a skip of several pieces
     for workers in (1, 2, 3):
         assert some(lambda c: _counter(c) and c.workers == _split(c)[0] == workers)

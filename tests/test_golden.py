@@ -16,6 +16,8 @@ import json
 import math
 import os
 
+import pytest
+
 from blockldp import (ExperimentConfig, MarkovSpec, bernoulli_model, bernoulli_source,
                       digit_indicator_model, digit_source, fig1_pipeline, markov_model,
                       regime_experiment)
@@ -103,6 +105,7 @@ def _digests(out) -> dict:
     return got
 
 
+@pytest.mark.dispatch_pinned
 def test_output_bytes_are_pinned(tmp_path, capsys):
     got = _digests(str(tmp_path))
     assert len(got) == 24

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ SPECTRAL_ROW_SHA256 = {
     ("symmetric", "grad"): "1a9c4e8c722c1b54f92b764f1f97ae80e0939c3f603b674403f9711cd95164e6",
     ("symmetric", "hess"): "a238c89592ef53f296b4720fda14bef3021a1ebb47394ac809036b6302a49880",
     ("three-state", "lam"): "7b25312d6d4cf3e64a05d03bc4be9b9637bbc870fe5045b784ff44413c66a4d4",
-    ("three-state", "grad"): "dd11e911d6f82c3768ddc2d73928ff3d46972c4dbfada00f4d0c549ed82ee184",
-    ("three-state", "hess"): "6bd67daac0afed28cdbb8e78998fb1eb09a44e3f0a7d56b8d1ea47078ae46323",
+    ("three-state", "grad"): "0973545652bd1421bfe5db38735436114e25c71fb925f73767284e4c6422dbad",
+    ("three-state", "hess"): "78637e1efa5caad6269af6dbb19d866c197348c9e7ef29446dfb0644371c174b",
 }
 
 
@@ -187,11 +188,11 @@ def test_markov_perron_against_quadratic_formula():
     # two states: the Perron root of the tilted matrix solves
     # r^2 - 0.9 (1 + e^l) r + 0.8 e^l = 0 at l = 1
     import mpmath
-    mpmath.mp.dps = 30
-    tr = mpmath.mpf("0.9") * (1 + mpmath.e)
-    det = mpmath.mpf("0.8") * mpmath.e
-    rho = (tr + mpmath.sqrt(tr * tr - 4 * det)) / 2
-    want = float(mpmath.log(rho))
+    with mpmath.workdps(30):
+        tr = mpmath.mpf("0.9") * (1 + mpmath.e)
+        det = mpmath.mpf("0.8") * mpmath.e
+        rho = (tr + mpmath.sqrt(tr * tr - 4 * det)) / 2
+        want = float(mpmath.log(rho))
     assert float(markov_model(_sym_chain()).lam(1.0)) == pytest.approx(
         want, abs=1e-12)
 
@@ -210,6 +211,7 @@ def test_markov_one_state_is_linear():
                                 phi=np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
+@pytest.mark.dispatch_pinned
 @pytest.mark.parametrize("name, spec", [("symmetric", _sym_chain()),
                                         ("three-state", _three_chain())])
 def test_markov_spectral_rows_are_pinned(name, spec):
@@ -310,14 +312,41 @@ def test_markov_exact_values_at_zero():
     assert float(markov_model(_three_chain()).lam(0.0)) == 0.0
 
 
+def _random_chain(s: int) -> MarkovSpec:
+    """A dense s-state chain with uniform random rows and normal phi, seeded by s."""
+    rng = np.random.default_rng(s)
+    P = rng.random((s, s))
+    return MarkovSpec(P=P / P.sum(axis=1, keepdims=True), phi=rng.normal(size=s))
+
+
 def test_markov_spectral_chunk_independent(monkeypatch):
+    # Each value is the scalar call's bit for bit, whatever batch its tilt
+    # is in: 601 tilts are one batch of an 8-state chain, and a block of
+    # 9 * 5 cells cuts the three-state chain's tilts into batches of 5.
+    mdl = markov_model(_random_chain(8))
+    lams = np.linspace(-3.0, 3.0, 601)
+    for name, fn in [("lam", mdl.lam), ("grad", mdl.grad), ("hess", mdl.hess),
+                     ("rate_along", lambda l: rate_along(mdl, l))]:
+        assert fn(lams).tobytes() == np.array([fn(l) for l in lams]).tobytes(), name
     grid = np.linspace(-6.0, 6.0, 101)
     whole = markov_model(_three_chain()).lam(grid)
     pieces = np.concatenate([markov_model(_three_chain()).lam(grid[a:a + 17])
                              for a in range(0, grid.size, 17)])
-    sizes(monkeypatch, chunk=9 * 5)
+    sizes(monkeypatch, block=9 * 5)
     small = markov_model(_three_chain()).lam(grid)
     assert whole.tobytes() == pieces.tobytes() == small.tobytes()
+
+
+def test_markov_hess_memory_is_one_batch():
+    # 400 tilts of a 50-state chain go in batches of 2**16 // 50**2 = 26, so
+    # the 8 MB stack of all 400 tilted matrices, and their complex
+    # eigenvectors at twice that, never forms.
+    mdl = markov_model(_random_chain(50))
+    tracemalloc.start()
+    mdl.hess(np.linspace(-2.0, 2.0, 400))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("p", [0.1, 0.37, 0.5])

@@ -215,7 +215,9 @@ BOUNDARY_SOURCES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BOUNDARY_SHA256))
+@pytest.mark.parametrize("name", [pytest.param(name, marks=pytest.mark.dispatch_pinned)
+                                  if name.startswith("gaussian") else name
+                                  for name in sorted(BOUNDARY_SHA256)])
 def test_kernels_at_block_boundaries(name):
     # Reads from BOUNDARY_START whose counts end just before, on, or just
     # after a block edge, or span several blocks, equal the scalar forms bit
