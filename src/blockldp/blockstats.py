@@ -14,9 +14,11 @@ tree, and take few values (at most n+1 for a 0/1 observable); the means are
 the distinct sums divided by n in increasing order, each weighted by its
 block count.  Lattice-ness is a property of the source, never of the data:
 a continuous source keeps its means in block order with unit weights even
-when every block sum happens to be an integer.  Every float reduction in
-this module uses one fixed pairwise (tree) summation over row order, so
-serial, chunked and parallel evaluations agree bit-exactly.
+when every block sum happens to be an integer.  BlockStats reads k (the
+weights' sum) and d (the columns of means) from its points.  The float
+block sums and the SCGF's sum over rows both go through _tree, one fixed
+pairwise summation in row order, so serial, chunked and parallel
+evaluations agree bit-exactly.
 
 block_means alone uses threads: on a digit, Bernoulli or Gaussian source,
 Reader._reduce_blocks cuts the k blocks into parts of at least 2**16 values
@@ -27,37 +29,27 @@ or returns the part's exact tally (lattice path), which block_means merges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import sources
 from ._errors import DataError, UsageError, fmt_int
-
-
-def pairwise_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum along an axis with the fixed pairwise tree.
-
-    Level by level, element 2r is added to element 2r+1 in index order; an
-    odd trailing element is carried to the next level unchanged.  The result
-    is a pure function of the operand order, independent of chunking or
-    worker count, which is the determinism contract for every reduction in
-    the package.
-    """
-    a = np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0)
-    if len(a) < 2:
-        return a.sum(axis=0)
-    return _tree(a, np.empty_like(a)).copy()
+from ._serialize import fmt_cell
 
 
 def _tree(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """pairwise_sum over axis 0 of a float64 array a with at least one row.
+    """Sum the rows of a float64 array a with the fixed pairwise tree: level
+    by level, row 2r is added to row 2r + 1 in index order, and an odd
+    trailing row is carried up unchanged.  The result is a pure function of
+    the operand order, independent of chunking or worker count: the
+    determinism contract for every float reduction in the package.
 
-    Each level adds whole rows, row 2r to row 2r + 1, into one of the halves
+    a has at least one row.  Each level adds into one of the halves
     scratch[:h] and scratch[h:], h = ceil(len(a) / 2), in turn; scratch has
-    as many rows as a, of the same shape, in any layout.  A layout of long
-    contiguous rows makes each level a few long vector adds.  Returns a view
-    of scratch, or a's own row 0 when a has one row.
+    as many rows as a, of the same shape, in any layout, and long contiguous
+    rows make each level a few long vector adds.  Returns a view of scratch,
+    or a's own row 0 when a has one row.
     """
     m = len(a)
     halves = (scratch[: (m + 1) // 2], scratch[(m + 1) // 2 :])
@@ -74,31 +66,33 @@ def _tree(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 class BlockStats:
     """Normalized block sums of one sample path, as a weighted point set.
 
-    means has shape (r, d) and weights[i] counts the blocks whose mean is
-    means[i]; the weights are integers >= 1 that sum to the block count k.
-    weights=None means one block per row (r = k).  Every coordinate of a
-    bounded observable's block mean stays in the observable's range.
+    means has shape (r, d), r >= 1; weights[i] >= 1 counts the blocks whose
+    mean is means[i], and weights=None means one block per row.  k (the
+    weights' sum) and d (the columns of means) are read from the points.
+    Every coordinate of a bounded observable's block mean stays in the
+    observable's range.
     """
 
     n: int
-    k: int
-    d: int
     means: np.ndarray
     weights: np.ndarray | None = None
+    k: int = field(init=False)
+    d: int = field(init=False)
 
     def __post_init__(self):
-        if np.ndim(self.means) != 2 or np.shape(self.means)[1] != self.d:
-            raise UsageError("means must have shape (r, d) with d=%d, got %s"
-                             % (self.d, np.shape(self.means)))
-        rows = np.shape(self.means)[0]
+        if np.ndim(self.means) != 2 or np.shape(self.means)[0] < 1:
+            raise UsageError("means must have shape (r, d) with r >= 1, got %s"
+                             % (np.shape(self.means),))
+        rows, d = np.shape(self.means)
         w = (np.broadcast_to(np.int64(1), (rows,)) if self.weights is None
              else np.asarray(self.weights))
-        if w.ndim != 1 or w.shape[0] != rows or not np.issubdtype(w.dtype, np.integer):
-            raise UsageError("weights must be a 1-d integer array with one entry "
+        if (w.ndim != 1 or w.shape[0] != rows or not np.issubdtype(w.dtype, np.integer)
+                or not np.all(w >= 1)):
+            raise UsageError("weights must be a 1-d integer array of counts >= 1, one "
                              "per row of means")
-        if not np.all(w >= 1) or int(w.sum()) != self.k:
-            raise UsageError("weights must be >= 1 and sum to the block count %d" % self.k)
         object.__setattr__(self, "weights", w.astype(np.int64, copy=False))
+        object.__setattr__(self, "k", int(self.weights.sum()))
+        object.__setattr__(self, "d", d)
 
 
 @dataclass
@@ -169,7 +163,7 @@ def block_means(source: sources.SeriesSource, n: int, k: int) -> BlockStats:
             return _merge_tallies([merged, np.unique(np.concatenate(sums), return_counts=True)])
 
         values, counts = _merge_tallies(source.reader()._reduce_blocks(n, k, tally))
-        return BlockStats(n=n, k=k, d=d, means=(values / n)[:, None], weights=counts)
+        return BlockStats(n=n, means=(values / n)[:, None], weights=counts)
     sums = np.empty((k, d), dtype=np.float64)
 
     def tree(pieces):
@@ -184,7 +178,7 @@ def block_means(source: sources.SeriesSource, n: int, k: int) -> BlockStats:
 
     source.reader()._reduce_blocks(n, k, tree)
     sums /= n
-    return BlockStats(n=n, k=k, d=d, means=sums)
+    return BlockStats(n=n, means=sums)
 
 
 def _merge_tallies(tallies):
@@ -204,33 +198,38 @@ def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
     tree over the rows of stats.means (distinct sums in increasing order for
     a lattice source, block order otherwise).  Exact at lambda = 0: there
     every shifted term is its integer weight, the pairwise sum of the weights
-    is exactly k, and the mean is exactly 1.  Other tilt shapes or d > 1
-    stats raise UsageError.
+    is exactly k, and the mean is exactly 1.  Other tilt shapes, a
+    non-finite tilt or d > 1 stats raise UsageError.
     """
     lam = np.asarray(lambdas, dtype=np.float64)
     if lam.ndim != 1 or stats.d != 1:
         raise UsageError("the empirical SCGF needs a 1-d tilt array and d=1 block "
                          "stats, got tilts of shape %s and d=%d" % (lam.shape, stats.d))
+    if not np.all(np.isfinite(lam)):
+        raise UsageError("tilt lambda=%g must be finite" % lam[~np.isfinite(lam)][0])
     if not np.all(np.isfinite(stats.means)):
         raise DataError("block means contain non-finite entries")
     out = np.empty(lam.size, dtype=np.float64)
-    gstep = max(1, sources._BLOCK // max(1, stats.means.shape[0]))
+    gstep = max(1, sources._BLOCK // stats.means.shape[0])
     for g0 in range(0, lam.size, gstep):
         t = lam[g0 : g0 + gstep, None] * stats.means[:, 0] * stats.n
         M = t.max(axis=1)
         terms = np.exp(t - M[:, None]) * stats.weights
-        mean = pairwise_sum(terms, axis=1) / stats.k
+        mean = _tree(terms.T, np.empty_like(terms.T)) / stats.k
         out[g0 : g0 + gstep] = (M + np.log(mean)) / stats.n
     return out
 
 
 def ball_mass(stats: BlockStats, x, eps: float) -> tuple[int, float]:
-    """Count and fraction of blocks whose mean lies in the closed ball B(x, eps)."""
+    """Count and fraction of blocks whose mean lies in the closed ball B(x, eps);
+    eps <= 0 or a center off the stats' dimension or not finite raises UsageError."""
     if not eps > 0:
         raise UsageError("ball radius must be > 0")
     center = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if center.shape != (stats.d,):
         raise UsageError("ball center must have dimension %d" % stats.d)
+    if not np.all(np.isfinite(center)):
+        raise UsageError("ball center %s must be finite" % fmt_cell(center))
     diff = stats.means - center[None, :]
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     count = int(stats.weights[dist <= eps].sum())

@@ -282,7 +282,7 @@ SELFTESTS = [
      lambda: (st := block_means(digit_source(3, 10, indicator_a=0), 10, 1000))
      .means.shape[0] <= 11 and st.weights.sum() == 1000),
     ("ball mass counts the closed ball",
-     lambda: ball_mass(BlockStats(n=1, k=3, d=1, means=np.array([[0.1], [0.2], [0.3]])),
+     lambda: ball_mass(BlockStats(n=1, means=np.array([[0.1], [0.2], [0.3]])),
                        0.2, 0.05) == (1, 1.0 / 3.0)),
     ("Bernoulli(1/2) conjugate at 1 is log 2",
      lambda: abs(bernoulli_model(0.5).conj(1.0) - math.log(2.0)) <= 1e-12),

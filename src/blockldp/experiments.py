@@ -127,7 +127,7 @@ class RunManifest:
     config: dict
     seeds: list
     files: list
-    library_version: str = __version__
+    library_version: str = field(init=False, default=__version__)
     wallclock_s: float = 0.0
     input_checksums: dict = field(default_factory=dict)
 
@@ -160,7 +160,7 @@ class RunRecord:
     inputs: tuple = ()
     specs: tuple = ()
     config_file: str | None = None
-    started: float = field(default_factory=time.monotonic)
+    started: float = field(init=False, default_factory=time.monotonic)
 
     def __post_init__(self):
         self._digests = dict.fromkeys(p for p in (*self.inputs, *self.specs) if p)

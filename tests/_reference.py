@@ -8,8 +8,7 @@ import math
 import mpmath
 import numpy as np
 
-from blockldp import (DataError, MarkovSpec, UsageError, ball_mass, pairwise_sum,
-                      sources)
+from blockldp import DataError, MarkovSpec, UsageError, ball_mass, sources
 from blockldp.blockstats import _ball_rate
 
 # The default sizes: values per piece (and the one batch size of the
@@ -109,9 +108,18 @@ def values(src, start: int, count: int) -> np.ndarray:
     return np.array(vals, dtype=dtype).reshape(-1, src.d)
 
 
+def tree_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along an axis of length >= 1 by the package's pairwise tree, written
+    out level by level: element 2r plus element 2r + 1, an odd last one carried."""
+    a = np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0)
+    while len(a) > 1:
+        a = np.concatenate([a[0 : len(a) - 1 : 2] + a[1::2], a[len(a) - len(a) % 2 :]])
+    return a[0]
+
+
 def block_order_means(src, n: int, k: int) -> np.ndarray:
     """Means of the first k length-n blocks in block order (the dense form)."""
-    return pairwise_sum(src.reader().read(n * k).reshape(k, n, src.d), axis=1) / n
+    return tree_sum(src.reader().read(n * k).reshape(k, n, src.d), axis=1) / n
 
 
 def expected_stats(src, vals: np.ndarray, n: int, k: int):
@@ -119,7 +127,7 @@ def expected_stats(src, vals: np.ndarray, n: int, k: int):
     values vals (values(src, 0, count) with count >= n * k): the block-order
     means with unit weights for a continuous source, their exact histogram
     for a lattice one."""
-    dense = pairwise_sum(vals[:n * k].reshape(k, n, src.d), axis=1) / n
+    dense = tree_sum(vals[:n * k].reshape(k, n, src.d), axis=1) / n
     if src.int_bound is None:
         return dense, np.ones(k, dtype=np.int64)
     means, counts = np.unique(dense[:, 0], return_counts=True)

@@ -103,7 +103,7 @@ def _run_regime_cli():
 def _random_stats(rng, k=None) -> BlockStats:
     k = int(rng.integers(1, 200)) if k is None else k
     n = int(rng.integers(1, 40))
-    return BlockStats(n=n, k=k, d=1, means=rng.normal(0.0, 2.0, size=(k, 1)))
+    return BlockStats(n=n, means=rng.normal(0.0, 2.0, size=(k, 1)))
 
 
 def _run_zero_values():

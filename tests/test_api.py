@@ -17,8 +17,7 @@ PUBLIC_NAMES = [
     "brownian_pipeline", "classify", "digit_indicator_model", "digit_source",
     "fig1_pipeline", "file_source", "find_level_points", "frequency_test",
     "gaussian_model", "gaussian_source", "grad_estimate", "legendre", "markov_model",
-    "markov_source", "pairwise_sum", "pi_fixture_path", "regime_experiment",
-    "scgf_values",
+    "markov_source", "pi_fixture_path", "regime_experiment", "scgf_values",
 ]
 
 

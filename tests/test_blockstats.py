@@ -1,5 +1,6 @@
 """Tests for block means, the empirical SCGF and ball statistics."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -10,10 +11,11 @@ import blockldp.sources as sources
 from blockldp import (BlockStats, DataError, MarkovSpec, SampledFunction,
                       UsageError, ball_mass, bernoulli_source, block_means,
                       digit_source, file_source, gaussian_source,
-                      markov_source, pairwise_sum, scgf_values)
+                      markov_source, scgf_values)
+from blockldp.blockstats import _tree
 
 from _reference import (block_order_means, expected_stats, local_rate, next_digit, sizes,
-                        values)
+                        tree_sum, values)
 
 LATTICE_SOURCES = {
     "digit-indicator": lambda: digit_source(5, 10, indicator_a=0),
@@ -24,19 +26,12 @@ LATTICE_SOURCES = {
 }
 
 
-def test_pairwise_sum_fixed_tree():
+def test_tree_sums_in_fixed_order():
     a = np.array([1e16, 1.0, 1.0, 1.0, 1.0])
     want = ((a[0] + a[1]) + (a[2] + a[3])) + a[4]
-    assert pairwise_sum(a) == want
+    assert _tree(a, np.empty_like(a)) == want
     b = np.array([0.1, 0.2, 0.3])
-    assert pairwise_sum(b) == (0.1 + 0.2) + 0.3
-
-
-def test_pairwise_sum_axes_and_empty():
-    a = np.arange(12.0).reshape(3, 4)
-    assert np.array_equal(pairwise_sum(a, axis=1), a.sum(axis=1))
-    assert np.array_equal(pairwise_sum(a, axis=0), a.sum(axis=0))
-    assert np.array_equal(pairwise_sum(np.empty((2, 0)), axis=1), [0.0, 0.0])
+    assert _tree(b, np.empty_like(b)) == (0.1 + 0.2) + 0.3
 
 
 def test_block_means_digits(tmp_path):
@@ -77,7 +72,7 @@ def test_lattice_scgf_matches_dense(kind):
     assert np.array_equal(stats.means[:, 0], values)
     assert np.array_equal(stats.weights, counts)
     assert stats.means.shape[0] < k and stats.weights.sum() == k
-    dense = BlockStats(n=n, k=k, d=1, means=dense_means)
+    dense = BlockStats(n=n, means=dense_means)
     lam = np.linspace(-3.0, 3.0, 121)
     got = scgf_values(stats, lam)
     assert np.max(np.abs(got - scgf_values(dense, lam))) <= 1e-13
@@ -193,7 +188,7 @@ def test_gaussian_stats_stay_dense():
     # the unweighted formula: pairwise mean of the shifted exponentials
     t = np.outer(lam, stats.means[:, 0]) * n
     M = t.max(axis=1)
-    want = (M + np.log(pairwise_sum(np.exp(t - M[:, None]), axis=1) / k)) / n
+    want = (M + np.log(tree_sum(np.exp(t - M[:, None]), axis=1) / k)) / n
     assert scgf_values(stats, lam).tobytes() == want.tobytes()
 
 
@@ -204,7 +199,7 @@ def test_ball_mass_lattice_matches_dense():
     n, k = 8, 2000
     stats = block_means(src, n, k)
     assert stats.means.shape[0] < k
-    dense = BlockStats(n=n, k=k, d=1, means=block_order_means(src, n, k))
+    dense = BlockStats(n=n, means=block_order_means(src, n, k))
     for x, eps in [(0.0, 0.125), (0.125, 0.125), (0.25, 0.25), (0.1, 0.025),
                    (0.375, 0.5), (1.0, 0.125), (2.0, 0.5)]:
         assert ball_mass(stats, x, eps) == ball_mass(dense, x, eps)
@@ -216,17 +211,24 @@ def test_ball_mass_lattice_matches_dense():
     np.array([2, 2]),            # one entry short of the rows of means
     np.array([1.5, 1.5, 1.0]),   # not integer counts
     np.array([0, 2, 2]),         # a weight below 1
-    np.array([1, 1, 1]),         # sums to 3, not k = 4
-], ids=["ndim", "length", "dtype", "below-one", "sum"])
+], ids=["ndim", "length", "dtype", "below-one"])
 def test_block_stats_rejects_bad_weights(weights):
     with pytest.raises(UsageError):
-        BlockStats(n=2, k=4, d=1, means=np.array([[0.0], [0.5], [1.0]]),
+        BlockStats(n=2, means=np.array([[0.0], [0.5], [1.0]]),
                    weights=weights)
 
 
-def test_block_stats_dense_rows_must_match_k():
-    with pytest.raises(UsageError):
-        BlockStats(n=2, k=4, d=1, means=np.array([[0.0], [0.5], [1.0]]))
+@pytest.mark.parametrize("src, n, k", [(digit_source(5, 10, indicator_a=0), 40, 3000),
+                                       (gaussian_source(9, 2), 8, 700)],
+                         ids=["lattice", "dense"])
+def test_block_stats_read_k_and_d_from_their_points(src, n, k):
+    # k and d are no constructor arguments: the stats read them from the
+    # weights and the columns of means.
+    assert list(inspect.signature(BlockStats).parameters) == ["n", "means", "weights"]
+    stats = block_means(src, n, k)
+    again = BlockStats(n=n, means=stats.means, weights=stats.weights)
+    for s in (stats, again):
+        assert (s.k, s.d) == (int(s.weights.sum()), s.means.shape[1]) == (k, src.d)
 
 
 def test_block_means_guards(tmp_path):
@@ -257,13 +259,12 @@ def test_scgf_zero_tilt_is_exact():
     rng = np.random.default_rng(42)
     for _ in range(20):
         k = int(rng.integers(1, 50))
-        stats = BlockStats(n=int(rng.integers(1, 30)), k=k, d=1,
-                           means=rng.normal(size=(k, 1)))
+        stats = BlockStats(n=int(rng.integers(1, 30)), means=rng.normal(size=(k, 1)))
         assert scgf_values(stats, np.array([0.0]))[0] == 0.0
 
 
 def test_scgf_matches_direct_formula():
-    stats = BlockStats(n=2, k=2, d=1, means=np.array([[1.5], [3.5]]))
+    stats = BlockStats(n=2, means=np.array([[1.5], [3.5]]))
     lam = 0.3
     want = math.log((math.exp(2 * 1.5 * lam) + math.exp(2 * 3.5 * lam)) / 2.0) / 2.0
     got = float(scgf_values(stats, np.array([lam]))[0])
@@ -271,13 +272,13 @@ def test_scgf_matches_direct_formula():
 
 
 def test_scgf_single_block_is_linear():
-    stats = BlockStats(n=5, k=1, d=1, means=np.array([[0.7]]))
+    stats = BlockStats(n=5, means=np.array([[0.7]]))
     lam = np.array([-2.0, 0.0, 1.3])
     assert np.allclose(scgf_values(stats, lam), lam * 0.7, atol=1e-15)
 
 
 def test_scgf_extreme_exponents_no_overflow():
-    stats = BlockStats(n=10, k=2, d=1, means=np.array([[1000.0], [0.0]]))
+    stats = BlockStats(n=10, means=np.array([[1000.0], [0.0]]))
     got = float(scgf_values(stats, np.array([1.0]))[0])
     want = (10000.0 + math.log(0.5)) / 10.0
     assert got == pytest.approx(want, rel=1e-15)
@@ -285,25 +286,42 @@ def test_scgf_extreme_exponents_no_overflow():
 
 def test_scgf_vector_tilts():
     # The empirical SCGF is scalar: (G, d) tilts and d > 1 stats are refused.
-    scalar = BlockStats(n=4, k=3, d=1, means=np.array([[0.1], [0.3], [0.0]]))
+    scalar = BlockStats(n=4, means=np.array([[0.1], [0.3], [0.0]]))
     for lam in (np.array([[0.5], [0.0]]), np.array([[0.5, -1.0], [0.0, 0.0]]),
                 np.float64(0.5)):
         with pytest.raises(UsageError, match="1-d tilt array"):
             scgf_values(scalar, lam)
-    vector = BlockStats(n=4, k=3, d=2,
-                        means=np.array([[0.1, 0.4], [0.3, -0.2], [0.0, 0.5]]))
+    vector = BlockStats(n=4, means=np.array([[0.1, 0.4], [0.3, -0.2], [0.0, 0.5]]))
     with pytest.raises(UsageError, match="d=2"):
         scgf_values(vector, np.array([0.1, 0.2]))
 
 
 def test_scgf_rejects_nonfinite_means():
-    stats = BlockStats(n=2, k=2, d=1, means=np.array([[np.inf], [0.0]]))
+    stats = BlockStats(n=2, means=np.array([[np.inf], [0.0]]))
     with pytest.raises(DataError):
         scgf_values(stats, np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scgf_refuses_a_nonfinite_tilt(bad):
+    # The first non-finite tilt is named; none is evaluated to NaN.
+    stats = block_means(digit_source(1, 10, 0), 10, 100)
+    with pytest.raises(UsageError, match="tilt lambda=%g must be finite" % bad):
+        scgf_values(stats, np.array([1.0, bad, np.nan]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ball_mass_refuses_a_nonfinite_center(bad):
+    stats = block_means(digit_source(1, 10, 0), 10, 100)
+    with pytest.raises(UsageError, match="ball center %g must be finite" % bad):
+        ball_mass(stats, bad, 0.1)
+    vector = BlockStats(n=1, means=np.array([[0.0, 0.0]]))
+    with pytest.raises(UsageError, match="must be finite"):
+        ball_mass(vector, np.array([0.0, bad]), 0.1)
+
+
 def test_empirical_scgf_validation():
-    stats = BlockStats(n=3, k=2, d=1, means=np.array([[0.1], [0.2]]))
+    stats = BlockStats(n=3, means=np.array([[0.1], [0.2]]))
     assert scgf_values(stats, np.array([-1.0, 0.0, 1.0]))[1] == 0.0
     with pytest.raises(UsageError):
         scgf_values(stats, np.array([[0.0], [1.0]]))  # needs a 1-d grid
@@ -314,7 +332,7 @@ def test_empirical_scgf_validation():
 
 
 def test_ball_mass_closed_ball():
-    stats = BlockStats(n=1, k=4, d=1,
+    stats = BlockStats(n=1,
                        means=np.array([[0.0], [0.25], [0.5], [1.0]]))
     assert ball_mass(stats, 0.25, 0.25) == (3, 0.75)  # boundary points count
     assert ball_mass(stats, 2.0, 0.1) == (0, 0.0)
@@ -325,19 +343,21 @@ def test_ball_mass_closed_ball():
 
 
 def test_block_stats_refuse_means_off_their_dimension():
-    for d, means in ((2, np.zeros((3, 1))), (1, np.zeros((3, 2))), (1, np.zeros(3)),
-                     (1, np.zeros((3, 1, 1)))):
+    # A block measure has at least one point: zero rows give no k to divide by.
+    for means in (np.zeros(3), np.zeros((3, 1, 1)), np.zeros((0, 1))):
         with pytest.raises(UsageError, match="shape"):
-            BlockStats(n=1, k=3, d=d, means=means)
+            BlockStats(n=1, means=means)
+    with pytest.raises(UsageError, match="shape"):
+        BlockStats(n=1, means=np.zeros((0, 1)), weights=np.zeros(0, dtype=np.int64))
 
 
 def test_ball_mass_euclidean():
-    stats = BlockStats(n=1, k=2, d=2, means=np.array([[3.0, 4.0], [10.0, 10.0]]))
+    stats = BlockStats(n=1, means=np.array([[3.0, 4.0], [10.0, 10.0]]))
     assert ball_mass(stats, np.array([0.0, 0.0]), 5.0) == (1, 0.5)
 
 
 def test_local_rate_values_and_sentinel():
-    stats = BlockStats(n=8, k=3, d=1, means=np.array([[0.1], [0.2], [0.9]]))
+    stats = BlockStats(n=8, means=np.array([[0.1], [0.2], [0.9]]))
     r = local_rate(stats, 0.15, 0.06)
     assert r == pytest.approx(-math.log(2.0 / 3.0) / 8.0, rel=1e-15)
     assert local_rate(stats, 5.0, 0.01) == np.inf

@@ -747,11 +747,14 @@ def test_brownian_far_tail_oracle(tmp_path, capsys):
     # json writes and reads the bare NaN literal, which no check may pass
     (["brownian"], dict(BROWNIAN_SMALL, R=math.nan), "|x| + eps <= R = nan"),
     (["brownian"], dict(BROWNIAN_SMALL, x_list=[math.nan]), "center nan violates"),
+    # |inf| + eps <= R = inf holds, so the ball mass refuses the center
+    (["brownian"], dict(BROWNIAN_SMALL, R=math.inf, x_list=[math.inf]),
+     "ball center inf must be finite"),
     (["brownian"], dict(BROWNIAN_SMALL, budget=math.nan),
      "n=6 needs n*k=126 > nan observations"),
     (["fig1"], dict(FIG1_SMALL, budget=math.nan), "n=20 needs n*k=60 > nan observations"),
-], ids=["schedule-k", "given-k", "budget", "center", "R-nan", "center-nan", "budget-nan",
-        "fig1-budget-nan"])
+], ids=["schedule-k", "given-k", "budget", "center", "R-nan", "center-nan", "center-inf",
+        "budget-nan", "fig1-budget-nan"])
 def test_usage_errors_print_short_numbers(tmp_path, capsys, argv, config, want):
     # A huge integer prints in e-notation formed from its digits (3e400 is
     # past float range) and a center as a CSV cell: one short line, no

@@ -78,7 +78,7 @@ def test_double_conjugation_minorizes():
 
 def test_grid_young_fenchel_inequality():
     rng = np.random.default_rng(21)
-    stats = BlockStats(n=6, k=40, d=1, means=rng.normal(0.2, 0.5, size=(40, 1)))
+    stats = BlockStats(n=6, means=rng.normal(0.2, 0.5, size=(40, 1)))
     g = make_grid(-1.5, 1.5, 0.05)
     f = SampledFunction(grid=g, values=scgf_values(stats, g))
     xs = np.linspace(-1.0, 1.5, 37)

@@ -8,11 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import blockldp
 from blockldp import (DataError, ExperimentConfig, RunManifest, Schedule, UsageError,
                       bernoulli_model, bernoulli_source, brownian_experiment,
                       brownian_pipeline, digit_indicator_model, digit_source, fig1_pipeline,
                       file_source, frequency_test, gaussian_source,
                       pi_fixture_path, regime_experiment)
+from blockldp.experiments import RunRecord
 
 from _reference import sizes
 
@@ -52,8 +54,13 @@ def test_run_manifest_layout(tmp_path):
         doc = json.load(fh, parse_constant=reject)
     assert doc["config"] == {"a": 1, "hi": "inf", "v": ["-inf", "nan"]}
     assert doc["files"] == ["a.csv", "b.csv"]
-    assert doc["library_version"]
+    assert doc["library_version"] == blockldp.__version__
     assert list(doc) == sorted(doc)
+    # The version and a run's clock are the library's own, set by no caller.
+    with pytest.raises(TypeError, match="library_version"):
+        RunManifest(command="x", config={}, seeds=[], files=[], library_version="0")
+    with pytest.raises(TypeError, match="started"):
+        RunRecord("x", str(tmp_path / "m.json"), started=0.0)
 
 
 def test_fig1_pipeline_small(tmp_path):
