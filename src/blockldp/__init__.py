@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 from ._errors import DataError, NumericalError, UsageError
 from .sources import (MarkovSpec, Reader, SeriesSource, bernoulli_source, digit_source,
                       file_source, gaussian_source, markov_source, pi_fixture_path)
-from .blockstats import BlockStats, SampledFunction, ball_mass, block_means, scgf_values
+from .blockstats import BlockStats, ball_mass, block_means, scgf_values
 from .models import (ScgfModel, bernoulli_model, digit_indicator_model,
                      gaussian_model, markov_model)
-from .convex import ConjugateResult, grad_estimate, legendre
+from .convex import ConjugateResult, SampledFunction, grad_estimate, legendre
 from .regimes import RegimeReport, Schedule, classify, find_level_points
 from .experiments import (BrownianResult, ExperimentConfig, Fig1Result,
                           FrequencyResult, RegimeEvidence, RunManifest,

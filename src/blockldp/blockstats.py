@@ -15,7 +15,7 @@ the distinct sums divided by n in increasing order, each weighted by its
 block count.  Lattice-ness is a property of the source, never of the data:
 a continuous source keeps its means in block order with unit weights even
 when every block sum happens to be an integer.  BlockStats reads k (the
-weights' sum) and d (the columns of means) from its points.  The float
+weights' sum) and d (the columns of means) from its finite points.  The float
 block sums and the SCGF's sum over rows both go through _tree, one fixed
 pairwise summation in row order, so serial, chunked and parallel
 evaluations agree bit-exactly.
@@ -69,8 +69,8 @@ class BlockStats:
     means has shape (r, d), r >= 1; weights[i] >= 1 counts the blocks whose
     mean is means[i], and weights=None means one block per row.  k (the
     weights' sum) and d (the columns of means) are read from the points.
-    Every coordinate of a bounded observable's block mean stays in the
-    observable's range.
+    Every mean is finite (DataError otherwise), and every coordinate of a
+    bounded observable's block mean stays in the observable's range.
     """
 
     n: int
@@ -90,28 +90,11 @@ class BlockStats:
                 or not np.all(w >= 1)):
             raise UsageError("weights must be a 1-d integer array of counts >= 1, one "
                              "per row of means")
+        if not np.all(np.isfinite(self.means)):
+            raise DataError("block means contain non-finite entries")
         object.__setattr__(self, "weights", w.astype(np.int64, copy=False))
         object.__setattr__(self, "k", int(self.weights.sum()))
         object.__setattr__(self, "d", d)
-
-
-@dataclass
-class SampledFunction:
-    """A function sampled on a strictly increasing scalar grid.
-
-    Values live in R extended by +inf (serialized as the literal "inf").
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
-            raise UsageError("grid and values must be 1-d arrays of equal length")
-        if self.grid.size >= 2 and not np.all(np.diff(self.grid) > 0):
-            raise UsageError("grid must be strictly increasing")
 
 
 def block_means(source: sources.SeriesSource, n: int, k: int) -> BlockStats:
@@ -136,7 +119,8 @@ def block_means(source: sources.SeriesSource, n: int, k: int) -> BlockStats:
     A digit, Bernoulli or Gaussian source is generated and reduced in parts
     of whole blocks, one per thread.  Neither form depends on the internal
     batching or on the thread count.  Raises DataError when the source is
-    exhausted, stating how many full blocks were available.
+    exhausted, stating how many full blocks were available, or a block sum
+    overflows to a non-finite mean.
     """
     if n < 1 or k < 1:
         raise UsageError("block length and block count must be >= 1")
@@ -168,13 +152,15 @@ def block_means(source: sources.SeriesSource, n: int, k: int) -> BlockStats:
 
     def tree(pieces):
         # A piece's blocks are summed as n rows of (blocks, d) values; the
-        # first level reads them straight from the (blocks, n, d) values.
+        # first level reads them straight from the (blocks, n, d) values.  An
+        # overflowing sum stays inf or NaN, unwarned, for BlockStats to refuse.
         scratch = None
         for j, values in pieces:
             rows = values.reshape(-1, n, d).transpose(1, 0, 2)
             if scratch is None:
                 scratch = np.empty(rows.shape)
-            sums[j : j + rows.shape[1]] = _tree(rows, scratch[:, : rows.shape[1]])
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums[j : j + rows.shape[1]] = _tree(rows, scratch[:, : rows.shape[1]])
 
     source.reader()._reduce_blocks(n, k, tree)
     sums /= n
@@ -207,8 +193,6 @@ def scgf_values(stats: BlockStats, lambdas: np.ndarray) -> np.ndarray:
                          "stats, got tilts of shape %s and d=%d" % (lam.shape, stats.d))
     if not np.all(np.isfinite(lam)):
         raise UsageError("tilt lambda=%g must be finite" % lam[~np.isfinite(lam)][0])
-    if not np.all(np.isfinite(stats.means)):
-        raise DataError("block means contain non-finite entries")
     out = np.empty(lam.size, dtype=np.float64)
     gstep = max(1, sources._BLOCK // stats.means.shape[0])
     for g0 in range(0, lam.size, gstep):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -26,9 +25,8 @@ from . import __version__
 from ._errors import DataError, NumericalError, UsageError
 from ._serialize import (fmt_cell, json_safe, make_grid, read_csv_columns,
                          read_json_object, write_csv, write_rows)
-from .blockstats import (BlockStats, SampledFunction, ball_mass, block_means,
-                         scgf_values)
-from .convex import legendre
+from .blockstats import BlockStats, ball_mass, block_means, scgf_values
+from .convex import SampledFunction, legendre
 from .experiments import (ExperimentConfig, RunRecord, brownian_pipeline, fig1_pipeline,
                           frequency_test)
 from .models import (bernoulli_model, digit_indicator_model, gaussian_model,
@@ -217,17 +215,12 @@ def cmd_regime(args) -> int:
     model = _parse_model(args.model)
     lambda0 = float(args.lambda0)
     report = classify(model, lambda0, args.c)
-    # The level points lambda1 < lambda2 solve lambda L'(lambda) - L(lambda)
-    # = threshold; they bracket the tilts, their slopes x1 < x2 the means.
-    # A side whose level is not attained within the bracket stays open, as
-    # in classify: its lambda is -inf or +inf and its x is null.
-    if report.threshold > 1e-12:
-        lam1, lam2 = find_level_points(model, report.threshold)
-        x1, x2 = (float(model.grad(lam)) if math.isfinite(lam) else None
-                  for lam in (lam1, lam2))
-    else:
-        lam1 = lam2 = 0.0
-        x1 = x2 = report.x0
+    # The level points lambda1 <= 0 <= lambda2 solve lambda L'(lambda) - L(lambda)
+    # = threshold, or 0 where rounding leaves it just below; they bracket the
+    # tilts, their slopes x1 <= x2 the means.  A side not attained within the
+    # bracket stays open, as in classify: its lambda is -inf or +inf, its x null.
+    lam1, lam2 = find_level_points(model, max(report.threshold, 0.0))
+    x1, x2 = (float(model.grad(lam)) if math.isfinite(lam) else None for lam in (lam1, lam2))
     doc = {"model": model.name, "regime": report.regime,
            "lambda0": report.lambda0, "x0": report.x0,
            "threshold": report.threshold, "c": report.c,
@@ -259,9 +252,7 @@ def cmd_freq(args) -> int:
     record = None if out is None else _open_run(args, out)
     res = frequency_test(file_source(args.infile, args.m), args.n0, args.count)
     if record is not None:
-        # The words in code order: res.word(c) for c < m**n0, a product of digits.
-        words = map("".join, itertools.product("0123456789"[:res.m], repeat=res.n0))
-        write_csv(out, ["word", "count", "freq"], zip(words, res.counts, res.freqs))
+        write_csv(out, ["word", "count", "freq"], zip(res.words, res.counts, res.freqs))
         record.write(_flags(args))
     doc = {"m": res.m, "n0": res.n0, "N": res.N, "windows": res.windows,
            "uniform": args.m ** (-float(args.n0)), "max_dev": res.max_dev}

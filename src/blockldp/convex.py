@@ -12,7 +12,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DataError, UsageError
-from .blockstats import SampledFunction
+
+
+@dataclass
+class SampledFunction:
+    """A function sampled on a strictly increasing scalar grid.
+
+    Values live in R extended by +inf (serialized as the literal "inf").
+    """
+
+    grid: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.grid = np.asarray(self.grid, dtype=np.float64)
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
+            raise UsageError("grid and values must be 1-d arrays of equal length")
+        if self.grid.size >= 2 and not np.all(np.diff(self.grid) > 0):
+            raise UsageError("grid must be strictly increasing")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ it bit-exactly; CSV bytes are identical across re-runs with equal manifests.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -21,8 +22,8 @@ from . import __version__
 from ._errors import DataError, NumericalError, UsageError, fmt_int
 from ._serialize import (_sha256, fmt_cell, grid_spec, json_safe, make_grid,
                          read_json_object, write_csv)
-from .blockstats import SampledFunction, _ball_rate, ball_mass, block_means, scgf_values
-from .convex import ConjugateResult, grad_estimate, legendre
+from .blockstats import _ball_rate, ball_mass, block_means, scgf_values
+from .convex import ConjugateResult, SampledFunction, grad_estimate, legendre
 from .models import ScgfModel, digit_indicator_model
 from .regimes import RegimeReport, Schedule, classify, rate_along
 from .sources import SeriesSource, digit_source, file_source, gaussian_source
@@ -461,12 +462,10 @@ class FrequencyResult:
     freqs: np.ndarray
     max_dev: float
 
-    def word(self, code: int) -> str:
-        digits = []
-        for _ in range(self.n0):
-            digits.append(str(code % self.m))
-            code //= self.m
-        return "".join(reversed(digits))
+    @property
+    def words(self) -> list[str]:
+        """The words in code order: words[c] spells c in base m with n0 digits."""
+        return list(map("".join, itertools.product("0123456789"[:self.m], repeat=self.n0)))
 
 
 def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> FrequencyResult:

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import sources
 from ._errors import NumericalError, UsageError
-from .blockstats import SampledFunction
-from .convex import legendre
+from .convex import SampledFunction, legendre
 
 
 @dataclass(frozen=True)

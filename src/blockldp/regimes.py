@@ -11,10 +11,10 @@ splits the asymptotics into three regimes:
       affine continuation t -> Lambda(lambda0) + (t-1) lambda0 x0, t >= 1.
 
 The rate along tilts g(lambda) = lambda Lambda'(lambda) - Lambda(lambda) is
-Lambda*(x0) at lambda0; its level points g = c bound the attained block means.
-A safeguarded Newton iteration finds them; it stops when g = c, when its
-bracket is 4 ulp wide or after a Newton step of at most 2^-26 |lambda|, so a
-point solves the floating-point g = c to rounding.
+Lambda*(x0) at lambda0; its level points g = c bound the attained block means,
+and both are 0 at c = 0.  A safeguarded Newton iteration finds them; it stops
+when g = c, when its bracket is 4 ulp wide or after a Newton step of at most
+2^-26 |lambda|, so a point solves the floating-point g = c to rounding.
 """
 
 from __future__ import annotations
@@ -131,8 +131,9 @@ def _level_points(model, c: float, sides) -> list[float]:
     """Solve g(lambda) = c on each given side of 0 (+1 right, -1 left).
 
     g vanishes at 0 and rises with |lambda| (g'(lambda) = lambda Lambda''(lambda)),
-    so each side is a safeguarded Newton iteration (Numerical Recipes' rtsafe)
-    in u = side * lambda.  One rate_along call scores every side on the ladder
+    so a level c <= 0 is 0.0 on every side, with no model call, and for c > 0
+    each side is a safeguarded Newton iteration (Numerical Recipes' rtsafe) in
+    u = side * lambda.  One rate_along call scores every side on the ladder
     u = 50 * 2^-j, j = 0..11: g(side * 50) < c leaves the side open (side * inf),
     and otherwise the tightest pair of rungs around c (the last rung and 0 at
     the bottom) brackets the root; the iteration starts at its midpoint.  Each
@@ -141,6 +142,8 @@ def _level_points(model, c: float, sides) -> list[float]:
     when g = c, when its bracket is 4 ulp wide, or at a Newton step of at most
     2^-26 u, which is taken unevaluated: Newton converges quadratically.
     """
+    if c <= 0:
+        return [0.0] * len(sides)
     rungs = _LEVEL_BRACKET * 0.5 ** np.arange(12)
     points = [side * np.inf for side in sides]
     spans = {}  # unsolved side index -> (lo, hi, u) in u = side * lambda
@@ -172,6 +175,7 @@ def _level_points(model, c: float, sides) -> list[float]:
 def find_level_points(model, c: float) -> tuple[float, float]:
     """The two solutions (lambda1 < 0 < lambda2) of Lambda*(Lambda'(lambda)) = c.
 
+    The level c must be >= 0 (UsageError otherwise); c = 0 gives (0.0, 0.0).
     A side whose level is not attained within [-50, 50] (g(+-50) < c) is
     open: its point is -inf (left) or +inf (right).  The solver stops when
     g = c, when its bracket is 4 ulp wide or after a Newton step of at most
@@ -179,8 +183,8 @@ def find_level_points(model, c: float) -> tuple[float, float]:
     digits, |g - c| <= 1e-13 c at levels 1e-4 to 2000 for the closed-form
     models, plus the spectral Lambda's absolute error (about 1e-15).
     """
-    if not c > 0:
-        raise UsageError("level must be > 0, got %r" % (c,))
+    if not c >= 0:
+        raise UsageError("level must be >= 0, got %r" % (c,))
     return tuple(_level_points(model, c, (-1, +1)))
 
 
@@ -211,7 +215,7 @@ def classify(model, lambda0: float, c: float | None = None) -> RegimeReport:
         regime = "subcritical"
     if regime == "supercritical":
         # A side whose level lies beyond the +-50 bracket stays open.
-        lo, hi = find_level_points(model, c) if c > 0 else (-np.inf, np.inf)
+        lo, hi = find_level_points(model, c)
         prediction = {
             "claim": "empirical scgf converges uniformly to the model on "
                      "compact subsets of lambda_interval",
@@ -225,7 +229,7 @@ def classify(model, lambda0: float, c: float | None = None) -> RegimeReport:
         # c = 0 the sublevel region shrinks to the mean itself.  An open
         # edge (level beyond the +-50 bracket) leaves eps_max unknown.
         side = +1 if lambda0 > 0 else -1
-        edge = _level_points(model, c, (side,))[0] if c > 0 else 0.0
+        edge = _level_points(model, c, (side,))[0]
         eps_max = float(abs(x0 - model.grad(edge))) if math.isfinite(edge) else None
         prediction = {
             "claim": "balls B(x0, eps) with eps < eps_max are eventually empty",

@@ -296,10 +296,12 @@ def test_scgf_vector_tilts():
         scgf_values(vector, np.array([0.1, 0.2]))
 
 
-def test_scgf_rejects_nonfinite_means():
-    stats = BlockStats(n=2, means=np.array([[np.inf], [0.0]]))
-    with pytest.raises(DataError):
-        scgf_values(stats, np.array([0.0]))
+def test_block_stats_refuse_nonfinite_means():
+    # No BlockStats holds a non-finite mean, so neither the SCGF nor a ball
+    # mass reads one.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="non-finite"):
+            BlockStats(n=1, means=np.array([[0.1], [bad], [0.2]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -325,6 +325,19 @@ def test_analyze_refuses_vector_source_before_reading(tmp_path, monkeypatch, cap
     assert os.listdir(tmp_path) == ["vec.json"]
 
 
+def test_analyze_overflowing_block_sums_is_one_error_line(tmp_path):
+    # Ten values of 1e308 sum to inf: the block means are refused as data
+    # (exit 3) with one error line, no numpy overflow warning before it.
+    (tmp_path / "big.json").write_text(json.dumps({"P": [[0.9, 0.1], [0.1, 0.9]],
+                                                   "phi": [0.0, 1e308]}))
+    proc = _run_python(["-m", "blockldp.cli", "analyze", "--kind", "markov",
+                        "--markov-file", "big.json", "--n", "10", "--k", "50",
+                        "--lambda-grid", "0,1", "--out", "s.csv"], str(tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == ["error: block means contain non-finite entries"]
+    assert proc.stdout == "" and os.listdir(tmp_path) == ["big.json"]
+
+
 def test_legendre_cli_roundtrip(tmp_path, capsys):
     lam = tmp_path / "lam.csv"
     xs = np.linspace(-3.0, 3.0, 601)
@@ -469,7 +482,7 @@ def test_freq_cli_words_in_code_order(tmp_path, capsys, m, n0):
     capsys.readouterr()
     res = experiments.frequency_test(file_source(data, m), n0)
     words = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
-    assert words == [res.word(c) for c in range(m ** n0)]
+    assert words == res.words == [np.base_repr(c, m).zfill(n0) for c in range(m ** n0)]
 
 
 def test_out_of_memory_exit_code(tmp_path):

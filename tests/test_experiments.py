@@ -271,7 +271,7 @@ def test_frequency_word_table(tmp_path):
     res = frequency_test(file_source(p, 2), 2, 6)
     assert res.windows == 5
     assert list(res.counts) == [0, 3, 2, 0]
-    assert res.word(1) == "01" and res.word(2) == "10"
+    assert res.words[1] == "01" and res.words[2] == "10"
     assert res.max_dev == pytest.approx(0.6 - 0.25, rel=1e-12)
     single = frequency_test(file_source(p, 2), 1, 6)
     assert list(single.counts) == [3, 3] and single.windows == 6
@@ -282,7 +282,7 @@ def test_frequency_word_table(tmp_path):
 def test_frequency_base_from_source():
     sym = digit_source(4, 7).reader().read(500)[:, 0].astype(np.int64)
     res = frequency_test(digit_source(4, 7), 2, 500)
-    assert res.m == 7 and res.counts.size == 49 and res.word(48) == "66"
+    assert res.m == 7 and res.counts.size == 49 and res.words[48] == "66"
     codes = sym[:-1] * 7 + sym[1:]
     assert np.array_equal(res.counts, np.bincount(codes, minlength=49))
     # the raw symbols are counted, not the indicator an observable carries

@@ -135,8 +135,12 @@ def test_level_points_quadratic_and_digit():
 
 
 def test_level_points_guards():
-    with pytest.raises(UsageError):
-        find_level_points(gaussian_model(), 0.0)
+    # g vanishes only at 0, so level 0 has the one point 0 on each side
+    for model in (gaussian_model(), markov_model(BENCH_CHAIN)):
+        assert find_level_points(model, 0.0) == (0.0, 0.0)
+    for bad in (-1e-300, -0.1, np.nan):
+        with pytest.raises(UsageError):
+            find_level_points(gaussian_model(), bad)
     # the Bernoulli rate never exceeds log 2: both sides are open
     assert find_level_points(bernoulli_model(0.5), 5.0) == (-np.inf, np.inf)
 
@@ -144,7 +148,8 @@ def test_level_points_guards():
 def test_regime_level_points_where_the_rate_is_small_or_flat(capsys):
     # At the critical threshold the level point on lambda0's side is lambda0
     # itself.  At lambda0 = 1e-4, c = 4.5e-10 is the difference of two
-    # numbers near 1e-5, and lambda2 is 1e-4 to 1e-11 relative.  At -30, g
+    # numbers near 1e-5, and lambda2 is 1e-4 to 1e-11 relative; at 1e-6,
+    # c = 4.5e-14 and lambda2 is 1e-6 to 1e-9 relative.  At -30, g
     # lies within 3e-12 of its limit -log 0.9; both points solve g = c to
     # 1e-13 c in 50 digits, where a bisection on an absolute tolerance
     # stopped at its first midpoint -25.
@@ -152,6 +157,9 @@ def test_regime_level_points_where_the_rate_is_small_or_flat(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["regime"] == "critical"
     assert doc["lambda2"] == pytest.approx(1e-4, rel=1e-11)
+    assert main(["regime", "--model", "digit:10:0", "--lambda0", "1e-6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda2"] == pytest.approx(1e-6, rel=1e-9) and doc["lambda1"] < 0
     assert main(["regime", "--model", "digit:10:0", "--lambda0", "-30"]) == 0
     doc = json.loads(capsys.readouterr().out)
     c = doc["threshold"]
