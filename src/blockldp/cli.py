@@ -295,6 +295,9 @@ SELFTESTS = [
      lambda: classify(gaussian_model(), 1.0, 0.5).tilted(2.0) == 1.5),
     ("the first 15 digits of pi hold three 5s",
      lambda: frequency_test(file_source(pi_fixture_path(), 10), 1, 15).counts[5] == 3),
+    ("all of pi (two chunks, a radix point, 1,251 line breaks) is 100000 digits, 10026 5s",
+     lambda: (res := frequency_test(file_source(pi_fixture_path(), 10), 1)).N == 100000
+     and res.counts[5] == 10026),
     ("CSV cells carry 17 significant digits and the inf sentinel",
      lambda: (fmt_cell(0.1), fmt_cell(np.inf)) == ("1.0000000000000001e-01", "inf")),
     ("grid flags agree in range and list form",

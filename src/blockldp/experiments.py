@@ -505,8 +505,8 @@ def frequency_test(source: SeriesSource, n0: int, N: int | None = None) -> Frequ
             codes += syms[t : windows + t]
         counts += np.bincount(codes, minlength=m ** n0)
     if reader.pos < (N or n0):
-        raise DataError("need at least %d symbols (n0=%d, N=%s), got %d"
-                        % (N or n0, n0, N, reader.pos))
+        floor = "the word length n0=%d" % n0 if N is None else "the requested N=%d" % N
+        raise DataError("digit file has symbol count %d, below %s" % (reader.pos, floor))
     N = reader.pos
     windows = N - n0 + 1
     freqs = counts / windows

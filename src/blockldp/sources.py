@@ -9,7 +9,10 @@ the values before it.
 A digit file holds base-m symbols as the ASCII digits 0..m-1; space, tab, CR
 and LF are skipped, and at most one '.' (a radix point) may appear.  A read
 that needs a symbol past any other byte raises DataError naming that byte by
-value (b'\\xc3') and its offset in the file.
+value (b'\\xc3') and its offset in the file.  Each chunk of the file loses its
+separators to bytes.translate when more than 1/16 of its bytes lie below
+'0', else to one bytes.replace per separator, and one max over the rest
+minus '0' accepts it; only a chunk that fails is searched for that byte.
 
 The counter-based core maps (seed, i) to a 64-bit word with the finalizer
 
@@ -332,36 +335,38 @@ def _file_symbols(path, m: int):
     A chunk yields its symbols before its first invalid byte (anything but a
     symbol, space, tab, CR or LF, or a '.' after the file's first); that
     byte's DataError is yielded in place of every later chunk, so no read
-    past it can look like the end of the file.  Each chunk is read into one
-    reused buffer and takes two full-width passes into two more, sym = byte -
-    ord("0") in wrapping uint8 and keep = sym < m.  Only the other bytes (one
-    in 81 of a file with a line break every 80 digits) are classified as
-    whitespace, the radix point or bad, and the symbols are sym[keep].
+    past it can look like the end of the file.  C string routines strip a
+    chunk's separators: bytes.translate when more than 1/16 of its bytes lie
+    below ord("0"), as every separator and '.' do (one digit per line, as
+    gen writes), else one bytes.replace per separator, at memchr speed when
+    they are sparse (a line break every 80 digits) but about 7 ns a byte on
+    dense ones.  The file's first '.' is dropped, and one max accepts the
+    rest minus ord("0").  Only a chunk that fails it looks for its first
+    symbol >= m: that byte is the first of its value in the chunk, or for a
+    '.' the first after the chunk's allowed dot.
     """
-    buf, sym = np.empty((2, _BLOCK), dtype=np.uint8)
-    keep = np.empty(_BLOCK, dtype=bool)
-    seen_dot, offset = False, 0
+    seen_dot = False
     with open(path, "rb") as fh:
-        while size := fh.readinto(buf):
-            s = np.subtract(buf[:size], np.uint8(ord("0")), out=sym[:size])
-            k = np.less(s, np.uint8(m), out=keep[:size])
-            other = np.flatnonzero(~k)
-            byte = buf[other]
-            is_dot = byte == ord(".")
-            bad = ~(is_dot | (byte == 32) | (byte == 9) | (byte == 13) | (byte == 10))
-            dots = np.flatnonzero(is_dot)
-            bad[dots[0 if seen_dot else 1:]] = True
-            seen_dot = seen_dot or dots.size > 0
-            if not bad.any():
-                yield s[k]
-                offset += size
+        while data := fh.read(_BLOCK):
+            if np.count_nonzero(np.frombuffer(data, np.uint8) < ord("0")) * 16 > len(data):
+                clean = data.translate(None, b" \t\r\n")
+            else:
+                clean = data
+                for sep in (b"\n", b"\r", b" ", b"\t"):
+                    clean = clean.replace(sep, b"")
+            dot = not seen_dot and b"." in clean
+            if dot:
+                clean, seen_dot = clean.replace(b".", b"", 1), True
+            s = np.frombuffer(clean, np.uint8) - np.uint8(ord("0"))
+            if s.max(initial=0) < m:
+                yield s
                 continue
-            # The i-th other byte at offset e has e - i symbols before it.
-            i = int(np.argmax(bad))
-            e = int(other[i])
-            yield s[k][:e - i]
+            i = int(np.argmax(s >= m))
+            b = clean[i : i + 1]
+            yield s[:i]
+            at = data.find(b, data.find(b".") + 1 if dot and b == b"." else 0)
             yield from repeat(DataError("unexpected byte %r at offset %d in digit file"
-                                        % (bytes([byte[i]]), offset + e)))
+                                        % (b, fh.tell() - len(data) + at)))
 
 
 def pi_fixture_path() -> str:

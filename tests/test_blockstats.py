@@ -158,9 +158,10 @@ def test_dense_block_means_memory_flat(monkeypatch):
 
 
 def test_digit_file_block_means_memory_flat(tmp_path):
-    # A digit file is decoded in 2**16-byte chunks into reused buffers and
-    # reduced in pieces of at most 2**16 values, so an 8-times longer file
-    # adds under 0.4 MB to the peak; reads of 2**21 symbols would add 6 to 10 MB.
+    # A digit file is decoded in 2**16-byte chunks, each into fresh bytes and
+    # a fresh symbol array freed once read, and reduced in pieces of at most
+    # 2**16 values, so an 8-times longer file adds under 0.4 MB to the peak;
+    # reads of 2**21 symbols would add 6 to 10 MB.
     rng = np.random.default_rng(3)
     for a in (0, None):
         peaks = []

@@ -154,6 +154,25 @@ def test_gen_rerun_identical_and_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gen_digit_layout_across_chunks(tmp_path, capsys):
+    # gen writes one digit per line: 400,002 bytes, over six chunks of the
+    # default size, each with half its bytes line breaks.
+    out = tmp_path / "d.txt"
+    assert main(["gen", "--kind", "iid-digit", "--m", "7", "--seed", "5",
+                 "--count", "200001", "--out", str(out)]) == 0
+    assert out.stat().st_size == 400_002
+    src = digit_source(5, 7)
+    assert np.array_equal(file_source(out, 7).reader().read(200_002), src.reader().read(200_001))
+    capsys.readouterr()
+    csv = tmp_path / "w.csv"
+    assert main(["freq", "--in", str(out), "--m", "7", "--n0", "2", "--out", str(csv)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    want = experiments.frequency_test(src, 2, 200_001)
+    assert (doc["N"], doc["windows"], doc["max_dev"]) == (want.N, want.windows, want.max_dev)
+    cols = read_csv_columns(csv, ["word", "count", "freq"])
+    assert cols["count"].tolist() == want.counts.tolist()
+
+
 def test_gen_gaussian_and_markov(tmp_path, capsys):
     out = tmp_path / "g.txt"
     assert main(["gen", "--kind", "gaussian", "--d", "2", "--seed", "3",
@@ -453,6 +472,21 @@ def test_freq_cli_json_and_csv(tmp_path, capsys):
     assert main(["freq", "--in", str(data), "--count", "-5"]) == 2
     assert main(["freq", "--in", str(data), "--n0", "3", "--count", "2"]) == 2
     capsys.readouterr()
+
+
+def test_freq_cli_short_file_messages(tmp_path, capsys):
+    # A whole-file read names the word length, a given --count the count;
+    # neither prints Python's None.
+    empty, data = tmp_path / "empty.txt", tmp_path / "d.txt"
+    empty.write_bytes(b"")
+    data.write_text("3.1415926535\n")
+    for path, extra, want in (
+            (empty, ["--n0", "1"], "digit file has symbol count 0, below the word length n0=1"),
+            (data, ["--n0", "2", "--count", "20"],
+             "digit file has symbol count 11, below the requested N=20")):
+        assert main(["freq", "--in", str(path)] + extra) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: %s\n" % want)
 
 
 def test_freq_cli_decodes_file_once(tmp_path, monkeypatch, capsys):

@@ -442,35 +442,69 @@ def test_reader_started_past_the_end_of_a_digit_file(block, tmp_path, monkeypatc
     assert len(reader.read(5)) == 0 and reader.pos == 15
 
 
-def _digit_file_bytes(rng, m: int) -> bytes:
+def _digit_file_bytes(rng, m: int, size: int, sparse: bool, dot=None, bad=None) -> bytes:
     """Seeded bytes of a base-m digit file: mostly symbols and whitespace,
     with radix points and, in some files, bytes that are never valid (the
-    digits m..9, '/', ':', 0x00 and 0x80-0xFF) at rates that vary by file."""
+    digits m..9, '/', ':', 0x00 and 0x80-0xFF) at rates that vary by file.
+    A dense file draws about one byte in five from space, tab, CR and LF; a
+    sparse one one in a hundred, and an LF or CRLF after each line of 40 to
+    120 other bytes, so that fewer than one byte in 16 lies below '0'."""
     pools = [np.arange(ord("0"), ord("0") + m), np.frombuffer(b" \t\r\n", np.uint8),
              [ord(".")], np.r_[ord("0") + m : ord("9") + 1, ord("/"), ord(":"), 0],
              np.arange(128, 256)]
-    dot, bad = rng.choice([0.0, 0.004, 0.02]), rng.choice([0.0, 0.001, 0.005, 0.025])
-    pool = rng.choice(5, int(rng.integers(0, 600)), p=[0.8 - dot - 2 * bad, 0.2, dot, bad, bad])
+    dot = rng.choice([0.0, 0.004, 0.02]) if dot is None else dot
+    bad = rng.choice([0.0, 0.001, 0.005, 0.025]) if bad is None else bad
+    space = 0.01 if sparse else 0.2
+    pool = rng.choice(5, size, p=[1 - space - dot - 2 * bad, space, dot, bad, bad])
     data = np.zeros(pool.size, dtype=np.uint8)
     for j, values in enumerate(pools):
         data[pool == j] = rng.choice(values, np.count_nonzero(pool == j))
+    if sparse:
+        ends = np.cumsum(rng.integers(40, 121, size // 40 + 1))
+        ends = ends[ends <= size]
+        eol = rng.choice([b"\n", b"\r\n"])
+        data = np.insert(data, np.repeat(ends, len(eol)),
+                         np.tile(np.frombuffer(eol, np.uint8), ends.size))
     return data.tobytes()
+
+
+def _digit_file_cases(rng, large: bool):
+    """(m, bytes) of 60 small files, dense and sparse, then, when large, of
+    four files of 2.6 chunks of the default size, each clean but for its '.'
+    and one invalid byte past its first chunk: a bad byte after a '.' in the
+    first chunk, a second '.' in the chunk of the first, a second '.' two
+    chunks after the first, and a bad byte before the file's one '.'."""
+    for case in range(60):
+        m = 2 + case % 9
+        yield m, _digit_file_bytes(rng, m, int(rng.integers(0, 600)), case % 2 == 1)
+    if not large:
+        return
+    for m, sparse, first, at, byte in ((10, True, 0.0, 2.2, b"\xc3"), (7, False, 2.1, 2.4, b"."),
+                                       (10, True, 0.5, 2.3, b"."), (3, False, 1.6, 1.5, b"3")):
+        data = bytearray(_digit_file_bytes(rng, m, int(2.6 * BLOCK), sparse, dot=0.0, bad=0.0))
+        for f, b in sorted([(first, b"."), (at, byte)], reverse=True):
+            data[int(f * BLOCK) + 1 : int(f * BLOCK) + 1] = b
+        yield m, bytes(data)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, None])
 def test_digit_file_decoder_matches_byte_by_byte_reference(chunk, tmp_path, monkeypatch):
     # Whatever the chunk size, reads in uneven pieces give the reference's
     # symbols, then the end of the file or the reference's bad byte and
-    # offset, raised again by a later read.
+    # offset, raised again by a later read.  At the default size the cases
+    # take both stripping rules: chunks with more than 1/16 of their bytes
+    # below '0' and chunks with fewer.  Chunks of 1 and 7 bytes skip the
+    # files of several default chunks, which would take seconds there.
     if chunk is not None:
         sizes(monkeypatch, block=chunk)
     rng = np.random.default_rng(11)
     p = tmp_path / "d.txt"
-    errors = 0
-    for case in range(60):
-        m = 2 + case % 9
-        data = _digit_file_bytes(rng, m)
+    errors, dense = 0, set()
+    for case, (m, data) in enumerate(_digit_file_cases(rng, chunk in (64, None))):
         p.write_bytes(data)
+        for j in range(0, len(data), BLOCK):
+            piece = np.frombuffer(data[j : j + BLOCK], np.uint8)
+            dense.add(16 * np.count_nonzero(piece < ord("0")) > piece.size)
         want, error = digit_file_symbols(data, m)
         cuts = np.diff(np.sort(rng.integers(0, len(want) + 1, 4)), prepend=0,
                        append=len(want))
@@ -487,7 +521,7 @@ def test_digit_file_decoder_matches_byte_by_byte_reference(chunk, tmp_path, monk
         with pytest.raises(DataError) as again:
             reader.read(1)
         assert again.value is first.value
-    assert 10 < errors < 50
+    assert 10 < errors < 50 and dense == {False, True}
 
 
 def test_pi_fixture_contents():
